@@ -1,9 +1,10 @@
 // google-benchmark micro suite for the hot kernels of the framework:
 // FA-count area estimation (the GA's inner loop), Eq. 4 inference,
-// chromosome decode, netlist build/simulate, and the sample-blocked
+// chromosome decode, netlist build/simulate, the sample-blocked
 // predict_batch kernels (scalar vs the dispatched SIMD ISA, across batch
-// sizes and layer densities) — so kernel-level wins are measured in their
-// own tier, apart from flow wall time.
+// sizes and layer densities) and the GA's whole-set accuracy over sample
+// planes — so kernel-level wins are measured in their own tier, apart from
+// flow wall time.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -145,6 +146,47 @@ void BM_PredictBatch(benchmark::State& state) {
 BENCHMARK(BM_PredictBatch)
     ->ArgsProduct({{0, 1}, {1, 32, 128}, {0, 1}})
     ->ArgNames({"simd", "batch", "sparse"});
+
+/// The GA fitness call: whole-training-set accuracy of a Pendigits-shaped
+/// net over a Pendigits-sized train split (2448 samples). args: (simd 0/1,
+/// planes 0/1, sparse 0/1). planes=1 reads SamplePlanes built once outside
+/// the timed loop (the GA path); planes=0 scores the row-major dataset,
+/// transposing every block first. Against BM_PredictBatch this separates
+/// the transpose and the argmax epilogue from the layer sweeps; items/s is
+/// samples scored/s and the label records the ISA that actually ran.
+void BM_Accuracy(benchmark::State& state) {
+  const bool use_simd = state.range(0) != 0;
+  const bool use_planes = state.range(1) != 0;
+  const bool sparse = state.range(2) != 0;
+  constexpr std::size_t kSamples = 2448;
+  const auto model = make_eval_model(sparse ? 11 : 12, sparse);
+  const core::CompiledNet net(model);
+  datasets::QuantizedDataset data;
+  data.n_features = net.n_inputs();
+  data.n_classes = net.n_outputs();
+  data.codes = make_codes(kSamples, net.n_inputs(), 21);
+  data.labels.resize(kSamples);
+  std::mt19937_64 rng(22);
+  for (auto& y : data.labels) {
+    y = static_cast<int>(rng() % static_cast<unsigned>(data.n_classes));
+  }
+  const core::SamplePlanes planes(data);
+  core::EvalWorkspace ws;
+  const core::SimdIsa prev = core::active_simd_isa();
+  const core::SimdIsa isa = core::set_simd_isa(
+      use_simd ? core::detect_simd_isa() : core::SimdIsa::kScalar);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(use_planes ? net.accuracy(planes, ws)
+                                        : net.accuracy(data, ws));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kSamples));
+  state.SetLabel(core::simd_isa_name(isa));
+  core::set_simd_isa(prev);
+}
+BENCHMARK(BM_Accuracy)
+    ->ArgsProduct({{0, 1}, {0, 1}, {0, 1}})
+    ->ArgNames({"simd", "planes", "sparse"});
 
 /// Pre-batching reference: the same samples classified one predict() call
 /// at a time (the per-sample scalar path every consumer used before).

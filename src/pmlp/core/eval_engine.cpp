@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <type_traits>
 
 #include "pmlp/adder/fa_model.hpp"
 #include "pmlp/bitops/bitops.hpp"
@@ -123,63 +124,35 @@ int CompiledNet::predict(std::span<const std::uint8_t> x,
 
 double CompiledNet::accuracy(const datasets::QuantizedDataset& d,
                              EvalWorkspace& ws) const {
-  if (d.size() == 0) return 0.0;
-  const auto preds = predict_batch(d, ws);
-  std::size_t correct = 0;
-  for (std::size_t i = 0; i < d.size(); ++i) {
-    if (preds[i] == d.labels[i]) ++correct;
+  static_assert(std::is_same_v<decltype(d.labels)::value_type, std::int32_t>,
+                "the epilogue compares int32 labels lane-wise");
+  if (d.n_features != n_inputs_) {
+    throw std::invalid_argument(
+        "CompiledNet::accuracy: dataset feature width mismatch");
   }
+  if (d.size() == 0) return 0.0;
+  const std::size_t correct = run_blocks(d.size(), d.codes.data(), nullptr,
+                                         d.labels.data(), nullptr, ws);
   return static_cast<double>(correct) / static_cast<double>(d.size());
+}
+
+double CompiledNet::accuracy(const SamplePlanes& planes,
+                             EvalWorkspace& ws) const {
+  if (planes.n_features() != n_inputs_) {
+    throw std::invalid_argument(
+        "CompiledNet::accuracy: sample planes feature width mismatch");
+  }
+  if (planes.size() == 0) return 0.0;
+  const std::size_t correct =
+      run_blocks(planes.size(), nullptr, &planes, planes.labels(), nullptr,
+                 ws);
+  return static_cast<double>(correct) / static_cast<double>(planes.size());
 }
 
 void CompiledNet::predict_batch(const std::uint8_t* codes, std::size_t n,
                                 std::int32_t* preds, EvalWorkspace& ws) const {
   if (n == 0) return;
-  if (!block_safe_) {
-    // Overflow-unprovable net (never produced by a BitConfig decode at the
-    // paper's widths): keep the exact int64 per-sample path.
-    for (std::size_t s = 0; s < n; ++s) {
-      preds[s] = predict(
-          {codes + s * static_cast<std::size_t>(n_inputs_),
-           static_cast<std::size_t>(n_inputs_)},
-          ws);
-    }
-    return;
-  }
-  const SimdIsa isa = active_simd_isa();
-  ws.bind_block(*this);
-  for (std::size_t base = 0; base < n; base += kBlockSamples) {
-    const int b = static_cast<int>(
-        std::min<std::size_t>(kBlockSamples, n - base));
-    // Transpose the block's rows into neuron-major input planes.
-    const std::uint8_t* rows =
-        codes + base * static_cast<std::size_t>(n_inputs_);
-    std::int32_t* cur = ws.block_a_.data();
-    std::int32_t* nxt = ws.block_b_.data();
-    for (int i = 0; i < n_inputs_; ++i) {
-      std::int32_t* plane = cur + static_cast<std::size_t>(i) * b;
-      for (int s = 0; s < b; ++s) {
-        plane[s] = rows[static_cast<std::size_t>(s) * n_inputs_ + i];
-      }
-    }
-    for (const auto& layer : layers_) {
-      layer_sweep(isa, layer, cur, nxt, nxt, b, act_max32_);
-      std::swap(cur, nxt);
-    }
-    // argmax_first per sample over the output planes (stride b).
-    for (int s = 0; s < b; ++s) {
-      int best = 0;
-      std::int32_t best_v = cur[s];
-      for (int k = 1; k < n_outputs_; ++k) {
-        const std::int32_t v = cur[static_cast<std::size_t>(k) * b + s];
-        if (v > best_v) {
-          best_v = v;
-          best = k;
-        }
-      }
-      preds[base + static_cast<std::size_t>(s)] = best;
-    }
-  }
+  run_blocks(n, codes, nullptr, nullptr, preds, ws);
 }
 
 std::span<const std::int32_t> CompiledNet::predict_batch(
@@ -193,6 +166,59 @@ std::span<const std::int32_t> CompiledNet::predict_batch(
   return {ws.preds_.data(), d.size()};
 }
 
+std::size_t CompiledNet::run_blocks(std::size_t n, const std::uint8_t* codes,
+                                    const SamplePlanes* planes,
+                                    const std::int32_t* labels,
+                                    std::int32_t* preds,
+                                    EvalWorkspace& ws) const {
+  const auto width = static_cast<std::size_t>(n_inputs_);
+  std::size_t correct = 0;
+  if (!block_safe_) {
+    // Overflow-unprovable net (never produced by a BitConfig decode at the
+    // paper's widths): keep the exact int64 per-sample path.
+    if (ws.row_.size() < width) ws.row_.resize(width);
+    for (std::size_t s = 0; s < n; ++s) {
+      const std::uint8_t* row = codes;
+      if (planes != nullptr) {
+        planes->gather_row(s, ws.row_.data());
+        row = ws.row_.data();
+      } else {
+        row += s * width;
+      }
+      const int pred = predict({row, width}, ws);
+      if (preds != nullptr) preds[s] = pred;
+      if (labels != nullptr && labels[s] == pred) ++correct;
+    }
+    return correct;
+  }
+  const SimdIsa isa = active_simd_isa();
+  ws.bind_block(*this);
+  for (std::size_t base = 0; base < n; base += kBlockSamples) {
+    const int b = static_cast<int>(
+        std::min<std::size_t>(kBlockSamples, n - base));
+    const std::int32_t* in = nullptr;
+    if (planes != nullptr) {
+      in = planes->block(base);
+    } else {
+      transpose_block(codes + base * width, n_inputs_, b, ws.block_a_.data());
+      in = ws.block_a_.data();
+    }
+    // Ping-pong through the workspace: layer 1 writes block_b_, layer 2
+    // block_a_ (the transposed input is dead by then), and so on.
+    std::int32_t* out = ws.block_b_.data();
+    std::int32_t* spare = ws.block_a_.data();
+    for (const auto& layer : layers_) {
+      layer_sweep(isa, layer, in, out, out, b, act_max32_);
+      in = out;
+      std::swap(out, spare);
+    }
+    correct += argmax_block(isa, in, n_outputs_, b,
+                            labels != nullptr ? labels + base : nullptr,
+                            preds != nullptr ? preds + base : nullptr);
+  }
+  return correct;
+}
+
 bool CompiledNet::forward_block(
     const std::uint8_t* codes, int n, EvalWorkspace& ws,
     const std::function<void(int layer, const std::int32_t* acc,
@@ -202,12 +228,7 @@ bool CompiledNet::forward_block(
   ws.bind_block(*this);
   std::int32_t* cur = ws.block_a_.data();
   std::int32_t* nxt = ws.block_b_.data();
-  for (int i = 0; i < n_inputs_; ++i) {
-    std::int32_t* plane = cur + static_cast<std::size_t>(i) * n;
-    for (int s = 0; s < n; ++s) {
-      plane[s] = codes[static_cast<std::size_t>(s) * n_inputs_ + i];
-    }
-  }
+  transpose_block(codes, n_inputs_, n, cur);
   for (std::size_t l = 0; l < layers_.size(); ++l) {
     layer_sweep(isa, layers_[l], cur, ws.block_acc_.data(), nxt, n,
                 act_max32_);
@@ -215,6 +236,34 @@ bool CompiledNet::forward_block(
     std::swap(cur, nxt);
   }
   return true;
+}
+
+SamplePlanes::SamplePlanes(const datasets::QuantizedDataset& d)
+    : n_features_(d.n_features),
+      planes_(d.codes.size()),
+      labels_(d.labels.begin(), d.labels.end()) {
+  const auto width = static_cast<std::size_t>(n_features_);
+  if (d.codes.size() != d.size() * width) {
+    throw std::invalid_argument(
+        "SamplePlanes: codes do not hold n_features per label");
+  }
+  constexpr auto kBlock = static_cast<std::size_t>(CompiledNet::kBlockSamples);
+  for (std::size_t base = 0; base < d.size(); base += kBlock) {
+    const int b = static_cast<int>(std::min(kBlock, d.size() - base));
+    transpose_block(d.codes.data() + base * width, n_features_, b,
+                    planes_.data() + base * width);
+  }
+}
+
+void SamplePlanes::gather_row(std::size_t s, std::uint8_t* row) const {
+  constexpr auto kBlock = static_cast<std::size_t>(CompiledNet::kBlockSamples);
+  const std::size_t base = s - s % kBlock;
+  const std::size_t b = std::min(kBlock, size() - base);
+  const std::int32_t* planes = block(base);
+  for (int i = 0; i < n_features_; ++i) {
+    row[i] = static_cast<std::uint8_t>(
+        planes[static_cast<std::size_t>(i) * b + (s - base)]);
+  }
 }
 
 void EvalWorkspace::bind(const CompiledNet& net) {

@@ -3,19 +3,27 @@
 // `HwAwareProblem::evaluate` runs ~26M times per paper-scale experiment, and
 // the naive path re-walks every connection of a freshly decoded `ApproxMlp`
 // per sample, heap-allocating two activation vectors per layer per sample.
-// This module makes a single evaluation cheap in three steps:
+// This module makes a single evaluation cheap in four steps:
 //
 //   compile  — flatten a chromosome-decoded `ApproxMlp` into a `CompiledNet`:
 //              per layer a CSR array of only the *active* connections
 //              (mask & in_mask != 0) with the layer input mask pre-ANDed in,
 //              plus the FA-count area (Eq. 2) computed neuron-by-neuron
 //              during the same walk (no `adder_specs()` vector).
-//   batch    — sweep each layer over sample blocks of up to
-//              `CompiledNet::kBlockSamples` samples held in neuron-major
-//              int32 planes (`EvalWorkspace` flat buffers, zero allocations
-//              after warmup), through explicitly vectorized
-//              mask-and-accumulate kernels picked by runtime CPU dispatch
-//              (AVX2 / NEON / scalar — see simd.hpp, eval_kernels.hpp).
+//   planes   — a training set is laid out once, when its problem is built,
+//              as `SamplePlanes`: blocks of up to `CompiledNet::kBlockSamples`
+//              samples in neuron-major int32 planes, plus int32 labels. Every
+//              GA evaluation then reads its layer-1 inputs straight from
+//              them; nothing re-transposes the constant dataset.
+//   batch    — one block loop sweeps each layer over a block
+//              (`EvalWorkspace` flat buffers, zero allocations after warmup)
+//              through explicitly vectorized mask-and-accumulate kernels
+//              picked by runtime CPU dispatch (AVX2 / NEON / scalar — see
+//              simd.hpp, eval_kernels.hpp), then a vectorized first-maximum
+//              argmax epilogue classifies the block and counts label
+//              matches in the same pass. Row-major callers (serve, RTL
+//              export, hardware scoring) enter the same loop; their blocks
+//              are transposed into the workspace first.
 //   memoize  — a genome-keyed bounded-LRU cache (`EvalCache`) short-circuits
 //              re-evaluation of duplicate individuals, which NSGA-II
 //              crossover/mutation produce every generation (an offspring
@@ -29,8 +37,10 @@
 // fits int32 proves no accumulator can ever leave int32 range, so the
 // narrow adds produce the same values as the int64 ones (computed once at
 // compile time as `block_safe()`; nets that fail it fall back to the
-// per-sample path). The naive path stays as the reference oracle (see
-// eval_engine_test), and the per-sample scalar path as the kernels' one.
+// per-sample path). The epilogue keeps argmax_first's tie rule exactly (a
+// later class wins only when strictly greater). The naive path stays as
+// the reference oracle (see eval_engine_test), and the per-sample scalar
+// path as the kernels' one.
 #pragma once
 
 #include <cstdint>
@@ -82,6 +92,7 @@ struct CompiledLayer {
 };
 
 class EvalWorkspace;
+class SamplePlanes;
 
 /// A chromosome compiled for repeated inference; cheap to evaluate, fixed
 /// after construction. Pruned connections are gone, masks are pre-truncated,
@@ -114,8 +125,17 @@ class CompiledNet {
   [[nodiscard]] int predict(std::span<const std::uint8_t> x,
                             EvalWorkspace& ws) const;
   /// Fraction of samples classified correctly; allocation-free given a
-  /// bound workspace. Runs over predict_batch.
+  /// bound workspace. Transposes each block of the row-major dataset, like
+  /// predict_batch; throws std::invalid_argument on a feature-width
+  /// mismatch.
   [[nodiscard]] double accuracy(const datasets::QuantizedDataset& d,
+                                EvalWorkspace& ws) const;
+  /// The same fraction read from planes built once per dataset: layer 1
+  /// sweeps straight from `planes` and the epilogue counts label matches
+  /// without materializing predictions — the GA fitness path. Bit-identical
+  /// to the dataset overload; throws std::invalid_argument on a
+  /// feature-width mismatch.
+  [[nodiscard]] double accuracy(const SamplePlanes& planes,
                                 EvalWorkspace& ws) const;
 
   /// True when every neuron's static accumulator bound fits int32, i.e. the
@@ -125,9 +145,9 @@ class CompiledNet {
   [[nodiscard]] bool block_safe() const { return block_safe_; }
 
   /// Classify `n` samples stored row-major at `codes` (stride n_inputs()),
-  /// one class per sample into `preds`. Sweeps each layer over blocks of
-  /// kBlockSamples samples through the runtime-dispatched kernels;
-  /// bit-identical to calling predict() per row on every input.
+  /// one class per sample into `preds`. Transposes each block of
+  /// kBlockSamples samples into workspace planes, then runs the shared
+  /// block loop; bit-identical to calling predict() per row on every input.
   void predict_batch(const std::uint8_t* codes, std::size_t n,
                      std::int32_t* preds, EvalWorkspace& ws) const;
   /// Whole-dataset batched classification; the returned span aliases `ws`
@@ -156,7 +176,48 @@ class CompiledNet {
   long fa_area_ = 0;
   std::vector<CompiledLayer> layers_;
 
+  /// The one block loop behind predict_batch and both accuracy overloads.
+  /// Block inputs come from `planes` when given, else from `n` row-major
+  /// samples at `codes`. Each block is swept layer by layer, then the
+  /// argmax epilogue writes `preds` (when non-null) and counts matches
+  /// against `labels` (when non-null); returns the match count. Nets that
+  /// are not block_safe() classify per sample through predict().
+  std::size_t run_blocks(std::size_t n, const std::uint8_t* codes,
+                         const SamplePlanes* planes,
+                         const std::int32_t* labels, std::int32_t* preds,
+                         EvalWorkspace& ws) const;
+
   friend class EvalWorkspace;
+};
+
+/// A QuantizedDataset laid out once as the sample-blocked int32 input
+/// planes the batched sweep reads. Block k covers samples
+/// [64k, 64k + b) with b = min(kBlockSamples, size() - 64k): its
+/// n_features() planes of stride b start at offset 64k * n_features(), so
+/// blocks are contiguous and the layout costs 4 bytes per code. Labels are
+/// kept as int32 in sample order, which the epilogue compares lane-wise.
+/// Immutable after construction, so any number of threads may read one.
+class SamplePlanes {
+ public:
+  explicit SamplePlanes(const datasets::QuantizedDataset& d);
+
+  [[nodiscard]] int n_features() const { return n_features_; }
+  [[nodiscard]] std::size_t size() const { return labels_.size(); }
+  /// Input planes of the block that starts at sample `base` (a multiple of
+  /// kBlockSamples).
+  [[nodiscard]] const std::int32_t* block(std::size_t base) const {
+    return planes_.data() + base * static_cast<std::size_t>(n_features_);
+  }
+  [[nodiscard]] const std::int32_t* labels() const { return labels_.data(); }
+  /// Copy sample `s` back out as row-major codes into `row` (size
+  /// n_features()) — the per-sample fallback of nets that are not
+  /// block_safe().
+  void gather_row(std::size_t s, std::uint8_t* row) const;
+
+ private:
+  int n_features_ = 0;
+  std::vector<std::int32_t> planes_;
+  std::vector<std::int32_t> labels_;
 };
 
 /// Reusable flat activation buffers for CompiledNet inference. One per
@@ -175,12 +236,14 @@ class EvalWorkspace final : public nsga2::Problem::Workspace {
   std::vector<std::int64_t> a_;
   std::vector<std::int64_t> b_;
   // Sample-block state: neuron-major int32 activation planes (ping-pong),
-  // a raw-accumulator plane for forward_block, and the per-dataset
-  // prediction buffer the span-returning predict_batch hands out.
+  // a raw-accumulator plane for forward_block, the per-dataset prediction
+  // buffer the span-returning predict_batch hands out, and one gathered
+  // row for the non-block_safe() fallback over SamplePlanes.
   std::vector<std::int32_t> block_a_;
   std::vector<std::int32_t> block_b_;
   std::vector<std::int32_t> block_acc_;
   std::vector<std::int32_t> preds_;
+  std::vector<std::uint8_t> row_;
 };
 
 /// The worker's own EvalWorkspace when `ws` is one (the PopulationEvaluator

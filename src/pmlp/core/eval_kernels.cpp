@@ -53,6 +53,28 @@ void sweep_scalar(const CompiledLayer& layer, const std::int32_t* in,
   }
 }
 
+/// Scalar argmax epilogue over samples [s0, s1) of the block: the oracle of
+/// the vector variant, and its n % 8 tail.
+std::size_t argmax_scalar(const std::int32_t* out, int n_out, int n, int s0,
+                          int s1, const std::int32_t* labels,
+                          std::int32_t* preds) {
+  std::size_t correct = 0;
+  for (int s = s0; s < s1; ++s) {
+    int best = 0;
+    std::int32_t best_v = out[s];
+    for (int k = 1; k < n_out; ++k) {
+      const std::int32_t v = out[static_cast<std::size_t>(k) * n + s];
+      if (v > best_v) {
+        best_v = v;
+        best = k;
+      }
+    }
+    if (preds != nullptr) preds[s] = best;
+    if (labels != nullptr && labels[s] == best) ++correct;
+  }
+  return correct;
+}
+
 #if defined(PMLP_HAVE_AVX2)
 __attribute__((target("avx2"))) void sweep_avx2(
     const CompiledLayer& layer, const std::int32_t* in, std::int32_t* acc,
@@ -164,6 +186,44 @@ __attribute__((target("avx2"))) void sweep_avx2(
   }
   if (vec_end < n) sweep_scalar(layer, in, acc, act, n, vec_end, n, act_max);
 }
+
+/// 8 samples per vector: a lane takes class k only where its logit is
+/// strictly greater than the running maximum, so ties keep the lowest
+/// class exactly as argmax_scalar does. (max_epi32 equals the blend of the
+/// values on the same mask.) Label matches are counted from the equality
+/// mask's sign bits.
+__attribute__((target("avx2"))) std::size_t argmax_avx2(
+    const std::int32_t* out, int n_out, int n, const std::int32_t* labels,
+    std::int32_t* preds) {
+  const int vec_end = n & ~7;
+  std::size_t correct = 0;
+  for (int s = 0; s < vec_end; s += 8) {
+    __m256i best_v =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(out + s));
+    __m256i best_k = _mm256_setzero_si256();
+    for (int k = 1; k < n_out; ++k) {
+      const __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
+          out + static_cast<std::size_t>(k) * n + s));
+      const __m256i gt = _mm256_cmpgt_epi32(v, best_v);
+      best_v = _mm256_max_epi32(best_v, v);
+      best_k = _mm256_blendv_epi8(best_k, _mm256_set1_epi32(k), gt);
+    }
+    if (preds != nullptr) {
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(preds + s), best_k);
+    }
+    if (labels != nullptr) {
+      const __m256i eq = _mm256_cmpeq_epi32(
+          best_k,
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(labels + s)));
+      correct += static_cast<std::size_t>(__builtin_popcount(
+          static_cast<unsigned>(_mm256_movemask_ps(_mm256_castsi256_ps(eq)))));
+    }
+  }
+  if (vec_end < n) {
+    correct += argmax_scalar(out, n_out, n, vec_end, n, labels, preds);
+  }
+  return correct;
+}
 #endif  // PMLP_HAVE_AVX2
 
 #if defined(PMLP_HAVE_NEON)
@@ -274,6 +334,30 @@ void layer_sweep(SimdIsa isa, const CompiledLayer& layer,
       break;
   }
   sweep_scalar(layer, in, acc, act, n, 0, n, act_max);
+}
+
+void transpose_block(const std::uint8_t* rows, int n_features, int n,
+                     std::int32_t* planes) {
+  for (int i = 0; i < n_features; ++i) {
+    std::int32_t* plane = planes + static_cast<std::size_t>(i) * n;
+    for (int s = 0; s < n; ++s) {
+      plane[s] = rows[static_cast<std::size_t>(s) * n_features + i];
+    }
+  }
+}
+
+std::size_t argmax_block(SimdIsa isa, const std::int32_t* out, int n_out,
+                         int n, const std::int32_t* labels,
+                         std::int32_t* preds) {
+  switch (isa) {
+#if defined(PMLP_HAVE_AVX2)
+    case SimdIsa::kAvx2:
+      return argmax_avx2(out, n_out, n, labels, preds);
+#endif
+    default:
+      break;
+  }
+  return argmax_scalar(out, n_out, n, 0, n, labels, preds);
 }
 
 }  // namespace pmlp::core

@@ -17,7 +17,7 @@ HwAwareProblem::HwAwareProblem(ChromosomeCodec codec,
       cfg_(cfg),
       cache_(static_cast<std::size_t>(std::max(0, cfg.eval_cache_capacity))) {
   if (baseline_) {
-    baseline_accuracy_ = mlp::accuracy(*baseline_, train_);
+    baseline_accuracy_ = mlp::accuracy(*baseline_, train);
   }
 }
 

@@ -43,9 +43,10 @@ struct ProblemConfig {
 
 class HwAwareProblem final : public nsga2::Problem {
  public:
-  /// `train` must outlive the problem. `baseline` (optional) provides both
-  /// the doped seeds and the accuracy reference for the loss constraint;
-  /// without it the constraint is disabled and seeding is empty.
+  /// `train` is read only here: it is laid out once as SamplePlanes that
+  /// every evaluation reads. `baseline` (optional) provides both the doped
+  /// seeds and the accuracy reference for the loss constraint; without it
+  /// the constraint is disabled and seeding is empty.
   HwAwareProblem(ChromosomeCodec codec, const datasets::QuantizedDataset& train,
                  std::optional<mlp::QuantMlp> baseline, ProblemConfig cfg);
 
@@ -57,7 +58,8 @@ class HwAwareProblem final : public nsga2::Problem {
   /// workspace. Prefer the workspace overload on hot loops.
   [[nodiscard]] Evaluation evaluate(std::span<const int> genes) const override;
   /// Hot path: memo-cache lookup, else decode -> CompiledNet -> batched
-  /// allocation-free inference through the worker's EvalWorkspace.
+  /// allocation-free inference over the training planes through the
+  /// worker's EvalWorkspace.
   [[nodiscard]] Evaluation evaluate(std::span<const int> genes,
                                     Workspace* ws) const override;
   [[nodiscard]] std::unique_ptr<Workspace> make_workspace() const override;
@@ -79,7 +81,7 @@ class HwAwareProblem final : public nsga2::Problem {
 
  private:
   ChromosomeCodec codec_;
-  const datasets::QuantizedDataset& train_;
+  SamplePlanes train_;  ///< shared read-only by every worker
   std::optional<mlp::QuantMlp> baseline_;
   ProblemConfig cfg_;
   double baseline_accuracy_ = 0.0;

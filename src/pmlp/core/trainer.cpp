@@ -66,6 +66,7 @@ namespace {
 /// Accuracy-only GA problem (Table III reference): the same chromosome but
 /// with every mask gene pinned to all-ones and a constant area objective —
 /// conventional GA training without approximation or hardware awareness.
+/// Like HwAwareProblem it lays its training set out as SamplePlanes once.
 class AccuracyOnlyProblem final : public nsga2::Problem {
  public:
   AccuracyOnlyProblem(ChromosomeCodec codec,
@@ -131,7 +132,7 @@ class AccuracyOnlyProblem final : public nsga2::Problem {
   }
 
   ChromosomeCodec codec_;
-  const datasets::QuantizedDataset& train_;
+  SamplePlanes train_;
   mutable EvalCache cache_;
 };
 

@@ -54,10 +54,14 @@ TEST(Tc23, SnapToPopcountProperties) {
       const auto mag = static_cast<std::uint64_t>(s < 0 ? -s : s);
       EXPECT_LE(pmlp::bitops::popcount(mag), p) << c << " p=" << p;
       // Sign preserved.
-      if (c != 0) EXPECT_EQ(s < 0, c < 0) << c;
+      if (c != 0) {
+        EXPECT_EQ(s < 0, c < 0) << c;
+      }
       // Values already within budget are untouched.
       const auto cmag = static_cast<std::uint64_t>(c < 0 ? -c : c);
-      if (pmlp::bitops::popcount(cmag) <= p) EXPECT_EQ(s, c);
+      if (pmlp::bitops::popcount(cmag) <= p) {
+        EXPECT_EQ(s, c);
+      }
     }
   }
 }

@@ -1,14 +1,19 @@
 // Contract of the compiled sparse evaluation engine: CompiledNet inference
 // and its streamed FA-area must be bit-identical to the naive reference
-// oracle (ApproxMlp::forward / fa_area) on any chromosome, and the genome
-// memo cache must never change a training outcome — only its speed.
+// oracle (ApproxMlp::forward / fa_area) on any chromosome, accuracy read
+// from SamplePlanes must equal the per-sample path under every dispatchable
+// ISA, and the genome memo cache must never change a training outcome —
+// only its speed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 #include "pmlp/bitops/bitops.hpp"
 #include "pmlp/core/eval_engine.hpp"
+#include "pmlp/core/eval_kernels.hpp"
 #include "pmlp/core/problem.hpp"
 #include "pmlp/core/simd.hpp"
 #include "pmlp/datasets/synthetic.hpp"
@@ -431,4 +436,222 @@ TEST(PredictBatch, OverflowUnsafeNetFallsBackToPerSamplePath) {
     ASSERT_EQ(preds[s], net.predict(data.row(s)));
   }
   EXPECT_DOUBLE_EQ(compiled.accuracy(data, ws), core::accuracy(net, data));
+  // The planes path gathers each row back for the same int64 fallback.
+  EXPECT_DOUBLE_EQ(compiled.accuracy(core::SamplePlanes(data), ws),
+                   core::accuracy(net, data));
+}
+
+// ------------------------------------------------------------ sample planes
+
+namespace {
+
+/// The first `n` samples of `d`.
+ds::QuantizedDataset head(const ds::QuantizedDataset& d, std::size_t n) {
+  ds::QuantizedDataset out = d;
+  out.codes.resize(n * static_cast<std::size_t>(d.n_features));
+  out.labels.resize(n);
+  return out;
+}
+
+/// Every ISA set_simd_isa can install on this machine.
+std::vector<core::SimdIsa> dispatchable_isas() {
+  std::vector<core::SimdIsa> isas{core::SimdIsa::kScalar};
+  if (core::detect_simd_isa() != core::SimdIsa::kScalar) {
+    isas.push_back(core::detect_simd_isa());
+  }
+  return isas;
+}
+
+/// Planes-path accuracy must equal the per-sample predict() count, and its
+/// epilogue's classes must equal predict() on every sample: relabelled
+/// with predict()'s own classes the planes score exactly 1, and with every
+/// class shifted by one exactly 0.
+void expect_planes_match_predict(const core::CompiledNet& compiled,
+                                 const ds::QuantizedDataset& data,
+                                 core::EvalWorkspace& ws) {
+  std::size_t correct = 0;
+  ds::QuantizedDataset agree = data;
+  ds::QuantizedDataset disagree = data;
+  for (std::size_t s = 0; s < data.size(); ++s) {
+    const int pred = compiled.predict(data.row(s), ws);
+    if (pred == data.labels[s]) ++correct;
+    agree.labels[s] = pred;
+    disagree.labels[s] = (pred + 1) % compiled.n_outputs();
+  }
+  const double expected =
+      data.size() == 0 ? 0.0
+                       : static_cast<double>(correct) /
+                             static_cast<double>(data.size());
+  EXPECT_EQ(compiled.accuracy(core::SamplePlanes(data), ws), expected);
+  EXPECT_EQ(compiled.accuracy(data, ws), expected);
+  EXPECT_EQ(compiled.accuracy(core::SamplePlanes(agree), ws),
+            data.size() == 0 ? 0.0 : 1.0);
+  EXPECT_EQ(compiled.accuracy(core::SamplePlanes(disagree), ws), 0.0);
+}
+
+}  // namespace
+
+TEST(SamplePlanes, LayoutIsBlockedPlanesAndRoundTripsRows) {
+  const auto data = random_dataset(5, 3, 150, 4, 13);
+  const core::SamplePlanes planes(data);
+  ASSERT_EQ(planes.size(), data.size());
+  ASSERT_EQ(planes.n_features(), data.n_features);
+  constexpr std::size_t kBlock = core::CompiledNet::kBlockSamples;
+  std::vector<std::uint8_t> row(5);
+  for (std::size_t s = 0; s < data.size(); ++s) {
+    const std::size_t base = s - s % kBlock;
+    const std::size_t b = std::min(kBlock, data.size() - base);
+    for (int i = 0; i < data.n_features; ++i) {
+      ASSERT_EQ(planes.block(base)[static_cast<std::size_t>(i) * b + s - base],
+                data.row(s)[static_cast<std::size_t>(i)])
+          << "sample " << s << " feature " << i;
+    }
+    ASSERT_EQ(planes.labels()[s], data.labels[s]);
+    planes.gather_row(s, row.data());
+    ASSERT_TRUE(std::equal(row.begin(), row.end(), data.row(s).begin()));
+  }
+}
+
+TEST(SamplePlanes, AccuracyMatchesPerSamplePredictAcrossSizesAndIsas) {
+  const mlp::Topology topo{{6, 5, 4}};
+  const core::BitConfig bits;
+  const core::ChromosomeCodec codec(topo, bits);
+  const auto data = random_dataset(6, 4, 129, bits.input_bits, 23);
+  const std::size_t sizes[] = {0, 1, 7, 8, 63, 64, 65, 129};
+
+  std::mt19937_64 rng(101);
+  core::EvalWorkspace ws;
+  const MaskStyle styles[] = {MaskStyle::kDense, MaskStyle::kSparse,
+                              MaskStyle::kFullyPruned, MaskStyle::kCoarse};
+  for (core::SimdIsa isa : dispatchable_isas()) {
+    ScopedIsa forced(isa);
+    for (MaskStyle style : styles) {
+      for (int rep = 0; rep < 3; ++rep) {
+        const core::CompiledNet compiled(
+            codec.decode(random_genes(codec, style, rng)));
+        ASSERT_TRUE(compiled.block_safe());
+        for (std::size_t n : sizes) {
+          SCOPED_TRACE(testing::Message()
+                       << core::simd_isa_name(isa) << " style "
+                       << static_cast<int>(style) << " n " << n);
+          expect_planes_match_predict(compiled, head(data, n), ws);
+        }
+      }
+    }
+  }
+}
+
+TEST(SamplePlanes, AccuracyMatchesPerSamplePredictOnFullTableOneTrainSet) {
+  const auto raw = ds::generate(ds::pendigits_spec());
+  const auto split = ds::stratified_split(raw, 0.7, 1);
+  const auto train = ds::quantize_inputs(split.train, 4);
+  const mlp::Topology topo{{raw.n_features, 5, raw.n_classes}};
+  const core::ChromosomeCodec codec(topo, core::BitConfig{});
+
+  std::mt19937_64 rng(5);
+  core::EvalWorkspace ws;
+  for (core::SimdIsa isa : dispatchable_isas()) {
+    ScopedIsa forced(isa);
+    for (MaskStyle style : {MaskStyle::kDense, MaskStyle::kSparse}) {
+      const core::CompiledNet compiled(
+          codec.decode(random_genes(codec, style, rng)));
+      SCOPED_TRACE(core::simd_isa_name(isa));
+      expect_planes_match_predict(compiled, train, ws);
+    }
+  }
+}
+
+TEST(SamplePlanes, TiedOutputLogitsPickTheLowestClass) {
+  // Output neurons 1 and 2 are identical and neuron 0 is theirs with one
+  // less bias, so every sample's logits read (v - 1, v, v): the first
+  // maximum is class 1 and a last-maximum rule would say 2.
+  const mlp::Topology topo{{4, 3, 3}};
+  const core::BitConfig bits;
+  const core::ChromosomeCodec codec(topo, bits);
+  const auto data = random_dataset(4, 3, 77, bits.input_bits, 41);
+  std::mt19937_64 rng(8);
+  core::ApproxMlp net =
+      codec.decode(random_genes(codec, MaskStyle::kDense, rng));
+  auto& out = net.layers().back();
+  for (int i = 0; i < out.n_in; ++i) {
+    out.conn(0, i) = out.conn(1, i);
+    out.conn(2, i) = out.conn(1, i);
+  }
+  out.biases[1] = 0;
+  out.biases[2] = 0;
+  out.biases[0] = -1;
+  net.update_qrelu_shifts();
+  const core::CompiledNet compiled(net);
+
+  ds::QuantizedDataset ones = data;
+  std::fill(ones.labels.begin(), ones.labels.end(), 1);
+  core::EvalWorkspace ws;
+  for (std::size_t s = 0; s < data.size(); ++s) {
+    ASSERT_EQ(net.predict(data.row(s)), 1) << "sample " << s;
+  }
+  for (core::SimdIsa isa : dispatchable_isas()) {
+    ScopedIsa forced(isa);
+    SCOPED_TRACE(core::simd_isa_name(isa));
+    EXPECT_EQ(compiled.accuracy(core::SamplePlanes(ones), ws), 1.0);
+    const auto preds = compiled.predict_batch(data, ws);
+    EXPECT_TRUE(std::all_of(preds.begin(), preds.end(),
+                            [](std::int32_t p) { return p == 1; }));
+  }
+}
+
+TEST(ArgmaxEpilogue, VariantsAgreeWithArgmaxFirstOnTies) {
+  // Logits drawn from {0, 1, 2} tie constantly; 29 samples cover whole
+  // 8-lane vectors and a scalar tail. Both variants are called directly.
+  constexpr int kOut = 5;
+  constexpr int kN = 29;
+  std::mt19937_64 rng(3);
+  std::vector<std::int32_t> planes(static_cast<std::size_t>(kOut) * kN);
+  std::vector<std::int32_t> labels(kN);
+  for (int rep = 0; rep < 20; ++rep) {
+    for (auto& v : planes) v = static_cast<std::int32_t>(rng() % 3) - 1;
+    for (auto& l : labels) l = static_cast<std::int32_t>(rng() % kOut);
+    std::vector<std::int32_t> expected(kN);
+    std::size_t expected_correct = 0;
+    for (int s = 0; s < kN; ++s) {
+      std::vector<std::int64_t> logits(kOut);
+      for (int k = 0; k < kOut; ++k) {
+        logits[static_cast<std::size_t>(k)] =
+            planes[static_cast<std::size_t>(k) * kN + s];
+      }
+      expected[static_cast<std::size_t>(s)] = core::argmax_first(logits);
+      if (expected[static_cast<std::size_t>(s)] ==
+          labels[static_cast<std::size_t>(s)]) {
+        ++expected_correct;
+      }
+    }
+    for (core::SimdIsa isa : {core::SimdIsa::kScalar, core::detect_simd_isa()}) {
+      std::vector<std::int32_t> preds(kN, -1);
+      EXPECT_EQ(core::argmax_block(isa, planes.data(), kOut, kN, labels.data(),
+                                   preds.data()),
+                expected_correct)
+          << core::simd_isa_name(isa);
+      EXPECT_EQ(preds, expected) << core::simd_isa_name(isa);
+      // Counting alone, with no prediction buffer, gives the same count.
+      EXPECT_EQ(core::argmax_block(isa, planes.data(), kOut, kN, labels.data(),
+                                   nullptr),
+                expected_correct);
+    }
+  }
+}
+
+TEST(SamplePlanes, FeatureWidthMismatchThrows) {
+  const core::ChromosomeCodec codec(mlp::Topology{{5, 4, 3}},
+                                    core::BitConfig{});
+  std::mt19937_64 rng(2);
+  const core::CompiledNet compiled(
+      codec.decode(random_genes(codec, MaskStyle::kDense, rng)));
+  const auto narrow = random_dataset(4, 3, 10, 4, 1);
+  core::EvalWorkspace ws;
+  EXPECT_THROW((void)compiled.predict_batch(narrow, ws), std::invalid_argument);
+  EXPECT_THROW((void)compiled.accuracy(narrow, ws), std::invalid_argument);
+  EXPECT_THROW((void)compiled.accuracy(core::SamplePlanes(narrow), ws),
+               std::invalid_argument);
+  // An empty set of the wrong width is still the wrong width.
+  EXPECT_THROW((void)compiled.accuracy(core::SamplePlanes(head(narrow, 0)), ws),
+               std::invalid_argument);
 }

@@ -37,9 +37,9 @@ void expect_identical(const nsga2::Result& a, const nsga2::Result& b) {
   expect_identical(a.pareto_front, b.pareto_front);
 }
 
-/// Small but real GA-AxC setup (quantized baseline + doped seeds). The
-/// problem is constructed per test against the long-lived fixture data,
-/// because HwAwareProblem keeps a reference to the training set.
+/// Small but real GA-AxC setup (quantized baseline + doped seeds), built
+/// once; each test constructs its own problem from it, so every run lays
+/// the training set out as fresh SamplePlanes that all workers share.
 struct Fixture {
   ds::QuantizedDataset train;
   mlp::Topology topology;

@@ -58,7 +58,7 @@ TEST(Variants, HaVariantNeverWorseThanFaOnlyInCells) {
     adder::NeuronAdderSpec spec;
     const int n = 3 + static_cast<int>(rng() % 8);
     for (int i = 0; i < n; ++i) {
-      spec.summands.push_back({rng() & 0xFu, 4,
+      spec.summands.push_back({static_cast<std::uint32_t>(rng() & 0xFu), 4,
                                static_cast<int>(rng() % 5),
                                (rng() & 1) ? +1 : -1});
     }
