@@ -22,7 +22,6 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <random>
 #include <string>
 #include <thread>
@@ -128,20 +127,13 @@ int main() {
   const fs::path dir =
       fs::temp_directory_path() /
       ("pmlp_bench_serve_" + std::to_string(::getpid()));
-  fs::remove_all(dir);
-  fs::create_directories(dir);
   {
-    std::ofstream index(dir / "index.tsv");
-    index << std::setprecision(std::numeric_limits<double>::max_digits10);
-    index << "file\ttest_accuracy\tarea_cm2\tpower_mw\tfunctional_match\n";
+    std::vector<core::FrontEntry> front;
     for (int i = 0; i < n_models; ++i) {
-      char name[40];
-      std::snprintf(name, sizeof name, "front_%03d.model", i);
-      core::save_model_file(make_model(topo, 1000 + i),
-                            (dir / name).string());
-      index << name << '\t' << 0.9 - 0.01 * i << '\t' << 1.0 + i << '\t'
-            << 0.5 + 0.1 * i << "\t1\n";
+      front.push_back({"", 0.9 - 0.01 * i, 1.0 + i, 0.5 + 0.1 * i, true,
+                       make_model(topo, 1000 + static_cast<std::uint64_t>(i))});
     }
+    core::save_front_dir(front, dir.string());
   }
 
   // Shared request tape: both sections answer the exact same requests.

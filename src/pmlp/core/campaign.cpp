@@ -8,8 +8,8 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "pmlp/core/serialize.hpp"
 #include "pmlp/core/thread_pool.hpp"
+#include "pmlp/core/worker.hpp"
 
 namespace pmlp::core {
 
@@ -154,11 +154,10 @@ void CampaignRunner::step(std::size_t index) {
       // workers and `campaign status` treat a done.txt flow as finished.
       // Advisory only — a failure to write it never fails the flow.
       try {
-        write_artifact_file(
-            (std::filesystem::path(cfg_.checkpoint_root) / st.outcome.name /
-             "done.txt")
+        write_done_marker(
+            (std::filesystem::path(cfg_.checkpoint_root) / st.outcome.name)
                 .string(),
-            [](std::ostream& os) { os << "pmlp-done v1\nworker -\nend\n"; });
+            "");
       } catch (const std::exception&) {
       }
     }

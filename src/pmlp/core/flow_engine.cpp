@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "pmlp/core/fault_injection.hpp"
+#include "pmlp/core/record.hpp"
 #include "pmlp/core/serialize.hpp"
 #include "pmlp/netlist/builders.hpp"
 #include "pmlp/netlist/from_quant.hpp"
@@ -200,30 +201,22 @@ void FlowEngine::ensure_checkpoint() {
     // Meta damage is always fatal (invalid_argument), never quarantined:
     // without the digest/fingerprint guard a resume could silently mix
     // artifacts from a different dataset or config.
+    const std::string what = "FlowEngine: malformed checkpoint meta " +
+                             meta_path;
     std::istringstream is;
     try {
       is.str(read_artifact_file(meta_path));
     } catch (const std::invalid_argument& e) {
-      throw std::invalid_argument("FlowEngine: malformed checkpoint meta " +
-                                  meta_path + ": " + e.what());
+      throw std::invalid_argument(what + ": " + e.what());
     }
-    std::string magic, version, tag, name;
-    std::uint64_t got_digest = 0, got_config = 0;
-    bool ok = static_cast<bool>(is >> magic >> version) &&
-              magic == "pmlp-flow-meta" && version == "v1" &&
-              static_cast<bool>(is >> tag) && tag == "dataset";
-    // The dataset name is the rest of the line (it may contain spaces).
-    if (ok) {
-      is >> std::ws;
-      ok = static_cast<bool>(std::getline(is, name));
-    }
-    ok = ok && static_cast<bool>(is >> tag >> got_digest) &&
-         tag == "digest" && static_cast<bool>(is >> tag >> got_config) &&
-         tag == "config";
-    if (!ok) {
-      throw std::invalid_argument("FlowEngine: malformed checkpoint meta " +
-                                  meta_path);
-    }
+    RecordReader r(is, what.c_str());
+    r.header("pmlp-flow-meta");
+    r.expect("dataset");
+    (void)r.name();  // informational; the digest is the guard
+    r.expect("digest");
+    const auto got_digest = r.value<std::uint64_t>("bad digest");
+    r.expect("config");
+    const auto got_config = r.value<std::uint64_t>("bad config");
     if (got_digest != digest || got_config != config) {
       throw std::runtime_error(
           "FlowEngine: checkpoint " + checkpoint_dir_ +
@@ -232,11 +225,12 @@ void FlowEngine::ensure_checkpoint() {
     }
   } else {
     write_artifact(meta_path, [&](std::ostream& os) {
-      os << "pmlp-flow-meta v1\n";
-      os << "dataset " << (data_.name.empty() ? "-" : data_.name) << '\n';
-      os << "digest " << digest << '\n';
-      os << "config " << config << '\n';
-      os << "end\n";
+      RecordWriter w(os, meta_path.c_str());
+      w.header("pmlp-flow-meta");
+      w.name("dataset", data_.name);
+      w.line("digest", digest);
+      w.line("config", config);
+      w.end();
     });
   }
   checkpoint_ready_ = true;

@@ -11,219 +11,201 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iomanip>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
 
 #include "pmlp/bitops/bitops.hpp"
+#include "pmlp/core/record.hpp"
 
 namespace pmlp::core {
 
 namespace {
-constexpr const char* kMagic = "pmlp-approx-mlp";
-constexpr const char* kVersion = "v1";
 
-// ---------------------------------------------------------------- helpers
+constexpr const char* kModelMagic = "pmlp-approx-mlp";
+constexpr long kMaxLong = std::numeric_limits<long>::max();
+constexpr int kMaxInt = std::numeric_limits<int>::max();
 
-void expect_header(std::istream& is, const char* magic, const char* what) {
-  std::string m, version;
-  if (!(is >> m >> version) || m != magic || version != "v1") {
-    throw std::invalid_argument(std::string(what) + ": bad header");
-  }
-}
+// Model topology bounds, generous next to Table I's largest net (16-5-10,
+// 130 connections) but small enough that a corrupt header can never ask
+// for a huge allocation.
+constexpr int kMaxLayers = 64;
+constexpr int kMaxWidth = 1 << 20;
+constexpr long long kMaxConnections = 1 << 22;
 
-void expect_tag(std::istream& is, const char* tag, const char* what) {
-  std::string t;
-  if (!(is >> t) || t != tag) {
-    throw std::invalid_argument(std::string(what) + ": expected '" + tag +
-                                "'" + (t.empty() ? "" : ", got '" + t + "'"));
-  }
-}
-
-void check_stream(const std::ostream& os, const char* what) {
-  if (!os) throw std::runtime_error(std::string(what) + ": stream failure");
-}
-
-mlp::Topology read_topology(std::istream& is, const char* what) {
-  expect_tag(is, "topology", what);
+/// The topology reader of all three model formats. Float and quant nets
+/// write the layer count first ("topology 3 10 3 2"); the approx-mlp block
+/// lists the widths up to its `bits` tag ("topology 10 3 2").
+mlp::Topology read_topology(RecordReader& r, bool counted) {
+  r.expect("topology");
+  const int n_layers =
+      counted ? r.value<int>(2, kMaxLayers, "bad topology size") : kMaxLayers;
   mlp::Topology topo;
-  int n_layers = 0;
-  if (!(is >> n_layers) || n_layers < 2 || n_layers > 64) {
-    throw std::invalid_argument(std::string(what) + ": bad topology size");
+  while (static_cast<int>(topo.layers.size()) < n_layers &&
+         (counted || !r.peek('b'))) {
+    topo.layers.push_back(r.value<int>(1, kMaxWidth, "bad topology entry"));
   }
-  for (int i = 0; i < n_layers; ++i) {
-    int width = 0;
-    if (!(is >> width) || width < 1 || width > 1 << 20) {
-      throw std::invalid_argument(std::string(what) + ": bad topology entry");
-    }
-    topo.layers.push_back(width);
+  long long connections = 0;
+  for (std::size_t l = 1; l < topo.layers.size(); ++l) {
+    connections += static_cast<long long>(topo.layers[l - 1]) * topo.layers[l];
+  }
+  if (topo.layers.size() < 2 || connections > kMaxConnections) {
+    r.fail("bad topology size");
   }
   return topo;
 }
 
-void write_topology(std::ostream& os, const mlp::Topology& topo) {
-  os << "topology " << topo.layers.size();
-  for (int n : topo.layers) os << ' ' << n;
-  os << '\n';
+/// Area, power, delay and cell count, as the baseline and evaluated
+/// formats store a netlist price.
+hwmodel::CircuitCost read_cost(RecordReader& r) {
+  hwmodel::CircuitCost c;
+  c.area_mm2 = r.hex();
+  c.power_uw = r.hex();
+  c.critical_delay_us = r.hex();
+  c.cell_count = r.value<long>(0, kMaxLong, "bad cell_count");
+  return c;
 }
 
-void write_name_line(std::ostream& os, const std::string& name) {
-  os << "name " << (name.empty() ? "-" : name) << '\n';
+/// One float or quant layer's `w <o> <row>` and `b <o> <bias>` records.
+template <typename Layer>
+void write_dense_rows(RecordWriter& w, const Layer& layer) {
+  const std::span weights(layer.weights);
+  const auto n_in = static_cast<std::size_t>(layer.n_in);
+  for (int o = 0; o < layer.n_out; ++o) {
+    w.line("w", o, weights.subspan(static_cast<std::size_t>(o) * n_in, n_in));
+  }
+  for (int o = 0; o < layer.n_out; ++o) {
+    w.line("b", o, layer.biases[static_cast<std::size_t>(o)]);
+  }
 }
 
-/// Names may contain spaces (UCI file stems), so the value is the rest of
-/// the line, not a single token.
-std::string read_name_line(std::istream& is, const char* what) {
-  expect_tag(is, "name", what);
-  is >> std::ws;
-  std::string name;
-  if (!std::getline(is, name) || name.empty()) {
-    throw std::invalid_argument(std::string(what) + ": missing name");
+/// The body of the float and quant nets, up to `end`: a `layer <l> ...`
+/// line, then per neuron a `w <o> <n_in values>` row and a `b <o> <value>`
+/// line. `layer_line(l)` reads the rest of a layer line and
+/// `row(weights, l, o)` the values of one w or b record. Every layer
+/// line, weight row and bias must appear (slots 0, 1 + o, 1 + n_out + o):
+/// a missing one would otherwise load as silent zeros, a default shift or
+/// the random initialization.
+template <typename LayerLine, typename Row>
+void read_dense_layers(RecordReader& r, const mlp::Topology& topo,
+                       LayerLine layer_line, Row row) {
+  const auto n_out = [&](std::size_t l) { return topo.layers[l + 1]; };
+  LayerCoverage seen;
+  for (int l = 0; l < topo.n_layers(); ++l) {
+    seen.add_layer(1 + 2 * static_cast<std::size_t>(n_out(l)));
   }
-  while (!name.empty() && (name.back() == '\r' || name.back() == ' ')) {
-    name.pop_back();
-  }
-  if (name == "-") name.clear();
-  return name;
-}
-
-/// Parse the body of an approx-mlp block (everything after the header).
-/// In embedded mode the block must be terminated by an `endmodel` line;
-/// standalone blocks run to EOF (the original v1 file format).
-ApproxMlp parse_model_body(std::istream& is, bool embedded) {
-  std::string tag;
-  if (!(is >> tag) || tag != "topology") {
-    throw std::invalid_argument("load_model: expected topology");
-  }
-  // Topology: read ints until the "bits" tag.
-  mlp::Topology topo;
-  std::string token;
-  while (is >> token) {
-    if (token == "bits") break;
-    try {
-      topo.layers.push_back(std::stoi(token));
-    } catch (const std::exception&) {
-      throw std::invalid_argument("load_model: bad topology entry");
+  int l = -1;
+  for (std::string_view tag; r.next(tag);) {
+    if (tag == "layer") {
+      l = r.value<int>(0, topo.n_layers() - 1, "bad layer index");
+      layer_line(static_cast<std::size_t>(l));
+      seen.mark(static_cast<std::size_t>(l), 0);
+      continue;
     }
+    if (tag != "w" && tag != "b") r.unknown(tag);
+    if (l < 0) r.fail("value before layer");
+    const auto sl = static_cast<std::size_t>(l);
+    const int o = r.value<int>(0, n_out(sl) - 1, "neuron out of range");
+    const bool weights = tag == "w";
+    row(weights, sl, o);
+    seen.mark(sl, static_cast<std::size_t>(1 + o + (weights ? 0 : n_out(sl))));
   }
-  if (token != "bits" || topo.layers.size() < 2) {
-    throw std::invalid_argument("load_model: malformed topology/bits");
-  }
+  if (!seen.complete()) r.fail("incomplete layer");
+}
+
+/// One approx-mlp block, header included. A standalone block runs to EOF
+/// (the original v1 file format); an embedded one ends at `endmodel`.
+/// Every conn and bias of every layer must be present: a block missing
+/// any would otherwise load as a different, partly pruned model.
+ApproxMlp read_model(std::istream& is, bool embedded) {
+  RecordReader r(is, "load_model");
+  r.header(kModelMagic);
+  const mlp::Topology topo = read_topology(r, /*counted=*/false);
+  r.expect("bits");
   BitConfig bits;
-  if (!(is >> bits.weight_bits >> bits.input_bits >> bits.act_bits >>
-        bits.bias_bits)) {
-    throw std::invalid_argument("load_model: malformed bit config");
-  }
-  if (bits.weight_bits < 2 || bits.weight_bits > 16 || bits.input_bits < 1 ||
-      bits.input_bits > 8 || bits.act_bits < 1 || bits.act_bits > 16 ||
-      bits.bias_bits < 2 || bits.bias_bits > 24) {
-    throw std::invalid_argument("load_model: bit config out of range");
-  }
+  bits.weight_bits = r.value<int>(2, 16, "bit config out of range");
+  bits.input_bits = r.value<int>(1, 8, "bit config out of range");
+  bits.act_bits = r.value<int>(1, 16, "bit config out of range");
+  bits.bias_bits = r.value<int>(2, 24, "bit config out of range");
 
   ApproxMlp net(topo, bits);
-  int current_layer = -1;
-  bool terminated = false;
-  while (is >> tag) {
-    if (embedded && tag == "endmodel") {
-      terminated = true;
-      break;
-    }
+  LayerCoverage seen;
+  for (const auto& layer : net.layers()) {
+    seen.add_layer(layer.conns.size() + layer.biases.size());
+  }
+  int l = -1;
+  for (std::string_view tag; r.next(tag, embedded ? "endmodel" : nullptr);) {
     if (tag == "layer") {
-      if (!(is >> current_layer) || current_layer < 0 ||
-          current_layer >= static_cast<int>(net.layers().size())) {
-        throw std::invalid_argument("load_model: bad layer index");
-      }
-    } else if (tag == "conn") {
-      if (current_layer < 0) {
-        throw std::invalid_argument("load_model: conn before layer");
-      }
-      auto& layer = net.layers()[static_cast<std::size_t>(current_layer)];
-      int o = 0, i = 0, sign = 0, exponent = 0;
-      std::uint32_t mask = 0;
-      if (!(is >> o >> i >> mask >> sign >> exponent)) {
-        throw std::invalid_argument("load_model: malformed conn");
-      }
-      if (o < 0 || o >= layer.n_out || i < 0 || i >= layer.n_in ||
-          (sign != 1 && sign != -1) || exponent < 0 ||
-          exponent > bits.max_exponent() ||
-          mask > bitops::low_mask(layer.input_bits)) {
-        throw std::invalid_argument("load_model: conn out of range");
-      }
-      layer.conn(o, i) = ApproxConn{mask, sign, exponent};
-    } else if (tag == "bias") {
-      if (current_layer < 0) {
-        throw std::invalid_argument("load_model: bias before layer");
-      }
-      auto& layer = net.layers()[static_cast<std::size_t>(current_layer)];
-      int o = 0;
-      std::int64_t value = 0;
-      if (!(is >> o >> value) || o < 0 || o >= layer.n_out ||
-          value < bits.bias_min() || value > bits.bias_max()) {
-        throw std::invalid_argument("load_model: bias out of range");
-      }
-      layer.biases[static_cast<std::size_t>(o)] = value;
+      l = r.value<int>(0, topo.n_layers() - 1, "bad layer index");
+      continue;
+    }
+    if (tag != "conn" && tag != "bias") r.unknown(tag);
+    if (l < 0) r.fail(std::string(tag) + " before layer");
+    const auto sl = static_cast<std::size_t>(l);
+    auto& layer = net.layers()[sl];
+    const int o = r.value<int>(0, layer.n_out - 1, "neuron out of range");
+    if (tag == "conn") {
+      const int i = r.value<int>(0, layer.n_in - 1, "conn out of range");
+      ApproxConn c;
+      c.mask = r.value<std::uint32_t>(
+          0, static_cast<std::uint32_t>(bitops::low_mask(layer.input_bits)),
+          "conn out of range");
+      c.sign = r.value<int>(-1, 1, "conn out of range");
+      c.exponent = r.value<int>(0, bits.max_exponent(), "conn out of range");
+      if (c.sign == 0) r.fail("conn out of range");
+      layer.conn(o, i) = c;
+      seen.mark(sl, static_cast<std::size_t>(o) * layer.n_in + i);
     } else {
-      throw std::invalid_argument("load_model: unknown tag " + tag);
+      layer.biases[static_cast<std::size_t>(o)] = r.value<std::int64_t>(
+          bits.bias_min(), bits.bias_max(), "bias out of range");
+      seen.mark(sl, layer.conns.size() + static_cast<std::size_t>(o));
     }
   }
-  if (embedded && !terminated) {
-    throw std::invalid_argument("load_model: unterminated embedded model");
-  }
+  if (!seen.complete()) r.fail("missing conn or bias");
   net.update_qrelu_shifts();
   return net;
 }
 
-ApproxMlp parse_model(std::istream& is, bool embedded) {
-  std::string magic, version;
-  if (!(is >> magic >> version) || magic != kMagic || version != kVersion) {
-    throw std::invalid_argument("load_model: bad header");
-  }
-  return parse_model_body(is, embedded);
-}
-
 /// Write one approx-mlp block (header + body, no terminator).
-void write_model_block(const ApproxMlp& net, std::ostream& os) {
-  os << kMagic << ' ' << kVersion << '\n';
-  os << "topology";
-  for (int n : net.topology().layers) os << ' ' << n;
-  os << '\n';
+void write_model_block(const ApproxMlp& net, RecordWriter& w) {
+  w.header(kModelMagic);
+  w.line("topology", net.topology().layers);
   const auto& b = net.bits();
-  os << "bits " << b.weight_bits << ' ' << b.input_bits << ' ' << b.act_bits
-     << ' ' << b.bias_bits << '\n';
+  w.line("bits", b.weight_bits, b.input_bits, b.act_bits, b.bias_bits);
   for (std::size_t l = 0; l < net.layers().size(); ++l) {
     const auto& layer = net.layers()[l];
-    os << "layer " << l << '\n';
+    w.line("layer", l);
     for (int o = 0; o < layer.n_out; ++o) {
       for (int i = 0; i < layer.n_in; ++i) {
         const ApproxConn& c = layer.conn(o, i);
-        os << "conn " << o << ' ' << i << ' ' << c.mask << ' '
-           << (c.sign < 0 ? -1 : 1) << ' ' << c.exponent << '\n';
+        w.line("conn", o, i, c.mask, c.sign < 0 ? -1 : 1, c.exponent);
       }
     }
     for (int o = 0; o < layer.n_out; ++o) {
-      os << "bias " << o << ' ' << layer.biases[static_cast<std::size_t>(o)]
-         << '\n';
+      w.line("bias", o, layer.biases[static_cast<std::size_t>(o)]);
     }
   }
 }
 
-void write_model_embedded(const ApproxMlp& net, std::ostream& os) {
-  os << "model\n";
-  write_model_block(net, os);
-  os << "endmodel\n";
+void write_model_embedded(const ApproxMlp& net, RecordWriter& w) {
+  w.line("model");
+  write_model_block(net, w);
+  w.line("endmodel");
 }
 
-ApproxMlp read_model_embedded(std::istream& is, const char* what) {
-  expect_tag(is, "model", what);
-  return parse_model(is, /*embedded=*/true);
+ApproxMlp read_model_embedded(RecordReader& r, std::istream& is) {
+  r.expect("model");
+  return read_model(is, /*embedded=*/true);
 }
 
 }  // namespace
 
 void save_model(const ApproxMlp& net, std::ostream& os) {
-  write_model_block(net, os);
-  check_stream(os, "save_model");
+  RecordWriter w(os, "save_model");
+  write_model_block(net, w);
+  w.check();
 }
 
 std::string to_text(const ApproxMlp& net) {
@@ -233,7 +215,7 @@ std::string to_text(const ApproxMlp& net) {
 }
 
 ApproxMlp load_model(std::istream& is) {
-  return parse_model(is, /*embedded=*/false);
+  return read_model(is, /*embedded=*/false);
 }
 
 ApproxMlp from_text(const std::string& text) {
@@ -256,582 +238,312 @@ ApproxMlp load_model_file(const std::string& path) {
 // ---------------------------------------------------------------- datasets
 
 void save_dataset(const datasets::Dataset& d, std::ostream& os) {
-  os << "pmlp-dataset v1\n";
-  write_name_line(os, d.name);
-  os << "shape " << d.n_features << ' ' << d.n_classes << ' ' << d.size()
-     << '\n';
+  RecordWriter w(os, "save_dataset");
+  w.header("pmlp-dataset");
+  w.name("name", d.name);
+  w.line("shape", d.n_features, d.n_classes, d.size());
   for (std::size_t i = 0; i < d.size(); ++i) {
-    os << "row " << d.labels[i];
-    for (double v : d.row(i)) {
-      os << ' ';
-      write_hexdouble(os, v);
-    }
-    os << '\n';
+    w.line("row", d.labels[i], d.row(i));
   }
-  os << "end\n";
-  check_stream(os, "save_dataset");
+  w.end();
 }
 
 datasets::Dataset load_dataset(std::istream& is) {
-  expect_header(is, "pmlp-dataset", "load_dataset");
+  RecordReader r(is, "load_dataset");
+  r.header("pmlp-dataset");
   datasets::Dataset d;
-  d.name = read_name_line(is, "load_dataset");
-  expect_tag(is, "shape", "load_dataset");
-  std::size_t n_samples = 0;
-  if (!(is >> d.n_features >> d.n_classes >> n_samples) || d.n_features < 1 ||
-      d.n_classes < 1 || n_samples > (std::size_t{1} << 32)) {
-    throw std::invalid_argument("load_dataset: bad shape");
-  }
+  r.expect("name");
+  d.name = r.name();
+  r.expect("shape");
+  d.n_features = r.value<int>(1, kMaxInt, "bad shape");
+  d.n_classes = r.value<int>(1, kMaxInt, "bad shape");
+  const auto n_samples =
+      r.value<std::size_t>(0, std::size_t{1} << 32, "bad shape");
   d.features.reserve(n_samples * static_cast<std::size_t>(d.n_features));
   d.labels.reserve(n_samples);
-  std::string tag;
-  while (is >> tag) {
-    if (tag == "end") {
-      if (d.size() != n_samples) {
-        throw std::invalid_argument("load_dataset: sample count mismatch");
-      }
-      return d;
-    }
-    if (tag != "row") {
-      throw std::invalid_argument("load_dataset: unknown tag " + tag);
-    }
-    int label = 0;
-    if (!(is >> label) || label < 0 || label >= d.n_classes) {
-      throw std::invalid_argument("load_dataset: label out of range");
-    }
-    d.labels.push_back(label);
-    for (int f = 0; f < d.n_features; ++f) {
-      d.features.push_back(read_hexdouble(is, "load_dataset"));
-    }
-  }
-  throw std::invalid_argument("load_dataset: missing end");
+  r.records("row", n_samples, "sample count mismatch", [&] {
+    d.labels.push_back(r.value<int>(0, d.n_classes - 1, "label out of range"));
+    for (int f = 0; f < d.n_features; ++f) d.features.push_back(r.hex());
+  });
+  return d;
 }
 
 void save_quant_dataset(const datasets::QuantizedDataset& d,
                         std::ostream& os) {
-  os << "pmlp-quant-dataset v1\n";
-  write_name_line(os, d.name);
-  os << "shape " << d.n_features << ' ' << d.n_classes << ' ' << d.input_bits
-     << ' ' << d.size() << '\n';
+  RecordWriter w(os, "save_quant_dataset");
+  w.header("pmlp-quant-dataset");
+  w.name("name", d.name);
+  w.line("shape", d.n_features, d.n_classes, d.input_bits, d.size());
   for (std::size_t i = 0; i < d.size(); ++i) {
-    os << "row " << d.labels[i];
-    for (unsigned code : d.row(i)) os << ' ' << code;
-    os << '\n';
+    w.line("row", d.labels[i], d.row(i));
   }
-  os << "end\n";
-  check_stream(os, "save_quant_dataset");
+  w.end();
 }
 
 datasets::QuantizedDataset load_quant_dataset(std::istream& is) {
-  expect_header(is, "pmlp-quant-dataset", "load_quant_dataset");
+  RecordReader r(is, "load_quant_dataset");
+  r.header("pmlp-quant-dataset");
   datasets::QuantizedDataset d;
-  d.name = read_name_line(is, "load_quant_dataset");
-  expect_tag(is, "shape", "load_quant_dataset");
-  std::size_t n_samples = 0;
-  if (!(is >> d.n_features >> d.n_classes >> d.input_bits >> n_samples) ||
-      d.n_features < 1 || d.n_classes < 1 || d.input_bits < 1 ||
-      d.input_bits > 8 || n_samples > (std::size_t{1} << 32)) {
-    throw std::invalid_argument("load_quant_dataset: bad shape");
-  }
+  r.expect("name");
+  d.name = r.name();
+  r.expect("shape");
+  d.n_features = r.value<int>(1, kMaxInt, "bad shape");
+  d.n_classes = r.value<int>(1, kMaxInt, "bad shape");
+  d.input_bits = r.value<int>(1, 8, "bad shape");
+  const auto n_samples =
+      r.value<std::size_t>(0, std::size_t{1} << 32, "bad shape");
   const unsigned max_code = (1u << d.input_bits) - 1u;
   d.codes.reserve(n_samples * static_cast<std::size_t>(d.n_features));
   d.labels.reserve(n_samples);
-  std::string tag;
-  while (is >> tag) {
-    if (tag == "end") {
-      if (d.size() != n_samples) {
-        throw std::invalid_argument(
-            "load_quant_dataset: sample count mismatch");
-      }
-      return d;
-    }
-    if (tag != "row") {
-      throw std::invalid_argument("load_quant_dataset: unknown tag " + tag);
-    }
-    int label = 0;
-    if (!(is >> label) || label < 0 || label >= d.n_classes) {
-      throw std::invalid_argument("load_quant_dataset: label out of range");
-    }
-    d.labels.push_back(label);
+  r.records("row", n_samples, "sample count mismatch", [&] {
+    d.labels.push_back(r.value<int>(0, d.n_classes - 1, "label out of range"));
     for (int f = 0; f < d.n_features; ++f) {
-      unsigned code = 0;
-      if (!(is >> code) || code > max_code) {
-        throw std::invalid_argument("load_quant_dataset: code out of range");
-      }
-      d.codes.push_back(static_cast<std::uint8_t>(code));
+      d.codes.push_back(static_cast<std::uint8_t>(
+          r.value<unsigned>(0, max_code, "code out of range")));
     }
-  }
-  throw std::invalid_argument("load_quant_dataset: missing end");
+  });
+  return d;
 }
 
 // -------------------------------------------------------------------- MLPs
 
 void save_float_mlp(const mlp::FloatMlp& net, std::ostream& os) {
-  os << "pmlp-float-mlp v1\n";
-  write_topology(os, net.topology());
+  RecordWriter w(os, "save_float_mlp");
+  w.header("pmlp-float-mlp");
+  w.line("topology", net.topology().layers.size(), net.topology().layers);
   for (std::size_t l = 0; l < net.layers().size(); ++l) {
-    const auto& layer = net.layers()[l];
-    os << "layer " << l << '\n';
-    for (int o = 0; o < layer.n_out; ++o) {
-      os << "w " << o;
-      for (int i = 0; i < layer.n_in; ++i) {
-        os << ' ';
-        write_hexdouble(os, layer.weight(o, i));
-      }
-      os << '\n';
-    }
-    for (int o = 0; o < layer.n_out; ++o) {
-      os << "b " << o << ' ';
-      write_hexdouble(os, layer.biases[static_cast<std::size_t>(o)]);
-      os << '\n';
-    }
+    w.line("layer", l);
+    write_dense_rows(w, net.layers()[l]);
   }
-  os << "end\n";
-  check_stream(os, "save_float_mlp");
+  w.end();
 }
 
 mlp::FloatMlp load_float_mlp(std::istream& is) {
-  expect_header(is, "pmlp-float-mlp", "load_float_mlp");
-  const auto topo = read_topology(is, "load_float_mlp");
-  mlp::FloatMlp net(topo, /*seed=*/0);  // shape only; weights overwritten
-  // Every neuron's weight row and bias must appear: a file missing rows
-  // would otherwise silently keep the seed-0 random initialization.
-  std::vector<std::vector<char>> w_seen, b_seen;
-  for (const auto& layer : net.layers()) {
-    w_seen.emplace_back(static_cast<std::size_t>(layer.n_out), 0);
-    b_seen.emplace_back(static_cast<std::size_t>(layer.n_out), 0);
-  }
-  int current_layer = -1;
-  std::string tag;
-  while (is >> tag) {
-    if (tag == "end") {
-      for (std::size_t l = 0; l < w_seen.size(); ++l) {
-        for (char seen : w_seen[l]) {
-          if (!seen) {
-            throw std::invalid_argument("load_float_mlp: missing weights");
-          }
+  RecordReader r(is, "load_float_mlp");
+  r.header("pmlp-float-mlp");
+  const auto topo = read_topology(r, /*counted=*/true);
+  mlp::FloatMlp net(topo, /*seed=*/0);  // shape only; every value is read
+  read_dense_layers(
+      r, topo, [](std::size_t) {},
+      [&](bool weights, std::size_t l, int o) {
+        auto& layer = net.layers()[l];
+        if (!weights) {
+          layer.biases[static_cast<std::size_t>(o)] = r.hex();
+          return;
         }
-        for (char seen : b_seen[l]) {
-          if (!seen) {
-            throw std::invalid_argument("load_float_mlp: missing bias");
-          }
-        }
-      }
-      return net;
-    }
-    if (tag == "layer") {
-      if (!(is >> current_layer) || current_layer < 0 ||
-          current_layer >= static_cast<int>(net.layers().size())) {
-        throw std::invalid_argument("load_float_mlp: bad layer index");
-      }
-    } else if (tag == "w" || tag == "b") {
-      if (current_layer < 0) {
-        throw std::invalid_argument("load_float_mlp: value before layer");
-      }
-      auto& layer = net.layers()[static_cast<std::size_t>(current_layer)];
-      int o = 0;
-      if (!(is >> o) || o < 0 || o >= layer.n_out) {
-        throw std::invalid_argument("load_float_mlp: neuron out of range");
-      }
-      if (tag == "w") {
-        for (int i = 0; i < layer.n_in; ++i) {
-          layer.weight(o, i) = read_hexdouble(is, "load_float_mlp");
-        }
-        w_seen[static_cast<std::size_t>(current_layer)]
-              [static_cast<std::size_t>(o)] = 1;
-      } else {
-        layer.biases[static_cast<std::size_t>(o)] =
-            read_hexdouble(is, "load_float_mlp");
-        b_seen[static_cast<std::size_t>(current_layer)]
-              [static_cast<std::size_t>(o)] = 1;
-      }
-    } else {
-      throw std::invalid_argument("load_float_mlp: unknown tag " + tag);
-    }
-  }
-  throw std::invalid_argument("load_float_mlp: missing end");
+        for (int i = 0; i < layer.n_in; ++i) layer.weight(o, i) = r.hex();
+      });
+  return net;
 }
 
 void save_quant_mlp(const mlp::QuantMlp& net, std::ostream& os) {
-  os << "pmlp-quant-mlp v1\n";
-  write_topology(os, net.topology());
-  os << "bits " << net.weight_bits() << ' ' << net.activation_bits() << '\n';
+  RecordWriter w(os, "save_quant_mlp");
+  w.header("pmlp-quant-mlp");
+  w.line("topology", net.topology().layers.size(), net.topology().layers);
+  w.line("bits", net.weight_bits(), net.activation_bits());
   for (std::size_t l = 0; l < net.layers().size(); ++l) {
     const auto& layer = net.layers()[l];
-    os << "layer " << l << ' ' << layer.input_bits << ' ' << layer.qrelu_shift
-       << '\n';
-    for (int o = 0; o < layer.n_out; ++o) {
-      os << "w " << o;
-      for (int i = 0; i < layer.n_in; ++i) os << ' ' << layer.weight(o, i);
-      os << '\n';
-    }
-    for (int o = 0; o < layer.n_out; ++o) {
-      os << "b " << o << ' ' << layer.biases[static_cast<std::size_t>(o)]
-         << '\n';
-    }
+    w.line("layer", l, layer.input_bits, layer.qrelu_shift);
+    write_dense_rows(w, layer);
   }
-  os << "end\n";
-  check_stream(os, "save_quant_mlp");
+  w.end();
 }
 
 mlp::QuantMlp load_quant_mlp(std::istream& is) {
-  expect_header(is, "pmlp-quant-mlp", "load_quant_mlp");
-  const auto topo = read_topology(is, "load_quant_mlp");
-  int weight_bits = 0, act_bits = 0;
-  expect_tag(is, "bits", "load_quant_mlp");
-  if (!(is >> weight_bits >> act_bits) || weight_bits < 2 ||
-      weight_bits > 24 || act_bits < 1 || act_bits > 24) {
-    throw std::invalid_argument("load_quant_mlp: bit config out of range");
-  }
+  RecordReader r(is, "load_quant_mlp");
+  r.header("pmlp-quant-mlp");
+  const auto topo = read_topology(r, /*counted=*/true);
+  r.expect("bits");
+  const int weight_bits = r.value<int>(2, 24, "bit config out of range");
+  const int act_bits = r.value<int>(1, 24, "bit config out of range");
   std::vector<mlp::QuantLayer> layers(
       static_cast<std::size_t>(topo.n_layers()));
-  std::vector<char> layer_seen(layers.size(), 0);
-  std::vector<std::vector<char>> w_seen, b_seen;
-  for (int l = 0; l < topo.n_layers(); ++l) {
-    auto& layer = layers[static_cast<std::size_t>(l)];
-    layer.n_in = topo.layers[static_cast<std::size_t>(l)];
-    layer.n_out = topo.layers[static_cast<std::size_t>(l) + 1];
+  for (std::size_t l = 0; l < layers.size(); ++l) {
+    auto& layer = layers[l];
+    layer.n_in = topo.layers[l];
+    layer.n_out = topo.layers[l + 1];
     layer.weights.assign(
         static_cast<std::size_t>(layer.n_in) * layer.n_out, 0);
     layer.biases.assign(static_cast<std::size_t>(layer.n_out), 0);
-    w_seen.emplace_back(static_cast<std::size_t>(layer.n_out), 0);
-    b_seen.emplace_back(static_cast<std::size_t>(layer.n_out), 0);
   }
-  int current_layer = -1;
-  std::string tag;
-  while (is >> tag) {
-    if (tag == "end") {
-      // Reject files missing any layer header, weight row or bias (they
-      // would otherwise load with silent zeros / default shifts).
-      for (std::size_t l = 0; l < layers.size(); ++l) {
-        bool complete = layer_seen[l] != 0;
-        for (char seen : w_seen[l]) complete = complete && seen != 0;
-        for (char seen : b_seen[l]) complete = complete && seen != 0;
-        if (!complete) {
-          throw std::invalid_argument("load_quant_mlp: incomplete layer");
+  const std::int64_t limit = std::int64_t{1} << (weight_bits - 1);
+  read_dense_layers(
+      r, topo,
+      [&](std::size_t l) {
+        layers[l].input_bits = r.value<int>(1, 24, "bad layer line");
+        layers[l].qrelu_shift = r.value<int>(0, 63, "bad layer line");
+      },
+      [&](bool weights, std::size_t l, int o) {
+        auto& layer = layers[l];
+        if (!weights) {
+          layer.biases[static_cast<std::size_t>(o)] =
+              r.value<std::int64_t>("malformed bias");
+          return;
         }
-      }
-      return mlp::QuantMlp(topo, std::move(layers), weight_bits, act_bits);
-    }
-    if (tag == "layer") {
-      int input_bits = 0, shift = 0;
-      if (!(is >> current_layer >> input_bits >> shift) || current_layer < 0 ||
-          current_layer >= static_cast<int>(layers.size()) || input_bits < 1 ||
-          input_bits > 24 || shift < 0 || shift > 63) {
-        throw std::invalid_argument("load_quant_mlp: bad layer line");
-      }
-      layers[static_cast<std::size_t>(current_layer)].input_bits = input_bits;
-      layers[static_cast<std::size_t>(current_layer)].qrelu_shift = shift;
-      layer_seen[static_cast<std::size_t>(current_layer)] = 1;
-    } else if (tag == "w" || tag == "b") {
-      if (current_layer < 0) {
-        throw std::invalid_argument("load_quant_mlp: value before layer");
-      }
-      auto& layer = layers[static_cast<std::size_t>(current_layer)];
-      int o = 0;
-      if (!(is >> o) || o < 0 || o >= layer.n_out) {
-        throw std::invalid_argument("load_quant_mlp: neuron out of range");
-      }
-      if (tag == "w") {
-        const std::int64_t limit = std::int64_t{1} << (weight_bits - 1);
         for (int i = 0; i < layer.n_in; ++i) {
-          std::int64_t w = 0;
-          if (!(is >> w) || w < -limit || w >= limit) {
-            throw std::invalid_argument(
-                "load_quant_mlp: weight out of range");
-          }
           layer.weights[static_cast<std::size_t>(o) * layer.n_in + i] =
-              static_cast<std::int32_t>(w);
+              static_cast<std::int32_t>(r.value<std::int64_t>(
+                  -limit, limit - 1, "weight out of range"));
         }
-        w_seen[static_cast<std::size_t>(current_layer)]
-              [static_cast<std::size_t>(o)] = 1;
-      } else {
-        std::int64_t b = 0;
-        if (!(is >> b)) {
-          throw std::invalid_argument("load_quant_mlp: malformed bias");
-        }
-        layer.biases[static_cast<std::size_t>(o)] = b;
-        b_seen[static_cast<std::size_t>(current_layer)]
-              [static_cast<std::size_t>(o)] = 1;
-      }
-    } else {
-      throw std::invalid_argument("load_quant_mlp: unknown tag " + tag);
-    }
-  }
-  throw std::invalid_argument("load_quant_mlp: missing end");
+      });
+  return mlp::QuantMlp(topo, std::move(layers), weight_bits, act_bits);
 }
 
 // --------------------------------------------------------- baseline stage
 
 void save_baseline_pricing(const BaselinePricing& pricing, std::ostream& os) {
-  os << "pmlp-baseline v1\n";
-  os << "cost ";
-  write_hexdouble(os, pricing.cost.area_mm2);
-  os << ' ';
-  write_hexdouble(os, pricing.cost.power_uw);
-  os << ' ';
-  write_hexdouble(os, pricing.cost.critical_delay_us);
-  os << ' ' << pricing.cost.cell_count << '\n';
-  os << "train_accuracy ";
-  write_hexdouble(os, pricing.train_accuracy);
-  os << '\n';
-  os << "test_accuracy ";
-  write_hexdouble(os, pricing.test_accuracy);
-  os << '\n';
+  RecordWriter w(os, "save_baseline_pricing");
+  const auto& c = pricing.cost;
+  w.header("pmlp-baseline");
+  w.line("cost", c.area_mm2, c.power_uw, c.critical_delay_us, c.cell_count);
+  w.line("train_accuracy", pricing.train_accuracy);
+  w.line("test_accuracy", pricing.test_accuracy);
   save_quant_mlp(pricing.net, os);
-  os << "end\n";
-  check_stream(os, "save_baseline_pricing");
+  w.end();
 }
 
 BaselinePricing load_baseline_pricing(std::istream& is) {
-  expect_header(is, "pmlp-baseline", "load_baseline_pricing");
+  RecordReader r(is, "load_baseline_pricing");
+  r.header("pmlp-baseline");
   BaselinePricing p;
-  expect_tag(is, "cost", "load_baseline_pricing");
-  p.cost.area_mm2 = read_hexdouble(is, "load_baseline_pricing");
-  p.cost.power_uw = read_hexdouble(is, "load_baseline_pricing");
-  p.cost.critical_delay_us = read_hexdouble(is, "load_baseline_pricing");
-  if (!(is >> p.cost.cell_count) || p.cost.cell_count < 0) {
-    throw std::invalid_argument("load_baseline_pricing: bad cell_count");
-  }
-  expect_tag(is, "train_accuracy", "load_baseline_pricing");
-  p.train_accuracy = read_hexdouble(is, "load_baseline_pricing");
-  expect_tag(is, "test_accuracy", "load_baseline_pricing");
-  p.test_accuracy = read_hexdouble(is, "load_baseline_pricing");
+  r.expect("cost");
+  p.cost = read_cost(r);
+  r.expect("train_accuracy");
+  p.train_accuracy = r.hex();
+  r.expect("test_accuracy");
+  p.test_accuracy = r.hex();
   p.net = load_quant_mlp(is);
-  expect_tag(is, "end", "load_baseline_pricing");
+  r.expect("end");
   return p;
 }
 
 // --------------------------------------------------------- training result
 
-void save_training_result(const TrainingResult& r, std::ostream& os) {
-  os << "pmlp-training v1\n";
-  os << "counters " << r.evaluations << ' ';
-  write_hexdouble(os, r.wall_seconds);
-  os << ' ';
-  write_hexdouble(os, r.baseline_train_accuracy);
-  os << ' ';
-  write_hexdouble(os, r.evals_per_second);
-  os << ' ' << r.cache_hits << ' ';
-  write_hexdouble(os, r.cache_hit_rate);
-  os << '\n';
-  os << "count " << r.estimated_pareto.size() << '\n';
-  for (const auto& p : r.estimated_pareto) {
-    os << "point ";
-    write_hexdouble(os, p.train_accuracy);
-    os << ' ' << p.fa_area << '\n';
-    write_model_embedded(p.model, os);
+void save_training_result(const TrainingResult& t, std::ostream& os) {
+  RecordWriter w(os, "save_training_result");
+  w.header("pmlp-training");
+  w.line("counters", t.evaluations, t.wall_seconds, t.baseline_train_accuracy,
+         t.evals_per_second, t.cache_hits, t.cache_hit_rate);
+  w.line("count", t.estimated_pareto.size());
+  for (const auto& p : t.estimated_pareto) {
+    w.line("point", p.train_accuracy, p.fa_area);
+    write_model_embedded(p.model, w);
   }
-  os << "end\n";
-  check_stream(os, "save_training_result");
+  w.end();
 }
 
 TrainingResult load_training_result(std::istream& is) {
-  expect_header(is, "pmlp-training", "load_training_result");
-  TrainingResult r;
-  expect_tag(is, "counters", "load_training_result");
-  if (!(is >> r.evaluations) || r.evaluations < 0) {
-    throw std::invalid_argument("load_training_result: bad counters");
-  }
-  r.wall_seconds = read_hexdouble(is, "load_training_result");
-  r.baseline_train_accuracy = read_hexdouble(is, "load_training_result");
-  r.evals_per_second = read_hexdouble(is, "load_training_result");
-  if (!(is >> r.cache_hits) || r.cache_hits < 0) {
-    throw std::invalid_argument("load_training_result: bad cache counters");
-  }
-  r.cache_hit_rate = read_hexdouble(is, "load_training_result");
-  expect_tag(is, "count", "load_training_result");
-  std::size_t count = 0;
-  if (!(is >> count) || count > (std::size_t{1} << 24)) {
-    throw std::invalid_argument("load_training_result: bad count");
-  }
-  r.estimated_pareto.reserve(count);
-  std::string tag;
-  while (is >> tag) {
-    if (tag == "end") {
-      if (r.estimated_pareto.size() != count) {
-        throw std::invalid_argument(
-            "load_training_result: point count mismatch");
-      }
-      return r;
-    }
-    if (tag != "point") {
-      throw std::invalid_argument("load_training_result: unknown tag " + tag);
-    }
+  RecordReader r(is, "load_training_result");
+  r.header("pmlp-training");
+  TrainingResult t;
+  r.expect("counters");
+  t.evaluations = r.value<long>(0, kMaxLong, "bad counters");
+  t.wall_seconds = r.hex();
+  t.baseline_train_accuracy = r.hex();
+  t.evals_per_second = r.hex();
+  t.cache_hits = r.value<long>(0, kMaxLong, "bad cache counters");
+  t.cache_hit_rate = r.hex();
+  r.expect("count");
+  const auto count = r.value<std::size_t>(0, std::size_t{1} << 24, "bad count");
+  t.estimated_pareto.reserve(count);
+  r.records("point", count, "point count mismatch", [&] {
     EstimatedPoint p;
-    p.train_accuracy = read_hexdouble(is, "load_training_result");
-    if (!(is >> p.fa_area) || p.fa_area < 0) {
-      throw std::invalid_argument("load_training_result: bad fa_area");
-    }
-    p.model = read_model_embedded(is, "load_training_result");
-    r.estimated_pareto.push_back(std::move(p));
-  }
-  throw std::invalid_argument("load_training_result: missing end");
+    p.train_accuracy = r.hex();
+    p.fa_area = r.value<long>(0, kMaxLong, "bad fa_area");
+    p.model = read_model_embedded(r, is);
+    t.estimated_pareto.push_back(std::move(p));
+  });
+  return t;
 }
 
 // -------------------------------------------------------- evaluated points
 
 void save_evaluated_points(std::span<const HwEvaluatedPoint> points,
                            std::ostream& os) {
-  os << "pmlp-evaluated v1\n";
-  os << "count " << points.size() << '\n';
+  RecordWriter w(os, "save_evaluated_points");
+  w.header("pmlp-evaluated");
+  w.line("count", points.size());
   for (const auto& p : points) {
-    os << "point ";
-    write_hexdouble(os, p.test_accuracy);
-    os << ' ' << p.fa_area << ' ' << (p.functional_match ? 1 : 0) << ' ';
-    write_hexdouble(os, p.cost.area_mm2);
-    os << ' ';
-    write_hexdouble(os, p.cost.power_uw);
-    os << ' ';
-    write_hexdouble(os, p.cost.critical_delay_us);
-    os << ' ' << p.cost.cell_count << '\n';
-    write_model_embedded(p.model, os);
+    const auto& c = p.cost;
+    w.line("point", p.test_accuracy, p.fa_area, p.functional_match,
+           c.area_mm2, c.power_uw, c.critical_delay_us, c.cell_count);
+    write_model_embedded(p.model, w);
   }
-  os << "end\n";
-  check_stream(os, "save_evaluated_points");
+  w.end();
 }
 
 std::vector<HwEvaluatedPoint> load_evaluated_points(std::istream& is) {
-  expect_header(is, "pmlp-evaluated", "load_evaluated_points");
-  expect_tag(is, "count", "load_evaluated_points");
-  std::size_t count = 0;
-  if (!(is >> count) || count > (std::size_t{1} << 24)) {
-    throw std::invalid_argument("load_evaluated_points: bad count");
-  }
+  RecordReader r(is, "load_evaluated_points");
+  r.header("pmlp-evaluated");
+  r.expect("count");
+  const auto count = r.value<std::size_t>(0, std::size_t{1} << 24, "bad count");
   std::vector<HwEvaluatedPoint> points;
   points.reserve(count);
-  std::string tag;
-  while (is >> tag) {
-    if (tag == "end") {
-      if (points.size() != count) {
-        throw std::invalid_argument(
-            "load_evaluated_points: point count mismatch");
-      }
-      return points;
-    }
-    if (tag != "point") {
-      throw std::invalid_argument("load_evaluated_points: unknown tag " +
-                                  tag);
-    }
+  r.records("point", count, "point count mismatch", [&] {
     HwEvaluatedPoint p;
-    p.test_accuracy = read_hexdouble(is, "load_evaluated_points");
-    int match = 0;
-    if (!(is >> p.fa_area) || p.fa_area < 0) {
-      throw std::invalid_argument("load_evaluated_points: bad fa_area");
-    }
-    if (!(is >> match) || (match != 0 && match != 1)) {
-      throw std::invalid_argument(
-          "load_evaluated_points: bad functional_match");
-    }
-    p.functional_match = match == 1;
-    p.cost.area_mm2 = read_hexdouble(is, "load_evaluated_points");
-    p.cost.power_uw = read_hexdouble(is, "load_evaluated_points");
-    p.cost.critical_delay_us = read_hexdouble(is, "load_evaluated_points");
-    if (!(is >> p.cost.cell_count) || p.cost.cell_count < 0) {
-      throw std::invalid_argument("load_evaluated_points: bad cell_count");
-    }
-    p.model = read_model_embedded(is, "load_evaluated_points");
+    p.test_accuracy = r.hex();
+    p.fa_area = r.value<long>(0, kMaxLong, "bad fa_area");
+    p.functional_match = r.value<int>(0, 1, "bad functional_match") == 1;
+    p.cost = read_cost(r);
+    p.model = read_model_embedded(r, is);
     points.push_back(std::move(p));
-  }
-  throw std::invalid_argument("load_evaluated_points: missing end");
+  });
+  return points;
 }
 
 // ------------------------------------------------------------ GA state
 
 void save_ga_state(const nsga2::GenerationState& state, std::ostream& os) {
-  os << "pmlp-ga-state v1\n";
-  os << "generation " << state.next_generation << '\n';
-  os << "evaluations " << state.evaluations << '\n';
+  RecordWriter w(os, "save_ga_state");
+  w.header("pmlp-ga-state");
+  w.line("generation", state.next_generation);
+  w.line("evaluations", state.evaluations);
   // The mt19937_64 stream serialization is space-separated tokens; keep it
   // on one tagged line so the reader can take the line verbatim.
-  os << "rng " << state.rng << '\n';
-  const std::size_t n_genes =
-      state.population.empty() ? 0 : state.population.front().genes.size();
-  const std::size_t n_obj = state.population.empty()
-                                ? 0
-                                : state.population.front().objectives.size();
-  os << "population " << state.population.size() << ' ' << n_genes << ' '
-     << n_obj << '\n';
-  for (const auto& ind : state.population) {
-    os << "ind " << ind.rank << ' ';
-    write_hexdouble(os, ind.crowding);
-    os << ' ';
-    write_hexdouble(os, ind.constraint_violation);
-    os << '\n';
-    os << "genes";
-    for (int g : ind.genes) os << ' ' << g;
-    os << '\n';
-    os << "obj";
-    for (double o : ind.objectives) {
-      os << ' ';
-      write_hexdouble(os, o);
-    }
-    os << '\n';
+  w.line("rng", state.rng);
+  const auto& pop = state.population;
+  w.line("population", pop.size(), pop.empty() ? 0 : pop.front().genes.size(),
+         pop.empty() ? 0 : pop.front().objectives.size());
+  for (const auto& ind : pop) {
+    w.line("ind", ind.rank, ind.crowding, ind.constraint_violation);
+    w.line("genes", ind.genes);
+    w.line("obj", ind.objectives);
   }
-  os << "end\n";
-  check_stream(os, "save_ga_state");
+  w.end();
 }
 
 nsga2::GenerationState load_ga_state(std::istream& is) {
-  expect_header(is, "pmlp-ga-state", "load_ga_state");
+  RecordReader r(is, "load_ga_state");
+  r.header("pmlp-ga-state");
   nsga2::GenerationState state;
-  expect_tag(is, "generation", "load_ga_state");
-  if (!(is >> state.next_generation) || state.next_generation < 0) {
-    throw std::invalid_argument("load_ga_state: bad generation");
-  }
-  expect_tag(is, "evaluations", "load_ga_state");
-  if (!(is >> state.evaluations) || state.evaluations < 0) {
-    throw std::invalid_argument("load_ga_state: bad evaluations");
-  }
-  expect_tag(is, "rng", "load_ga_state");
-  is >> std::ws;
-  if (!std::getline(is, state.rng) || state.rng.empty()) {
-    throw std::invalid_argument("load_ga_state: missing rng state");
-  }
-  while (!state.rng.empty() &&
-         (state.rng.back() == '\r' || state.rng.back() == ' ')) {
-    state.rng.pop_back();
-  }
-  expect_tag(is, "population", "load_ga_state");
-  std::size_t count = 0, n_genes = 0, n_obj = 0;
-  if (!(is >> count >> n_genes >> n_obj) || count > (std::size_t{1} << 20) ||
-      n_genes > (std::size_t{1} << 20) || n_obj > 16) {
-    throw std::invalid_argument("load_ga_state: bad population header");
-  }
+  r.expect("generation");
+  state.next_generation = r.value<int>(0, kMaxInt, "bad generation");
+  r.expect("evaluations");
+  state.evaluations = r.value<long>(0, kMaxLong, "bad evaluations");
+  r.expect("rng");
+  state.rng = r.rest();
+  if (state.rng.empty()) r.fail("missing rng state");
+  r.expect("population");
+  const auto count = r.value<std::size_t>(0, std::size_t{1} << 20,
+                                          "bad population header");
+  const auto n_genes = r.value<std::size_t>(0, std::size_t{1} << 20,
+                                            "bad population header");
+  const auto n_obj = r.value<std::size_t>(0, 16, "bad population header");
   state.population.reserve(count);
-  std::string tag;
-  while (is >> tag) {
-    if (tag == "end") {
-      if (state.population.size() != count) {
-        throw std::invalid_argument("load_ga_state: population count "
-                                    "mismatch");
-      }
-      return state;
-    }
-    if (tag != "ind") {
-      throw std::invalid_argument("load_ga_state: unknown tag " + tag);
-    }
+  r.records("ind", count, "population count mismatch", [&] {
     nsga2::Individual ind;
-    if (!(is >> ind.rank) || ind.rank < -1) {
-      throw std::invalid_argument("load_ga_state: bad rank");
-    }
-    ind.crowding = read_hexdouble(is, "load_ga_state");
-    ind.constraint_violation = read_hexdouble(is, "load_ga_state");
-    expect_tag(is, "genes", "load_ga_state");
+    ind.rank = r.value<int>(-1, kMaxInt, "bad rank");
+    ind.crowding = r.hex();
+    ind.constraint_violation = r.hex();
+    r.expect("genes");
     ind.genes.resize(n_genes);
-    for (std::size_t g = 0; g < n_genes; ++g) {
-      if (!(is >> ind.genes[g])) {
-        throw std::invalid_argument("load_ga_state: malformed genes");
-      }
-    }
-    expect_tag(is, "obj", "load_ga_state");
+    for (int& g : ind.genes) g = r.value<int>("malformed genes");
+    r.expect("obj");
     ind.objectives.resize(n_obj);
-    for (std::size_t m = 0; m < n_obj; ++m) {
-      ind.objectives[m] = read_hexdouble(is, "load_ga_state");
-    }
+    for (double& o : ind.objectives) o = r.hex();
     state.population.push_back(std::move(ind));
-  }
-  throw std::invalid_argument("load_ga_state: missing end");
+  });
+  return state;
 }
 
 // ------------------------------------------------------- checksum footers
@@ -1016,6 +728,12 @@ bool is_front_model_name(const std::string& name) {
          name.compare(name.size() - 6, 6, ".model") == 0;
 }
 
+std::string front_model_name(std::size_t i) {
+  char name[40];
+  std::snprintf(name, sizeof name, "front_%03zu.model", i);
+  return name;
+}
+
 }  // namespace
 
 std::vector<FrontEntry> load_front_dir(const std::string& dir) {
@@ -1114,10 +832,8 @@ std::vector<FrontEntry> load_front_tree(const std::string& dir) {
     }
     auto front = true_pareto(load_evaluated_points(is));
     for (std::size_t i = 0; i < front.size(); ++i) {
-      char name[40];
-      std::snprintf(name, sizeof name, "front_%03zu.model", i);
       FrontEntry e;
-      e.file = flow + "/" + name;
+      e.file = flow + "/" + front_model_name(i);
       e.test_accuracy = front[i].test_accuracy;
       e.area_cm2 = front[i].cost.area_cm2();
       e.power_mw = front[i].cost.power_mw();
@@ -1142,29 +858,48 @@ std::vector<FrontEntry> load_front_any(const std::string& dir) {
   return load_front_tree(dir);
 }
 
+void save_front_dir(std::span<const FrontEntry> entries,
+                    const std::string& dir) {
+  const fs::path target(dir);
+  const fs::path tmp(dir + ".tmp");
+  const fs::path old(dir + ".old");
+  fs::remove_all(tmp);  // leftovers of a previously killed writer
+  fs::remove_all(old);
+  fs::create_directories(tmp);
+  std::ofstream index(tmp / "index.tsv");
+  if (!index) {
+    throw std::runtime_error("cannot write " + (tmp / "index.tsv").string());
+  }
+  // max_digits10 round-trips the doubles exactly, so the index always
+  // agrees with the model artifacts and selector queries never tie-break
+  // on rounded values.
+  index << std::setprecision(std::numeric_limits<double>::max_digits10);
+  index << "file\ttest_accuracy\tarea_cm2\tpower_mw\tfunctional_match\n";
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const FrontEntry& e = entries[i];
+    const std::string name = front_model_name(i);
+    save_model_file(e.model, (tmp / name).string());
+    index << name << '\t' << e.test_accuracy << '\t' << e.area_cm2 << '\t'
+          << e.power_mw << '\t' << (e.functional_match ? 1 : 0) << '\n';
+  }
+  index.flush();
+  if (!index) {
+    throw std::runtime_error("short write to " + (tmp / "index.tsv").string());
+  }
+  index.close();
+  if (fs::exists(target)) fs::rename(target, old);
+  fs::rename(tmp, target);
+  fs::remove_all(old);
+}
+
 // --------------------------------------------------------------- hexfloats
 
-/// Doubles are stored as C hexfloats ("%a"), which round-trip IEEE-754
-/// values exactly and independently of locale or precision settings.
 void write_hexdouble(std::ostream& os, double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%a", v);
-  os << buf;
+  RecordWriter::hexfloat(os, v);
 }
 
 double read_hexdouble(std::istream& is, const char* what) {
-  std::string tok;
-  if (!(is >> tok)) {
-    throw std::invalid_argument(std::string(what) + ": missing value");
-  }
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(tok.c_str(), &end);
-  if (end != tok.c_str() + tok.size() || errno == ERANGE) {
-    throw std::invalid_argument(std::string(what) + ": bad value '" + tok +
-                                "'");
-  }
-  return v;
+  return RecordReader(is, what).hex();
 }
 
 // ------------------------------------------------------------------ digest

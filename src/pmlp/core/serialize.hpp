@@ -1,32 +1,9 @@
 // Plain-text serialization of every artifact the Fig. 2 flow hands between
 // stages, so a FlowEngine run can checkpoint after any stage and resume
-// bit-identically. All formats are versioned, line-oriented text files —
-// stable, diffable, and independent of float formatting (doubles are stored
-// as C hexfloats, which round-trip exactly):
-//
-//   pmlp-approx-mlp v1      trained approximate MLP (the original format)
-//   pmlp-dataset v1         normalized float dataset (split halves)
-//   pmlp-quant-dataset v1   4-bit quantized dataset
-//   pmlp-float-mlp v1       gradient-trained float reference net
-//   pmlp-quant-mlp v1       exact bespoke quantized baseline [2]
-//   pmlp-baseline v1        baseline stage: quant net + pricing + accuracy
-//   pmlp-training v1        GA/refine stage output: counters + Pareto set
-//   pmlp-evaluated v1       hardware-evaluated candidates (cost + verdict)
-//
-// The approx-mlp v1 layout is unchanged from the original release:
-//
-//   pmlp-approx-mlp v1
-//   topology 10 3 2
-//   bits 8 4 8 12
-//   layer 0
-//   conn <out> <in> <mask> <sign> <exponent>
-//   ...
-//   bias <out> <value>
-//   ...
-//
-// Every *new* format is terminated by an `end` line so artifacts can be
-// embedded in enclosing files (the training/evaluated sets embed one
-// approx-mlp block per point, terminated by `endmodel`).
+// bit-identically, plus the crash-safe commit and the --save-front serving
+// directory. The formats themselves (one table of every pmlp-* magic, its
+// file, owner, terminator and footer) and the record reader/writer they
+// share are documented in record.hpp.
 #pragma once
 
 #include <cstdint>
@@ -47,8 +24,8 @@ void save_model(const ApproxMlp& net, std::ostream& os);
 [[nodiscard]] std::string to_text(const ApproxMlp& net);
 
 /// Parse a model written by save_model. Throws std::invalid_argument on
-/// malformed input (wrong magic/version, shape mismatch, out-of-range
-/// parameters).
+/// malformed input (wrong magic/version, impossible topology, out-of-range
+/// parameters, any conn or bias line missing).
 [[nodiscard]] ApproxMlp load_model(std::istream& is);
 [[nodiscard]] ApproxMlp from_text(const std::string& text);
 
@@ -174,6 +151,15 @@ struct FrontEntry {
 /// Serve-path entry point: a directory with an index.tsv loads as a front
 /// directory, anything else as a campaign checkpoint tree.
 [[nodiscard]] std::vector<FrontEntry> load_front_any(const std::string& dir);
+
+/// Publish `entries` as a front directory at `dir` (entry i becomes
+/// front_NNN.model with NNN = i; FrontEntry::file is ignored). Built in a
+/// `.tmp` sibling and renamed into place before any previous directory is
+/// removed, so a smaller front never leaves stale models next to a fresh
+/// index and a killed writer never leaves a half-written `dir`. Throws
+/// std::runtime_error on I/O failure.
+void save_front_dir(std::span<const FrontEntry> entries,
+                    const std::string& dir);
 
 /// FNV-1a digest over a dataset's name, shape, features and labels — the
 /// checkpoint's guard against resuming onto different data.

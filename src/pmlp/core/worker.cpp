@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <mutex>
 #include <random>
 #include <sstream>
@@ -20,6 +21,7 @@
 #include <thread>
 
 #include "pmlp/core/fault_injection.hpp"
+#include "pmlp/core/record.hpp"
 #include "pmlp/core/serialize.hpp"
 
 namespace pmlp::core {
@@ -66,19 +68,26 @@ std::string read_file_raw(const std::string& path) {
   return os.str();
 }
 
-/// One-line terminal markers / failure records go through the same
-/// fsync+footer commit as stage artifacts.
-void write_marker(const std::string& path,
-                  const std::function<void(std::ostream&)>& writer) {
-  write_artifact_file(path, writer);
+/// The bytes of one small `magic` record file; `body` writes the records
+/// between the header and `end`.
+template <typename Body>
+std::string record_text(const char* magic, Body&& body) {
+  std::ostringstream os;
+  RecordWriter w(os, magic);
+  w.header(magic);
+  body(w);
+  w.end();
+  return os.str();
 }
 
-std::string single_line(const std::string& s) {
-  std::string out = s;
-  for (char& c : out) {
-    if (c == '\n' || c == '\r') c = ' ';
-  }
-  return out;
+/// Commit `dir`/`file` through the same fsync+footer commit as stage
+/// artifacts.
+template <typename Body>
+void commit_records(const std::string& dir, const char* file,
+                    const char* magic, Body&& body) {
+  const std::string text = record_text(magic, body);
+  write_artifact_file((fs::path(dir) / file).string(),
+                      [&](std::ostream& os) { os << text; });
 }
 
 /// failures.txt: consecutive failed-claim counter + last error.
@@ -88,58 +97,44 @@ struct FailureRecord {
 };
 
 FailureRecord read_failures(const std::string& flow_dir) {
-  FailureRecord rec;
   const std::string path = (fs::path(flow_dir) / kFailuresFile).string();
   std::error_code ec;
-  if (!fs::exists(path, ec)) return rec;
+  if (!fs::exists(path, ec)) return {};
   try {
     std::istringstream is(read_artifact_file(path));
-    std::string magic, version, tag;
-    if (!(is >> magic >> version) || magic != "pmlp-failures" ||
-        version != "v1" || !(is >> tag >> rec.count) || tag != "count" ||
-        rec.count < 0) {
-      return FailureRecord{};  // damaged record: treat as zero failures
-    }
-    if (is >> tag && tag == "error") {
-      is >> std::ws;
-      std::getline(is, rec.error);
-    }
+    RecordReader r(is, path.c_str());
+    r.header("pmlp-failures");
+    FailureRecord rec;
+    r.expect("count");
+    rec.count = r.value<int>(0, std::numeric_limits<int>::max(), "bad count");
+    r.expect("error");
+    rec.error = r.rest();
+    return rec;
   } catch (const std::exception&) {
-    return FailureRecord{};
+    return {};  // damaged record: treat as zero failures
   }
-  return rec;
-}
-
-void write_failures(const std::string& flow_dir, const FailureRecord& rec) {
-  write_marker((fs::path(flow_dir) / kFailuresFile).string(),
-               [&](std::ostream& os) {
-                 os << "pmlp-failures v1\n";
-                 os << "count " << rec.count << '\n';
-                 os << "error " << single_line(rec.error) << '\n';
-                 os << "end\n";
-               });
 }
 
 }  // namespace
+
+void write_done_marker(const std::string& flow_dir,
+                       const std::string& worker_id) {
+  commit_records(flow_dir, kDoneFile, "pmlp-done",
+                 [&](RecordWriter& w) { w.name("worker", worker_id); });
+}
 
 // ---------------------------------------------------------------- manifest
 
 void save_campaign_manifest(const CampaignManifest& m,
                             const std::string& root) {
   fs::create_directories(root);
-  write_artifact_file(
-      (fs::path(root) / kManifestFile).string(), [&](std::ostream& os) {
-        os << "pmlp-campaign v1\n";
-        os << "population " << m.population << '\n';
-        os << "generations " << m.generations << '\n';
-        os << "ga_checkpoint " << m.ga_checkpoint << '\n';
-        os << "flows " << m.flows.size() << '\n';
-        for (const auto& f : m.flows) {
-          os << "flow " << f.name << ' ' << f.dataset << ' ' << f.seed
-             << '\n';
-        }
-        os << "end\n";
-      });
+  commit_records(root, kManifestFile, "pmlp-campaign", [&](RecordWriter& w) {
+    w.line("population", m.population);
+    w.line("generations", m.generations);
+    w.line("ga_checkpoint", m.ga_checkpoint);
+    w.line("flows", m.flows.size());
+    for (const auto& f : m.flows) w.line("flow", f.name, f.dataset, f.seed);
+  });
 }
 
 CampaignManifest load_campaign_manifest(const std::string& root) {
@@ -150,38 +145,30 @@ CampaignManifest load_campaign_manifest(const std::string& root) {
         "' — start the tree with `pmlp campaign --checkpoint " + root + "`");
   }
   std::istringstream is(read_artifact_file(path));
-  const auto bad = [&](const std::string& why) {
-    return std::invalid_argument("malformed campaign manifest " + path +
-                                 ": " + why);
-  };
+  const std::string what = "malformed campaign manifest " + path;
+  RecordReader r(is, what.c_str());
+  constexpr int kMaxInt = std::numeric_limits<int>::max();
   CampaignManifest m;
-  std::string magic, version, tag;
-  if (!(is >> magic >> version) || magic != "pmlp-campaign" ||
-      version != "v1") {
-    throw bad("bad magic/version");
-  }
-  std::size_t count = 0;
-  if (!(is >> tag >> m.population) || tag != "population" ||
-      m.population <= 0 || !(is >> tag >> m.generations) ||
-      tag != "generations" || m.generations <= 0 ||
-      !(is >> tag >> m.ga_checkpoint) || tag != "ga_checkpoint" ||
-      m.ga_checkpoint < 0 || !(is >> tag >> count) || tag != "flows" ||
-      count > (1u << 20)) {
-    throw bad("bad header fields");
-  }
+  r.header("pmlp-campaign");
+  r.expect("population");
+  m.population = r.value<int>(1, kMaxInt, "bad population");
+  r.expect("generations");
+  m.generations = r.value<int>(1, kMaxInt, "bad generations");
+  r.expect("ga_checkpoint");
+  m.ga_checkpoint = r.value<int>(0, kMaxInt, "bad ga_checkpoint");
+  r.expect("flows");
+  const auto count = r.value<std::size_t>(0, 1u << 20, "bad flow count");
   m.flows.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
+  r.records("flow", count, "flow count mismatch", [&] {
     CampaignManifestFlow f;
-    if (!(is >> tag >> f.name >> f.dataset >> f.seed) || tag != "flow" ||
-        f.name.empty()) {
-      throw bad("bad flow row " + std::to_string(i));
-    }
+    f.name = r.value<std::string>("bad flow row");
+    f.dataset = r.value<std::string>("bad flow row");
+    f.seed = r.value<std::uint64_t>("bad flow row");
     for (const auto& prev : m.flows) {
-      if (prev.name == f.name) throw bad("duplicate flow '" + f.name + "'");
+      if (prev.name == f.name) r.fail("duplicate flow '" + f.name + "'");
     }
     m.flows.push_back(std::move(f));
-  }
-  if (!(is >> tag) || tag != "end") throw bad("missing end");
+  });
   return m;
 }
 
@@ -200,13 +187,11 @@ bool try_claim(const std::string& flow_dir, const std::string& worker_id) {
     throw std::runtime_error("cannot create claim " + path + ": " +
                              std::strerror(errno));
   }
-  std::ostringstream body;
-  body << "pmlp-claim v1\n";
-  body << "worker " << worker_id << '\n';
-  body << "host " << host_name() << '\n';
-  body << "pid " << ::getpid() << '\n';
-  body << "end\n";
-  const std::string text = body.str();
+  const std::string text = record_text("pmlp-claim", [&](RecordWriter& w) {
+    w.line("worker", worker_id);
+    w.line("host", host_name());
+    w.line("pid", ::getpid());
+  });
   const char* p = text.data();
   std::size_t left = text.size();
   bool ok = true;
@@ -239,11 +224,16 @@ std::optional<ClaimInfo> read_claim(const std::string& flow_dir) {
   ClaimInfo info;
   info.raw = raw;
   std::istringstream is(raw);
-  std::string magic, version, tag;
-  if (!(is >> magic >> version) || magic != "pmlp-claim" || version != "v1" ||
-      !(is >> tag >> info.worker) || tag != "worker" ||
-      !(is >> tag >> info.host) || tag != "host" ||
-      !(is >> tag >> info.pid) || tag != "pid") {
+  RecordReader r(is, path.c_str());
+  try {
+    r.header("pmlp-claim");
+    r.expect("worker");
+    info.worker = r.value<std::string>("bad worker");
+    r.expect("host");
+    info.host = r.value<std::string>("bad host");
+    r.expect("pid");
+    info.pid = r.value<long>("bad pid");
+  } catch (const std::invalid_argument&) {
     // Unparsable (e.g. torn by a crashed writer): still return the raw
     // snapshot — staleness judgment works on bytes, not fields.
     info.worker.clear();
@@ -263,10 +253,10 @@ void write_beat(const std::string& flow_dir, const std::string& worker_id,
   {
     std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
     if (!os) return;  // heartbeat is best-effort; the lease just ages
-    os << "pmlp-beat v1\n"
-       << "worker " << worker_id << '\n'
-       << "count " << count << '\n'
-       << "end\n";
+    os << record_text("pmlp-beat", [&](RecordWriter& w) {
+      w.line("worker", worker_id);
+      w.line("count", count);
+    });
     os.flush();
     if (!os) {
       os.close();
@@ -527,12 +517,7 @@ bool CampaignWorker::Impl::run_one_claim(std::size_t i,
       FaultInjector::instance().maybe_kill_at_stage(
           flow_stage_name(*stage));
     } else if (!lease_lost.load()) {
-      write_marker((fs::path(dir) / kDoneFile).string(),
-                   [&](std::ostream& os) {
-                     os << "pmlp-done v1\n";
-                     os << "worker " << id << '\n';
-                     os << "end\n";
-                   });
+      write_done_marker(dir, id);
       ++report.flows_completed;
       progressed = true;
     }
@@ -546,15 +531,16 @@ bool CampaignWorker::Impl::run_one_claim(std::size_t i,
       FailureRecord rec = read_failures(dir);
       ++rec.count;
       rec.error = e.what();
-      write_failures(dir, rec);
-      if (rec.count >= cfg.max_failures) {
-        write_marker((fs::path(dir) / kFailedFile).string(),
-                     [&](std::ostream& os) {
-                       os << "pmlp-failed v1\n";
-                       os << "worker " << id << '\n';
-                       os << "error " << single_line(rec.error) << '\n';
-                       os << "end\n";
+      commit_records(dir, kFailuresFile, "pmlp-failures",
+                     [&](RecordWriter& w) {
+                       w.line("count", rec.count);
+                       w.text("error", rec.error);
                      });
+      if (rec.count >= cfg.max_failures) {
+        commit_records(dir, kFailedFile, "pmlp-failed", [&](RecordWriter& w) {
+          w.name("worker", id);
+          w.text("error", rec.error);
+        });
         ++report.flows_failed;
       }
       progressed = true;  // the failure record itself advanced the tree

@@ -82,6 +82,12 @@ void save_campaign_manifest(const CampaignManifest& m,
 /// unreadable, std::invalid_argument when malformed/corrupt.
 [[nodiscard]] CampaignManifest load_campaign_manifest(const std::string& root);
 
+/// Commit the terminal `done.txt` marker in `flow_dir` (crash-safe,
+/// checksum-footed). An empty `worker_id` (a CampaignRunner, which has no
+/// lease identity) is written as `-`.
+void write_done_marker(const std::string& flow_dir,
+                       const std::string& worker_id);
+
 // ------------------------------------------------------------------ leases
 // Low-level lease primitives, exposed for the failure-matrix tests (which
 // forge foreign claims and race real workers against them).

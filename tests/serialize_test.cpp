@@ -13,6 +13,7 @@
 #include "pmlp/core/chromosome.hpp"
 #include "pmlp/core/refine.hpp"
 #include "pmlp/core/serialize.hpp"
+#include "pmlp/core/worker.hpp"
 #include "pmlp/datasets/synthetic.hpp"
 #include "pmlp/mlp/backprop.hpp"
 #include "pmlp/nsga2/nsga2.hpp"
@@ -105,6 +106,49 @@ TEST(Serialize, RejectsUnknownTag) {
   const auto net = random_model(17);
   EXPECT_THROW((void)core::from_text(core::to_text(net) + "garbage 1\n"),
                std::invalid_argument);
+}
+
+// A standalone front_*.model has no terminator line, so a file cut at a
+// line boundary is only caught by requiring every conn and bias of every
+// layer: without that check it loads as a different, partly pruned model.
+TEST(Serialize, EveryLinePrefixOfModelRejected) {
+  const auto text = core::to_text(random_model(21, mlp::Topology{{4, 3, 2}}));
+  int prefixes = 0;
+  for (std::size_t n = 0; n < text.size(); n = text.find('\n', n) + 1) {
+    EXPECT_THROW((void)core::from_text(text.substr(0, n)),
+                 std::invalid_argument)
+        << "prefix of " << n << " bytes";
+    ++prefixes;
+  }
+  // Header, topology, bits, 2 layer lines, 4*3 + 3*2 conns, 3 + 2 biases.
+  EXPECT_EQ(prefixes, 28);
+  EXPECT_NO_THROW((void)core::from_text(text));
+}
+
+// Impossible topologies must fail as std::invalid_argument before any
+// allocation is sized from them (not as length_error or bad_alloc).
+TEST(Serialize, RejectsImpossibleTopologies) {
+  const std::string bits = " bits 8 4 8 12\n";
+  for (const std::string topo :
+       {"topology -5 2", "topology 3000000 3000000", "topology 4",
+        "topology 2 0 2", "topology 2 x 2", "topology 1048576 1048576 2"}) {
+    SCOPED_TRACE(topo);
+    EXPECT_THROW((void)core::from_text("pmlp-approx-mlp v1\n" + topo + bits),
+                 std::invalid_argument);
+  }
+  std::string deep = "pmlp-approx-mlp v1\ntopology";
+  for (int i = 0; i < 65; ++i) deep += " 2";
+  EXPECT_THROW((void)core::from_text(deep + bits), std::invalid_argument);
+
+  for (const std::string topo :
+       {"topology 3 2 1048576 1048576", "topology 3 -5 2 2",
+        "topology 1 4", "topology 65 2 2"}) {
+    SCOPED_TRACE(topo);
+    std::istringstream fs("pmlp-float-mlp v1\n" + topo + "\nend\n");
+    EXPECT_THROW((void)core::load_float_mlp(fs), std::invalid_argument);
+    std::istringstream qs("pmlp-quant-mlp v1\n" + topo + "\nbits 8 8\nend\n");
+    EXPECT_THROW((void)core::load_quant_mlp(qs), std::invalid_argument);
+  }
 }
 
 TEST(Serialize, MissingFileThrows) {
@@ -589,6 +633,9 @@ SweepArtifact sweep_artifact(const char* name, const T& value, Save save,
 // the exact original value.
 TEST(SerializeArtifacts, EveryPrefixTruncationDetectedOrExact) {
   namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("pmlp_serialize_sweep_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
   std::vector<SweepArtifact> artifacts;
   artifacts.push_back(sweep_artifact(
       "dataset", tiny_dataset(), core::save_dataset, core::load_dataset));
@@ -648,10 +695,37 @@ TEST(SerializeArtifacts, EveryPrefixTruncationDetectedOrExact) {
     artifacts.push_back(sweep_artifact("ga_state", st, core::save_ga_state,
                                        core::load_ga_state));
   }
+  {
+    // The campaign manifest is saved and loaded by tree root: reparse
+    // through a scratch root, comparing the body above the crc footer.
+    core::CampaignManifest m;
+    m.population = 8;
+    m.generations = 2;
+    m.ga_checkpoint = 1;
+    m.flows = {{"a_s1", "A", 1}, {"b_s2", "B", 2}};
+    const fs::path root = dir / "manifest_root";
+    const auto body = [root](const core::CampaignManifest& v) {
+      core::save_campaign_manifest(v, root.string());
+      std::ifstream is(root / "campaign.txt", std::ios::binary);
+      std::stringstream ss;
+      ss << is.rdbuf();
+      const std::string text = ss.str();
+      return text.substr(0, text.rfind('#'));
+    };
+    SweepArtifact a;
+    a.name = "manifest";
+    a.body = body(m);
+    a.reparse = [root, body](const std::string& text) {
+      {
+        std::ofstream os(root / "campaign.txt",
+                         std::ios::binary | std::ios::trunc);
+        os << text;
+      }
+      return body(core::load_campaign_manifest(root.string()));
+    };
+    artifacts.push_back(std::move(a));
+  }
 
-  const fs::path dir = fs::temp_directory_path() /
-                       ("pmlp_serialize_sweep_" + std::to_string(::getpid()));
-  fs::create_directories(dir);
   for (const auto& art : artifacts) {
     SCOPED_TRACE(art.name);
     const std::string full_path = (dir / art.name).string();

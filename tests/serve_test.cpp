@@ -62,23 +62,18 @@ struct IndexRow {
   double power;
 };
 
-/// Write a front directory the way the CLI's save_front does: one model
-/// file per row plus an exact-precision index.tsv.
+/// Write a front directory through core::save_front_dir, the CLI's
+/// --save-front writer: one model file per row plus an exact-precision
+/// index.tsv.
 void write_front_dir(const fs::path& dir, const mlp::Topology& topo,
                      const std::vector<IndexRow>& rows,
                      std::uint64_t seed_base) {
-  fs::create_directories(dir);
-  std::ofstream index(dir / "index.tsv");
-  index << std::setprecision(std::numeric_limits<double>::max_digits10);
-  index << "file\ttest_accuracy\tarea_cm2\tpower_mw\tfunctional_match\n";
+  std::vector<core::FrontEntry> entries;
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    char name[40];
-    std::snprintf(name, sizeof name, "front_%03zu.model", i);
-    core::save_model_file(make_model(topo, seed_base + i),
-                          (dir / name).string());
-    index << name << '\t' << rows[i].accuracy << '\t' << rows[i].area << '\t'
-          << rows[i].power << "\t1\n";
+    entries.push_back({"", rows[i].accuracy, rows[i].area, rows[i].power, true,
+                       make_model(topo, seed_base + i)});
   }
+  core::save_front_dir(entries, dir.string());
 }
 
 std::vector<std::uint8_t> random_codes(int n, std::mt19937_64& rng) {

@@ -158,7 +158,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <iomanip>
 #include <iostream>
 #include <limits>
 #include <map>
@@ -396,46 +395,15 @@ void validate_save_front_path(const std::string& dir) {
   }
 }
 
-/// Publish the front atomically, like the --json JsonSink: write everything
-/// into a `.tmp` sibling directory, then rename into place, removing any
-/// previous directory only after the new one is complete. A rerun with a
-/// smaller front therefore never leaves stale front_NNN.model files from an
-/// earlier run next to a fresh index.tsv, and a killed run never leaves a
-/// half-written directory under the published name.
+/// Publish the front atomically, like the --json JsonSink (tmp sibling +
+/// rename, see core::save_front_dir).
 void save_front(const core::FlowResult& result, const std::string& dir) {
-  namespace fs = std::filesystem;
-  const fs::path target(dir);
-  const fs::path tmp(dir + ".tmp");
-  const fs::path old(dir + ".old");
-  fs::remove_all(tmp);  // leftovers of a previously killed run
-  fs::remove_all(old);
-  fs::create_directories(tmp);
-  std::ofstream index(tmp / "index.tsv");
-  if (!index) {
-    throw std::runtime_error("cannot write " + (tmp / "index.tsv").string());
+  std::vector<core::FrontEntry> entries;
+  for (const auto& p : result.front) {
+    entries.push_back({"", p.test_accuracy, p.cost.area_cm2(),
+                       p.cost.power_mw(), p.functional_match, p.model});
   }
-  // max_digits10 round-trips the doubles exactly, so the index always
-  // agrees with the model artifacts and selector queries never tie-break
-  // on rounded values.
-  index << std::setprecision(std::numeric_limits<double>::max_digits10);
-  index << "file\ttest_accuracy\tarea_cm2\tpower_mw\tfunctional_match\n";
-  for (std::size_t i = 0; i < result.front.size(); ++i) {
-    const auto& p = result.front[i];
-    char name[40];
-    std::snprintf(name, sizeof name, "front_%03zu.model", i);
-    core::save_model_file(p.model, (tmp / name).string());
-    index << name << '\t' << p.test_accuracy << '\t' << p.cost.area_cm2()
-          << '\t' << p.cost.power_mw() << '\t'
-          << (p.functional_match ? 1 : 0) << '\n';
-  }
-  index.flush();
-  if (!index) {
-    throw std::runtime_error("short write to " + (tmp / "index.tsv").string());
-  }
-  index.close();
-  if (fs::exists(target)) fs::rename(target, old);
-  fs::rename(tmp, target);
-  fs::remove_all(old);
+  core::save_front_dir(entries, dir);
   std::cerr << "saved " << result.front.size() << " front designs + index to "
             << dir << "\n";
 }
