@@ -223,8 +223,6 @@ CampaignResult CampaignRunner::run() {
   for (auto& st : flows_) {
     FlowConfig cfg = st->spec.config;
     cfg.trainer.n_threads = 1;
-    cfg.trainer.ga.n_threads = 1;
-    cfg.hardware.n_threads = 1;
     st->engine = std::make_unique<FlowEngine>(std::move(st->spec.data),
                                               st->spec.topology, cfg);
     if (!cfg_.checkpoint_root.empty()) {

@@ -330,6 +330,7 @@ struct CampaignWorker::Impl {
   std::string beat_dir;          // guarded by beat_mutex
   long lease_gen = 0;            // guarded by beat_mutex
   bool beater_exit = false;      // guarded by beat_mutex
+  bool beat_now = false;         // guarded by beat_mutex: first beat due
   std::atomic<bool> lease_lost{false};
   long beat_count = 0;  ///< beater thread only
 
@@ -399,9 +400,12 @@ const std::string& CampaignWorker::worker_id() const { return impl_->id; }
 void CampaignWorker::Impl::beater_loop() {
   std::unique_lock<std::mutex> lock(beat_mutex);
   for (;;) {
-    beat_cv.wait_for(lock,
-                     std::chrono::duration<double>(cfg.heartbeat_s));
+    // The predicate keeps an exit or first-beat request made before this
+    // thread started waiting from being lost for a whole heartbeat period.
+    beat_cv.wait_for(lock, std::chrono::duration<double>(cfg.heartbeat_s),
+                     [this] { return beater_exit || beat_now; });
     if (beater_exit) return;
+    beat_now = false;
     if (beat_dir.empty()) continue;
     const std::string dir = beat_dir;
     const long gen = lease_gen;
@@ -426,6 +430,7 @@ void CampaignWorker::Impl::begin_lease(const std::string& dir) {
     beat_dir = dir;
     ++lease_gen;
     lease_lost.store(false);
+    beat_now = true;
   }
   // Wake the beater for the first beat right away; the fresh claim itself
   // already starts a fresh staleness snapshot for other workers.

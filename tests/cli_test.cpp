@@ -49,6 +49,10 @@ void expect_usage_error(const CliResult& r, const char* needle) {
   EXPECT_NE(r.out.find(needle), std::string::npos) << r.out;
 }
 
+std::string first_word(const std::string& s) {
+  return s.substr(0, s.find(' '));
+}
+
 }  // namespace
 
 TEST(Cli, UnknownDatasetListsChoices) {
@@ -125,6 +129,11 @@ TEST(Cli, MissingOptionValueRejected) {
     EXPECT_NE(r.out.find("requires a value"), std::string::npos)
         << flag << ": " << r.out;
   }
+  // A missing positional argument names the subcommand, not just usage.
+  for (const char* args : {"metrics", "serve", "evaluate m.model"}) {
+    expect_usage_error(run_cli(args),
+                       (first_word(args) + "' is missing arguments").c_str());
+  }
 }
 
 TEST(Cli, UnconsumedFlagsRejectedBeforeTraining) {
@@ -136,6 +145,33 @@ TEST(Cli, UnconsumedFlagsRejectedBeforeTraining) {
   expect_usage_error(run, "--seeds is not supported");
   const auto listed = run_cli("list --datasets BreastCancer");
   expect_usage_error(listed, "--datasets is not supported");
+  // Unknown options and extra positional arguments are rejected by name,
+  // not silently turned into (or dropped as) positional arguments.
+  expect_usage_error(run_cli("list --bogus"), "unknown option '--bogus'");
+  expect_usage_error(run_cli("campaign 4 1 --datasetz BreastCancer"),
+                     "unknown option '--datasetz'");
+  expect_usage_error(run_cli("metrics Cardio extra"),
+                     "unexpected argument 'extra'");
+  expect_usage_error(
+      run_cli("campaign status extra --checkpoint /nonexistent_dir_xyz/c"),
+      "unexpected argument 'extra'");
+  // The three campaign modes each take only their own flags.
+  for (const char* flag :
+       {"--seeds 3", "--resume", "--datasets Cardio", "--ga-checkpoint 2"}) {
+    expect_usage_error(
+        run_cli("campaign status --checkpoint /nonexistent_dir_xyz/c " +
+                std::string(flag)),
+        (first_word(flag) + " is not supported by the 'campaign status'")
+            .c_str());
+  }
+  for (const char* flag :
+       {"--datasets Cardio", "--seeds 4", "--resume", "--json w.json"}) {
+    expect_usage_error(
+        run_cli("campaign --worker --checkpoint /nonexistent_dir_xyz/c " +
+                std::string(flag)),
+        (first_word(flag) + " is not supported by the 'campaign --worker'")
+            .c_str());
+  }
 }
 
 TEST(Cli, SaveFrontRerunRemovesStaleModels) {
@@ -183,6 +219,10 @@ TEST(Cli, ServeFlagsRejectedOnOtherSubcommands) {
   expect_usage_error(campaign_port, "--port is not supported");
   const auto run_batch = run_cli("run BreastCancer 8 1 --batch 4");
   expect_usage_error(run_batch, "--batch is not supported");
+  // A typo'd serve flag must not fall back to an OS-assigned port.
+  expect_usage_error(run_cli("serve somedir --prot 9000"),
+                     "unknown option '--prot'");
+  expect_usage_error(run_cli("serve a b"), "unexpected argument 'b'");
 }
 
 TEST(Cli, RtlFlagsRejectedOnOtherSubcommands) {

@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include <array>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -266,6 +267,27 @@ TEST(Worker, DrainsGridBitIdenticalToIndependentFlows) {
     EXPECT_EQ(row.next_stage, "-") << row.name;
     EXPECT_TRUE(row.done) << row.name;
   }
+}
+
+TEST(Worker, DrainedTreeReturnsWithoutWaitingOutHeartbeat) {
+  TempDir dir("drained");
+  core::save_campaign_manifest(grid_manifest(), dir.path.string());
+  for (const char* flow : {"bc_s1", "bc_s2"}) {
+    fs::create_directories(dir.path / flow);
+    core::write_done_marker((dir.path / flow).string(), "earlier");
+  }
+  auto cfg = worker_cfg(dir, "late");
+  cfg.heartbeat_s = 5.0;
+  core::CampaignWorker worker(grid(), cfg);
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto report = worker.run();
+  const std::chrono::duration<double> wall =
+      std::chrono::steady_clock::now() - t0;
+  EXPECT_EQ(report.claims, 0);
+  // run() finds nothing to do and stops the heartbeat thread at once, most
+  // likely before that thread first waits: the stop request must not be
+  // lost for a whole heartbeat period.
+  EXPECT_LT(wall.count(), 1.0);
 }
 
 TEST(Worker, TwoConcurrentWorkersCooperate) {
