@@ -14,6 +14,7 @@
 #include "pmlp/adder/variants.hpp"
 #include "pmlp/core/pareto.hpp"
 #include "pmlp/core/refine.hpp"
+#include "pmlp/core/thread_pool.hpp"
 #include "pmlp/netlist/activity.hpp"
 #include "pmlp/nsga2/random_search.hpp"
 #include "pmlp/netlist/builders.hpp"
@@ -130,8 +131,8 @@ int main() {
           core::train_ga_axc(p.paper.topology, p.train, p.baseline, cfg);
       nsga2::RandomSearchConfig rs;
       rs.evaluations = ga.evaluations;
-      rs.n_threads = cfg.n_threads;
-      const auto random = nsga2::random_search(problem, rs);
+      const auto random = nsga2::random_search(
+          problem, rs, core::make_pool(cfg.n_threads).get());
       std::vector<core::Point2> pts;
       for (const auto& ind : random.pareto_front) {
         pts.push_back({ind.objectives[0], ind.objectives[1]});

@@ -5,16 +5,18 @@
 // so one prepared dataset serves any number of GA runs/seeds).
 //
 // Scale knobs (environment):
-//   PMLP_POP   NSGA-II population          (default 60)
-//   PMLP_GENS  NSGA-II generations         (default 30)
+//   PMLP_POP   NSGA-II population          (default 120)
+//   PMLP_GENS  NSGA-II generations         (default 600)
 //   PMLP_EPOCHS backprop epochs            (default 150)
-//   PMLP_THREADS flow-wide parallelism     (default 0 = all hardware
-//              threads; GA evaluation and hardware analysis — and in
-//              bench_table3_runtime the shared campaign-pool size)
+//   PMLP_THREADS the flow's thread setting (default 0 = all hardware
+//              threads; sizes the one pool every flow stage borrows — and
+//              in bench_table3_runtime the shared campaign-pool size)
 //   PMLP_CACHE genome memo-cache entries   (default 4096; 0 = off)
+//   PMLP_REFINE post-GA refinement         (default 1; 0 = off)
 //   PMLP_SC_SAMPLES stochastic-sim samples (default 200)
-// The paper's full-scale runs used ~26M evaluations; these defaults keep a
-// laptop run in minutes while preserving every trend (see EXPERIMENTS.md).
+// The paper's full-scale runs used ~26M evaluations; the defaults run 72k
+// per dataset (population x generations), so expect smaller area and power
+// reductions than the paper's at the default budget.
 #pragma once
 
 #include <string>

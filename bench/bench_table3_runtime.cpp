@@ -107,10 +107,9 @@ int main() {
     mlp::BackpropConfig bp;
     bp.epochs = bench::env_int("PMLP_EPOCHS", 150);
     bp.seed = 77;
-    bp.n_threads = env_threads;
     mlp::FloatMlp net(core::paper_topology(pr.name), 77);
-    const auto grad =
-        mlp::train_backprop(net, flow.baseline.train_raw, bp);
+    const auto grad = mlp::train_backprop(net, flow.baseline.train_raw, bp,
+                                          core::make_pool(env_threads).get());
     mlp::FloatMlp naive_net(core::paper_topology(pr.name), 77);
     const auto naive =
         mlp::train_backprop_naive(naive_net, flow.baseline.train_raw, bp);

@@ -14,6 +14,11 @@ ChromosomeCodec::ChromosomeCodec(const mlp::Topology& topology,
   // [mask, sign, exponent]; then the neuron's bias.
   const ApproxMlp shape(topology, bits);
   for (const auto& layer : shape.layers()) {
+    // Genes are ints: a mask gene must hold every mask bit.
+    if (layer.input_bits > 31) {
+      throw std::invalid_argument(
+          "ChromosomeCodec: layer input width exceeds 31 bits");
+    }
     const int mask_hi =
         static_cast<int>(bitops::low_mask(layer.input_bits));
     for (int o = 0; o < layer.n_out; ++o) {

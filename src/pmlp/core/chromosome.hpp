@@ -18,6 +18,8 @@ enum class GeneKind { kMask, kSign, kExponent, kBias };
 
 class ChromosomeCodec {
  public:
+  /// Throws std::invalid_argument when a layer's input width (input_bits
+  /// or act_bits) exceeds 31 bits: its mask would not fit an int gene.
   ChromosomeCodec(const mlp::Topology& topology, const BitConfig& bits);
 
   [[nodiscard]] int n_genes() const { return n_genes_; }

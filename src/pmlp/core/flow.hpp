@@ -25,17 +25,14 @@ struct FlowConfig {
   std::uint64_t split_seed = 1;
   mlp::BackpropConfig backprop;    ///< float/gradient training
   TrainerConfig trainer;           ///< GA-AxC; trainer.n_threads is the
-                                   ///< flow-wide parallelism knob (0 = auto),
-                                   ///< applied to the GA engine, the refine
-                                   ///< stage and the hardware-analysis stage,
+                                   ///< flow's one thread setting (0 = auto)
                                    ///< and trainer.problem.eval_cache_capacity
                                    ///< the genome memo-cache size (0 = off) —
                                    ///< both bit-identical for any setting
   bool refine = true;              ///< greedy post-GA refinement extension
   double refine_max_point_loss = 0.01;
   double report_max_loss = 0.05;   ///< Table II selection bound
-  HardwareAnalysisConfig hardware; ///< equivalence-check depth; n_threads is
-                                   ///< superseded by trainer.n_threads
+  HardwareAnalysisConfig hardware; ///< equivalence-check depth
 };
 
 /// The Fig. 2 stages, in pipeline order.
@@ -113,8 +110,6 @@ struct FlowResult {
   TrainingResult training;
   /// Backprop-stage report from the TrainEngine (zeros when the stage was
   /// injected or reloaded from a checkpoint — this process never trained).
-  /// The flow-wide trainer.n_threads knob supersedes backprop.n_threads,
-  /// like the hardware stage.
   mlp::BackpropReport backprop;
   /// Refine-stage counters (zeros when the stage was disabled, injected or
   /// reloaded from a checkpoint — the counters are not checkpointed).

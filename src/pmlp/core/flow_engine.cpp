@@ -138,15 +138,19 @@ FlowEngine& FlowEngine::provide_training(TrainingResult training) {
   return *this;
 }
 
+ThreadPool* FlowEngine::pool() {
+  if (!pool_) pool_ = make_pool(config_.trainer.n_threads);
+  return pool_.get();
+}
+
 std::string FlowEngine::path(const char* file) const {
   return (fs::path(checkpoint_dir_) / file).string();
 }
 
 std::uint64_t FlowEngine::config_fingerprint() const {
   // Everything that changes results. The bit-identical knobs —
-  // trainer.n_threads / ga.n_threads / hardware.n_threads and
-  // problem.eval_cache_capacity — are deliberately excluded so a
-  // checkpoint can be resumed with different parallelism.
+  // trainer.n_threads and problem.eval_cache_capacity — are deliberately
+  // excluded so a checkpoint can be resumed with different parallelism.
   Fnv1a h;
   h.u64(topology_.layers.size());
   for (int n : topology_.layers) h.i64(n);
@@ -320,13 +324,9 @@ void FlowEngine::stage_backprop() {
     }
   }
 
-  // trainer.n_threads is the flow-wide parallelism knob; it supersedes
-  // backprop.n_threads like it does hardware.n_threads. Bit-identical for
-  // any value, so it stays outside the config fingerprint.
-  mlp::BackpropConfig bp = config_.backprop;
-  bp.n_threads = config_.trainer.n_threads;
-  float_net_ = mlp::train_float_mlp(topology_, split_->train_raw, bp,
-                                    &backprop_report_);
+  float_net_ = mlp::train_float_mlp(topology_, split_->train_raw,
+                                    config_.backprop, &backprop_report_,
+                                    pool());
   if (!checkpoint_dir_.empty()) {
     write_artifact(path("float_net.txt"), [&](std::ostream& os) {
       save_float_mlp(*float_net_, os);
@@ -429,8 +429,8 @@ void FlowEngine::stage_ga() {
     };
   }
 
-  training_ =
-      train_ga_axc(topology_, split_->train, pricing_->net, trainer_cfg);
+  training_ = train_ga_axc(topology_, split_->train, pricing_->net,
+                           trainer_cfg, pool());
   if (!checkpoint_dir_.empty()) {
     write_artifact(path("ga_front.txt"), [&](std::ostream& os) {
       save_training_result(*training_, os);
@@ -462,12 +462,10 @@ void FlowEngine::stage_refine() {
     }
   }
 
-  // The flow-wide parallelism knob drives the per-point refine fan-out too.
   refine_report_ =
       refine_front(training_->estimated_pareto, split_->train,
                    pricing_->train_accuracy, config_.refine_max_point_loss,
-                   config_.trainer.problem.max_accuracy_loss,
-                   config_.trainer.n_threads);
+                   config_.trainer.problem.max_accuracy_loss, pool());
   refined_ = true;
   if (!checkpoint_dir_.empty()) {
     write_artifact(path("refined_front.txt"), [&](std::ostream& os) {
@@ -496,12 +494,9 @@ void FlowEngine::stage_hardware() {
     }
   }
 
-  // The flow-wide parallelism knob drives the hardware fan-out too.
-  HardwareAnalysisConfig hw_cfg = config_.hardware;
-  hw_cfg.n_threads = config_.trainer.n_threads;
-  evaluated_ =
-      evaluate_hardware(training_->estimated_pareto, split_->test,
-                        hwmodel::CellLibrary::egfet_1v(), hw_cfg);
+  evaluated_ = evaluate_hardware(training_->estimated_pareto, split_->test,
+                                 hwmodel::CellLibrary::egfet_1v(),
+                                 config_.hardware, pool());
   if (!checkpoint_dir_.empty()) {
     write_artifact(path("evaluated.txt"), [&](std::ostream& os) {
       save_evaluated_points(*evaluated_, os);

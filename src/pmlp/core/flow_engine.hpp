@@ -27,12 +27,16 @@
 //                                              commits)
 //
 // The fingerprint covers everything that changes results; the bit-identical
-// knobs (thread counts, eval-cache capacity, ga.checkpoint_every) are
+// knobs (trainer.n_threads, eval-cache capacity, ga.checkpoint_every) are
 // excluded, so a run may be resumed with a different parallelism setting.
 // If a stage has to be recomputed (its artifact is missing), every
 // downstream stage is also recomputed and its artifact overwritten, so a
 // checkpoint directory is always a consistent set. The selection stage is
 // derived (cheap) and never checkpointed.
+//
+// Threads: the engine builds one ThreadPool from trainer.n_threads the first
+// time its backprop, GA, refine or hardware stage computes, and lends it to
+// each of them; a run that only reloads artifacts starts no threads.
 //
 // Crash safety: every artifact commits via fsync'd temp file + rename with
 // a trailing crc32 checksum footer (serialize.hpp), so a SIGKILL at any
@@ -52,6 +56,7 @@
 #include <string>
 
 #include "pmlp/core/flow.hpp"
+#include "pmlp/core/thread_pool.hpp"
 
 namespace pmlp::core {
 
@@ -129,6 +134,9 @@ class FlowEngine {
   [[nodiscard]] std::string path(const char* file) const;
   [[nodiscard]] std::uint64_t config_fingerprint() const;
   void report(FlowStage stage, double wall_seconds, bool reused, long items);
+  /// The flow's pool, built on first use; null when trainer.n_threads
+  /// resolves to 1.
+  [[nodiscard]] ThreadPool* pool();
 
   void stage_split();
   void stage_backprop();
@@ -162,6 +170,7 @@ class FlowEngine {
   RefineFrontReport refine_report_;
   std::optional<std::vector<HwEvaluatedPoint>> evaluated_;
   std::optional<Selection> selection_;
+  std::unique_ptr<ThreadPool> pool_;
 
   std::vector<StageReport> stages_;
 };

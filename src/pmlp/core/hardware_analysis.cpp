@@ -12,8 +12,8 @@ namespace pmlp::core {
 
 namespace {
 
-/// Candidates per worker below which the pool fan-out is skipped: spawning
-/// workers for a couple of netlist builds costs more than it saves (the
+/// Candidates per worker below which the pool fan-out is skipped:
+/// dispatching a couple of netlist builds costs more than it saves (the
 /// measured tiny-n "speedup" was < 1). Results are identical either way.
 constexpr std::size_t kMinCandidatesPerWorker = 2;
 
@@ -65,33 +65,19 @@ HwEvaluatedPoint evaluate_candidate(const EstimatedPoint& cand,
 std::vector<HwEvaluatedPoint> evaluate_hardware(
     std::span<const EstimatedPoint> candidates,
     const datasets::QuantizedDataset& test, const hwmodel::CellLibrary& lib,
-    const HardwareAnalysisConfig& cfg) {
+    const HardwareAnalysisConfig& cfg, ThreadPool* pool) {
   std::vector<HwEvaluatedPoint> out(candidates.size());
-  // Small-n serial fallback: never hand a worker fewer candidates than
-  // dispatch can amortize, and skip pool construction when that leaves a
-  // single worker.
-  const int n_threads = std::min<int>(
-      resolve_n_threads(cfg.n_threads),
-      static_cast<int>(candidates.size() / kMinCandidatesPerWorker));
-  if (n_threads <= 1) {
-    EvalWorkspace ws;
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      out[i] = evaluate_candidate(candidates[i], test, lib, cfg, ws);
-    }
-  } else {
-    // Each worker fills its own static chunk of the output, so the result
-    // vector is index-addressed and independent of scheduling.
-    ThreadPool pool(n_threads);
-    pool.parallel_for(
-        candidates.size(),
-        [&](std::size_t begin, std::size_t end) {
-          EvalWorkspace ws;
-          for (std::size_t i = begin; i < end; ++i) {
-            out[i] = evaluate_candidate(candidates[i], test, lib, cfg, ws);
-          }
-        },
-        kMinCandidatesPerWorker);
-  }
+  // Each chunk fills its own static slice of the output, so the result
+  // vector is index-addressed and independent of scheduling.
+  parallel_for(
+      pool, candidates.size(),
+      [&](std::size_t, std::size_t begin, std::size_t end) {
+        EvalWorkspace ws;
+        for (std::size_t i = begin; i < end; ++i) {
+          out[i] = evaluate_candidate(candidates[i], test, lib, cfg, ws);
+        }
+      },
+      kMinCandidatesPerWorker);
   return out;
 }
 

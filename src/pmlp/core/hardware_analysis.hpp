@@ -26,19 +26,15 @@ struct HardwareAnalysisConfig {
   /// Samples cross-checked between netlist and behavioural model
   /// (0 disables the equivalence check; negative checks the whole set).
   int equivalence_samples = 64;
-  /// Parallel candidate evaluation (netlist build + EGFET pricing +
-  /// equivalence check fan out over a worker pool): 1 = serial (the
-  /// default for direct calls), 0 = all hardware threads, N = N workers.
-  /// Output order and every result are bit-identical for any setting; the
-  /// FlowEngine overrides this with the flow-wide TrainerConfig::n_threads.
-  int n_threads = 1;
 };
 
-/// Build/price/verify every candidate at the given supply library.
+/// Build/price/verify every candidate at the given supply library. The
+/// candidates fan out over the borrowed `pool` (null = serial, the
+/// default); output order and every result are bit-identical for any pool.
 [[nodiscard]] std::vector<HwEvaluatedPoint> evaluate_hardware(
     std::span<const EstimatedPoint> candidates,
     const datasets::QuantizedDataset& test, const hwmodel::CellLibrary& lib,
-    const HardwareAnalysisConfig& cfg = {});
+    const HardwareAnalysisConfig& cfg = {}, ThreadPool* pool = nullptr);
 
 /// Non-dominated subset on (1 - test_accuracy, netlist area).
 [[nodiscard]] std::vector<HwEvaluatedPoint> true_pareto(

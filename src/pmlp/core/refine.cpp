@@ -182,9 +182,9 @@ RefineFrontReport refine_front(std::span<EstimatedPoint> front,
                                const datasets::QuantizedDataset& train,
                                double baseline_train_accuracy,
                                double max_point_loss, double max_total_loss,
-                               int n_threads) {
+                               ThreadPool* pool) {
   // Each point refines independently (own engine, own output slot), so the
-  // fan-out is bit-identical to the serial loop for any thread count.
+  // fan-out is bit-identical to the serial loop for any pool size.
   const auto refine_one = [&](EstimatedPoint& point) {
     RefineConfig cfg;
     cfg.accuracy_floor = std::max(point.train_accuracy - max_point_loss,
@@ -197,21 +197,12 @@ RefineFrontReport refine_front(std::span<EstimatedPoint> front,
   };
 
   std::vector<RefineReport> reports(front.size());
-  const int workers =
-      std::min<int>(resolve_n_threads(n_threads),
-                    static_cast<int>(front.size()));
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < front.size(); ++i) {
-      reports[i] = refine_one(front[i]);
-    }
-  } else {
-    ThreadPool pool(workers);
-    pool.parallel_for(front.size(), [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        reports[i] = refine_one(front[i]);
-      }
-    });
-  }
+  parallel_for(pool, front.size(),
+               [&](std::size_t, std::size_t begin, std::size_t end) {
+                 for (std::size_t i = begin; i < end; ++i) {
+                   reports[i] = refine_one(front[i]);
+                 }
+               });
 
   RefineFrontReport total;
   total.points = static_cast<long>(front.size());

@@ -9,9 +9,9 @@
 // only, and an early-aborted accuracy scan. refine_greedy_naive is the
 // original full-re-evaluation loop, kept as the bit-identical reference
 // oracle (refine_engine_test compares the two). refine_front fans the
-// per-Pareto-point refinement out over a ThreadPool; one engine per point,
-// per-index output slots, bit-identical to the serial loop for any thread
-// count.
+// per-Pareto-point refinement out over a borrowed ThreadPool; one engine per
+// point, per-index output slots, bit-identical to the serial loop for any
+// pool size.
 #pragma once
 
 #include "pmlp/core/approx_mlp.hpp"
@@ -79,12 +79,12 @@ struct RefineFrontReport {
 /// refresh its train_accuracy / fa_area. Each point's accuracy floor is
 ///   max(point accuracy - max_point_loss,
 ///       baseline_train_accuracy - max_total_loss).
-/// Points fan out over a ThreadPool (0 = all hardware threads, 1 = serial,
-/// default); results are bit-identical for any `n_threads`.
+/// Points fan out over the borrowed `pool` (null = serial, the default);
+/// results are bit-identical for any pool.
 RefineFrontReport refine_front(std::span<EstimatedPoint> front,
                                const datasets::QuantizedDataset& train,
                                double baseline_train_accuracy,
                                double max_point_loss, double max_total_loss,
-                               int n_threads = 1);
+                               ThreadPool* pool = nullptr);
 
 }  // namespace pmlp::core

@@ -259,8 +259,6 @@ datasets::Dataset load_dataset(std::istream& is) {
   d.n_classes = r.value<int>(1, kMaxInt, "bad shape");
   const auto n_samples =
       r.value<std::size_t>(0, std::size_t{1} << 32, "bad shape");
-  d.features.reserve(n_samples * static_cast<std::size_t>(d.n_features));
-  d.labels.reserve(n_samples);
   r.records("row", n_samples, "sample count mismatch", [&] {
     d.labels.push_back(r.value<int>(0, d.n_classes - 1, "label out of range"));
     for (int f = 0; f < d.n_features; ++f) d.features.push_back(r.hex());
@@ -293,8 +291,6 @@ datasets::QuantizedDataset load_quant_dataset(std::istream& is) {
   const auto n_samples =
       r.value<std::size_t>(0, std::size_t{1} << 32, "bad shape");
   const unsigned max_code = (1u << d.input_bits) - 1u;
-  d.codes.reserve(n_samples * static_cast<std::size_t>(d.n_features));
-  d.labels.reserve(n_samples);
   r.records("row", n_samples, "sample count mismatch", [&] {
     d.labels.push_back(r.value<int>(0, d.n_classes - 1, "label out of range"));
     for (int f = 0; f < d.n_features; ++f) {
@@ -445,7 +441,6 @@ TrainingResult load_training_result(std::istream& is) {
   t.cache_hit_rate = r.hex();
   r.expect("count");
   const auto count = r.value<std::size_t>(0, std::size_t{1} << 24, "bad count");
-  t.estimated_pareto.reserve(count);
   r.records("point", count, "point count mismatch", [&] {
     EstimatedPoint p;
     p.train_accuracy = r.hex();
@@ -478,7 +473,6 @@ std::vector<HwEvaluatedPoint> load_evaluated_points(std::istream& is) {
   r.expect("count");
   const auto count = r.value<std::size_t>(0, std::size_t{1} << 24, "bad count");
   std::vector<HwEvaluatedPoint> points;
-  points.reserve(count);
   r.records("point", count, "point count mismatch", [&] {
     HwEvaluatedPoint p;
     p.test_accuracy = r.hex();
@@ -529,7 +523,6 @@ nsga2::GenerationState load_ga_state(std::istream& is) {
   const auto n_genes = r.value<std::size_t>(0, std::size_t{1} << 20,
                                             "bad population header");
   const auto n_obj = r.value<std::size_t>(0, 16, "bad population header");
-  state.population.reserve(count);
   r.records("ind", count, "population count mismatch", [&] {
     nsga2::Individual ind;
     ind.rank = r.value<int>(-1, kMaxInt, "bad rank");

@@ -21,6 +21,18 @@ namespace {
 
 constexpr int kPollMs = 100;  ///< stop-flag poll period of the socket loops
 
+/// Send all of `data`; false when the peer is gone.
+bool send_all(int fd, const std::string& data) {
+  std::size_t sent = 0;
+  while (sent < data.size()) {
+    const ssize_t w =
+        ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
+    if (w <= 0) return false;
+    sent += static_cast<std::size_t>(w);
+  }
+  return true;
+}
+
 /// Parse the numeric argument of a "name=value" selector; nullopt when the
 /// token is not that selector or the value does not parse exactly.
 std::optional<double> selector_arg(const std::string& selector,
@@ -282,8 +294,8 @@ void FrontServer::run_batch(std::vector<Pending>& batch) {
   // Fan the sample blocks out over the pool; worker k reuses its own
   // workspace, so the eval path allocates nothing after warmup. A task is
   // already a whole block — chunking finer would leave nothing to amortize.
-  pool_.parallel_for(
-      block_tasks_.size(),
+  parallel_for(
+      &pool_, block_tasks_.size(),
       [&](std::size_t chunk, std::size_t begin, std::size_t end) {
         EvalWorkspace& ws = workspaces_[chunk];
         for (std::size_t t = begin; t < end; ++t) {
@@ -426,32 +438,26 @@ void FrontServer::handle_connection(int fd) {
     buffer.append(chunk, static_cast<std::size_t>(n));
     std::size_t pos = 0;
     std::size_t nl = 0;
-    while (open && (nl = buffer.find('\n', pos)) != std::string::npos) {
+    while (open && (nl = buffer.find('\n', pos)) != std::string::npos &&
+           nl - pos <= kMaxLineBytes) {
       std::string line = buffer.substr(pos, nl - pos);
       pos = nl + 1;
       if (!line.empty() && line.back() == '\r') line.pop_back();
       if (line.empty()) continue;
-      std::string reply;
-      if (line == "stop") {
-        reply = "ok stop";
+      const bool stop = line == "stop";
+      if (!send_all(fd, (stop ? "ok stop" : handle_line(line)) + '\n') ||
+          stop) {
         open = false;
-      } else {
-        reply = handle_line(line);
       }
-      reply += '\n';
-      std::size_t sent = 0;
-      while (sent < reply.size()) {
-        const ssize_t w =
-            ::send(fd, reply.data() + sent, reply.size() - sent, MSG_NOSIGNAL);
-        if (w <= 0) {
-          open = false;
-          break;
-        }
-        sent += static_cast<std::size_t>(w);
-      }
-      if (line == "stop") request_stop();
+      if (stop) request_stop();
     }
     buffer.erase(0, pos);
+    // What is left starts with a line over the cap, ended or not: answer
+    // once and drop the connection instead of buffering on.
+    if (open && buffer.size() > kMaxLineBytes) {
+      (void)send_all(fd, "err line too long\n");
+      open = false;
+    }
   }
   ::close(fd);
 }

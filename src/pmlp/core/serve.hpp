@@ -29,6 +29,9 @@
 //   reload                         -> "ok reload <k>" | "err <reason>"
 //   stop                           -> "ok stop", then a graceful shutdown
 //
+// A line may be at most FrontServer::kMaxLineBytes long; past that the
+// server replies "err line too long" and closes the connection.
+//
 // Selectors resolve against the index metadata (exact, max_digits10 values):
 //
 //   front_000.model                     explicit file name
@@ -94,6 +97,9 @@ struct ServedModelInfo {
 
 class FrontServer {
  public:
+  /// Longest request line a connection may send (newline excluded).
+  static constexpr std::size_t kMaxLineBytes = 64 * 1024;
+
   /// Loads `front_dir` (throws like load_front_any on a bad artifact set)
   /// and starts the worker pool + batching dispatcher. The server answers
   /// submit()/classify() immediately; sockets only after listen().

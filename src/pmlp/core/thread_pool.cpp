@@ -50,28 +50,23 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void ThreadPool::parallel_for(
-    std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn,
-    std::size_t min_per_chunk) {
-  parallel_for(
-      n,
-      [&fn](std::size_t /*chunk*/, std::size_t begin, std::size_t end) {
-        fn(begin, end);
-      },
-      min_per_chunk);
+std::unique_ptr<ThreadPool> make_pool(int n_threads) {
+  const int n = resolve_n_threads(n_threads);
+  return n == 1 ? nullptr : std::make_unique<ThreadPool>(n);
 }
 
-void ThreadPool::parallel_for(
-    std::size_t n,
+void parallel_for(
+    ThreadPool* pool, std::size_t n,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& fn,
     std::size_t min_per_chunk) {
   if (n == 0) return;
   const std::size_t cap =
       std::max<std::size_t>(1, n / std::max<std::size_t>(1, min_per_chunk));
   const auto chunks =
-      std::min<std::size_t>(static_cast<std::size_t>(size()), cap);
+      std::min<std::size_t>(static_cast<std::size_t>(pool_size(pool)), cap);
   if (chunks <= 1) {
-    // Degenerate pool or tiny range: run inline, exceptions flow naturally.
+    // Serial, degenerate pool or tiny range: run inline, exceptions flow
+    // naturally.
     fn(0, 0, n);
     return;
   }
@@ -80,7 +75,8 @@ void ThreadPool::parallel_for(
   for (std::size_t k = 0; k < chunks; ++k) {
     const std::size_t begin = n * k / chunks;
     const std::size_t end = n * (k + 1) / chunks;
-    pending.push_back(submit([&fn, k, begin, end] { fn(k, begin, end); }));
+    pending.push_back(
+        pool->submit([&fn, k, begin, end] { fn(k, begin, end); }));
   }
   std::exception_ptr first_error;
   for (auto& fut : pending) {

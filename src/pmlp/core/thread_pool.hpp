@@ -4,12 +4,17 @@
 // order; parallel_for partitions an index range statically so that result
 // placement (and therefore the whole NSGA-II run) is independent of thread
 // scheduling.
+//
+// Layers do not own pools. A flow builds one with make_pool() and lends it
+// to every stage as a `ThreadPool*`; null means "run serially on the
+// caller", and the free parallel_for() below accepts either.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <queue>
 #include <thread>
@@ -46,27 +51,6 @@ class ThreadPool {
     return fut;
   }
 
-  /// Run fn(begin, end) over [0, n) split into size() contiguous chunks and
-  /// block until done. The first exception thrown by any chunk is rethrown
-  /// here. The calling thread only waits — chunks run on the workers.
-  /// `min_per_chunk` is a small-n serial fallback threshold: the range is
-  /// never split below that many items per chunk, and when that leaves a
-  /// single chunk the call runs inline — pool dispatch is skipped entirely
-  /// when the per-item work cannot amortize it. Results are identical for
-  /// any threshold (chunking is static either way).
-  void parallel_for(std::size_t n,
-                    const std::function<void(std::size_t, std::size_t)>& fn,
-                    std::size_t min_per_chunk = 1);
-
-  /// As above, but fn(chunk, begin, end) also receives the chunk index
-  /// (in [0, size())), so a caller can hand each chunk its own scratch
-  /// state. Chunk k always covers the same static subrange of [0, n) for a
-  /// given pool size and threshold, preserving the determinism contract.
-  void parallel_for(
-      std::size_t n,
-      const std::function<void(std::size_t, std::size_t, std::size_t)>& fn,
-      std::size_t min_per_chunk = 1);
-
  private:
   void enqueue(std::function<void()> job);
   void worker_loop();
@@ -77,5 +61,29 @@ class ThreadPool {
   std::condition_variable cv_;
   bool stopping_ = false;
 };
+
+/// The one way a thread setting becomes a pool: resolve_n_threads(n_threads)
+/// workers, or null when that resolves to 1 (serial, no threads started).
+[[nodiscard]] std::unique_ptr<ThreadPool> make_pool(int n_threads);
+
+/// Workers a borrowed pool offers: its size, or 1 when it is null.
+[[nodiscard]] inline int pool_size(const ThreadPool* pool) {
+  return pool == nullptr ? 1 : pool->size();
+}
+
+/// Run fn(chunk, begin, end) over [0, n) split into pool_size(pool)
+/// contiguous chunks and block until done; a null pool runs on the caller.
+/// Chunk k always covers the same static subrange of [0, n) for a given
+/// pool size and threshold, so a caller can hand each chunk its own scratch
+/// state without touching the determinism contract. The first exception
+/// thrown by any chunk is rethrown here. The calling thread only waits —
+/// chunks run on the workers. `min_per_chunk` is a small-n serial fallback:
+/// the range is never split below that many items per chunk, and when that
+/// leaves a single chunk the call runs inline, skipping pool dispatch when
+/// the per-item work cannot amortize it.
+void parallel_for(
+    ThreadPool* pool, std::size_t n,
+    const std::function<void(std::size_t, std::size_t, std::size_t)>& fn,
+    std::size_t min_per_chunk = 1);
 
 }  // namespace pmlp::core

@@ -5,6 +5,7 @@
 
 #include "pmlp/bitops/bitops.hpp"
 #include "pmlp/core/simd.hpp"
+#include "pmlp/core/thread_pool.hpp"
 
 namespace pmlp::core {
 
@@ -44,13 +45,10 @@ void fill_perf_counters(TrainingResult& result, const EvalCacheStats& stats) {
 TrainingResult train_ga_axc(const mlp::Topology& topology,
                             const datasets::QuantizedDataset& train,
                             std::optional<mlp::QuantMlp> baseline,
-                            const TrainerConfig& cfg) {
+                            const TrainerConfig& cfg, ThreadPool* pool) {
   ChromosomeCodec codec(topology, cfg.bits);
   HwAwareProblem problem(codec, train, std::move(baseline), cfg.problem);
-
-  nsga2::Config ga_cfg = cfg.ga;
-  ga_cfg.n_threads = cfg.n_threads;
-  const nsga2::Result ga = nsga2::optimize(problem, ga_cfg);
+  const nsga2::Result ga = nsga2::optimize(problem, cfg.ga, pool);
 
   TrainingResult result;
   result.estimated_pareto = collect_front(problem.codec(), ga.pareto_front);
@@ -59,6 +57,14 @@ TrainingResult train_ga_axc(const mlp::Topology& topology,
   result.baseline_train_accuracy = problem.baseline_accuracy();
   fill_perf_counters(result, problem.cache_stats());
   return result;
+}
+
+TrainingResult train_ga_axc(const mlp::Topology& topology,
+                            const datasets::QuantizedDataset& train,
+                            std::optional<mlp::QuantMlp> baseline,
+                            const TrainerConfig& cfg) {
+  return train_ga_axc(topology, train, std::move(baseline), cfg,
+                      make_pool(cfg.n_threads).get());
 }
 
 namespace {
@@ -140,13 +146,12 @@ class AccuracyOnlyProblem final : public nsga2::Problem {
 
 TrainingResult train_ga_accuracy_only(const mlp::Topology& topology,
                                       const datasets::QuantizedDataset& train,
-                                      const TrainerConfig& cfg) {
+                                      const TrainerConfig& cfg,
+                                      ThreadPool* pool) {
   ChromosomeCodec codec(topology, cfg.bits);
   AccuracyOnlyProblem problem(std::move(codec), train,
                               cfg.problem.eval_cache_capacity);
-  nsga2::Config ga_cfg = cfg.ga;
-  ga_cfg.n_threads = cfg.n_threads;
-  const nsga2::Result ga = nsga2::optimize(problem, ga_cfg);
+  const nsga2::Result ga = nsga2::optimize(problem, cfg.ga, pool);
 
   TrainingResult result;
   result.estimated_pareto = collect_front(problem.codec(), ga.pareto_front);
@@ -154,6 +159,13 @@ TrainingResult train_ga_accuracy_only(const mlp::Topology& topology,
   result.wall_seconds = ga.wall_seconds;
   fill_perf_counters(result, problem.cache_stats());
   return result;
+}
+
+TrainingResult train_ga_accuracy_only(const mlp::Topology& topology,
+                                      const datasets::QuantizedDataset& train,
+                                      const TrainerConfig& cfg) {
+  return train_ga_accuracy_only(topology, train, cfg,
+                                make_pool(cfg.n_threads).get());
 }
 
 }  // namespace pmlp::core

@@ -11,15 +11,17 @@
 
 namespace pmlp::core {
 
+class ThreadPool;
+
 struct TrainerConfig {
   nsga2::Config ga;        ///< population/generations/operators
   BitConfig bits;          ///< weight/input/activation/bias widths
   ProblemConfig problem;   ///< loss bound + doping
-  /// Parallel fitness evaluation for every engine the trainer runs:
-  /// 0 = all hardware threads, 1 = serial, N = N pool workers. This knob
-  /// supersedes ga.n_threads (it is copied over it before optimization).
-  /// At flow level it also drives the per-point refine fan-out and the
-  /// hardware-analysis stage; results are bit-identical for any setting.
+  /// The one thread setting: 0 = all hardware threads, 1 = serial, N = N
+  /// workers. A FlowEngine builds one pool from it and lends that pool to
+  /// its backprop, GA, refine and hardware stages; the pool-less
+  /// train_ga_* overloads build their own. Results are bit-identical for
+  /// any setting.
   int n_threads = 0;
 };
 
@@ -56,16 +58,28 @@ struct TrainingResult {
   int eval_block = 0;
 };
 
-/// Train approximate MLPs for `topology` on `train`. `baseline` supplies the
-/// accuracy reference for the 10% bound and the doped seeds (pass the
-/// quantized bespoke baseline [2]).
+/// Train approximate MLPs for `topology` on `train`, evaluating fitness on
+/// the borrowed `pool` (null = serial; cfg.n_threads is not read).
+/// `baseline` supplies the accuracy reference for the 10% bound and the
+/// doped seeds (pass the quantized bespoke baseline [2]).
+[[nodiscard]] TrainingResult train_ga_axc(
+    const mlp::Topology& topology, const datasets::QuantizedDataset& train,
+    std::optional<mlp::QuantMlp> baseline, const TrainerConfig& cfg,
+    ThreadPool* pool);
+
+/// As above, on a pool of cfg.n_threads workers built for this call.
 [[nodiscard]] TrainingResult train_ga_axc(
     const mlp::Topology& topology, const datasets::QuantizedDataset& train,
     std::optional<mlp::QuantMlp> baseline, const TrainerConfig& cfg);
 
 /// Accuracy-only GA training (single objective, no approximations): the
 /// "Exec.Time GA" reference column of Table III. Masks are pinned to
-/// all-ones; area is ignored (objective 2 constant).
+/// all-ones; area is ignored (objective 2 constant). Pool as train_ga_axc.
+[[nodiscard]] TrainingResult train_ga_accuracy_only(
+    const mlp::Topology& topology, const datasets::QuantizedDataset& train,
+    const TrainerConfig& cfg, ThreadPool* pool);
+
+/// As above, on a pool of cfg.n_threads workers built for this call.
 [[nodiscard]] TrainingResult train_ga_accuracy_only(
     const mlp::Topology& topology, const datasets::QuantizedDataset& train,
     const TrainerConfig& cfg);

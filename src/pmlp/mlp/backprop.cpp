@@ -144,20 +144,22 @@ BackpropReport train_backprop_naive(FloatMlp& net,
 }
 
 BackpropReport train_backprop(FloatMlp& net, const datasets::Dataset& train,
-                              const BackpropConfig& cfg) {
-  TrainEngine engine(train, cfg);
+                              const BackpropConfig& cfg,
+                              core::ThreadPool* pool) {
+  TrainEngine engine(train, cfg, pool);
   return engine.train(net);
 }
 
 FloatMlp train_float_mlp(const Topology& topology,
                          const datasets::Dataset& train,
-                         const BackpropConfig& cfg, BackpropReport* report) {
+                         const BackpropConfig& cfg, BackpropReport* report,
+                         core::ThreadPool* pool) {
   FloatMlp best;
   double best_acc = -1.0;
   BackpropReport best_report;
   const int restarts = std::max(1, cfg.restarts);
-  // One engine (and worker pool + workspace) serves every restart.
-  TrainEngine engine(train, cfg);
+  // One engine (and workspace) serves every restart.
+  TrainEngine engine(train, cfg, pool);
   for (int r = 0; r < restarts; ++r) {
     const std::uint64_t run_seed =
         cfg.seed + static_cast<std::uint64_t>(r) * 101;

@@ -13,6 +13,10 @@
 #include "pmlp/datasets/dataset.hpp"
 #include "pmlp/mlp/float_mlp.hpp"
 
+namespace pmlp::core {
+class ThreadPool;
+}  // namespace pmlp::core
+
 namespace pmlp::mlp {
 
 struct BackpropConfig {
@@ -29,11 +33,6 @@ struct BackpropConfig {
   /// keeps the most accurate — cheap insurance for tiny topologies.
   int restarts = 3;
   std::uint64_t seed = 1;
-  /// TrainEngine workers for intra-batch block parallelism; 0 = auto.
-  /// Results are bit-identical for every value (per-block gradient shards
-  /// reduced in fixed block order) — this knob is EXCLUDED from the flow
-  /// checkpoint fingerprint, like every thread count.
-  int n_threads = 1;
 };
 
 struct BackpropReport {
@@ -47,13 +46,15 @@ struct BackpropReport {
   // serialized into checkpoints and never part of any fingerprint.
   std::string simd_isa;  ///< dispatched kernel ISA ("" for the naive loop)
   int block = 0;         ///< engine block size (0 for the naive loop)
-  int threads = 1;       ///< resolved worker count
+  int threads = 1;       ///< borrowed pool size (1 when serial)
 };
 
-/// Train `net` in place with the blocked SIMD TrainEngine; returns a report
+/// Train `net` in place with the blocked SIMD TrainEngine on the borrowed
+/// `pool` (null = serial; bit-identical for any pool); returns a report
 /// with the wall time and throughput.
 BackpropReport train_backprop(FloatMlp& net, const datasets::Dataset& train,
-                              const BackpropConfig& cfg);
+                              const BackpropConfig& cfg,
+                              core::ThreadPool* pool = nullptr);
 
 /// The original per-sample scalar loop — reference oracle for the engine
 /// (same update rule, no blocking, no threads, no SIMD).
@@ -62,11 +63,13 @@ BackpropReport train_backprop_naive(FloatMlp& net,
                                     const BackpropConfig& cfg);
 
 /// Convenience: init + train (engine-backed, cfg.restarts restarts sharing
-/// one TrainEngine) + return the most accurate network. When `report` is
-/// non-null it receives the winning restart's training report.
+/// one TrainEngine on the borrowed `pool`) + return the most accurate
+/// network. When `report` is non-null it receives the winning restart's
+/// training report.
 [[nodiscard]] FloatMlp train_float_mlp(const Topology& topology,
                                        const datasets::Dataset& train,
                                        const BackpropConfig& cfg,
-                                       BackpropReport* report = nullptr);
+                                       BackpropReport* report = nullptr,
+                                       core::ThreadPool* pool = nullptr);
 
 }  // namespace pmlp::mlp

@@ -14,14 +14,8 @@
 namespace pmlp::mlp {
 
 TrainEngine::TrainEngine(const datasets::Dataset& train,
-                         const BackpropConfig& cfg)
-    : train_(train),
-      cfg_(cfg),
-      n_threads_(core::resolve_n_threads(cfg.n_threads)) {
-  if (n_threads_ > 1) pool_ = std::make_unique<core::ThreadPool>(n_threads_);
-}
-
-TrainEngine::~TrainEngine() = default;
+                         const BackpropConfig& cfg, core::ThreadPool* pool)
+    : train_(train), cfg_(cfg), pool_(pool) {}
 
 void TrainEngine::bind(const FloatMlp& net) {
   const auto& layers = net.layers();
@@ -67,7 +61,7 @@ void TrainEngine::bind(const FloatMlp& net) {
   }
   n_params_ = p;
 
-  const auto n_workers = static_cast<std::size_t>(n_threads_);
+  const auto n_workers = static_cast<std::size_t>(core::pool_size(pool_));
   const auto delta_cap = static_cast<std::size_t>(max_width_) * kBlockSamples;
   if (ws_.workers_.size() < n_workers) ws_.workers_.resize(n_workers);
   for (auto& wk : ws_.workers_) {
@@ -250,11 +244,7 @@ BackpropReport TrainEngine::train(FloatMlp& net, std::uint64_t seed) {
       std::fill_n(ws_.shards_.begin(),
                   static_cast<std::ptrdiff_t>(n_blocks * n_params_), 0.0);
 
-      if (pool_ && n_blocks > 1) {
-        pool_->parallel_for(n_blocks, runner, 1);
-      } else {
-        runner(0, 0, n_blocks);
-      }
+      core::parallel_for(pool_, n_blocks, runner);
 
       // Reduce shards and loss partials in fixed block order — the thread
       // count never touches the summation order.
@@ -302,7 +292,7 @@ BackpropReport TrainEngine::train(FloatMlp& net, std::uint64_t seed) {
           : 0.0;
   report.simd_isa = core::simd_isa_name(isa);
   report.block = kBlockSamples;
-  report.threads = n_threads_;
+  report.threads = core::pool_size(pool_);
   return report;
 }
 

@@ -14,15 +14,14 @@
 // back-propagation each run as whole-layer sweeps instead of per-sample
 // loops.
 //
-// Parallelism: blocks of one batch fan out over a ThreadPool of
-// BackpropConfig::n_threads workers (per-worker plane scratch, per-BLOCK
-// gradient shards). Because the block partition depends only on the batch
-// layout — never on the worker count — and the shards are reduced into the
-// batch gradient in fixed block order, results are bit-identical across
-// thread counts and across repeated runs.
+// Parallelism: blocks of one batch fan out over a borrowed ThreadPool
+// (per-chunk plane scratch, per-BLOCK gradient shards). Because the block
+// partition depends only on the batch layout — never on the pool size — and
+// the shards are reduced into the batch gradient in fixed block order,
+// results are bit-identical across pool sizes and across repeated runs.
 //
 // Determinism contract (stated once, tested in train_engine_test):
-//   * bit-identical across n_threads and across runs for a given ISA;
+//   * bit-identical across pool sizes and across runs for a given ISA;
 //   * per-sample forward/delta arithmetic is ISA-independent in ORDER (one
 //     sample per SIMD lane), but the SIMD variants contract multiply-add
 //     into FMA and the gradient's cross-sample reduction is lane-strided,
@@ -36,17 +35,12 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "pmlp/core/simd.hpp"
 #include "pmlp/datasets/dataset.hpp"
 #include "pmlp/mlp/backprop.hpp"
 #include "pmlp/mlp/float_mlp.hpp"
-
-namespace pmlp::core {
-class ThreadPool;
-}  // namespace pmlp::core
 
 namespace pmlp::mlp {
 
@@ -72,8 +66,8 @@ class TrainWorkspace {
 };
 
 /// One engine per (dataset, config) pair; train() may be called repeatedly
-/// (train_float_mlp reuses one engine — and its worker pool and workspace —
-/// across restarts). The dataset must outlive the engine.
+/// (train_float_mlp reuses one engine — and its workspace — across
+/// restarts). The dataset and the borrowed pool must outlive the engine.
 class TrainEngine {
  public:
   /// Samples per block: the per-worker scheduling AND determinism unit.
@@ -81,8 +75,9 @@ class TrainEngine {
   /// L1-resident, large enough to fill 4-wide AVX2 lanes with slack.
   static constexpr int kBlockSamples = 32;
 
-  TrainEngine(const datasets::Dataset& train, const BackpropConfig& cfg);
-  ~TrainEngine();
+  /// Blocks fan out over `pool`; null trains serially on the caller.
+  TrainEngine(const datasets::Dataset& train, const BackpropConfig& cfg,
+              core::ThreadPool* pool = nullptr);
 
   TrainEngine(const TrainEngine&) = delete;
   TrainEngine& operator=(const TrainEngine&) = delete;
@@ -92,9 +87,6 @@ class TrainEngine {
   /// dataset (feature width, label range).
   BackpropReport train(FloatMlp& net);
   BackpropReport train(FloatMlp& net, std::uint64_t seed);
-
-  /// Resolved worker count (>= 1).
-  [[nodiscard]] int n_threads() const { return n_threads_; }
 
  private:
   void bind(const FloatMlp& net);
@@ -106,8 +98,7 @@ class TrainEngine {
 
   const datasets::Dataset& train_;
   BackpropConfig cfg_;
-  int n_threads_ = 1;
-  std::unique_ptr<core::ThreadPool> pool_;  ///< null when n_threads_ == 1
+  core::ThreadPool* pool_;  ///< borrowed; null when serial
   TrainWorkspace ws_;
   std::vector<std::size_t> order_;  ///< epoch shuffle order, reused
 

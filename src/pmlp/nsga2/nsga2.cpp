@@ -126,13 +126,12 @@ std::vector<Individual> extract_pareto_front(std::vector<Individual> pop) {
   return front;
 }
 
-PopulationEvaluator::PopulationEvaluator(const Problem& problem, int n_threads)
-    : problem_(problem), n_threads_(core::resolve_n_threads(n_threads)) {
-  if (n_threads_ > 1) {
-    pool_ = std::make_unique<core::ThreadPool>(n_threads_);
-  }
-  workspaces_.reserve(static_cast<std::size_t>(n_threads_));
-  for (int k = 0; k < n_threads_; ++k) {
+PopulationEvaluator::PopulationEvaluator(const Problem& problem,
+                                         core::ThreadPool* pool)
+    : problem_(problem), pool_(pool) {
+  const int chunks = core::pool_size(pool);
+  workspaces_.reserve(static_cast<std::size_t>(chunks));
+  for (int k = 0; k < chunks; ++k) {
     workspaces_.push_back(problem.make_workspace());
   }
 }
@@ -149,16 +148,12 @@ long PopulationEvaluator::evaluate(std::span<Individual> pop) {
       pop[i].constraint_violation = ev.constraint_violation;
     }
   };
-  if (pool_) {
-    // A chromosome already evaluates as whole sample blocks through the
-    // batched engine, so a chunk must hold several chromosomes for dispatch
-    // to amortize: never split below 2 per worker — at bench-scale
-    // populations a lone-chromosome chunk costs more in wakeup/join than
-    // its evaluation (often a single cache hit) saves.
-    pool_->parallel_for(pop.size(), work, /*min_per_chunk=*/2);
-  } else {
-    work(0, 0, pop.size());
-  }
+  // A chromosome already evaluates as whole sample blocks through the
+  // batched engine, so a chunk must hold several chromosomes for dispatch
+  // to amortize: never split below 2 per worker — at bench-scale
+  // populations a lone-chromosome chunk costs more in wakeup/join than its
+  // evaluation (often a single cache hit) saves.
+  core::parallel_for(pool_, pop.size(), work, /*min_per_chunk=*/2);
   return static_cast<long>(pop.size());
 }
 
@@ -258,7 +253,8 @@ std::vector<Individual> select_survivors(std::vector<Individual> merged,
 
 }  // namespace
 
-Result optimize(const Problem& problem, const Config& cfg) {
+Result optimize(const Problem& problem, const Config& cfg,
+                core::ThreadPool* pool) {
   if (cfg.population < 4 || cfg.population % 2 != 0) {
     throw std::invalid_argument("nsga2: population must be even and >= 4");
   }
@@ -268,7 +264,7 @@ Result optimize(const Problem& problem, const Config& cfg) {
   const auto t0 = std::chrono::steady_clock::now();
   std::mt19937_64 rng(cfg.seed);
   Result result;
-  PopulationEvaluator evaluator(problem, cfg.n_threads);
+  PopulationEvaluator evaluator(problem, pool);
 
   std::vector<Individual> pop;
   int start_generation = 0;

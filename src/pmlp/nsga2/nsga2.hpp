@@ -116,11 +116,6 @@ struct Config {
   int creep_step = 1;
   CrossoverKind crossover = CrossoverKind::kUniform;
   std::uint64_t seed = 1;
-  /// Parallel fitness evaluation: 0 = all hardware threads (the default),
-  /// 1 = serial, N = N pool workers. Results are bit-identical across all
-  /// settings — only evaluate() runs off the main thread; selection and
-  /// mutation RNG stay serial.
-  int n_threads = 0;
   /// Called after each generation with the sorted parent population.
   std::function<void(int generation, const std::vector<Individual>&)>
       on_generation;
@@ -149,15 +144,14 @@ struct Result {
 };
 
 /// Batched population evaluator: scores individuals against one Problem on
-/// a persistent worker pool (created once, reused across generations). Each
-/// result is written into its individual's own slot under a static index
-/// partition, so the outcome is bit-identical for any thread count. Every
-/// worker owns one Problem::Workspace for the evaluator's lifetime, so
-/// workspace-aware problems evaluate allocation-free.
+/// a borrowed worker pool (null = serial on the caller). Each result is
+/// written into its individual's own slot under a static index partition,
+/// so the outcome is bit-identical for any pool size. Every pool chunk owns
+/// one Problem::Workspace for the evaluator's lifetime, so workspace-aware
+/// problems evaluate allocation-free. The pool must outlive the evaluator.
 class PopulationEvaluator {
  public:
-  /// n_threads: 0 = all hardware threads, 1 = serial (no pool), N = N workers.
-  PopulationEvaluator(const Problem& problem, int n_threads);
+  PopulationEvaluator(const Problem& problem, core::ThreadPool* pool);
   ~PopulationEvaluator();
 
   PopulationEvaluator(const PopulationEvaluator&) = delete;
@@ -167,19 +161,18 @@ class PopulationEvaluator {
   /// number of evaluations performed (pop.size()).
   long evaluate(std::span<Individual> pop);
 
-  /// Worker count actually in use (1 when running serially).
-  [[nodiscard]] int n_threads() const { return n_threads_; }
-
  private:
   const Problem& problem_;
-  int n_threads_;
-  std::unique_ptr<core::ThreadPool> pool_;  ///< null when serial
+  core::ThreadPool* pool_;  ///< borrowed; null when serial
   /// One workspace per worker; entries may be null (workspace-free problem).
   std::vector<std::unique_ptr<Problem::Workspace>> workspaces_;
 };
 
-/// Run NSGA-II. Deterministic in cfg.seed (also with n_threads != 1).
-[[nodiscard]] Result optimize(const Problem& problem, const Config& cfg);
+/// Run NSGA-II, evaluating fitness on the borrowed `pool` (null = serial).
+/// Deterministic in cfg.seed for any pool: only evaluate() runs off the
+/// calling thread; selection and mutation RNG stay serial.
+[[nodiscard]] Result optimize(const Problem& problem, const Config& cfg,
+                              core::ThreadPool* pool = nullptr);
 
 // --- Internals exposed for unit testing -----------------------------------
 

@@ -6,12 +6,13 @@
 
 namespace pmlp::nsga2 {
 
-Result random_search(const Problem& problem, const RandomSearchConfig& cfg) {
+Result random_search(const Problem& problem, const RandomSearchConfig& cfg,
+                     core::ThreadPool* pool) {
   const auto t0 = std::chrono::steady_clock::now();
   std::mt19937_64 rng(cfg.seed);
 
-  std::vector<Individual> pool;
-  pool.reserve(static_cast<std::size_t>(cfg.evaluations));
+  std::vector<Individual> candidates;
+  candidates.reserve(static_cast<std::size_t>(cfg.evaluations));
   for (auto& genes : problem.seed_individuals(
            static_cast<int>(std::min<long>(cfg.evaluations, 1000)))) {
     Individual ind;
@@ -21,9 +22,9 @@ Result random_search(const Problem& problem, const RandomSearchConfig& cfg) {
       const GeneBounds b = problem.bounds(static_cast<int>(g));
       ind.genes[g] = std::clamp(ind.genes[g], b.lo, b.hi);
     }
-    pool.push_back(std::move(ind));
+    candidates.push_back(std::move(ind));
   }
-  while (static_cast<long>(pool.size()) < cfg.evaluations) {
+  while (static_cast<long>(candidates.size()) < cfg.evaluations) {
     Individual ind;
     ind.genes.resize(static_cast<std::size_t>(problem.n_genes()));
     for (std::size_t g = 0; g < ind.genes.size(); ++g) {
@@ -31,16 +32,16 @@ Result random_search(const Problem& problem, const RandomSearchConfig& cfg) {
       std::uniform_int_distribution<int> pick(b.lo, b.hi);
       ind.genes[g] = pick(rng);
     }
-    pool.push_back(std::move(ind));
+    candidates.push_back(std::move(ind));
   }
 
-  PopulationEvaluator evaluator(problem, cfg.n_threads);
-  evaluator.evaluate(pool);
+  PopulationEvaluator evaluator(problem, pool);
+  evaluator.evaluate(candidates);
 
   // Incremental non-dominated archive (cheaper than sorting the whole
   // pool: the archive stays small in practice).
   std::vector<Individual> archive;
-  for (auto& ind : pool) {
+  for (auto& ind : candidates) {
     bool dominated = false;
     for (auto it = archive.begin(); it != archive.end();) {
       if (dominates(*it, ind)) {
@@ -72,9 +73,9 @@ Result random_search(const Problem& problem, const RandomSearchConfig& cfg) {
             });
 
   Result result;
-  result.evaluations = static_cast<long>(pool.size());
+  result.evaluations = static_cast<long>(candidates.size());
   result.pareto_front = std::move(archive);
-  result.population.clear();  // the full pool is not retained
+  result.population.clear();  // the candidates are not retained
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();

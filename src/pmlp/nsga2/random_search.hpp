@@ -12,15 +12,14 @@ namespace pmlp::nsga2 {
 struct RandomSearchConfig {
   long evaluations = 10000;
   std::uint64_t seed = 1;
-  /// 0 = all hardware threads, 1 = serial, N = N workers. Candidate genomes
-  /// are drawn serially from cfg.seed before evaluation, so results are
-  /// bit-identical across all settings.
-  int n_threads = 0;
 };
 
-/// Evaluate `evaluations` random candidates; returns the feasible
-/// non-dominated subset (same Result contract as optimize()).
+/// Evaluate `evaluations` random candidates on the borrowed `pool` (null =
+/// serial); returns the feasible non-dominated subset (same Result contract
+/// as optimize()). Candidate genomes are drawn serially from cfg.seed before
+/// evaluation, so results are bit-identical for any pool.
 [[nodiscard]] Result random_search(const Problem& problem,
-                                   const RandomSearchConfig& cfg);
+                                   const RandomSearchConfig& cfg,
+                                   core::ThreadPool* pool = nullptr);
 
 }  // namespace pmlp::nsga2

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <fstream>
 #include <random>
+#include <stdexcept>
 
 #include "pmlp/bitops/bitops.hpp"
 #include "pmlp/core/approx_mlp.hpp"
@@ -186,6 +187,24 @@ TEST(ChromosomeCodec, BoundsMatchBitConfig) {
   const int bias_gene = 3 * 3;
   EXPECT_EQ(codec.bounds(bias_gene).lo, -16);
   EXPECT_EQ(codec.bounds(bias_gene).hi, 15);
+}
+
+TEST(ChromosomeCodec, RejectsInputWidthBeyondIntGene) {
+  // A mask gene is an int, so a layer whose inputs are 32+ bits wide has no
+  // valid gene bounds. 31 bits is the widest mask that fits.
+  const mlp::Topology topo{{3, 2, 2}};
+  core::BitConfig bits;
+  bits.act_bits = 31;  // layer 2 input width
+  const core::ChromosomeCodec widest(topo, bits);
+  EXPECT_EQ(widest.bounds(widest.n_genes() - 1 - 3 * 2).hi, 0x7fffffff);
+  bits.act_bits = 32;
+  EXPECT_THROW(core::ChromosomeCodec(topo, bits), std::invalid_argument);
+  bits.act_bits = 36;
+  EXPECT_THROW(core::ChromosomeCodec(topo, bits), std::invalid_argument);
+  core::BitConfig wide_inputs;
+  wide_inputs.input_bits = 32;  // layer 1 input width
+  EXPECT_THROW(core::ChromosomeCodec(topo, wide_inputs),
+               std::invalid_argument);
 }
 
 // --------------------------------------------------------------- problem

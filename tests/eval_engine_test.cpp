@@ -16,6 +16,7 @@
 #include "pmlp/core/eval_kernels.hpp"
 #include "pmlp/core/problem.hpp"
 #include "pmlp/core/simd.hpp"
+#include "pmlp/core/thread_pool.hpp"
 #include "pmlp/datasets/synthetic.hpp"
 #include "pmlp/mlp/backprop.hpp"
 #include "pmlp/nsga2/nsga2.hpp"
@@ -229,13 +230,13 @@ const Fixture& fixture() {
   return f;
 }
 
-nsga2::Result run_ga(const core::HwAwareProblem& problem, int n_threads) {
+nsga2::Result run_ga(const core::HwAwareProblem& problem,
+                     core::ThreadPool* pool) {
   nsga2::Config cfg;
   cfg.population = 16;
   cfg.generations = 4;
   cfg.seed = 77;
-  cfg.n_threads = n_threads;
-  return nsga2::optimize(problem, cfg);
+  return nsga2::optimize(problem, cfg, pool);
 }
 
 void expect_identical(const nsga2::Result& a, const nsga2::Result& b) {
@@ -260,13 +261,14 @@ TEST(EvalEngine, CachedAndUncachedFrontsIdenticalUnderParallelism) {
   core::ProblemConfig uncached_cfg;
   uncached_cfg.eval_cache_capacity = 0;
   core::HwAwareProblem uncached(codec, f.train, f.baseline, uncached_cfg);
-  const auto reference = run_ga(uncached, 1);
+  const auto reference = run_ga(uncached, nullptr);
 
   core::ProblemConfig cached_cfg;
   cached_cfg.eval_cache_capacity = 1 << 12;
   for (int n_threads : {1, 4}) {
+    core::ThreadPool pool(n_threads);
     core::HwAwareProblem cached(codec, f.train, f.baseline, cached_cfg);
-    expect_identical(reference, run_ga(cached, n_threads));
+    expect_identical(reference, run_ga(cached, &pool));
     const auto stats = cached.cache_stats();
     EXPECT_GT(stats.hits, 0) << "elitist GA should produce duplicates";
     EXPECT_EQ(stats.lookups(), 16 * 5);  // pop * (init + generations)
@@ -286,7 +288,8 @@ TEST(EvalEngine, TinyCacheStaysBitIdentical) {
   core::ProblemConfig tiny_cfg;
   tiny_cfg.eval_cache_capacity = 3;
   core::HwAwareProblem tiny(codec, f.train, f.baseline, tiny_cfg);
-  expect_identical(run_ga(uncached, 4), run_ga(tiny, 4));
+  core::ThreadPool pool(4);
+  expect_identical(run_ga(uncached, &pool), run_ga(tiny, &pool));
 }
 
 TEST(EvalEngine, ProblemEvaluateMatchesNaiveObjectives) {
@@ -417,17 +420,30 @@ TEST(PredictBatch, ForcedScalarDispatchBitIdenticalToSimd) {
 TEST(PredictBatch, OverflowUnsafeNetFallsBackToPerSamplePath) {
   // act_bits wide enough that the QReLU clamp exceeds int32 makes the
   // static bound fail: block_safe() must refuse and predict_batch must
-  // route through the exact int64 per-sample path.
+  // route through the exact int64 per-sample path. No ChromosomeCodec
+  // covers a 36-bit layer input (a mask gene is an int), so the dense net
+  // is built directly.
   core::BitConfig bits;
   bits.act_bits = 36;
   const mlp::Topology topo{{5, 4, 3}};
-  const core::ChromosomeCodec codec(topo, bits);
   const auto data = random_dataset(5, 3, 70, bits.input_bits, 9);
 
   std::mt19937_64 rng(31);
   core::EvalWorkspace ws;
-  const core::ApproxMlp net =
-      codec.decode(random_genes(codec, MaskStyle::kDense, rng));
+  core::ApproxMlp net(topo, bits);
+  std::uniform_int_distribution<int> exponent(0, bits.max_exponent());
+  std::uniform_int_distribution<std::int64_t> bias(bits.bias_min(),
+                                                   bits.bias_max());
+  for (auto& layer : net.layers()) {
+    for (auto& c : layer.conns) {
+      c.mask = static_cast<std::uint32_t>(
+          pmlp::bitops::low_mask(std::min(layer.input_bits, 32)));
+      c.sign = (rng() & 1u) ? +1 : -1;
+      c.exponent = exponent(rng);
+    }
+    for (auto& b : layer.biases) b = bias(rng);
+  }
+  net.update_qrelu_shifts();
   const core::CompiledNet compiled(net);
   EXPECT_FALSE(compiled.block_safe());
   std::vector<std::int32_t> preds(data.size());

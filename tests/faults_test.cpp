@@ -6,6 +6,7 @@
 
 #include "pmlp/core/chromosome.hpp"
 #include "pmlp/core/problem.hpp"
+#include "pmlp/core/thread_pool.hpp"
 #include "pmlp/datasets/synthetic.hpp"
 #include "pmlp/mlp/backprop.hpp"
 #include "pmlp/netlist/faults.hpp"
@@ -158,10 +159,9 @@ TEST(RandomSearch, DeterministicAndThreadInvariant) {
   nsga2::RandomSearchConfig cfg;
   cfg.evaluations = 1000;
   cfg.seed = 5;
-  cfg.n_threads = 1;
   const auto a = nsga2::random_search(problem, cfg);
-  cfg.n_threads = 4;
-  const auto b = nsga2::random_search(problem, cfg);
+  pmlp::core::ThreadPool pool(4);
+  const auto b = nsga2::random_search(problem, cfg, &pool);
   ASSERT_EQ(a.pareto_front.size(), b.pareto_front.size());
   for (std::size_t i = 0; i < a.pareto_front.size(); ++i) {
     EXPECT_EQ(a.pareto_front[i].objectives, b.pareto_front[i].objectives);

@@ -120,9 +120,8 @@ TEST(FlowEngine, PartialResumeRecomputesDownstream) {
 
 TEST(FlowEngine, ResumeWithDifferentThreadsAndCacheAccepted) {
   // The meta.txt config fingerprint covers exactly the result-changing
-  // fields. The bit-identical knobs — trainer.n_threads (and the superseded
-  // ga/hardware thread counts) and problem.eval_cache_capacity — must stay
-  // out of it: a checkpoint written on a 2-thread machine resumes under a
+  // fields. The bit-identical knobs — trainer.n_threads and
+  // problem.eval_cache_capacity — must stay out of it: a checkpoint written on a 2-thread machine resumes under a
   // different thread count / cache size (e.g. on another machine) instead
   // of being rejected as a different config, and reproduces the original
   // result bit-identically.
@@ -138,8 +137,6 @@ TEST(FlowEngine, ResumeWithDifferentThreadsAndCacheAccepted) {
 
   auto resumed_cfg = small_cfg();
   resumed_cfg.trainer.n_threads = 1;
-  resumed_cfg.trainer.ga.n_threads = 7;       // superseded knob, also excluded
-  resumed_cfg.hardware.n_threads = 3;         // superseded knob, also excluded
   resumed_cfg.trainer.problem.eval_cache_capacity = 0;
   core::FlowEngine second(data, small_topo(), resumed_cfg);
   second.set_checkpoint_dir(dir.path.string());
@@ -150,6 +147,38 @@ TEST(FlowEngine, ResumeWithDifferentThreadsAndCacheAccepted) {
     EXPECT_EQ(s.reused, s.stage != core::FlowStage::kSelect)
         << core::flow_stage_name(s.stage);
   }
+}
+
+namespace {
+
+/// Threads of this process, from /proc/self/task (-1 where there is none).
+int process_threads() {
+  std::error_code ec;
+  fs::directory_iterator it("/proc/self/task", ec);
+  if (ec) return -1;
+  return static_cast<int>(std::distance(it, fs::directory_iterator{}));
+}
+
+}  // namespace
+
+TEST(FlowEngine, ReloadOnlyRunStartsNoThreads) {
+  // The flow's pool is built the first time a stage computes, so a run
+  // that only reloads a complete checkpoint starts no threads at all.
+  TempDir dir("reloadthreads");
+  const auto data = small_data();
+  auto cfg = small_cfg();
+  cfg.trainer.n_threads = 4;
+  {
+    core::FlowEngine first(data, small_topo(), cfg);
+    first.set_checkpoint_dir(dir.path.string());
+    (void)first.run();
+  }
+  const int before = process_threads();
+  if (before < 0) GTEST_SKIP() << "no /proc/self/task";
+  core::FlowEngine second(data, small_topo(), cfg);
+  second.set_checkpoint_dir(dir.path.string());
+  (void)second.run();
+  EXPECT_EQ(process_threads(), before);
 }
 
 TEST(FlowEngine, AdvanceRunsOneStageAtATime) {
@@ -249,14 +278,14 @@ TEST(FlowEngine, ParallelHardwareAnalysisBitIdentical) {
   const auto& lib = pmlp::hwmodel::CellLibrary::egfet_1v();
   core::HardwareAnalysisConfig cfg;
   cfg.equivalence_samples = 8;
-  cfg.n_threads = 1;
   const auto serial =
       core::evaluate_hardware(result.training.estimated_pareto, test, lib,
                               cfg);
-  for (int n : {0, 2, 4, 7}) {
-    cfg.n_threads = n;
+  for (int n : {1, 2, 4, 0, 7}) {
+    SCOPED_TRACE(n);
+    core::ThreadPool pool(n);
     const auto parallel = core::evaluate_hardware(
-        result.training.estimated_pareto, test, lib, cfg);
+        result.training.estimated_pareto, test, lib, cfg, &pool);
     expect_same_points(serial, parallel);
   }
 }
@@ -266,9 +295,11 @@ TEST(FlowEngine, ParallelFlowMatchesSerialFlow) {
   auto cfg = small_cfg();
   cfg.trainer.n_threads = 1;
   const auto serial = core::run_flow(data, small_topo(), cfg);
-  cfg.trainer.n_threads = 4;
-  const auto parallel = core::run_flow(data, small_topo(), cfg);
-  expect_same_result(serial, parallel);
+  for (int n : {2, 4, 0}) {
+    SCOPED_TRACE(n);
+    cfg.trainer.n_threads = n;
+    expect_same_result(serial, core::run_flow(data, small_topo(), cfg));
+  }
 }
 
 TEST(FlowEngine, RefineDisabledSkipsStage) {

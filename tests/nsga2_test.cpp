@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "pmlp/core/thread_pool.hpp"
 #include "pmlp/nsga2/nsga2.hpp"
 
 namespace nsga2 = pmlp::nsga2;
@@ -170,13 +171,15 @@ TEST(Optimize, ParallelEvaluationMatchesSerial) {
   cfg.population = 24;
   cfg.generations = 8;
   cfg.seed = 9;
-  cfg.n_threads = 1;
   const auto serial = nsga2::optimize(problem, cfg);
-  cfg.n_threads = 4;
-  const auto parallel = nsga2::optimize(problem, cfg);
-  ASSERT_EQ(serial.pareto_front.size(), parallel.pareto_front.size());
-  for (std::size_t i = 0; i < serial.pareto_front.size(); ++i) {
-    EXPECT_EQ(serial.pareto_front[i].genes, parallel.pareto_front[i].genes);
+  for (const int n : {1, 2, 4, 0}) {
+    SCOPED_TRACE(n);
+    pmlp::core::ThreadPool pool(n);
+    const auto parallel = nsga2::optimize(problem, cfg, &pool);
+    ASSERT_EQ(serial.pareto_front.size(), parallel.pareto_front.size());
+    for (std::size_t i = 0; i < serial.pareto_front.size(); ++i) {
+      EXPECT_EQ(serial.pareto_front[i].genes, parallel.pareto_front[i].genes);
+    }
   }
 }
 

@@ -1,12 +1,14 @@
 // Determinism contract of the parallel evaluation subsystem: NSGA-II and
-// random_search must produce bit-identical results for any n_threads
-// setting, because only Problem::evaluate() runs off the main thread.
+// random_search must produce bit-identical results on any borrowed pool
+// (sizes 1, 2, 4 and all hardware threads) and on none, because only
+// Problem::evaluate() runs off the calling thread.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <thread>
 
 #include "pmlp/core/problem.hpp"
+#include "pmlp/core/thread_pool.hpp"
 #include "pmlp/datasets/synthetic.hpp"
 #include "pmlp/mlp/backprop.hpp"
 #include "pmlp/nsga2/nsga2.hpp"
@@ -65,12 +67,14 @@ const Fixture& fixture() {
   return f;
 }
 
-nsga2::Config small_ga(int n_threads) {
+/// Pool sizes every determinism test lends; 0 = all hardware threads.
+constexpr int kPoolSizes[] = {1, 2, 4, 0};
+
+nsga2::Config small_ga() {
   nsga2::Config cfg;
   cfg.population = 16;
   cfg.generations = 4;
   cfg.seed = 77;
-  cfg.n_threads = n_threads;
   return cfg;
 }
 
@@ -97,18 +101,21 @@ TEST(ParallelEval, HwAwareProblemSerialAndParallelFrontsIdentical) {
   const auto& f = fixture();
   core::ChromosomeCodec codec(f.topology, core::BitConfig{});
   core::HwAwareProblem problem(codec, f.train, f.baseline, {});
-  const auto serial = nsga2::optimize(problem, small_ga(1));
-  const auto parallel4 = nsga2::optimize(problem, small_ga(4));
-  expect_identical(serial, parallel4);
+  const auto serial = nsga2::optimize(problem, small_ga());
+  for (const int n : kPoolSizes) {
+    SCOPED_TRACE(n);
+    core::ThreadPool pool(n);
+    expect_identical(serial, nsga2::optimize(problem, small_ga(), &pool));
+  }
 }
 
 TEST(ParallelEval, AutoThreadsMatchesSerial) {
   const auto& f = fixture();
   core::ChromosomeCodec codec(f.topology, core::BitConfig{});
   core::HwAwareProblem problem(codec, f.train, f.baseline, {});
-  const auto serial = nsga2::optimize(problem, small_ga(1));
-  const auto parallel_auto = nsga2::optimize(problem, small_ga(0));
-  expect_identical(serial, parallel_auto);
+  const auto serial = nsga2::optimize(problem, small_ga());
+  const auto pool = core::make_pool(0);
+  expect_identical(serial, nsga2::optimize(problem, small_ga(), pool.get()));
 }
 
 TEST(ParallelEval, PopulationEvaluatorMatchesDirectEvaluation) {
@@ -130,9 +137,14 @@ TEST(ParallelEval, PopulationEvaluatorMatchesDirectEvaluation) {
     ind.objectives = ev.objectives;
     ind.constraint_violation = ev.constraint_violation;
   }
-  nsga2::PopulationEvaluator evaluator(problem, 3);
-  EXPECT_EQ(evaluator.evaluate(pop), static_cast<long>(pop.size()));
-  expect_identical(expected, pop);
+  for (const int n : kPoolSizes) {
+    SCOPED_TRACE(n);
+    core::ThreadPool pool(n);
+    auto scored = pop;
+    nsga2::PopulationEvaluator evaluator(problem, &pool);
+    EXPECT_EQ(evaluator.evaluate(scored), static_cast<long>(pop.size()));
+    expect_identical(expected, scored);
+  }
 }
 
 TEST(ParallelEval, SlowProblemStressStaysDeterministic) {
@@ -141,11 +153,9 @@ TEST(ParallelEval, SlowProblemStressStaysDeterministic) {
   cfg.population = 16;
   cfg.generations = 3;
   cfg.seed = 9;
-  cfg.n_threads = 1;
   const auto serial = nsga2::optimize(slow, cfg);
-  cfg.n_threads = 8;
-  const auto parallel = nsga2::optimize(slow, cfg);
-  expect_identical(serial, parallel);
+  core::ThreadPool pool(8);
+  expect_identical(serial, nsga2::optimize(slow, cfg, &pool));
 }
 
 TEST(RandomSearchDeterminism, SameSeedSameResult) {
@@ -155,7 +165,6 @@ TEST(RandomSearchDeterminism, SameSeedSameResult) {
   nsga2::RandomSearchConfig cfg;
   cfg.evaluations = 200;
   cfg.seed = 3;
-  cfg.n_threads = 1;
   const auto a = nsga2::random_search(problem, cfg);
   const auto b = nsga2::random_search(problem, cfg);
   expect_identical(a, b);
@@ -168,9 +177,10 @@ TEST(RandomSearchDeterminism, ParallelMatchesSerial) {
   nsga2::RandomSearchConfig cfg;
   cfg.evaluations = 200;
   cfg.seed = 3;
-  cfg.n_threads = 1;
   const auto serial = nsga2::random_search(problem, cfg);
-  cfg.n_threads = 6;
-  const auto parallel = nsga2::random_search(problem, cfg);
-  expect_identical(serial, parallel);
+  for (const int n : kPoolSizes) {
+    SCOPED_TRACE(n);
+    core::ThreadPool pool(n);
+    expect_identical(serial, nsga2::random_search(problem, cfg, &pool));
+  }
 }

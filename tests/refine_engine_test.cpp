@@ -2,7 +2,7 @@
 // the memoized/delta/early-abort refine_greedy must be bit-identical to the
 // naive full-re-evaluation oracle on every path (mask bits, biases, stale
 // shifts, fully-pruned models, strict floors), and the pool-parallel
-// refine_front must match the serial loop exactly for any thread count.
+// refine_front must match the serial loop exactly on any borrowed pool.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,6 +13,7 @@
 #include "pmlp/core/refine.hpp"
 #include "pmlp/core/refine_engine.hpp"
 #include "pmlp/core/serialize.hpp"
+#include "pmlp/core/thread_pool.hpp"
 #include "pmlp/datasets/synthetic.hpp"
 #include "pmlp/mlp/backprop.hpp"
 
@@ -247,6 +248,7 @@ void expect_same_front(const std::vector<core::EstimatedPoint>& a,
 }
 
 void check_front_threads(int n_threads) {
+  core::ThreadPool pool(n_threads);
   const auto train = make_train(200, 61);
   const double baseline_acc = 0.8;
 
@@ -255,7 +257,7 @@ void check_front_threads(int n_threads) {
 
   auto refined = make_front(train, 61, 6);
   const auto report =
-      core::refine_front(refined, train, baseline_acc, 0.01, 0.05, n_threads);
+      core::refine_front(refined, train, baseline_acc, 0.01, 0.05, &pool);
   expect_same_front(oracle, refined);
   EXPECT_EQ(report.points, 6);
   EXPECT_GT(report.trials, 0);
@@ -263,17 +265,21 @@ void check_front_threads(int n_threads) {
 
 }  // namespace
 
-// One named test per thread count so CI can assert each configuration ran.
+// One named test per pool size so CI can assert each configuration ran.
 TEST(RefineFrontParallel, BitIdenticalThreads1) { check_front_threads(1); }
+
+TEST(RefineFrontParallel, BitIdenticalThreads2) { check_front_threads(2); }
 
 TEST(RefineFrontParallel, BitIdenticalThreads4) { check_front_threads(4); }
 
 TEST(RefineFrontParallel, AutoThreadsMatchesSerial) {
   const auto train = make_train(160, 62);
   auto serial = make_front(train, 62, 5);
-  const auto r1 = core::refine_front(serial, train, 0.8, 0.01, 0.05, 1);
+  const auto r1 = core::refine_front(serial, train, 0.8, 0.01, 0.05);
   auto parallel = make_front(train, 62, 5);
-  const auto r0 = core::refine_front(parallel, train, 0.8, 0.01, 0.05, 0);
+  core::ThreadPool pool(0);
+  const auto r0 =
+      core::refine_front(parallel, train, 0.8, 0.01, 0.05, &pool);
   expect_same_front(serial, parallel);
   // The aggregated counters are scheduling-independent too.
   EXPECT_EQ(r1.trials, r0.trials);

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <limits>
 #include <random>
+#include <sstream>
 
 #include "pmlp/core/chromosome.hpp"
 #include "pmlp/core/refine.hpp"
@@ -154,6 +155,66 @@ TEST(Serialize, RejectsImpossibleTopologies) {
 TEST(Serialize, MissingFileThrows) {
   EXPECT_THROW((void)core::load_model_file("/nonexistent/x.model"),
                std::runtime_error);
+}
+
+TEST(Serialize, HugeHeaderCountWithoutRecordsRejected) {
+  // A header count is untrusted input: loaders must not size memory from
+  // it, so a huge count followed by no records is a plain count mismatch
+  // (std::invalid_argument, which the flow quarantines), never an
+  // allocation failure.
+  const auto expect_mismatch = [](const std::string& text, auto load) {
+    SCOPED_TRACE(text.substr(0, text.find('\n')));
+    std::istringstream is(text);
+    try {
+      (void)load(is);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("mismatch"), std::string::npos)
+          << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "threw " << e.what();
+    }
+  };
+  // With `count` replaced by `huge` in the text `save` writes.
+  const auto with_count = [](auto save, const std::string& count,
+                             const std::string& huge) {
+    std::ostringstream os;
+    save(os);
+    std::string text = os.str();
+    const auto at = text.find(count);
+    EXPECT_NE(at, std::string::npos) << text;
+    return text.replace(at, count.size(), huge);
+  };
+
+  expect_mismatch(
+      "pmlp-dataset v1\nname x\nshape 2147483647 2 4294967296\nend\n",
+      [](std::istream& is) { return core::load_dataset(is); });
+  expect_mismatch(
+      "pmlp-quant-dataset v1\nname x\nshape 2147483647 2 8 4294967296\n"
+      "end\n",
+      [](std::istream& is) { return core::load_quant_dataset(is); });
+  expect_mismatch(
+      with_count([](std::ostream& os) {
+        core::save_training_result(core::TrainingResult{}, os);
+      }, "count 0", "count 16777216"),
+      [](std::istream& is) { return core::load_training_result(is); });
+  expect_mismatch(
+      with_count([](std::ostream& os) {
+        core::save_evaluated_points({}, os);
+      }, "count 0", "count 16777216"),
+      [](std::istream& is) { return core::load_evaluated_points(is); });
+  expect_mismatch(
+      with_count([](std::ostream& os) {
+        nsga2::GenerationState state;
+        state.rng = "1";
+        core::save_ga_state(state, os);
+      }, "population 0 0 0", "population 1048576 1048576 16"),
+      [](std::istream& is) { return core::load_ga_state(is); });
+
+  // The header-only file (no `end`) is rejected the same way.
+  std::istringstream truncated(
+      "pmlp-dataset v1\nname x\nshape 2147483647 2 4294967296\n");
+  EXPECT_THROW((void)core::load_dataset(truncated), std::invalid_argument);
 }
 
 // --------------------------------------------- flow checkpoint artifacts

@@ -499,6 +499,52 @@ TEST(FrontServer, SocketProtocolEndToEnd) {
   EXPECT_EQ(server.stats().connections, 1);
 }
 
+TEST(FrontServer, OverlongLineRefusedAndConnectionClosed) {
+  TempDir tmp("pmlp_serve", "longline");
+  write_front_dir(tmp.path, kTopo, {{0.9, 1.0, 1.0}}, 800);
+  core::FrontServer server(tmp.path.string(), {.n_threads = 1});
+  server.listen();
+  std::thread serving([&] { server.serve_forever(); });
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  // A server that buffers on never answers: fail on the timeout, not hang.
+  const timeval timeout{3, 0};
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof timeout),
+            0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<std::uint16_t>(server.port()));
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof addr),
+            0);
+  // 128 KiB without a newline. The server may close mid-send, so a short
+  // or failed send is expected; the reply is what counts.
+  const std::string flood(128 * 1024, '7');
+  std::size_t sent = 0;
+  while (sent < flood.size()) {
+    const ssize_t w = ::send(fd, flood.data() + sent, flood.size() - sent,
+                             MSG_NOSIGNAL);
+    if (w <= 0) break;
+    sent += static_cast<std::size_t>(w);
+  }
+  std::string reply;
+  char chunk[256];
+  for (ssize_t n; (n = ::recv(fd, chunk, sizeof chunk, 0)) > 0;) {
+    reply.append(chunk, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  EXPECT_EQ(reply, "err line too long\n");
+
+  // The server itself keeps serving.
+  const auto replies = socket_session(server.port(), {"models", "stop"}, 2);
+  ASSERT_EQ(replies.size(), 2u);
+  EXPECT_EQ(replies[0], "ok models 1 front_000.model");
+  serving.join();
+}
+
 TEST(FrontServer, RequestStopUnblocksServeForever) {
   TempDir tmp("pmlp_serve", "stopflag");
   write_front_dir(tmp.path, kTopo, {{0.9, 1.0, 1.0}}, 700);

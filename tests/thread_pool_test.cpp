@@ -5,6 +5,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "pmlp/core/thread_pool.hpp"
@@ -58,51 +59,105 @@ TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
   core::ThreadPool pool(4);
   const std::size_t n = 1000;
   std::vector<std::atomic<int>> hits(n);
-  pool.parallel_for(n, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-  });
+  core::parallel_for(&pool, n,
+                     [&](std::size_t, std::size_t begin, std::size_t end) {
+                       for (std::size_t i = begin; i < end; ++i) {
+                         hits[i].fetch_add(1);
+                       }
+                     });
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
 }
 
 TEST(ThreadPool, ParallelForEmptyRangeIsNoOp) {
   core::ThreadPool pool(4);
   bool called = false;
-  pool.parallel_for(0, [&](std::size_t, std::size_t) { called = true; });
+  for (core::ThreadPool* p : {&pool, static_cast<core::ThreadPool*>(nullptr)}) {
+    core::parallel_for(p, 0, [&](std::size_t, std::size_t, std::size_t) {
+      called = true;
+    });
+  }
   EXPECT_FALSE(called);
 }
 
 TEST(ThreadPool, ParallelForSingleWorkerStillCovers) {
   core::ThreadPool pool(1);
   std::vector<int> hits(64, 0);
-  pool.parallel_for(hits.size(), [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) ++hits[i];
-  });
+  core::parallel_for(&pool, hits.size(),
+                     [&](std::size_t, std::size_t begin, std::size_t end) {
+                       for (std::size_t i = begin; i < end; ++i) ++hits[i];
+                     });
   for (int h : hits) EXPECT_EQ(h, 1);
 }
 
 TEST(ThreadPool, ParallelForMoreWorkersThanItems) {
   core::ThreadPool pool(8);
   std::vector<std::atomic<int>> hits(3);
-  pool.parallel_for(hits.size(), [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-  });
+  core::parallel_for(&pool, hits.size(),
+                     [&](std::size_t, std::size_t begin, std::size_t end) {
+                       for (std::size_t i = begin; i < end; ++i) {
+                         hits[i].fetch_add(1);
+                       }
+                     });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, ParallelForRethrowsFirstChunkException) {
   core::ThreadPool pool(4);
-  EXPECT_THROW(
-      pool.parallel_for(100,
-                        [](std::size_t begin, std::size_t) {
-                          if (begin == 0) throw std::runtime_error("chunk 0");
-                        }),
-      std::runtime_error);
+  EXPECT_THROW(core::parallel_for(
+                   &pool, 100,
+                   [](std::size_t, std::size_t begin, std::size_t) {
+                     if (begin == 0) throw std::runtime_error("chunk 0");
+                   }),
+               std::runtime_error);
   // Pool survives and keeps working.
   std::atomic<int> count{0};
-  pool.parallel_for(10, [&](std::size_t begin, std::size_t end) {
-    count += static_cast<int>(end - begin);
-  });
+  core::parallel_for(&pool, 10,
+                     [&](std::size_t, std::size_t begin, std::size_t end) {
+                       count += static_cast<int>(end - begin);
+                     });
   EXPECT_EQ(count.load(), 10);
+}
+
+TEST(ThreadPool, ParallelForNullPoolRunsWholeRangeOnCaller) {
+  const auto caller = std::this_thread::get_id();
+  int calls = 0;
+  core::parallel_for(nullptr, 50,
+                     [&](std::size_t chunk, std::size_t begin,
+                         std::size_t end) {
+                       ++calls;
+                       EXPECT_EQ(std::this_thread::get_id(), caller);
+                       EXPECT_EQ(chunk, 0u);
+                       EXPECT_EQ(begin, 0u);
+                       EXPECT_EQ(end, 50u);
+                     });
+  EXPECT_EQ(calls, 1);
+}
+
+TEST(ThreadPool, ParallelForChunksAreStatic) {
+  // Chunk k covers the same subrange on every call, and the threshold caps
+  // the chunk count: 10 items at >= 4 per chunk is 2 chunks on 4 workers.
+  core::ThreadPool pool(4);
+  std::vector<std::pair<std::size_t, std::size_t>> ranges(4);
+  core::parallel_for(
+      &pool, 10,
+      [&](std::size_t chunk, std::size_t begin, std::size_t end) {
+        ranges[chunk] = {begin, end};
+      },
+      4);
+  EXPECT_EQ(ranges[0], (std::pair<std::size_t, std::size_t>{0, 5}));
+  EXPECT_EQ(ranges[1], (std::pair<std::size_t, std::size_t>{5, 10}));
+  EXPECT_EQ(ranges[2], (std::pair<std::size_t, std::size_t>{0, 0}));
+}
+
+TEST(MakePool, SerialSettingBuildsNoPool) {
+  EXPECT_EQ(core::make_pool(1), nullptr);
+  EXPECT_EQ(core::pool_size(nullptr), 1);
+  const auto pool = core::make_pool(3);
+  ASSERT_NE(pool, nullptr);
+  EXPECT_EQ(pool->size(), 3);
+  EXPECT_EQ(core::pool_size(pool.get()), 3);
+  const auto automatic = core::make_pool(0);
+  EXPECT_EQ(core::pool_size(automatic.get()), core::resolve_n_threads(0));
 }
 
 TEST(ThreadPool, DestructorDrainsQueuedTasks) {

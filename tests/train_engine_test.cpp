@@ -14,6 +14,7 @@
 #include "pmlp/core/flow_engine.hpp"
 #include "pmlp/core/simd.hpp"
 #include "pmlp/core/suite.hpp"
+#include "pmlp/core/thread_pool.hpp"
 #include "pmlp/datasets/synthetic.hpp"
 #include "pmlp/mlp/backprop.hpp"
 #include "pmlp/mlp/train_engine.hpp"
@@ -155,22 +156,25 @@ TEST(TrainEngine, ConvergenceMatchesNaiveOnSuiteDatasets) {
   }
 }
 
-// Multi-block batches sharded over 1, 4 and auto workers must produce
-// bit-identical nets (fixed block partition, shards reduced in block
-// order), and repeated runs must reproduce themselves exactly.
+// Multi-block batches sharded over no pool and pools of 1, 2, 4 and auto
+// workers must produce bit-identical nets (fixed block partition, shards
+// reduced in block order), and repeated runs must reproduce themselves
+// exactly.
 TEST(TrainEngine, BitIdenticalAcrossThreadCountsAndRuns) {
   const auto data = small_data(300);
   auto cfg = small_cfg();
   cfg.batch_size = 96;  // three blocks per full batch
   ASSERT_GT(cfg.batch_size, mlp::TrainEngine::kBlockSamples);
 
+  core::ThreadPool p1(1), p2(2), p4(4), p_auto(0);
+  // Trailing nullptr = serial repeat run.
+  const std::vector<core::ThreadPool*> pools{nullptr, &p1, &p2, &p4, &p_auto,
+                                             nullptr};
   std::vector<mlp::FloatMlp> nets;
   std::vector<mlp::BackpropReport> reports;
-  for (const int n_threads : {1, 4, 0, 1}) {  // trailing 1 = repeat run
-    auto run_cfg = cfg;
-    run_cfg.n_threads = n_threads;
+  for (core::ThreadPool* pool : pools) {
     mlp::FloatMlp net(small_topo(), cfg.seed);
-    reports.push_back(mlp::train_backprop(net, data, run_cfg));
+    reports.push_back(mlp::train_backprop(net, data, cfg, pool));
     nets.push_back(std::move(net));
   }
   for (std::size_t i = 1; i < nets.size(); ++i) {
@@ -178,9 +182,9 @@ TEST(TrainEngine, BitIdenticalAcrossThreadCountsAndRuns) {
     EXPECT_EQ(reports[0].final_train_accuracy,
               reports[i].final_train_accuracy);
     EXPECT_EQ(reports[0].final_loss, reports[i].final_loss);
+    EXPECT_EQ(reports[i].threads, core::pool_size(pools[i]));
   }
-  EXPECT_EQ(reports[1].threads, 4);
-  EXPECT_GE(reports[2].threads, 1);  // auto
+  EXPECT_EQ(reports[0].threads, 1);
 }
 
 // Forced-scalar vs dispatched-ISA training: the float summation order (and
