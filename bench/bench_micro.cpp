@@ -2,9 +2,10 @@
 // FA-count area estimation (the GA's inner loop), Eq. 4 inference,
 // chromosome decode, netlist build/simulate, the sample-blocked
 // predict_batch kernels (scalar vs the dispatched SIMD ISA, across batch
-// sizes and layer densities) and the GA's whole-set accuracy over sample
-// planes — so kernel-level wins are measured in their own tier, apart from
-// flow wall time.
+// sizes and layer densities), the GA's whole-set accuracy over sample
+// planes and the greedy refine loop's block-vectorized trials — so
+// kernel-level wins are measured in their own tier, apart from flow wall
+// time.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -16,7 +17,9 @@
 #include "bench_common.hpp"
 #include "pmlp/core/chromosome.hpp"
 #include "pmlp/core/eval_engine.hpp"
+#include "pmlp/core/refine.hpp"
 #include "pmlp/core/simd.hpp"
+#include "pmlp/datasets/synthetic.hpp"
 #include "pmlp/mlp/backprop.hpp"
 #include "pmlp/mlp/train_engine.hpp"
 #include "pmlp/netlist/builders.hpp"
@@ -187,6 +190,45 @@ void BM_Accuracy(benchmark::State& state) {
 BENCHMARK(BM_Accuracy)
     ->ArgsProduct({{0, 1}, {0, 1}, {0, 1}})
     ->ArgNames({"simd", "planes", "sparse"});
+
+/// The post-GA refinement of one front point: refine_greedy on a trained,
+/// doped (all masks set) Pendigits-shaped (16,5,10) net over a
+/// Pendigits-sized train split (2448 samples), with the flow's 5% floor.
+/// args: simd 0/1 (scalar vs the machine's best detected ISA). Every
+/// iteration refines a fresh copy of the same model, so it runs the same
+/// trials; items/s is trials/s and the label records the ISA that ran.
+void BM_RefineGreedy(benchmark::State& state) {
+  const bool use_simd = state.range(0) != 0;
+  auto spec = datasets::pendigits_spec();
+  spec.n_samples = 2448;
+  spec.seed = 41;
+  const auto raw = datasets::generate(spec);
+  const auto train = datasets::quantize_inputs(raw, 4);
+  mlp::BackpropConfig bp;
+  bp.epochs = 40;
+  bp.seed = 41;
+  const auto fnet = mlp::train_float_mlp(
+      mlp::Topology{{raw.n_features, 5, raw.n_classes}}, raw, bp);
+  const auto model = core::ApproxMlp::from_quant_baseline(
+      mlp::QuantMlp::from_float(fnet), core::BitConfig{});
+  const core::SamplePlanes planes(train);
+  core::RefineConfig cfg;
+  cfg.accuracy_floor = core::accuracy(model, train) - 0.05;
+  const core::SimdIsa prev = core::active_simd_isa();
+  const core::SimdIsa isa = core::set_simd_isa(
+      use_simd ? core::detect_simd_isa() : core::SimdIsa::kScalar);
+  long trials = 0;
+  for (auto _ : state) {
+    core::ApproxMlp net = model;
+    const auto report = core::refine_greedy(net, planes, cfg);
+    trials += report.trials;
+    benchmark::DoNotOptimize(net.layers().data());
+  }
+  state.SetItemsProcessed(trials);
+  state.SetLabel(core::simd_isa_name(isa));
+  core::set_simd_isa(prev);
+}
+BENCHMARK(BM_RefineGreedy)->Arg(0)->Arg(1)->ArgName("simd");
 
 /// Pre-batching reference: the same samples classified one predict() call
 /// at a time (the per-sample scalar path every consumer used before).

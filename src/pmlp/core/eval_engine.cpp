@@ -11,21 +11,15 @@
 #include "pmlp/core/simd.hpp"
 
 namespace pmlp::core {
-namespace {
-
-/// Static int32-safety proof for the blocked kernels: `(x & mask) <= mask`
-/// no matter the input, so |any partial accumulator| of neuron `o` is
-/// bounded by `|bias| + sum(mask << k)` over its connections. When every
-/// neuron's bound (and the QReLU clamp, and each shifted mask) fits int32,
-/// the narrow kernels compute exactly what the int64 sample loop does.
-bool layers_block_safe(const std::vector<CompiledLayer>& layers,
-                       std::int64_t act_max) {
+bool layers_block_safe(std::span<const CompiledLayer> layers,
+                       std::int64_t act_max, std::int64_t bias_bound) {
   constexpr std::int64_t kMax = std::numeric_limits<std::int32_t>::max();
   if (act_max > kMax) return false;
   for (const auto& layer : layers) {
     for (int o = 0; o < layer.n_out; ++o) {
-      std::int64_t bound = layer.biases[static_cast<std::size_t>(o)];
-      bound = bound < 0 ? -bound : bound;
+      const std::int64_t bias = layer.biases[static_cast<std::size_t>(o)];
+      std::int64_t bound = std::max(bias < 0 ? -bias : bias, bias_bound);
+      if (bound > kMax) return false;
       const std::int32_t end = layer.conn_begin[static_cast<std::size_t>(o) + 1];
       for (std::int32_t c = layer.conn_begin[static_cast<std::size_t>(o)];
            c < end; ++c) {
@@ -39,46 +33,53 @@ bool layers_block_safe(const std::vector<CompiledLayer>& layers,
   return true;
 }
 
-}  // namespace
+CompiledLayer compile_layer(const ApproxLayer& layer, long* fa_area) {
+  const auto in_mask =
+      static_cast<std::uint32_t>(bitops::low_mask(layer.input_bits));
+  CompiledLayer cl;
+  cl.n_in = layer.n_in;
+  cl.n_out = layer.n_out;
+  cl.qrelu = layer.qrelu;
+  cl.qrelu_shift = layer.qrelu_shift;
+  cl.biases = layer.biases;
+  cl.conn_begin.reserve(static_cast<std::size_t>(layer.n_out) + 1);
+  cl.conn_begin.push_back(0);
+  // One scratch spec reused across neurons: the FA-count streams out of the
+  // same walk that collects active connections, so the training path never
+  // materializes the all-neurons adder_specs() vector.
+  adder::NeuronAdderSpec scratch;
+  if (fa_area != nullptr) {
+    scratch.summands.reserve(static_cast<std::size_t>(layer.n_in));
+  }
+  for (int o = 0; o < layer.n_out; ++o) {
+    scratch.summands.clear();
+    scratch.bias = layer.biases[static_cast<std::size_t>(o)];
+    for (int i = 0; i < layer.n_in; ++i) {
+      const ApproxConn& c = layer.conn(o, i);
+      const std::uint32_t m = c.mask & in_mask;
+      if (m == 0) continue;  // fully pruned: provably-zero term
+      cl.conns.push_back(CompiledConn{i, m, c.exponent, c.sign < 0 ? 1 : 0});
+      if (fa_area != nullptr) {
+        scratch.summands.push_back(
+            adder::SummandSpec{c.mask, layer.input_bits, c.exponent, c.sign});
+      }
+    }
+    cl.conn_begin.push_back(static_cast<std::int32_t>(cl.conns.size()));
+    if (fa_area != nullptr) *fa_area += adder::estimate_total_fa(scratch);
+  }
+  return cl;
+}
 
 CompiledNet::CompiledNet(const ApproxMlp& net) {
   n_inputs_ = net.topology().n_inputs();
   max_width_ = n_inputs_;
   act_max_ = (std::int64_t{1} << net.bits().act_bits) - 1;
 
-  // One scratch spec reused across neurons: the FA-count streams out of the
-  // same walk that collects active connections, so the training path never
-  // materializes the all-neurons adder_specs() vector.
-  adder::NeuronAdderSpec scratch;
   layers_.reserve(net.layers().size());
   for (const auto& layer : net.layers()) {
-    const auto in_mask =
-        static_cast<std::uint32_t>(bitops::low_mask(layer.input_bits));
-    CompiledLayer cl;
-    cl.n_in = layer.n_in;
-    cl.n_out = layer.n_out;
-    cl.qrelu = layer.qrelu;
-    cl.qrelu_shift = layer.qrelu_shift;
-    cl.biases = layer.biases;
-    cl.conn_begin.reserve(static_cast<std::size_t>(layer.n_out) + 1);
-    cl.conn_begin.push_back(0);
-    for (int o = 0; o < layer.n_out; ++o) {
-      scratch.summands.clear();
-      scratch.bias = layer.biases[static_cast<std::size_t>(o)];
-      for (int i = 0; i < layer.n_in; ++i) {
-        const ApproxConn& c = layer.conn(o, i);
-        const std::uint32_t m = c.mask & in_mask;
-        if (m == 0) continue;  // fully pruned: provably-zero term
-        cl.conns.push_back(CompiledConn{i, m, c.exponent, c.sign < 0 ? 1 : 0});
-        scratch.summands.push_back(
-            adder::SummandSpec{c.mask, layer.input_bits, c.exponent, c.sign});
-      }
-      cl.conn_begin.push_back(static_cast<std::int32_t>(cl.conns.size()));
-      fa_area_ += adder::estimate_total_fa(scratch);
-    }
-    max_width_ = std::max(max_width_, cl.n_out);
-    n_outputs_ = cl.n_out;
-    layers_.push_back(std::move(cl));
+    layers_.push_back(compile_layer(layer, &fa_area_));
+    max_width_ = std::max(max_width_, layers_.back().n_out);
+    n_outputs_ = layers_.back().n_out;
   }
   block_safe_ = !layers_.empty() && layers_block_safe(layers_, act_max_);
   if (block_safe_) act_max32_ = static_cast<std::int32_t>(act_max_);
@@ -219,25 +220,6 @@ std::size_t CompiledNet::run_blocks(std::size_t n, const std::uint8_t* codes,
   return correct;
 }
 
-bool CompiledNet::forward_block(
-    const std::uint8_t* codes, int n, EvalWorkspace& ws,
-    const std::function<void(int layer, const std::int32_t* acc,
-                             const std::int32_t* act)>& sink) const {
-  if (!block_safe_ || n <= 0 || n > kBlockSamples) return false;
-  const SimdIsa isa = active_simd_isa();
-  ws.bind_block(*this);
-  std::int32_t* cur = ws.block_a_.data();
-  std::int32_t* nxt = ws.block_b_.data();
-  transpose_block(codes, n_inputs_, n, cur);
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    layer_sweep(isa, layers_[l], cur, ws.block_acc_.data(), nxt, n,
-                act_max32_);
-    sink(static_cast<int>(l), ws.block_acc_.data(), nxt);
-    std::swap(cur, nxt);
-  }
-  return true;
-}
-
 SamplePlanes::SamplePlanes(const datasets::QuantizedDataset& d)
     : n_features_(d.n_features),
       planes_(d.codes.size()),
@@ -280,7 +262,6 @@ void EvalWorkspace::bind_block(const CompiledNet& net) {
   if (block_a_.size() < need) {
     block_a_.resize(need);
     block_b_.resize(need);
-    block_acc_.resize(need);
   }
 }
 

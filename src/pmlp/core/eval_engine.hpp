@@ -44,7 +44,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <mutex>
 #include <span>
@@ -58,9 +57,8 @@
 namespace pmlp::core {
 
 /// First-maximum argmax over integer logits — the tie-breaking rule of
-/// ApproxMlp::predict (std::max_element). Shared by CompiledNet::predict and
-/// the refine engine's memoized scan so every inference path classifies
-/// identically.
+/// ApproxMlp::predict (std::max_element), which CompiledNet::predict uses
+/// and argmax_block keeps lane-wise.
 [[nodiscard]] inline int argmax_first(std::span<const std::int64_t> logits) {
   int best = 0;
   for (int k = 1; k < static_cast<int>(logits.size()); ++k) {
@@ -90,6 +88,25 @@ struct CompiledLayer {
   std::vector<std::int32_t> conn_begin;  ///< size n_out + 1
   std::vector<std::int64_t> biases;
 };
+
+/// Flatten one layer's active connections (mask & in_mask != 0) into the
+/// CSR layout the sample loops read, with its current QReLU shift. When
+/// `fa_area` is non-null, the layer's Eq. 2 FA-count is added to it from
+/// the same walk. CompiledNet compiles every layer through this; the refine
+/// engine recompiles the one layer an accepted edit changed.
+[[nodiscard]] CompiledLayer compile_layer(const ApproxLayer& layer,
+                                          long* fa_area = nullptr);
+
+/// The static int32-safety proof behind CompiledNet::block_safe():
+/// `(x & mask) <= mask` for any input, so |any partial accumulator| of a
+/// neuron is at most |bias| + sum(mask << k) over its connections. True
+/// when every neuron's bound, every shifted mask and the QReLU clamp
+/// `act_max` fit int32. `bias_bound` widens each |bias| to at least that
+/// much, covering biases that may later move anywhere in
+/// [-bias_bound, bias_bound] (the refine engine's reachable states).
+[[nodiscard]] bool layers_block_safe(std::span<const CompiledLayer> layers,
+                                     std::int64_t act_max,
+                                     std::int64_t bias_bound = 0);
 
 class EvalWorkspace;
 class SamplePlanes;
@@ -154,17 +171,6 @@ class CompiledNet {
   /// storage (valid until the next batched call through `ws`).
   [[nodiscard]] std::span<const std::int32_t> predict_batch(
       const datasets::QuantizedDataset& d, EvalWorkspace& ws) const;
-
-  /// Batched forward over ONE block of `n` <= kBlockSamples samples
-  /// (row-major at `codes`), exposing each layer's raw accumulator and
-  /// activation planes (neuron-major, stride `n`) to `sink` in layer order
-  /// — the refine engine's memo-rebuild hook. The planes alias workspace
-  /// storage and are only valid during the callback. Returns false without
-  /// calling `sink` when the net is not block_safe().
-  bool forward_block(
-      const std::uint8_t* codes, int n, EvalWorkspace& ws,
-      const std::function<void(int layer, const std::int32_t* acc,
-                               const std::int32_t* act)>& sink) const;
 
  private:
   int n_inputs_ = 0;
@@ -236,12 +242,11 @@ class EvalWorkspace final : public nsga2::Problem::Workspace {
   std::vector<std::int64_t> a_;
   std::vector<std::int64_t> b_;
   // Sample-block state: neuron-major int32 activation planes (ping-pong),
-  // a raw-accumulator plane for forward_block, the per-dataset prediction
-  // buffer the span-returning predict_batch hands out, and one gathered
-  // row for the non-block_safe() fallback over SamplePlanes.
+  // the per-dataset prediction buffer the span-returning predict_batch hands
+  // out, and one gathered row for the non-block_safe() fallback over
+  // SamplePlanes.
   std::vector<std::int32_t> block_a_;
   std::vector<std::int32_t> block_b_;
-  std::vector<std::int32_t> block_acc_;
   std::vector<std::int32_t> preds_;
   std::vector<std::uint8_t> row_;
 };

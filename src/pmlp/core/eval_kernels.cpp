@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <type_traits>
 
 #include "pmlp/core/eval_engine.hpp"
 
@@ -17,62 +18,113 @@
 namespace pmlp::core {
 namespace {
 
+/// `(x & mask) << shift` at lane width T. The shift runs unsigned, so every
+/// in-range value equals the int64 reference term exactly.
+template <typename T>
+T masked_term(T x, std::uint32_t mask, int shift) {
+  using U = std::make_unsigned_t<T>;
+  return static_cast<T>(
+      static_cast<U>(static_cast<std::uint32_t>(x) & mask) << shift);
+}
+
+template <typename T>
+T activate(T a, const Activation& f) {
+  if (!f.qrelu) return a;
+  return a <= 0 ? 0 : std::min(a >> f.shift, static_cast<T>(f.act_max));
+}
+
 /// Scalar sweep of samples [s0, s1) of the block — the whole block under
 /// scalar dispatch, and the n % lanes tail of the SIMD variants. Per sample
-/// this is the int32 image of CompiledNet::forward's int64 loop: same
+/// this is the lane-width image of CompiledNet::forward's int64 loop: same
 /// connections, same order, same adds.
-void sweep_scalar(const CompiledLayer& layer, const std::int32_t* in,
-                  std::int32_t* acc, std::int32_t* act, int n, int s0, int s1,
-                  std::int32_t act_max) {
+template <typename T>
+void sweep_scalar(const CompiledLayer& layer, const T* in, T* acc, T* act,
+                  int n, int s0, int s1, T act_max) {
   const CompiledConn* conns = layer.conns.data();
   const std::int32_t* begin = layer.conn_begin.data();
+  const Activation f{layer.qrelu, layer.qrelu_shift, act_max};
   for (int o = 0; o < layer.n_out; ++o) {
-    const auto bias =
-        static_cast<std::int32_t>(layer.biases[static_cast<std::size_t>(o)]);
-    std::int32_t* accp = acc + static_cast<std::size_t>(o) * n;
-    std::int32_t* actp = act + static_cast<std::size_t>(o) * n;
+    const auto bias = static_cast<T>(layer.biases[static_cast<std::size_t>(o)]);
+    T* accp = acc + static_cast<std::size_t>(o) * n;
+    T* actp = act + static_cast<std::size_t>(o) * n;
     const std::int32_t cb = begin[o];
     const std::int32_t ce = begin[o + 1];
     for (int s = s0; s < s1; ++s) {
-      std::int32_t a = bias;
+      T a = bias;
       for (std::int32_t c = cb; c < ce; ++c) {
         const CompiledConn& cc = conns[c];
-        const std::int32_t term = static_cast<std::int32_t>(
-            (static_cast<std::uint32_t>(
-                 in[static_cast<std::size_t>(cc.in) * n + s]) &
-             cc.mask)
-            << cc.shift);
+        const T term = masked_term(
+            in[static_cast<std::size_t>(cc.in) * n + s], cc.mask, cc.shift);
         a += cc.neg ? -term : term;
       }
       accp[s] = a;
-      if (layer.qrelu) {
-        a = a <= 0 ? 0 : std::min(a >> layer.qrelu_shift, act_max);
-      }
-      actp[s] = a;
+      actp[s] = activate(a, f);
     }
   }
 }
 
 /// Scalar argmax epilogue over samples [s0, s1) of the block: the oracle of
 /// the vector variant, and its n % 8 tail.
-std::size_t argmax_scalar(const std::int32_t* out, int n_out, int n, int s0,
-                          int s1, const std::int32_t* labels,
-                          std::int32_t* preds) {
+template <typename T>
+std::size_t argmax_scalar(const T* out, int n_out, int n, int s0, int s1,
+                          const std::int32_t* labels, std::int32_t* preds) {
   std::size_t correct = 0;
   for (int s = s0; s < s1; ++s) {
     int best = 0;
-    std::int32_t best_v = out[s];
+    T best_v = out[s];
     for (int k = 1; k < n_out; ++k) {
-      const std::int32_t v = out[static_cast<std::size_t>(k) * n + s];
-      if (v > best_v) {
-        best_v = v;
-        best = k;
-      }
+      const T v = out[static_cast<std::size_t>(k) * n + s];
+      const bool gt = v > best_v;  // a later class wins only when greater
+      best = gt ? k : best;
+      best_v = gt ? v : best_v;
     }
     if (preds != nullptr) preds[s] = best;
     if (labels != nullptr && labels[s] == best) ++correct;
   }
   return correct;
+}
+
+/// Scalar edit_row over lanes [s0, s1): the oracle of the vector variant,
+/// and its tail.
+template <typename T>
+void edit_row_scalar(const T* acc, const T* x, CompiledConn term,
+                     T delta, Activation f, int s0, int s1, T* acc_out,
+                     T* act_out) {
+  for (int s = s0; s < s1; ++s) {
+    T a = acc[s] + delta;
+    if (term.mask != 0) {
+      const T t = masked_term(x[s], term.mask, term.shift);
+      a = term.neg ? a - t : a + t;
+    }
+    acc_out[s] = a;
+    act_out[s] = activate(a, f);
+  }
+}
+
+/// Scalar rank1_update of one neuron over lanes [s0, s1): the oracle of the
+/// vector variant, and its tail.
+template <typename T>
+void rank1_row_scalar(const T* old_in, const T* new_in, CompiledConn cc,
+                      const T* acc, Activation f, int s0, int s1,
+                      T* acc_out, T* act_out) {
+  for (int s = s0; s < s1; ++s) {
+    const T d = masked_term(new_in[s], cc.mask, cc.shift) -
+                masked_term(old_in[s], cc.mask, cc.shift);
+    const T a = cc.neg ? acc[s] - d : acc[s] + d;
+    acc_out[s] = a;
+    act_out[s] = activate(a, f);
+  }
+}
+
+template <typename T>
+void rank1_scalar(const T* old_in, const T* new_in, const CompiledConn* column,
+                  int n_out, const T* acc, Activation f, int n,
+                  T* acc_out, T* act_out) {
+  for (int p = 0; p < n_out; ++p) {
+    const std::size_t off = static_cast<std::size_t>(p) * n;
+    rank1_row_scalar(old_in, new_in, column[p], acc + off, f, 0, n,
+                     acc_out + off, act_out + off);
+  }
 }
 
 #if defined(PMLP_HAVE_AVX2)
@@ -185,6 +237,95 @@ __attribute__((target("avx2"))) void sweep_avx2(
     }
   }
   if (vec_end < n) sweep_scalar(layer, in, acc, act, n, vec_end, n, act_max);
+}
+
+/// QReLU on 8 lanes: max(a, 0) then >> then clamp matches the scalar
+/// `a <= 0 ? 0 : min(a >> shift, act_max)` exactly (a non-positive
+/// accumulator becomes 0, which shifts and clamps to 0).
+__attribute__((target("avx2"))) inline __m256i qrelu8(__m256i a,
+                                                      __m128i vshift,
+                                                      __m256i vact_max) {
+  a = _mm256_max_epi32(a, _mm256_setzero_si256());
+  a = _mm256_sra_epi32(a, vshift);
+  return _mm256_min_epi32(a, vact_max);
+}
+
+__attribute__((target("avx2"))) void edit_row_avx2(
+    const std::int32_t* acc, const std::int32_t* x, CompiledConn term,
+    std::int32_t delta, Activation f, int n, std::int32_t* acc_out,
+    std::int32_t* act_out) {
+  const int vec_end = n & ~7;
+  const __m256i vdelta = _mm256_set1_epi32(delta);
+  const __m256i vmask = _mm256_set1_epi32(static_cast<std::int32_t>(term.mask));
+  const __m128i vsh = _mm_cvtsi32_si128(term.shift);
+  const __m128i vqshift = _mm_cvtsi32_si128(f.shift);
+  const __m256i vact_max =
+      _mm256_set1_epi32(static_cast<std::int32_t>(f.act_max));
+  for (int s = 0; s < vec_end; s += 8) {
+    __m256i a = _mm256_add_epi32(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + s)), vdelta);
+    if (term.mask != 0) {
+      const __m256i t = _mm256_sll_epi32(
+          _mm256_and_si256(
+              _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + s)),
+              vmask),
+          vsh);
+      a = term.neg ? _mm256_sub_epi32(a, t) : _mm256_add_epi32(a, t);
+    }
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc_out + s), a);
+    if (f.qrelu) a = qrelu8(a, vqshift, vact_max);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(act_out + s), a);
+  }
+  if (vec_end < n) {
+    edit_row_scalar(acc, x, term, delta, f, vec_end, n, acc_out, act_out);
+  }
+}
+
+__attribute__((target("avx2"))) void rank1_avx2(
+    const std::int32_t* old_in, const std::int32_t* new_in,
+    const CompiledConn* column, int n_out, const std::int32_t* acc,
+    Activation f, int n, std::int32_t* acc_out,
+    std::int32_t* act_out) {
+  const int vec_end = n & ~7;
+  const __m128i vqshift = _mm_cvtsi32_si128(f.shift);
+  const __m256i vact_max =
+      _mm256_set1_epi32(static_cast<std::int32_t>(f.act_max));
+  for (int p = 0; p < n_out; ++p) {
+    const CompiledConn& cc = column[p];
+    const std::size_t off = static_cast<std::size_t>(p) * n;
+    const std::int32_t* accp = acc + off;
+    std::int32_t* acc_p = acc_out + off;
+    std::int32_t* act_p = act_out + off;
+    const __m256i vmask = _mm256_set1_epi32(static_cast<std::int32_t>(cc.mask));
+    const __m128i vsh = _mm_cvtsi32_si128(cc.shift);
+    for (int s = 0; s < vec_end; s += 8) {
+      const __m256i t_new = _mm256_sll_epi32(
+          _mm256_and_si256(
+              _mm256_loadu_si256(reinterpret_cast<const __m256i*>(new_in + s)),
+              vmask),
+          vsh);
+      const __m256i t_old = _mm256_sll_epi32(
+          _mm256_and_si256(
+              _mm256_loadu_si256(reinterpret_cast<const __m256i*>(old_in + s)),
+              vmask),
+          vsh);
+      const __m256i d = _mm256_sub_epi32(t_new, t_old);
+      const __m256i prev =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(accp + s));
+      __m256i a =
+          cc.neg ? _mm256_sub_epi32(prev, d) : _mm256_add_epi32(prev, d);
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc_p + s), a);
+      if (f.qrelu) {
+        a = qrelu8(a, vqshift, vact_max);
+      } else if (act_p == acc_p) {
+        continue;
+      }
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(act_p + s), a);
+    }
+    if (vec_end < n) {
+      rank1_row_scalar(old_in, new_in, cc, accp, f, vec_end, n, acc_p, act_p);
+    }
+  }
 }
 
 /// 8 samples per vector: a lane takes class k only where its logit is
@@ -336,6 +477,12 @@ void layer_sweep(SimdIsa isa, const CompiledLayer& layer,
   sweep_scalar(layer, in, acc, act, n, 0, n, act_max);
 }
 
+void layer_sweep(SimdIsa, const CompiledLayer& layer, const std::int64_t* in,
+                 std::int64_t* acc, std::int64_t* act, int n,
+                 std::int64_t act_max) {
+  sweep_scalar(layer, in, acc, act, n, 0, n, act_max);
+}
+
 void transpose_block(const std::uint8_t* rows, int n_features, int n,
                      std::int32_t* planes) {
   for (int i = 0; i < n_features; ++i) {
@@ -358,6 +505,63 @@ std::size_t argmax_block(SimdIsa isa, const std::int32_t* out, int n_out,
       break;
   }
   return argmax_scalar(out, n_out, n, 0, n, labels, preds);
+}
+
+std::size_t argmax_block(SimdIsa, const std::int64_t* out, int n_out, int n,
+                         const std::int32_t* labels, std::int32_t* preds) {
+  return argmax_scalar(out, n_out, n, 0, n, labels, preds);
+}
+
+void edit_row(SimdIsa isa, const std::int32_t* acc, const std::int32_t* x,
+              CompiledConn term, std::int32_t delta,
+              Activation f, int n, std::int32_t* acc_out,
+              std::int32_t* act_out) {
+#if defined(PMLP_HAVE_AVX2)
+  if (isa == SimdIsa::kAvx2) {
+    edit_row_avx2(acc, x, term, delta, f, n, acc_out, act_out);
+    return;
+  }
+#endif
+  (void)isa;
+  edit_row_scalar(acc, x, term, delta, f, 0, n, acc_out, act_out);
+}
+
+void edit_row(SimdIsa, const std::int64_t* acc, const std::int64_t* x,
+              CompiledConn term, std::int64_t delta,
+              Activation f, int n, std::int64_t* acc_out,
+              std::int64_t* act_out) {
+  edit_row_scalar(acc, x, term, delta, f, 0, n, acc_out, act_out);
+}
+
+void rank1_update(SimdIsa isa, const std::int32_t* old_in,
+                  const std::int32_t* new_in, const CompiledConn* column,
+                  int n_out, const std::int32_t* acc, Activation f,
+                  int n, std::int32_t* acc_out, std::int32_t* act_out) {
+#if defined(PMLP_HAVE_AVX2)
+  if (isa == SimdIsa::kAvx2) {
+    rank1_avx2(old_in, new_in, column, n_out, acc, f, n, acc_out, act_out);
+    return;
+  }
+#endif
+  (void)isa;
+  rank1_scalar(old_in, new_in, column, n_out, acc, f, n, acc_out, act_out);
+}
+
+void rank1_update(SimdIsa, const std::int64_t* old_in,
+                  const std::int64_t* new_in, const CompiledConn* column,
+                  int n_out, const std::int64_t* acc, Activation f,
+                  int n, std::int64_t* acc_out, std::int64_t* act_out) {
+  rank1_scalar(old_in, new_in, column, n_out, acc, f, n, acc_out, act_out);
+}
+
+void activate_lanes(const std::int32_t* acc, std::size_t count, Activation f,
+                    std::int32_t* act) {
+  for (std::size_t s = 0; s < count; ++s) act[s] = activate(acc[s], f);
+}
+
+void activate_lanes(const std::int64_t* acc, std::size_t count, Activation f,
+                    std::int64_t* act) {
+  for (std::size_t s = 0; s < count; ++s) act[s] = activate(acc[s], f);
 }
 
 }  // namespace pmlp::core

@@ -16,6 +16,12 @@
 // Around the sweep sit the block's prologue and epilogue: the row-major →
 // plane transpose (the only place rows become planes) and the argmax over
 // the output planes, which vectorizes across samples the same way.
+//
+// The refine engine's trial kernels (edit_row, rank1_update) re-evaluate
+// one edit over a block of memoized planes instead of sweeping whole
+// layers. Each has an AVX2 variant and a scalar one, its oracle. Refine
+// runs nets that fail its int32 proof through the same block algorithm on
+// int64 lanes: the int64 overloads here, scalar whatever `isa` says.
 #pragma once
 
 #include <cstddef>
@@ -25,7 +31,16 @@
 
 namespace pmlp::core {
 
+struct CompiledConn;
 struct CompiledLayer;
+
+/// A layer's activation as the refine kernels apply it: QReLU
+/// `a <= 0 ? 0 : min(a >> shift, act_max)` when `qrelu`, else the identity.
+struct Activation {
+  bool qrelu = true;
+  int shift = 0;
+  std::int64_t act_max = 0;
+};
 
 /// Sweep one compiled layer over a block of `n` samples. Reads neuron-major
 /// input planes `in` (stride `n`), writes raw accumulator planes to `acc`
@@ -36,6 +51,9 @@ struct CompiledLayer;
 void layer_sweep(SimdIsa isa, const CompiledLayer& layer,
                  const std::int32_t* in, std::int32_t* acc, std::int32_t* act,
                  int n, std::int32_t act_max);
+void layer_sweep(SimdIsa isa, const CompiledLayer& layer,
+                 const std::int64_t* in, std::int64_t* acc, std::int64_t* act,
+                 int n, std::int64_t act_max);
 
 /// Lay `n` row-major samples of `n_features` codes each (`rows`, stride
 /// `n_features`) out as neuron-major planes: feature `i` of sample `s` goes
@@ -53,5 +71,49 @@ void transpose_block(const std::uint8_t* rows, int n_features, int n,
 std::size_t argmax_block(SimdIsa isa, const std::int32_t* out, int n_out,
                          int n, const std::int32_t* labels,
                          std::int32_t* preds);
+std::size_t argmax_block(SimdIsa isa, const std::int64_t* out, int n_out,
+                         int n, const std::int32_t* labels,
+                         std::int32_t* preds);
+
+/// The edited neuron of a refine trial, over one row of `n` lanes:
+///   acc_out[s] = acc[s] + delta ± ((x[s] & term.mask) << term.shift)
+/// (minus when term.neg; `x` is not read when term.mask is 0) and
+/// act_out[s] = f(acc_out[s]). Clearing a mask bit is the term of that one
+/// bit with the sign flipped; moving a bias is `delta` alone. `act_out` may
+/// alias `acc_out`.
+void edit_row(SimdIsa isa, const std::int32_t* acc, const std::int32_t* x,
+              CompiledConn term, std::int32_t delta,
+              Activation f, int n, std::int32_t* acc_out,
+              std::int32_t* act_out);
+void edit_row(SimdIsa isa, const std::int64_t* acc, const std::int64_t* x,
+              CompiledConn term, std::int64_t delta,
+              Activation f, int n, std::int64_t* acc_out,
+              std::int64_t* act_out);
+
+/// The layer after a refine edit, when only one of its inputs changed
+/// (from `old_in` to `new_in`, one row of `n` lanes each). `column[p]` is
+/// neuron p's connection to that input (mask pre-ANDed with the layer's
+/// input mask; `in` unused). For each of the `n_out` neurons, over planes
+/// of stride `n`:
+///   acc_out[p] = acc[p] ± (((new_in & m) << k) - ((old_in & m) << k))
+///   act_out[p] = f(acc_out[p])
+/// A neuron whose mask is 0 keeps its accumulators. `act_out` may alias
+/// `acc_out`.
+void rank1_update(SimdIsa isa, const std::int32_t* old_in,
+                  const std::int32_t* new_in, const CompiledConn* column,
+                  int n_out, const std::int32_t* acc, Activation f,
+                  int n, std::int32_t* acc_out, std::int32_t* act_out);
+void rank1_update(SimdIsa isa, const std::int64_t* old_in,
+                  const std::int64_t* new_in, const CompiledConn* column,
+                  int n_out, const std::int64_t* acc, Activation f,
+                  int n, std::int64_t* acc_out, std::int64_t* act_out);
+
+/// act[s] = f(acc[s]) over `count` contiguous lanes: re-activating a whole
+/// block of a layer's accumulator planes when its QReLU shift moved. Rare
+/// enough in refine that it has no vector variant.
+void activate_lanes(const std::int32_t* acc, std::size_t count, Activation f,
+                    std::int32_t* act);
+void activate_lanes(const std::int64_t* acc, std::size_t count, Activation f,
+                    std::int64_t* act);
 
 }  // namespace pmlp::core

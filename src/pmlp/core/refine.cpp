@@ -33,24 +33,19 @@ std::int64_t simplify_bias(std::int64_t b) {
   return neg ? -out : out;
 }
 
-/// The bias candidate the greedy loop tries for neuron (layer, o), or the
-/// current bias when simplification leaves range (simplify_bias rounds up
-/// and can exceed e.g. 12-bit biases: 1983 -> 2048, which load_model then
-/// rejects; clamping instead could yield MORE set bits, defeating the pass).
-std::int64_t bias_candidate(const ApproxMlp& net, const ApproxLayer& layer,
-                            int o) {
-  const std::int64_t bias = layer.biases[static_cast<std::size_t>(o)];
-  std::int64_t candidate = simplify_bias(bias);
+}  // namespace
+
+std::int64_t bias_candidate(const ApproxMlp& net, int l, int o) {
+  const std::int64_t bias = net.layers()[static_cast<std::size_t>(l)]
+                                .biases[static_cast<std::size_t>(o)];
+  const std::int64_t candidate = simplify_bias(bias);
   if (candidate < net.bits().bias_min() || candidate > net.bits().bias_max()) {
-    candidate = bias;
+    return bias;
   }
   return candidate;
 }
 
-}  // namespace
-
-RefineReport refine_greedy(ApproxMlp& net,
-                           const datasets::QuantizedDataset& train,
+RefineReport refine_greedy(ApproxMlp& net, const SamplePlanes& train,
                            const RefineConfig& cfg) {
   RefineReport report;
   report.fa_before = net.fa_area();
@@ -87,7 +82,7 @@ RefineReport refine_greedy(ApproxMlp& net,
         if (cfg.refine_biases) {
           const std::int64_t bias =
               layer.biases[static_cast<std::size_t>(o)];
-          const std::int64_t candidate = bias_candidate(net, layer, o);
+          const std::int64_t candidate = bias_candidate(net, l, o);
           if (candidate != bias) {
             const auto acc = engine.try_set_bias(
                 l, o, candidate,
@@ -109,73 +104,14 @@ RefineReport refine_greedy(ApproxMlp& net,
   report.accuracy_after = engine.accuracy();
   report.trials = engine.stats().trials;
   report.early_aborts = engine.stats().early_aborts;
+  report.shift_trials = engine.stats().shift_trials;
   return report;
 }
 
-RefineReport refine_greedy_naive(ApproxMlp& net,
-                                 const datasets::QuantizedDataset& train,
-                                 const RefineConfig& cfg) {
-  RefineReport report;
-  report.fa_before = net.fa_area();
-  report.accuracy_before = accuracy(net, train);
-
-  double current_acc = report.accuracy_before;
-  for (int pass = 0; pass < cfg.max_passes; ++pass) {
-    bool changed = false;
-    for (auto& layer : net.layers()) {
-      const auto width_mask =
-          static_cast<std::uint32_t>(bitops::low_mask(layer.input_bits));
-      for (int o = 0; o < layer.n_out; ++o) {
-        for (int i = 0; i < layer.n_in; ++i) {
-          ApproxConn& c = layer.conn(o, i);
-          std::uint32_t remaining = c.mask & width_mask;
-          while (remaining != 0) {
-            const int bit = std::countr_zero(remaining);
-            remaining &= remaining - 1;
-            const std::uint32_t saved = c.mask;
-            c.mask = static_cast<std::uint32_t>(
-                bitops::set_bit(c.mask, bit, false));
-            net.update_qrelu_shifts();
-            report.trials += 1;
-            const double acc = accuracy(net, train);
-            if (acc + 1e-12 >= cfg.accuracy_floor &&
-                acc + 1e-12 >= current_acc - 0.002) {
-              current_acc = std::max(current_acc, acc);
-              report.bits_cleared += 1;
-              changed = true;
-            } else {
-              c.mask = saved;  // revert
-            }
-          }
-        }
-        if (cfg.refine_biases) {
-          auto& bias = layer.biases[static_cast<std::size_t>(o)];
-          const std::int64_t candidate = bias_candidate(net, layer, o);
-          if (candidate != bias) {
-            const std::int64_t saved = bias;
-            bias = candidate;
-            net.update_qrelu_shifts();
-            report.trials += 1;
-            const double acc = accuracy(net, train);
-            if (acc + 1e-12 >= cfg.accuracy_floor &&
-                acc + 1e-12 >= current_acc - 0.002) {
-              current_acc = std::max(current_acc, acc);
-              report.biases_simplified += 1;
-              changed = true;
-            } else {
-              bias = saved;
-            }
-          }
-        }
-      }
-    }
-    report.passes = pass + 1;
-    if (!changed) break;
-  }
-  net.update_qrelu_shifts();
-  report.fa_after = net.fa_area();
-  report.accuracy_after = accuracy(net, train);
-  return report;
+RefineReport refine_greedy(ApproxMlp& net,
+                           const datasets::QuantizedDataset& train,
+                           const RefineConfig& cfg) {
+  return refine_greedy(net, SamplePlanes(train), cfg);
 }
 
 RefineFrontReport refine_front(std::span<EstimatedPoint> front,
@@ -184,12 +120,14 @@ RefineFrontReport refine_front(std::span<EstimatedPoint> front,
                                double max_point_loss, double max_total_loss,
                                ThreadPool* pool) {
   // Each point refines independently (own engine, own output slot), so the
-  // fan-out is bit-identical to the serial loop for any pool size.
+  // fan-out is bit-identical to the serial loop for any pool size. The
+  // engines only read the one shared layout of the training set.
+  const SamplePlanes planes(train);
   const auto refine_one = [&](EstimatedPoint& point) {
     RefineConfig cfg;
     cfg.accuracy_floor = std::max(point.train_accuracy - max_point_loss,
                                   baseline_train_accuracy - max_total_loss);
-    const RefineReport report = refine_greedy(point.model, train, cfg);
+    const RefineReport report = refine_greedy(point.model, planes, cfg);
     // accuracy_after IS accuracy(point.model, train) — no extra full pass.
     point.train_accuracy = report.accuracy_after;
     point.fa_area = report.fa_after;

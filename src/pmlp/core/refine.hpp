@@ -1,20 +1,23 @@
 // Greedy post-GA refinement (an extension beyond the paper): given a trained
-// approximate MLP, try clearing mask bits one at a time — cheapest-first by
-// the FA-count gain of the removal — keeping every change that does not push
-// training accuracy below a floor. This squeezes the last FAs out of each
-// Pareto point before synthesis; bench_ablation quantifies the benefit.
+// approximate MLP, walk every connection in layer, neuron and input order
+// and try clearing its retained mask bits one at a time, lowest bit first,
+// then try rounding the neuron's bias to fewer set bits. Every edit that
+// keeps training accuracy above a floor stays. This squeezes the last FAs
+// out of each Pareto point before synthesis; bench_ablation quantifies the
+// benefit.
 //
 // refine_greedy runs on the incremental RefineEngine (refine_engine.hpp):
-// memoized per-sample forward state, delta updates from the mutated layer
-// only, and an early-aborted accuracy scan. refine_greedy_naive is the
-// original full-re-evaluation loop, kept as the bit-identical reference
-// oracle (refine_engine_test compares the two). refine_front fans the
-// per-Pareto-point refinement out over a borrowed ThreadPool; one engine per
-// point, per-index output slots, bit-identical to the serial loop for any
-// pool size.
+// sample-blocked memoized forward state, per-block delta updates from the
+// edited layer only, and an early-aborted accuracy scan. Its decisions are
+// bit-identical to the naive one-full-accuracy()-per-trial loop, which
+// refine_engine_test keeps as its oracle. refine_front fans the per-point
+// refinement out over a borrowed ThreadPool; one engine per point, every
+// engine reading one shared SamplePlanes of the training set, per-index
+// output slots, bit-identical to the serial loop for any pool size.
 #pragma once
 
 #include "pmlp/core/approx_mlp.hpp"
+#include "pmlp/core/eval_engine.hpp"
 #include "pmlp/core/trainer.hpp"
 #include "pmlp/datasets/dataset.hpp"
 
@@ -39,24 +42,29 @@ struct RefineReport {
   int passes = 0;
   /// Candidate edits evaluated (identical between engine and naive paths).
   long trials = 0;
-  /// Trials the engine rejected before a full dataset scan (0 on the naive
-  /// path — it always scans everything). Diagnostic only; decisions are
-  /// unaffected.
+  /// Rejected trials, each of which the engine stopped before the end of
+  /// its scan (RefineEngineStats::early_aborts; 0 on the naive path, which
+  /// always scans everything). Diagnostic only; decisions are unaffected.
   long early_aborts = 0;
+  /// Trials whose edit moved a QReLU shift (engine only). Diagnostic.
+  long shift_trials = 0;
 };
 
+/// The bias the greedy loop tries for neuron (l, o): the current bias with
+/// its magnitude rounded to at most two set bits (e.g. 0b0110111 ->
+/// 0b0111000), or the current bias itself when rounding leaves the
+/// BitConfig range (1983 -> 2048 would not fit a 12-bit bias, and clamping
+/// instead could yield MORE set bits, defeating the pass).
+[[nodiscard]] std::int64_t bias_candidate(const ApproxMlp& net, int l, int o);
+
 /// Refine `net` in place against `train`; returns what changed. Runs on the
-/// incremental RefineEngine; bit-identical to refine_greedy_naive.
+/// incremental RefineEngine; bit-identical to the naive loop.
+RefineReport refine_greedy(ApproxMlp& net, const SamplePlanes& train,
+                           const RefineConfig& cfg);
+/// The same, laying `train` out as SamplePlanes first.
 RefineReport refine_greedy(ApproxMlp& net,
                            const datasets::QuantizedDataset& train,
                            const RefineConfig& cfg);
-
-/// The original one-full-accuracy()-per-trial implementation, kept as the
-/// reference oracle for the engine (and for perf comparisons). Identical
-/// decisions, reports (minus early_aborts) and final parameters.
-RefineReport refine_greedy_naive(ApproxMlp& net,
-                                 const datasets::QuantizedDataset& train,
-                                 const RefineConfig& cfg);
 
 /// Aggregate accounting of one refine_front call (summed point reports) —
 /// surfaced as the flow's refine-stage counters and by run_bench.sh as the
@@ -79,8 +87,9 @@ struct RefineFrontReport {
 /// refresh its train_accuracy / fa_area. Each point's accuracy floor is
 ///   max(point accuracy - max_point_loss,
 ///       baseline_train_accuracy - max_total_loss).
-/// Points fan out over the borrowed `pool` (null = serial, the default);
-/// results are bit-identical for any pool.
+/// The training set is laid out as SamplePlanes once and shared by every
+/// point's engine. Points fan out over the borrowed `pool` (null = serial,
+/// the default); results are bit-identical for any pool.
 RefineFrontReport refine_front(std::span<EstimatedPoint> front,
                                const datasets::QuantizedDataset& train,
                                double baseline_train_accuracy,

@@ -2,47 +2,91 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <type_traits>
 
 #include "pmlp/bitops/bitops.hpp"
-#include "pmlp/core/eval_engine.hpp"
+#include "pmlp/core/eval_kernels.hpp"
+#include "pmlp/core/simd.hpp"
 
 namespace pmlp::core {
+namespace {
 
-RefineEngine::RefineEngine(ApproxMlp& net,
-                           const datasets::QuantizedDataset& train)
+constexpr auto kBlock = static_cast<std::size_t>(CompiledNet::kBlockSamples);
+
+/// Copy `row` (one lane per sample) into neuron `o`'s planes of a
+/// `width`-neuron layer stored in the block layout.
+template <typename T>
+void scatter_row(const std::vector<T>& row, int width, int o,
+                 std::vector<T>& planes) {
+  const std::size_t n = row.size();
+  for (std::size_t base = 0; base < n; base += kBlock) {
+    const std::size_t b = std::min(kBlock, n - base);
+    std::copy_n(row.data() + base, b,
+                planes.data() + base * static_cast<std::size_t>(width) +
+                    static_cast<std::size_t>(o) * b);
+  }
+}
+
+}  // namespace
+
+RefineEngine::RefineEngine(ApproxMlp& net, const SamplePlanes& train)
     : net_(net),
       train_(train),
       n_samples_(train.size()),
-      n_features_(train.n_features),
       n_layers_(static_cast<int>(net.layers().size())),
       act_max_((std::int64_t{1} << net.bits().act_bits) - 1) {
-  if (train.n_features != net.topology().n_inputs()) {
+  if (train.n_features() != net.topology().n_inputs()) {
     throw std::invalid_argument("RefineEngine: dataset/topology mismatch");
   }
-  in0_.assign(train.codes.begin(), train.codes.end());
-  width_.resize(static_cast<std::size_t>(n_layers_));
-  shift_.resize(static_cast<std::size_t>(n_layers_));
-  acc_.resize(static_cast<std::size_t>(n_layers_));
-  act_.resize(static_cast<std::size_t>(n_layers_));
-  int max_width = 0;
-  for (int l = 0; l < n_layers_; ++l) {
-    const ApproxLayer& layer = net.layers()[static_cast<std::size_t>(l)];
-    width_[static_cast<std::size_t>(l)] = layer.n_out;
-    shift_[static_cast<std::size_t>(l)] = layer.qrelu_shift;
-    acc_[static_cast<std::size_t>(l)].resize(
-        n_samples_ * static_cast<std::size_t>(layer.n_out));
-    act_[static_cast<std::size_t>(l)].resize(
-        n_samples_ * static_cast<std::size_t>(layer.n_out));
-    max_width = std::max(max_width, layer.n_out);
+  bool narrow = true;
+  for (const ApproxLayer& layer : net.layers()) {
+    layers_.push_back(compile_layer(layer));
+    // The incoming shift may be stale; every shift refine itself derives
+    // lies in [0, 30] once the bound below holds.
+    narrow = narrow && layer.qrelu_shift >= 0 && layer.qrelu_shift <= 30;
   }
-  pred_.resize(n_samples_);
-  correct_.resize(n_samples_);
-  changed_idx_.reserve(static_cast<std::size_t>(max_width));
-  next_changed_idx_.reserve(static_cast<std::size_t>(max_width));
-  changed_old_.reserve(static_cast<std::size_t>(max_width));
-  next_changed_old_.reserve(static_cast<std::size_t>(max_width));
+  // Refine only clears mask bits and moves biases within the BitConfig
+  // range, so the block_safe() bound with every |bias| widened to
+  // 2^(bias_bits-1) covers every state a trial can reach.
+  const std::int64_t bias_bound =
+      std::int64_t{1} << std::clamp(net.bits().bias_bits - 1, 0, 32);
+  if (narrow && layers_block_safe(layers_, act_max_, bias_bound)) {
+    memo_.emplace<Memo<std::int32_t>>();
+  } else {
+    memo_.emplace<Memo<std::int64_t>>();
+  }
 
-  rebuild();
+  std::visit(
+      [&](auto& m) {
+        using T = typename std::decay_t<decltype(m)>::value_type;
+        const auto L = static_cast<std::size_t>(n_layers_);
+        m.acc.resize(L);
+        m.act.resize(L);
+        m.next_acc.resize(L);
+        m.next_act.resize(L);
+        for (std::size_t l = 0; l < L; ++l) {
+          const std::size_t lanes =
+              n_samples_ * static_cast<std::size_t>(layers_[l].n_out);
+          m.acc[l].resize(lanes);
+          // Scratch accumulators of layer 0 are only written when layer 0
+          // is also the output layer, which has no QReLU.
+          if (l > 0 || !layers_[l].qrelu) m.next_acc[l].resize(lanes);
+          if (layers_[l].qrelu) {
+            m.act[l].resize(lanes);
+            m.next_act[l].resize(lanes);
+          }
+        }
+        m.row_acc.resize(n_samples_);
+        m.row_act.resize(n_samples_);
+        if constexpr (std::is_same_v<T, std::int64_t>) {
+          const std::int32_t* planes = train_.block(0);
+          m.in0.assign(planes,
+                       planes + n_samples_ * static_cast<std::size_t>(
+                                                 train_.n_features()));
+        }
+        rebuild(m);
+      },
+      memo_);
   accuracy_before_ = accuracy();
 
   // Sync every shift to the current parameters — what the naive loop's
@@ -51,66 +95,42 @@ RefineEngine::RefineEngine(ApproxMlp& net,
   bool stale = false;
   for (int l = 0; l < n_layers_; ++l) {
     const int s = net_.compute_qrelu_shift(l);
-    if (s != shift_[static_cast<std::size_t>(l)]) {
+    if (s != layers_[static_cast<std::size_t>(l)].qrelu_shift) {
       net_.layers()[static_cast<std::size_t>(l)].qrelu_shift = s;
-      shift_[static_cast<std::size_t>(l)] = s;
+      layers_[static_cast<std::size_t>(l)].qrelu_shift = s;
       stale = true;
     }
   }
-  if (stale) rebuild();
+  if (stale) std::visit([&](auto& m) { rebuild(m); }, memo_);
 }
 
-void RefineEngine::rebuild() {
-  n_correct_ = 0;
-  const int last = n_layers_ - 1;
-  // Full-forward memo fill through the compiled engine's sample-blocked
-  // kernels: the compiled walk performs the same adds in the same order as
-  // the naive per-sample loop below, only skipping provably-zero terms, so
-  // the scattered accumulators/activations are bit-identical (and the
-  // refine-vs-naive oracle tests cover exactly this). The per-sample walk
-  // stays for nets the int32 kernels can't prove overflow-safe.
-  if (const CompiledNet compiled(net_);
-      compiled.block_safe() && n_layers_ > 0) {
-    for (std::size_t base = 0; base < n_samples_;
-         base += CompiledNet::kBlockSamples) {
-      const int b = static_cast<int>(std::min<std::size_t>(
-          CompiledNet::kBlockSamples, n_samples_ - base));
-      compiled.forward_block(
-          train_.codes.data() + base * static_cast<std::size_t>(n_features_),
-          b, block_ws_,
-          [&](int l, const std::int32_t* accp, const std::int32_t* actp) {
-            const int w = width_[static_cast<std::size_t>(l)];
-            for (int o = 0; o < w; ++o) {
-              const std::int32_t* ap = accp + static_cast<std::size_t>(o) * b;
-              const std::int32_t* xp = actp + static_cast<std::size_t>(o) * b;
-              for (int s = 0; s < b; ++s) {
-                acc_ptr(l, base + static_cast<std::size_t>(s))[o] = ap[s];
-                act_ptr(l, base + static_cast<std::size_t>(s))[o] = xp[s];
-              }
-            }
-          });
-    }
-    const auto out_w =
-        static_cast<std::size_t>(width_[static_cast<std::size_t>(last)]);
-    for (std::size_t s = 0; s < n_samples_; ++s) {
-      pred_[s] = argmax_first({act_ptr(last, s), out_w});
-      correct_[s] = pred_[s] == train_.labels[s] ? 1 : 0;
-      n_correct_ += correct_[s];
-    }
-    return;
+template <typename T>
+const T* RefineEngine::Memo<T>::input(const SamplePlanes& planes,
+                                      std::size_t base) const {
+  if constexpr (std::is_same_v<T, std::int32_t>) {
+    return planes.block(base);
+  } else {
+    return in0.data() + base * static_cast<std::size_t>(planes.n_features());
   }
-  for (std::size_t s = 0; s < n_samples_; ++s) {
-    for (int l = 0; l < n_layers_; ++l) {
-      const auto w = static_cast<std::size_t>(width_[static_cast<std::size_t>(l)]);
-      const auto in_w = static_cast<std::size_t>(
-          l == 0 ? n_features_ : width_[static_cast<std::size_t>(l) - 1]);
-      net_.forward_layer(l, {in_ptr(l, s), in_w}, {acc_ptr(l, s), w},
-                         {act_ptr(l, s), w});
+}
+
+template <typename T>
+void RefineEngine::rebuild(Memo<T>& m) {
+  const SimdIsa isa = active_simd_isa();
+  const auto& out = layers_.back();
+  n_correct_ = 0;
+  for (std::size_t base = 0; base < n_samples_; base += kBlock) {
+    const int b = static_cast<int>(std::min(kBlock, n_samples_ - base));
+    const T* in = m.input(train_, base);
+    for (std::size_t l = 0; l < layers_.size(); ++l) {
+      const std::size_t off = base * static_cast<std::size_t>(layers_[l].n_out);
+      T* acc = m.acc[l].data() + off;
+      T* act = m.act_of(l, layers_[l].qrelu) + off;
+      layer_sweep(isa, layers_[l], in, acc, act, b, static_cast<T>(act_max_));
+      in = act;
     }
-    const auto out_w = static_cast<std::size_t>(width_[static_cast<std::size_t>(last)]);
-    pred_[s] = argmax_first({act_ptr(last, s), out_w});
-    correct_[s] = pred_[s] == train_.labels[s] ? 1 : 0;
-    n_correct_ += correct_[s];
+    n_correct_ += static_cast<long>(
+        argmax_block(isa, in, out.n_out, b, train_.labels() + base, nullptr));
   }
 }
 
@@ -142,32 +162,26 @@ long RefineEngine::min_correct_for(double min_acc) const {
   return lo;
 }
 
-std::int64_t RefineEngine::activate(const ApproxLayer& layer, int shift,
-                                    std::int64_t acc) const {
-  if (!layer.qrelu) return acc;
-  return acc <= 0 ? 0 : std::min(acc >> shift, act_max_);
-}
-
-void RefineEngine::undo_writes() {
-  for (auto it = undo_pred_.rbegin(); it != undo_pred_.rend(); ++it) {
-    if (correct_[it->sample] != it->correct) {
-      n_correct_ += it->correct ? 1 : -1;
-    }
-    pred_[it->sample] = it->pred;
-    correct_[it->sample] = it->correct;
-  }
-  for (auto it = undo_slots_.rbegin(); it != undo_slots_.rend(); ++it) {
-    *it->slot = it->old_value;
-  }
-}
-
-template <typename DeltaFn>
-std::optional<double> RefineEngine::trial(int l0, int o, bool shift_changed,
-                                          DeltaFn&& acc_delta,
-                                          double min_acc) {
+std::optional<double> RefineEngine::trial(int l, int o,
+                                          const CompiledConn& term,
+                                          std::int64_t delta, double min_acc) {
   ++stats_.trials;
-  undo_slots_.clear();
-  undo_pred_.clear();
+  const auto li = static_cast<std::size_t>(l);
+  if (net_.layers()[li].qrelu_shift != layers_[li].qrelu_shift) {
+    ++stats_.shift_trials;
+  }
+  return std::visit(
+      [&](auto& m) {
+        using T = typename std::decay_t<decltype(m)>::value_type;
+        return run_trial(m, l, o, term, static_cast<T>(delta), min_acc);
+      },
+      memo_);
+}
+
+template <typename T>
+std::optional<double> RefineEngine::run_trial(Memo<T>& m, int l0, int o,
+                                              const CompiledConn& term,
+                                              T delta, double min_acc) {
   const long allowed_wrong =
       static_cast<long>(n_samples_) - min_correct_for(min_acc);
   if (allowed_wrong < 0) {
@@ -175,106 +189,104 @@ std::optional<double> RefineEngine::trial(int l0, int o, bool shift_changed,
     return std::nullopt;  // no scan can pass; nothing was written
   }
 
-  const auto& layers = net_.layers();
-  const ApproxLayer& edited = layers[static_cast<std::size_t>(l0)];
-  const int w0 = width_[static_cast<std::size_t>(l0)];
-  const int shift0 = shift_[static_cast<std::size_t>(l0)];
-  const int last = n_layers_ - 1;
-  long wrong = 0;
-
-  for (std::size_t s = 0; s < n_samples_; ++s) {
-    const std::int64_t d = acc_delta(s);
-    if (d != 0 || shift_changed) {
-      changed_idx_.clear();
-      changed_old_.clear();
-      std::int64_t* acc0 = acc_ptr(l0, s);
-      std::int64_t* act0 = act_ptr(l0, s);
-      if (d != 0) {
-        undo_slots_.push_back({&acc0[o], acc0[o]});
-        acc0[o] += d;
-      }
-      // A shift change re-activates the whole layer from the stored
-      // accumulators (no connection walk); otherwise only neuron o moved.
-      const int first = shift_changed ? 0 : o;
-      const int stop = shift_changed ? w0 : o + 1;
-      for (int n = first; n < stop; ++n) {
-        const std::int64_t a = activate(edited, shift0, acc0[n]);
-        if (a != act0[n]) {
-          changed_idx_.push_back(n);
-          changed_old_.push_back(act0[n]);
-          undo_slots_.push_back({&act0[n], act0[n]});
-          act0[n] = a;
-        }
-      }
-
-      // Propagate the changed-activation wavefront; it dies at the first
-      // layer whose outputs are all unchanged.
-      for (int l = l0 + 1; l < n_layers_ && !changed_idx_.empty(); ++l) {
-        const ApproxLayer& layer = layers[static_cast<std::size_t>(l)];
-        const auto in_mask =
-            static_cast<std::uint32_t>(bitops::low_mask(layer.input_bits));
-        const int shift = shift_[static_cast<std::size_t>(l)];
-        next_changed_idx_.clear();
-        next_changed_old_.clear();
-        std::int64_t* acc_l = acc_ptr(l, s);
-        std::int64_t* act_l = act_ptr(l, s);
-        const std::int64_t* in_now = act_ptr(l - 1, s);
-        for (int p = 0; p < layer.n_out; ++p) {
-          std::int64_t dacc = 0;
-          for (std::size_t j = 0; j < changed_idx_.size(); ++j) {
-            const int in_idx = changed_idx_[j];
-            const ApproxConn& c = layer.conn(p, in_idx);
-            const std::uint32_t m = c.mask & in_mask;
-            const std::int64_t t_new = static_cast<std::int64_t>(
-                static_cast<std::uint32_t>(in_now[in_idx]) & m)
-                << c.exponent;
-            const std::int64_t t_old = static_cast<std::int64_t>(
-                static_cast<std::uint32_t>(changed_old_[j]) & m)
-                << c.exponent;
-            dacc += c.sign < 0 ? t_old - t_new : t_new - t_old;
-          }
-          if (dacc == 0) continue;
-          undo_slots_.push_back({&acc_l[p], acc_l[p]});
-          acc_l[p] += dacc;
-          const std::int64_t a = activate(layer, shift, acc_l[p]);
-          if (a != act_l[p]) {
-            next_changed_idx_.push_back(p);
-            next_changed_old_.push_back(act_l[p]);
-            undo_slots_.push_back({&act_l[p], act_l[p]});
-            act_l[p] = a;
-          }
-        }
-        changed_idx_.swap(next_changed_idx_);
-        changed_old_.swap(next_changed_old_);
-      }
-
-      // Non-empty here means the wavefront reached the output layer.
-      if (!changed_idx_.empty()) {
-        const auto out_w =
-            static_cast<std::size_t>(width_[static_cast<std::size_t>(last)]);
-        const int new_pred = argmax_first({act_ptr(last, s), out_w});
-        if (new_pred != pred_[s]) {
-          undo_pred_.push_back(
-              {static_cast<std::uint32_t>(s), pred_[s], correct_[s]});
-          pred_[s] = new_pred;
-          const std::uint8_t now_correct =
-              new_pred == train_.labels[s] ? 1 : 0;
-          if (now_correct != correct_[s]) {
-            n_correct_ += now_correct ? 1 : -1;
-            correct_[s] = now_correct;
-          }
-        }
-      }
+  const SimdIsa isa = active_simd_isa();
+  const auto L0 = static_cast<std::size_t>(l0);
+  const std::size_t last = layers_.size() - 1;
+  const ApproxLayer& edited = net_.layers()[L0];
+  const bool qrelu0 = edited.qrelu;
+  const bool shift_changed = edited.qrelu_shift != layers_[L0].qrelu_shift;
+  const Activation f0{qrelu0, edited.qrelu_shift, act_max_};
+  const auto w0 = static_cast<std::size_t>(edited.n_out);
+  const auto ob = [o](int b) {
+    return static_cast<std::size_t>(o) * static_cast<std::size_t>(b);
+  };
+  // The edited layer's activations go to scratch whole when every neuron
+  // may move (a shift change) or when the argmax reads them (the output
+  // layer). Otherwise only neuron o's row does, and the next layer takes a
+  // rank-1 update from it through its column of connections to input o.
+  const bool whole0 = shift_changed || L0 == last;
+  if (!whole0) {
+    const ApproxLayer& next = net_.layers()[L0 + 1];
+    const auto in_mask =
+        static_cast<std::uint32_t>(bitops::low_mask(next.input_bits));
+    column_.resize(static_cast<std::size_t>(next.n_out));
+    for (int p = 0; p < next.n_out; ++p) {
+      const ApproxConn& c = next.conn(p, o);
+      column_[static_cast<std::size_t>(p)] =
+          CompiledConn{o, c.mask & in_mask, c.exponent, c.sign < 0 ? 1 : 0};
     }
-    wrong += correct_[s] ? 0 : 1;
+  }
+
+  long wrong = 0;
+  for (std::size_t base = 0; base < n_samples_; base += kBlock) {
+    const int b = static_cast<int>(std::min(kBlock, n_samples_ - base));
+    const std::size_t off0 = base * w0;
+    const T* acc0 = m.acc[L0].data() + off0;
+    const T* act0 = m.act_of(L0, qrelu0) + off0;
+    const T* x = l0 == 0 ? m.input(train_, base)
+                         : m.act_of(L0 - 1, layers_[L0 - 1].qrelu) +
+                               base * static_cast<std::size_t>(
+                                          layers_[L0 - 1].n_out);
+    x += static_cast<std::size_t>(term.in) * static_cast<std::size_t>(b);
+
+    // New activation planes of layer l0 for this block, when whole.
+    T* new_act0 = nullptr;
+    T* row_act = (qrelu0 ? m.row_act : m.row_acc).data() + base;
+    if (whole0) {
+      new_act0 = m.next_act_of(L0, qrelu0) + off0;
+      if (shift_changed) {
+        activate_lanes(acc0, w0 * static_cast<std::size_t>(b), f0, new_act0);
+      } else {
+        std::copy_n(act0, w0 * static_cast<std::size_t>(b), new_act0);
+      }
+      row_act = new_act0 + ob(b);
+    }
+    edit_row(isa, acc0 + ob(b), x, term, delta, f0, b,
+             m.row_acc.data() + base, row_act);
+
+    const T* in = new_act0;
+    for (std::size_t l = L0 + 1; l <= last; ++l) {
+      const CompiledLayer& layer = layers_[l];
+      const std::size_t off = base * static_cast<std::size_t>(layer.n_out);
+      T* acc = m.next_acc[l].data() + off;
+      T* act = m.next_act_of(l, layer.qrelu) + off;
+      if (in == nullptr) {
+        rank1_update(isa, act0 + ob(b), row_act, column_.data(), layer.n_out,
+                     m.acc[l].data() + off,
+                     Activation{layer.qrelu, layer.qrelu_shift, act_max_}, b,
+                     acc, act);
+      } else {
+        layer_sweep(isa, layer, in, acc, act, b, static_cast<T>(act_max_));
+      }
+      in = act;
+    }
+    wrong += b - static_cast<long>(argmax_block(isa, in, layers_[last].n_out,
+                                                b, train_.labels() + base,
+                                                nullptr));
     if (wrong > allowed_wrong) {
-      undo_writes();
       ++stats_.early_aborts;
       return std::nullopt;
     }
   }
+
   // A completed scan always passes: the abort bound is exact, so surviving
-  // all samples means correct >= min_correct.
+  // every block means correct >= min_correct. Commit the scratch planes.
+  if (whole0 && !qrelu0) {
+    m.acc[L0].swap(m.next_acc[L0]);  // row o is in the swapped-in planes
+  } else {
+    scatter_row(m.row_acc, edited.n_out, o, m.acc[L0]);
+    if (whole0) {
+      m.act[L0].swap(m.next_act[L0]);
+    } else if (qrelu0) {
+      scatter_row(m.row_act, edited.n_out, o, m.act[L0]);
+    }
+  }
+  for (std::size_t l = L0 + 1; l <= last; ++l) {
+    m.acc[l].swap(m.next_acc[l]);
+    m.act[l].swap(m.next_act[l]);
+  }
+  layers_[L0] = compile_layer(edited);
+  n_correct_ = static_cast<long>(n_samples_) - wrong;
   return accuracy();
 }
 
@@ -286,26 +298,15 @@ std::optional<double> RefineEngine::try_clear_mask_bit(int l, int o, int i,
   const std::uint32_t old_mask = c.mask;
   c.mask = static_cast<std::uint32_t>(bitops::set_bit(c.mask, bit, false));
   const int old_shift = layer.qrelu_shift;
-  const int new_shift = net_.compute_qrelu_shift(l);
-  layer.qrelu_shift = new_shift;
-  shift_[static_cast<std::size_t>(l)] = new_shift;
-
-  const std::uint32_t bit_mask = std::uint32_t{1} << bit;
-  const int sign = c.sign;
-  const int k = c.exponent;
+  layer.qrelu_shift = net_.compute_qrelu_shift(l);
   // Removing a retained bit removes sign * ((x & bit) << k) from the
-  // accumulator; zero for every sample without that input bit set.
-  const auto delta = [&](std::size_t s) -> std::int64_t {
-    const std::int64_t t = static_cast<std::int64_t>(
-        static_cast<std::uint32_t>(in_ptr(l, s)[i]) & bit_mask)
-        << k;
-    return sign < 0 ? t : -t;
-  };
-  const auto result = trial(l, o, new_shift != old_shift, delta, min_acc);
+  // accumulator: the term of that one bit with its sign flipped.
+  const CompiledConn term{i, std::uint32_t{1} << bit, c.exponent,
+                          c.sign < 0 ? 0 : 1};
+  const auto result = trial(l, o, term, 0, min_acc);
   if (!result) {
     c.mask = old_mask;
     layer.qrelu_shift = old_shift;
-    shift_[static_cast<std::size_t>(l)] = old_shift;
   }
   return result;
 }
@@ -318,18 +319,12 @@ std::optional<double> RefineEngine::try_set_bias(int l, int o,
   const std::int64_t old_bias = bias;
   bias = candidate;
   const int old_shift = layer.qrelu_shift;
-  const int new_shift = net_.compute_qrelu_shift(l);
-  layer.qrelu_shift = new_shift;
-  shift_[static_cast<std::size_t>(l)] = new_shift;
-
-  const std::int64_t d = candidate - old_bias;
-  const auto result =
-      trial(l, o, new_shift != old_shift,
-            [d](std::size_t) -> std::int64_t { return d; }, min_acc);
+  layer.qrelu_shift = net_.compute_qrelu_shift(l);
+  const auto result = trial(l, o, CompiledConn{}, candidate - old_bias,
+                            min_acc);
   if (!result) {
     bias = old_bias;
     layer.qrelu_shift = old_shift;
-    shift_[static_cast<std::size_t>(l)] = old_shift;
   }
   return result;
 }

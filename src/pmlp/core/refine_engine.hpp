@@ -2,54 +2,63 @@
 //
 // refine_greedy tries thousands of single-parameter edits (clear one mask
 // bit, round one bias) and keeps each edit only if training accuracy stays
-// above a floor. The naive loop re-runs a full forward pass of the whole
-// network over the whole dataset per trial — O(trials x samples x network) —
-// even though clearing one bit in layer L leaves every activation below L
-// untouched. This engine makes a trial cost proportional to what the edit
-// actually changes:
+// above a floor. A trial re-evaluates only what the edit can change, block
+// by block, on the sample-blocked planes the GA's batched evaluation uses:
 //
-//   memoize — per-sample, per-layer accumulators AND activations of the
-//             current (committed) network live in flat buffers, so nothing
-//             below the mutated layer is ever recomputed.
-//   delta   — a mask-bit clear subtracts sign * ((x & bit) << k) from one
-//             stored accumulator; a bias edit adds (new - old). Samples
-//             whose affected activation does not change stop right there.
-//             When a change does propagate, each downstream layer is
-//             delta-updated from the set of changed inputs only, and the
-//             wavefront dies as soon as a layer's activations are unchanged.
-//   abort   — the accuracy floor is known before the scan, so the scan
-//             aborts as soon as the running misclassification count makes
-//             the floor unreachable even if every remaining sample were
-//             correct.
+//   memo   — every layer's accumulators and activations of the committed
+//            net, as neuron-major planes in blocks of
+//            CompiledNet::kBlockSamples samples (the SamplePlanes layout).
+//            Layer 0 reads the training set's SamplePlanes, which every
+//            engine of a front shares read-only.
+//   trial  — per block, with the dispatched kernels of eval_kernels.hpp:
+//            the edited neuron's new accumulator and activation from its
+//            delta plane (a QReLU-shift change re-activates the whole layer
+//            from the stored accumulators); a rank-1 update of the next
+//            layer from that one changed input, or a layer_sweep when the
+//            whole layer moved, and a layer_sweep of every deeper layer;
+//            then argmax_block counts the block's correct samples.
+//   abort  — the accuracy floor is known before the scan, so it becomes an
+//            exact misclassification budget, checked once per block; the
+//            scan stops at the first block that exceeds it.
+//   commit — a trial writes only scratch planes. An accepted trial moves
+//            them into the memo (a buffer swap per fully rewritten layer, a
+//            row copy for the edited neuron); a rejected trial writes
+//            nothing, so there is nothing to undo.
 //
-// All arithmetic is the same int64 adds/shifts as ApproxMlp::forward, merely
-// reordered into deltas (exact: no overflow at these ranges), and the accept
-// test is the naive code's double comparison translated into an integer
-// correct-count threshold via binary search over the same predicate — so
-// decisions, reports and final masks are bit-identical to the naive loop
-// (refine_greedy_naive stays as the oracle; see refine_engine_test).
+// Lanes are int32 when a static proof, made once per engine, shows that no
+// state refine can reach overflows: the CompiledNet::block_safe() bound
+// with every |bias| widened to 2^(bias_bits-1), since refine only clears
+// mask bits and moves biases within [bias_min, bias_max]. A net that fails
+// the proof runs the same block algorithm on int64 lanes through the
+// scalar kernels.
 //
-// QReLU-shift handling mirrors update_qrelu_shifts() exactly: an edit in
-// layer L can only change layer L's shift (shifts are pure functions of a
-// layer's own parameters), and a shift change re-activates the whole layer
-// from the stored accumulators — no connection walk. Rejected trials undo
-// through a write log, so a reverted trial costs what it touched.
+// All arithmetic is the adds and shifts of ApproxMlp::forward, reordered
+// into exact deltas, and the accept test is the naive code's double
+// comparison translated into a correct-count threshold by binary search
+// over the same predicate. Decisions, reports and final parameters are
+// therefore bit-identical to the naive full re-evaluation loop, which
+// refine_engine_test keeps as its oracle.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <variant>
 #include <vector>
 
 #include "pmlp/core/approx_mlp.hpp"
 #include "pmlp/core/eval_engine.hpp"
-#include "pmlp/datasets/dataset.hpp"
 
 namespace pmlp::core {
 
 /// Work counters of one RefineEngine (one refine_greedy call).
 struct RefineEngineStats {
-  long trials = 0;        ///< candidate edits evaluated
-  long early_aborts = 0;  ///< trials rejected before a full dataset scan
+  long trials = 0;  ///< candidate edits evaluated
+  /// Rejected trials. Each one stops early: at the first block whose
+  /// running misclassification count exceeds the budget, or before the scan
+  /// when no scan could pass. A completed scan always passes.
+  long early_aborts = 0;
+  /// Trials whose edit moved the edited layer's QReLU shift.
+  long shift_trials = 0;
 };
 
 /// Incremental trial evaluator bound to one net and one training set. The
@@ -60,11 +69,12 @@ struct RefineEngineStats {
 /// update_qrelu_shifts() before every accuracy()).
 class RefineEngine {
  public:
-  /// Builds the memoized state. `accuracy_before()` reflects the shifts the
-  /// net arrived with (what the naive loop's first accuracy() call sees);
-  /// the engine then syncs every shift to the current parameters, as the
-  /// naive loop's first edit would.
-  RefineEngine(ApproxMlp& net, const datasets::QuantizedDataset& train);
+  /// Builds the memoized state over `train`, which must outlive the engine.
+  /// `accuracy_before()` reflects the shifts the net arrived with (what the
+  /// naive loop's first accuracy() call sees); the engine then syncs every
+  /// shift to the current parameters, as the naive loop's first edit would.
+  /// Throws std::invalid_argument when the feature width does not match.
+  RefineEngine(ApproxMlp& net, const SamplePlanes& train);
 
   RefineEngine(const RefineEngine&) = delete;
   RefineEngine& operator=(const RefineEngine&) = delete;
@@ -73,88 +83,76 @@ class RefineEngine {
   [[nodiscard]] double accuracy_before() const { return accuracy_before_; }
   /// Training accuracy of the current committed state.
   [[nodiscard]] double accuracy() const;
+  /// True when the int32 proof holds and the memo runs on int32 lanes.
+  [[nodiscard]] bool int32_lanes() const {
+    return std::holds_alternative<Memo<std::int32_t>>(memo_);
+  }
 
   /// Try clearing bit `bit` of conn(o, i) in layer `l` (the bit must be set
   /// and within the layer's input width). Keeps the edit and returns the new
   /// accuracy when it passes the naive accept test `acc + 1e-12 >= min_acc`;
-  /// reverts the edit (net, shift and memo state) and returns nullopt
-  /// otherwise.
+  /// reverts the edit (net and shift) and returns nullopt otherwise.
   std::optional<double> try_clear_mask_bit(int l, int o, int i, int bit,
                                            double min_acc);
   /// Same protocol for replacing neuron (l, o)'s bias with `candidate`
-  /// (must differ from the current bias).
+  /// (must differ from the current bias and lie in the BitConfig range).
   std::optional<double> try_set_bias(int l, int o, std::int64_t candidate,
                                      double min_acc);
 
   [[nodiscard]] const RefineEngineStats& stats() const { return stats_; }
 
  private:
-  /// One memoized (acc, act) value overwritten during a trial.
-  struct SlotUndo {
-    std::int64_t* slot;
-    std::int64_t old_value;
-  };
-  /// One sample whose prediction/correctness changed during a trial.
-  struct PredUndo {
-    std::uint32_t sample;
-    std::int32_t pred;
-    std::uint8_t correct;
+  /// Committed and scratch planes at lane width T, all in the SamplePlanes
+  /// block layout (block at sample `base` starts at `base * width`). A
+  /// layer without QReLU keeps its activations in its accumulator planes:
+  /// its `act` and `next_act` stay empty.
+  template <typename T>
+  struct Memo {
+    using value_type = T;
+    /// Layer-0 input planes of the block at sample `base`.
+    const T* input(const SamplePlanes& planes, std::size_t base) const;
+    /// Layer l's committed / scratch activation planes.
+    T* act_of(std::size_t l, bool qrelu) {
+      return (qrelu ? act : acc)[l].data();
+    }
+    T* next_act_of(std::size_t l, bool qrelu) {
+      return (qrelu ? next_act : next_acc)[l].data();
+    }
+
+    std::vector<std::vector<T>> acc, act;            ///< committed, per layer
+    std::vector<std::vector<T>> next_acc, next_act;  ///< trial scratch
+    std::vector<T> row_acc, row_act;  ///< the edited neuron's new row
+    std::vector<T> in0;               ///< int64 lanes only: widened inputs
   };
 
-  void rebuild();
   /// Smallest correct-count passing `acc + 1e-12 >= min_acc`; n_samples + 1
   /// when even a perfect scan cannot pass.
   [[nodiscard]] long min_correct_for(double min_acc) const;
-  [[nodiscard]] std::int64_t activate(const ApproxLayer& layer, int shift,
-                                      std::int64_t acc) const;
-  [[nodiscard]] std::int64_t* acc_ptr(int l, std::size_t s) {
-    return acc_[static_cast<std::size_t>(l)].data() +
-           s * static_cast<std::size_t>(width_[static_cast<std::size_t>(l)]);
-  }
-  [[nodiscard]] std::int64_t* act_ptr(int l, std::size_t s) {
-    return act_[static_cast<std::size_t>(l)].data() +
-           s * static_cast<std::size_t>(width_[static_cast<std::size_t>(l)]);
-  }
-  /// Layer `l` input activations for sample `s` (dataset codes for layer 0).
-  [[nodiscard]] const std::int64_t* in_ptr(int l, std::size_t s) {
-    return l == 0 ? in0_.data() + s * static_cast<std::size_t>(n_features_)
-                  : act_ptr(l - 1, s);
-  }
-
-  /// Shared trial scan. The parameter edit (and the layer-L shift) must
-  /// already be applied; `acc_delta(s)` is the resulting accumulator delta
-  /// of neuron (l, o) for sample s. Commits and returns the accuracy on
-  /// pass; restores the memoized state (NOT the parameter edit — the caller
-  /// owns that) and returns nullopt on fail.
-  template <typename DeltaFn>
-  std::optional<double> trial(int l, int o, bool shift_changed,
-                              DeltaFn&& acc_delta, double min_acc);
-  void undo_writes();
+  template <typename T>
+  void rebuild(Memo<T>& m);
+  /// Runs one trial on neuron (l, o) of the already-edited net: `term` and
+  /// `delta` give the edited accumulator's change (see edit_row), and the
+  /// layer's QReLU shift is already set to its post-edit value. Commits
+  /// and returns the accuracy on pass; returns nullopt with the memo
+  /// untouched on fail (the caller reverts the net).
+  std::optional<double> trial(int l, int o, const CompiledConn& term,
+                              std::int64_t delta, double min_acc);
+  template <typename T>
+  std::optional<double> run_trial(Memo<T>& m, int l, int o,
+                                  const CompiledConn& term, T delta,
+                                  double min_acc);
 
   ApproxMlp& net_;
-  const datasets::QuantizedDataset& train_;
+  const SamplePlanes& train_;
   std::size_t n_samples_ = 0;
-  int n_features_ = 0;
   int n_layers_ = 0;
   std::int64_t act_max_ = 0;  ///< QReLU clamp, (1 << act_bits) - 1
   double accuracy_before_ = 0.0;
-
-  std::vector<std::int64_t> in0_;              ///< widened input codes, S x F
-  std::vector<int> width_;                     ///< n_out per layer
-  std::vector<std::vector<std::int64_t>> acc_; ///< per layer: S x n_out
-  std::vector<std::vector<std::int64_t>> act_; ///< per layer: S x n_out
-  std::vector<int> shift_;                     ///< mirror of qrelu_shift
-  std::vector<std::int32_t> pred_;             ///< per sample
-  std::vector<std::uint8_t> correct_;          ///< per sample
   long n_correct_ = 0;
 
-  // Trial scratch (reused; sized by the widest layer).
-  std::vector<std::int32_t> changed_idx_, next_changed_idx_;
-  std::vector<std::int64_t> changed_old_, next_changed_old_;
-  std::vector<SlotUndo> undo_slots_;
-  std::vector<PredUndo> undo_pred_;
-
-  EvalWorkspace block_ws_;  ///< sample-block planes for the batched rebuild
+  std::vector<CompiledLayer> layers_;  ///< the committed parameters
+  std::vector<CompiledConn> column_;   ///< rank-1 scratch: next layer's column
+  std::variant<Memo<std::int32_t>, Memo<std::int64_t>> memo_;
 
   RefineEngineStats stats_;
 };
