@@ -14,6 +14,7 @@
 #include <random>
 #include <vector>
 
+#include "backprop_oracle.hpp"
 #include "bench_common.hpp"
 #include "pmlp/core/chromosome.hpp"
 #include "pmlp/core/eval_engine.hpp"
@@ -326,7 +327,7 @@ void BM_TrainStepNaive(benchmark::State& state) {
   cfg.seed = 7;
   mlp::FloatMlp net(topo, 7);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(mlp::train_backprop_naive(net, data, cfg));
+    benchmark::DoNotOptimize(oracles::train_backprop_naive(net, data, cfg));
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

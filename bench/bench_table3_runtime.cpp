@@ -18,6 +18,7 @@
 #include <map>
 #include <sstream>
 
+#include "backprop_oracle.hpp"
 #include "bench_common.hpp"
 #include "pmlp/core/campaign.hpp"
 #include "pmlp/mlp/train_engine.hpp"
@@ -112,7 +113,7 @@ int main() {
                                           core::make_pool(env_threads).get());
     mlp::FloatMlp naive_net(core::paper_topology(pr.name), 77);
     const auto naive =
-        mlp::train_backprop_naive(naive_net, flow.baseline.train_raw, bp);
+        oracles::train_backprop_naive(naive_net, flow.baseline.train_raw, bp);
     sum_naive += naive.wall_seconds;
     grad_samples += static_cast<double>(grad.epochs_run) *
                     static_cast<double>(flow.baseline.train_raw.size());

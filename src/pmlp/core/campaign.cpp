@@ -7,6 +7,7 @@
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "pmlp/core/thread_pool.hpp"
 #include "pmlp/core/worker.hpp"
@@ -33,11 +34,24 @@ const char* campaign_flow_status_name(CampaignFlowStatus s) {
 }
 
 struct CampaignRunner::FlowState {
+  /// The upstream artifacts a follower adopts from its leader.
+  struct Upstream {
+    SplitArtifacts split;
+    mlp::FloatMlp float_net;
+    BaselinePricing baseline;
+  };
+
   CampaignFlowSpec spec;
   std::unique_ptr<FlowEngine> engine;
   CampaignFlowOutcome outcome;
   std::chrono::steady_clock::time_point started;
   bool started_once = false;
+  std::size_t rolled_up = 0;  ///< engine stage reports already rolled up
+  /// Leader only: parked flows with the same upstream key, add_flow order.
+  std::vector<std::size_t> followers;
+  /// Follower only: set by the leader on hand-over, adopted by the
+  /// follower's first step.
+  std::optional<Upstream> upstream;
 };
 
 struct CampaignRunner::Impl {
@@ -94,7 +108,12 @@ void CampaignRunner::finish_flow(FlowState& st, CampaignFlowStatus status,
   st.outcome.error = error;
   st.outcome.wall_seconds =
       st.started_once ? seconds_since(st.started) : 0.0;
+  // A leader that ends before its baseline (failed or stopped) releases its
+  // followers without artifacts: they compute on their own, or end as
+  // kPending on a stop. No parked flow outlives run().
+  release_followers(st, /*adopt=*/false);
   st.engine.reset();  // free artifacts of failed/stopped flows eagerly
+  st.upstream.reset();
   {
     std::lock_guard<std::mutex> lock(impl_->mutex);
     switch (status) {
@@ -107,6 +126,19 @@ void CampaignRunner::finish_flow(FlowState& st, CampaignFlowStatus status,
     --impl_->remaining;
   }
   impl_->cv.notify_all();
+}
+
+void CampaignRunner::release_followers(FlowState& leader, bool adopt) {
+  while (!leader.followers.empty()) {
+    const std::size_t f = leader.followers.front();
+    if (adopt) {
+      flows_[f]->upstream.emplace(FlowState::Upstream{
+          leader.engine->split(), leader.engine->float_net(),
+          leader.engine->baseline()});
+    }
+    leader.followers.erase(leader.followers.begin());
+    impl_->pool->submit([this, f] { step(f); });
+  }
 }
 
 void CampaignRunner::step(std::size_t index) {
@@ -125,11 +157,20 @@ void CampaignRunner::step(std::size_t index) {
     st.started = std::chrono::steady_clock::now();
   }
 
-  // Run exactly one pipeline stage. A throw (corrupt checkpoint, I/O error,
-  // bad artifact) fails only this flow.
+  // Run exactly one pipeline stage, or adopt the leader's three upstream
+  // stages. A throw (corrupt checkpoint, I/O error, bad artifact) fails
+  // only this flow.
   std::optional<FlowStage> ran;
   try {
-    ran = st.engine->advance();
+    if (st.upstream) {
+      FlowState::Upstream up = std::move(*st.upstream);
+      st.upstream.reset();
+      st.engine->adopt_upstream(std::move(up.split), std::move(up.float_net),
+                                std::move(up.baseline));
+      ran = FlowStage::kBaseline;
+    } else {
+      ran = st.engine->advance();
+    }
   } catch (const std::exception& e) {
     finish_flow(st, CampaignFlowStatus::kFailed, e.what());
     return;
@@ -165,37 +206,42 @@ void CampaignRunner::step(std::size_t index) {
     return;
   }
 
-  // Roll the stage into the campaign aggregates, report progress (the
-  // callback is serialized under the scheduler mutex) and schedule the
-  // continuation: the flow's next stage goes to the BACK of the shared
-  // FIFO queue — round-robin fairness across flows at stage granularity.
-  // Everything here must stay inside the try: a throw that escaped this
-  // pool task would be swallowed by its discarded future, the flow would
-  // never finish and run() would wait forever.
+  // Roll the new stage reports (three after an adoption) into the campaign
+  // aggregates, report progress (the callback is serialized under the
+  // scheduler mutex), hand the upstream artifacts to the followers once the
+  // baseline is done, and schedule the continuation: the flow's next stage
+  // goes to the BACK of the shared FIFO queue — round-robin fairness across
+  // flows at stage granularity. Everything here must stay inside the try: a
+  // throw that escaped this pool task would be swallowed by its discarded
+  // future, the flow would never finish and run() would wait forever.
   std::string error;
   try {
-    const StageReport rep = st.engine->stages().back();
     {
       std::lock_guard<std::mutex> lock(impl_->mutex);
-      auto& roll = impl_->result.stages[static_cast<int>(rep.stage)];
-      roll.wall_seconds += rep.wall_seconds;
-      roll.items += rep.items;
-      ++roll.executed;
-      if (rep.reused) ++roll.reused;
-      impl_->result.stage_wall_seconds += rep.wall_seconds;
-      if (progress_) {
-        const CampaignProgress p{index, st.spec.name, rep, impl_->done,
-                                 static_cast<int>(flows_.size())};
-        try {
-          progress_(p);
-        } catch (const std::exception& e) {
-          error = std::string("progress callback: ") + e.what();
-        } catch (...) {
-          error = "progress callback: unknown error";
+      const auto& reports = st.engine->stages();
+      while (error.empty() && st.rolled_up < reports.size()) {
+        const StageReport& rep = reports[st.rolled_up++];
+        auto& roll = impl_->result.stages[static_cast<int>(rep.stage)];
+        roll.wall_seconds += rep.wall_seconds;
+        roll.items += rep.items;
+        ++roll.executed;
+        if (rep.reused) ++roll.reused;
+        impl_->result.stage_wall_seconds += rep.wall_seconds;
+        if (progress_) {
+          const CampaignProgress p{index, st.spec.name, rep, impl_->done,
+                                   static_cast<int>(flows_.size())};
+          try {
+            progress_(p);
+          } catch (const std::exception& e) {
+            error = std::string("progress callback: ") + e.what();
+          } catch (...) {
+            error = "progress callback: unknown error";
+          }
         }
       }
     }
     if (error.empty()) {
+      if (*ran == FlowStage::kBaseline) release_followers(st, /*adopt=*/true);
       impl_->pool->submit([this, index] { step(index); });
       return;  // continuation scheduled; this flow finishes later
     }
@@ -232,9 +278,25 @@ CampaignResult CampaignRunner::run() {
     }
   }
 
+  // Flows with one upstream key compute split, backprop and baseline once:
+  // the first of each group in add_flow order leads and is submitted now;
+  // the others park until the leader hands its artifacts over (step) or
+  // ends without them (finish_flow).
+  std::vector<std::size_t> leaders;
+  std::unordered_map<std::uint64_t, std::size_t> leader_of;
+  for (std::size_t i = 0; i < flows_.size(); ++i) {
+    const auto [it, first] =
+        leader_of.emplace(flows_[i]->engine->upstream_fingerprint(), i);
+    if (first) {
+      leaders.push_back(i);
+    } else {
+      flows_[it->second]->followers.push_back(i);
+    }
+  }
+
   if (!flows_.empty()) {
     impl_->pool = std::make_unique<ThreadPool>(workers);
-    for (std::size_t i = 0; i < flows_.size(); ++i) {
+    for (std::size_t i : leaders) {
       impl_->pool->submit([this, i] { step(i); });
     }
     {

@@ -16,10 +16,33 @@
 // thread count, each flow's result is exactly what an independent run_flow()
 // call would produce.
 //
+// Leaders and followers. Flows with the same
+// FlowEngine::upstream_fingerprint() (dataset, topology, split, backprop
+// config, bit widths — typically the GA seeds of one dataset) would compute
+// bit-identical split, backprop and baseline stages, so the campaign
+// computes them once. run() groups the flows by that key: the first of each
+// group in add_flow() order is its leader and is submitted at start; the
+// others are followers and stay parked. When the leader's baseline stage
+// completes (computed or reloaded), each follower gets a copy of the
+// leader's upstream artifacts, and is submitted at the back of the queue,
+// where its first step adopts them (FlowEngine::adopt_upstream()). Adopted
+// stages are reported as reused with 0 s wall through the same rollups and
+// progress callback. A leader that fails or is stopped before its baseline
+// releases its followers without artifacts: they compute their own
+// upstream, or end kPending on a stop. No worker ever blocks on another
+// flow, and no parked flow outlives run().
+//
 // Checkpointing. With a checkpoint_root, flow `name` persists under
 // `<root>/<name>/` through the ordinary FlowEngine artifact formats, so a
 // killed campaign restarts cheaply: a later run with the same specs reloads
 // every completed stage bit-identically and recomputes only what is missing.
+// A follower commits each adopted artifact that its own directory lacks, so
+// every flow directory is a complete checkpoint, byte-identical to one the
+// flow would have written alone — usable by a lone FlowEngine,
+// `campaign --worker`, `campaign status` and `verify-rtl` — and its later
+// stages reload or recompute exactly as if it had run the three upstream
+// stages itself. The distributed CampaignWorker (worker.hpp) does not share
+// upstream stages: each worker process computes its flow's own.
 //
 // Failure isolation. A flow that throws (corrupt checkpoint, bad artifact,
 // ...) is recorded as failed with its error message; the remaining flows run
@@ -79,7 +102,8 @@ struct CampaignStageRollup {
   double wall_seconds = 0.0;  ///< summed stage walls (compute or reload)
   long items = 0;             ///< summed stage work counters
   int executed = 0;           ///< stage runs, reloads included
-  int reused = 0;             ///< of which checkpoint reloads
+  int reused = 0;             ///< of which reloaded or adopted from another
+                              ///< flow
 };
 
 struct CampaignResult {
@@ -153,6 +177,9 @@ class CampaignRunner {
   struct FlowState;
 
   void step(std::size_t index);
+  /// Submit every parked follower of `leader`, each with a copy of the
+  /// leader's upstream artifacts when `adopt`.
+  void release_followers(FlowState& leader, bool adopt);
   void finish_flow(FlowState& st, CampaignFlowStatus status,
                    const std::string& error);
 

@@ -20,6 +20,9 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr const char* kMetaFile = "meta.txt";
+/// The split stage's four artifacts.
+constexpr std::initializer_list<const char*> kSplitFiles = {
+    "train_raw.ds", "test_raw.ds", "train.qds", "test.qds"};
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -65,6 +68,35 @@ bool load_artifact(const std::string& path,
     quarantine_artifact(path);
     return false;
   }
+}
+
+/// The inputs of the split, backprop and baseline stages, hashed in the
+/// order config_fingerprint() has always used: topology, split, backprop,
+/// then bit widths. config_fingerprint() continues from this state, so the
+/// field list exists once.
+Fnv1a hash_upstream_inputs(const mlp::Topology& topology,
+                           const FlowConfig& c) {
+  Fnv1a h;
+  h.u64(topology.layers.size());
+  for (int n : topology.layers) h.i64(n);
+  h.f64(c.train_fraction);
+  h.u64(c.split_seed);
+  const auto& bp = c.backprop;
+  h.i64(bp.epochs);
+  h.i64(bp.batch_size);
+  h.f64(bp.learning_rate);
+  h.f64(bp.momentum);
+  h.f64(bp.lr_decay);
+  h.f64(bp.l2);
+  h.f64(bp.relu_leak);
+  h.i64(bp.restarts);
+  h.u64(bp.seed);
+  const auto& b = c.trainer.bits;
+  h.i64(b.weight_bits);
+  h.i64(b.input_bits);
+  h.i64(b.act_bits);
+  h.i64(b.bias_bits);
+  return h;
 }
 
 }  // namespace
@@ -138,6 +170,40 @@ FlowEngine& FlowEngine::provide_training(TrainingResult training) {
   return *this;
 }
 
+FlowEngine& FlowEngine::adopt_upstream(SplitArtifacts split,
+                                       mlp::FloatMlp net,
+                                       BaselinePricing pricing) {
+  if (split_ || float_net_ || pricing_) {
+    throw std::logic_error(
+        "FlowEngine::adopt_upstream: an upstream stage already ran");
+  }
+  ensure_checkpoint();
+  split_ = std::move(split);
+  float_net_ = std::move(net);
+  pricing_ = std::move(pricing);
+  // Each artifact is committed exactly where the stage would have
+  // recomputed it (missing, or downstream of a recompute), so the reload
+  // decisions of the later stages are those of a flow that ran all three.
+  if (!reloadable(kSplitFiles)) {
+    commit_split();
+    upstream_recomputed_ = true;
+  }
+  report(FlowStage::kSplit, 0.0, /*reused=*/true,
+         static_cast<long>(split_->train.size() + split_->test.size()));
+  if (!reloadable({"float_net.txt"})) {
+    commit_float_net();
+    upstream_recomputed_ = true;
+  }
+  report(FlowStage::kBackprop, 0.0, /*reused=*/true, config_.backprop.epochs);
+  if (!reloadable({"baseline.txt"})) {
+    commit_baseline();
+    upstream_recomputed_ = true;
+  }
+  report(FlowStage::kBaseline, 0.0, /*reused=*/true,
+         pricing_->cost.cell_count);
+  return *this;
+}
+
 ThreadPool* FlowEngine::pool() {
   if (!pool_) pool_ = make_pool(config_.trainer.n_threads);
   return pool_.get();
@@ -151,27 +217,10 @@ std::uint64_t FlowEngine::config_fingerprint() const {
   // Everything that changes results. The bit-identical knobs —
   // trainer.n_threads and problem.eval_cache_capacity — are deliberately
   // excluded so a checkpoint can be resumed with different parallelism.
-  Fnv1a h;
-  h.u64(topology_.layers.size());
-  for (int n : topology_.layers) h.i64(n);
+  // The hash continues from the upstream slice, so the fields keep the
+  // order (and the values) that checkpoints on disk were written with.
+  Fnv1a h = hash_upstream_inputs(topology_, config_);
   const FlowConfig& c = config_;
-  h.f64(c.train_fraction);
-  h.u64(c.split_seed);
-  const auto& bp = c.backprop;
-  h.i64(bp.epochs);
-  h.i64(bp.batch_size);
-  h.f64(bp.learning_rate);
-  h.f64(bp.momentum);
-  h.f64(bp.lr_decay);
-  h.f64(bp.l2);
-  h.f64(bp.relu_leak);
-  h.i64(bp.restarts);
-  h.u64(bp.seed);
-  const auto& b = c.trainer.bits;
-  h.i64(b.weight_bits);
-  h.i64(b.input_bits);
-  h.i64(b.act_bits);
-  h.i64(b.bias_bits);
   const auto& ga = c.trainer.ga;
   h.i64(ga.population);
   h.i64(ga.generations);
@@ -192,6 +241,12 @@ std::uint64_t FlowEngine::config_fingerprint() const {
   h.f64(c.refine_max_point_loss);
   h.f64(c.report_max_loss);
   h.i64(c.hardware.equivalence_samples);
+  return h.state;
+}
+
+std::uint64_t FlowEngine::upstream_fingerprint() const {
+  Fnv1a h = hash_upstream_inputs(topology_, config_);
+  h.u64(dataset_digest(data_));
   return h.state;
 }
 
@@ -253,13 +308,49 @@ void FlowEngine::report(FlowStage stage, double wall_seconds, bool reused,
 
 // ------------------------------------------------------------------ stages
 
+bool FlowEngine::reloadable(std::initializer_list<const char*> files) const {
+  if (checkpoint_dir_.empty() || upstream_recomputed_) return false;
+  for (const char* f : files) {
+    if (!fs::exists(path(f))) return false;
+  }
+  return true;
+}
+
+void FlowEngine::commit_split() const {
+  if (checkpoint_dir_.empty()) return;
+  write_artifact(path("train_raw.ds"), [&](std::ostream& os) {
+    save_dataset(split_->train_raw, os);
+  });
+  write_artifact(path("test_raw.ds"), [&](std::ostream& os) {
+    save_dataset(split_->test_raw, os);
+  });
+  write_artifact(path("train.qds"), [&](std::ostream& os) {
+    save_quant_dataset(split_->train, os);
+  });
+  write_artifact(path("test.qds"), [&](std::ostream& os) {
+    save_quant_dataset(split_->test, os);
+  });
+}
+
+void FlowEngine::commit_float_net() const {
+  if (checkpoint_dir_.empty()) return;
+  write_artifact(path("float_net.txt"), [&](std::ostream& os) {
+    save_float_mlp(*float_net_, os);
+  });
+}
+
+void FlowEngine::commit_baseline() const {
+  if (checkpoint_dir_.empty()) return;
+  write_artifact(path("baseline.txt"), [&](std::ostream& os) {
+    save_baseline_pricing(*pricing_, os);
+  });
+}
+
 void FlowEngine::stage_split() {
   if (split_) return;
   ensure_checkpoint();
   const auto t0 = std::chrono::steady_clock::now();
-  if (!checkpoint_dir_.empty() && !upstream_recomputed_ &&
-      fs::exists(path("train_raw.ds")) && fs::exists(path("test_raw.ds")) &&
-      fs::exists(path("train.qds")) && fs::exists(path("test.qds"))) {
+  if (reloadable(kSplitFiles)) {
     SplitArtifacts s;
     const bool ok =
         load_artifact(path("train_raw.ds"),
@@ -288,21 +379,7 @@ void FlowEngine::stage_split() {
   s.train_raw = std::move(halves.train);
   s.test_raw = std::move(halves.test);
   split_ = std::move(s);
-
-  if (!checkpoint_dir_.empty()) {
-    write_artifact(path("train_raw.ds"), [&](std::ostream& os) {
-      save_dataset(split_->train_raw, os);
-    });
-    write_artifact(path("test_raw.ds"), [&](std::ostream& os) {
-      save_dataset(split_->test_raw, os);
-    });
-    write_artifact(path("train.qds"), [&](std::ostream& os) {
-      save_quant_dataset(split_->train, os);
-    });
-    write_artifact(path("test.qds"), [&](std::ostream& os) {
-      save_quant_dataset(split_->test, os);
-    });
-  }
+  commit_split();
   upstream_recomputed_ = true;
   report(FlowStage::kSplit, seconds_since(t0), /*reused=*/false,
          static_cast<long>(split_->train.size() + split_->test.size()));
@@ -313,8 +390,7 @@ void FlowEngine::stage_backprop() {
   stage_split();
   ensure_checkpoint();
   const auto t0 = std::chrono::steady_clock::now();
-  if (!checkpoint_dir_.empty() && !upstream_recomputed_ &&
-      fs::exists(path("float_net.txt"))) {
+  if (reloadable({"float_net.txt"})) {
     if (load_artifact(path("float_net.txt"), [&](std::istream& is) {
           float_net_ = load_float_mlp(is);
         })) {
@@ -327,11 +403,7 @@ void FlowEngine::stage_backprop() {
   float_net_ = mlp::train_float_mlp(topology_, split_->train_raw,
                                     config_.backprop, &backprop_report_,
                                     pool());
-  if (!checkpoint_dir_.empty()) {
-    write_artifact(path("float_net.txt"), [&](std::ostream& os) {
-      save_float_mlp(*float_net_, os);
-    });
-  }
+  commit_float_net();
   upstream_recomputed_ = true;
   report(FlowStage::kBackprop, seconds_since(t0), /*reused=*/false,
          config_.backprop.epochs);
@@ -342,8 +414,7 @@ void FlowEngine::stage_baseline() {
   stage_backprop();
   ensure_checkpoint();
   const auto t0 = std::chrono::steady_clock::now();
-  if (!checkpoint_dir_.empty() && !upstream_recomputed_ &&
-      fs::exists(path("baseline.txt"))) {
+  if (reloadable({"baseline.txt"})) {
     if (load_artifact(path("baseline.txt"), [&](std::istream& is) {
           pricing_ = load_baseline_pricing(is);
         })) {
@@ -363,12 +434,7 @@ void FlowEngine::stage_baseline() {
       netlist::to_bespoke_desc(p.net, split_->train_raw.name + "_exact"));
   p.cost = netlist::optimize(circuit.nl).cost(hwmodel::CellLibrary::egfet_1v());
   pricing_ = std::move(p);
-
-  if (!checkpoint_dir_.empty()) {
-    write_artifact(path("baseline.txt"), [&](std::ostream& os) {
-      save_baseline_pricing(*pricing_, os);
-    });
-  }
+  commit_baseline();
   upstream_recomputed_ = true;
   report(FlowStage::kBaseline, seconds_since(t0), /*reused=*/false,
          pricing_->cost.cell_count);
@@ -379,8 +445,7 @@ void FlowEngine::stage_ga() {
   stage_baseline();
   ensure_checkpoint();
   const auto t0 = std::chrono::steady_clock::now();
-  if (!checkpoint_dir_.empty() && !upstream_recomputed_ &&
-      fs::exists(path("ga_front.txt"))) {
+  if (reloadable({"ga_front.txt"})) {
     if (load_artifact(path("ga_front.txt"), [&](std::istream& is) {
           training_ = load_training_result(is);
         })) {
@@ -450,8 +515,7 @@ void FlowEngine::stage_refine() {
   stage_ga();
   ensure_checkpoint();
   const auto t0 = std::chrono::steady_clock::now();
-  if (!checkpoint_dir_.empty() && !upstream_recomputed_ &&
-      fs::exists(path("refined_front.txt"))) {
+  if (reloadable({"refined_front.txt"})) {
     if (load_artifact(path("refined_front.txt"), [&](std::istream& is) {
           training_ = load_training_result(is);
         })) {
@@ -483,8 +547,7 @@ void FlowEngine::stage_hardware() {
   stage_ga();  // refine may be disabled
   ensure_checkpoint();
   const auto t0 = std::chrono::steady_clock::now();
-  if (!checkpoint_dir_.empty() && !upstream_recomputed_ &&
-      fs::exists(path("evaluated.txt"))) {
+  if (reloadable({"evaluated.txt"})) {
     if (load_artifact(path("evaluated.txt"), [&](std::istream& is) {
           evaluated_ = load_evaluated_points(is);
         })) {

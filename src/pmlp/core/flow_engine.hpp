@@ -49,9 +49,25 @@
 // Benches that already hold a trained baseline can inject artifacts with
 // the provide_*() calls; injected stages are reported as reused and are not
 // written to the checkpoint.
+//
+// Adoption: adopt_upstream() hands the engine the split, float net and
+// baseline of another flow with the same upstream_fingerprint() (same
+// dataset, topology, split, backprop config and bit widths), which are
+// bit-identical to what its own first three stages would compute. The
+// campaign runner uses it so that GA seeds of one dataset train one
+// baseline. The three stages are reported as reused with 0 s wall and an
+// empty BackpropReport, like a checkpoint reload. Unlike provide_*(), a
+// checkpointing engine commits each adopted artifact that its own stage
+// would have written (missing on disk, or downstream of one that was), so
+// its directory stays a complete checkpoint and its later stages reload or
+// recompute exactly as if it had run the three stages itself. An adopted
+// artifact already on disk is not re-read, so a corrupt one is quarantined
+// only by the next engine that loads it.
 #pragma once
 
+#include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <optional>
 #include <string>
 
@@ -84,6 +100,18 @@ class FlowEngine {
   FlowEngine& provide_float_net(mlp::FloatMlp net);
   FlowEngine& provide_baseline(BaselinePricing pricing);
   FlowEngine& provide_training(TrainingResult training);
+
+  /// Take over the first three stages from a flow with the same
+  /// upstream_fingerprint() (see the header). Must be called before any
+  /// stage ran; throws std::logic_error otherwise, and std::runtime_error
+  /// on a checkpoint meta mismatch or a failed artifact commit.
+  FlowEngine& adopt_upstream(SplitArtifacts split, mlp::FloatMlp net,
+                             BaselinePricing pricing);
+
+  /// Digest of everything the split, backprop and baseline stages read:
+  /// the dataset, topology, split, backprop config and bit widths. Engines
+  /// with equal values compute bit-identical upstream artifacts.
+  [[nodiscard]] std::uint64_t upstream_fingerprint() const;
 
   // Lazy stage access: each accessor runs (or checkpoint-loads) the
   // pipeline up to the stage producing the artifact.
@@ -133,6 +161,14 @@ class FlowEngine {
   [[nodiscard]] FlowResult assemble(bool move_out);
   [[nodiscard]] std::string path(const char* file) const;
   [[nodiscard]] std::uint64_t config_fingerprint() const;
+  /// True when checkpointing is on, no upstream stage recomputed and every
+  /// one of `files` exists: the stage reloads instead of computing.
+  [[nodiscard]] bool reloadable(
+      std::initializer_list<const char*> files) const;
+  // Commit a stage's artifacts (no-ops without a checkpoint directory).
+  void commit_split() const;
+  void commit_float_net() const;
+  void commit_baseline() const;
   void report(FlowStage stage, double wall_seconds, bool reused, long items);
   /// The flow's pool, built on first use; null when trainer.n_threads
   /// resolves to 1.
@@ -160,7 +196,8 @@ class FlowEngine {
   std::optional<SplitArtifacts> split_;
   std::optional<mlp::FloatMlp> float_net_;
   /// TrainEngine report of a backprop stage executed in this process
-  /// (zeros when the stage was reloaded or injected — not checkpointed).
+  /// (zeros when the stage was reloaded, injected or adopted — not
+  /// checkpointed).
   mlp::BackpropReport backprop_report_;
   std::optional<BaselinePricing> pricing_;
   std::optional<TrainingResult> training_;

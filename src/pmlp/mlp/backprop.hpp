@@ -1,10 +1,9 @@
 // Mini-batch SGD with momentum on softmax cross-entropy — the conventional
 // gradient-based training the paper compares against in Table III.
 //
-// Two implementations share this interface: train_backprop() runs the
-// sample-blocked SIMD TrainEngine (train_engine.hpp) and is the default
-// everywhere; train_backprop_naive() is the original per-sample scalar
-// loop, kept as the reference oracle the engine is tested against.
+// train_backprop() runs the sample-blocked SIMD TrainEngine
+// (train_engine.hpp). The original per-sample scalar loop it is tested
+// against lives outside the library, in oracles/backprop_oracle.hpp.
 #pragma once
 
 #include <cstdint>
@@ -55,12 +54,6 @@ struct BackpropReport {
 BackpropReport train_backprop(FloatMlp& net, const datasets::Dataset& train,
                               const BackpropConfig& cfg,
                               core::ThreadPool* pool = nullptr);
-
-/// The original per-sample scalar loop — reference oracle for the engine
-/// (same update rule, no blocking, no threads, no SIMD).
-BackpropReport train_backprop_naive(FloatMlp& net,
-                                    const datasets::Dataset& train,
-                                    const BackpropConfig& cfg);
 
 /// Convenience: init + train (engine-backed, cfg.restarts restarts sharing
 /// one TrainEngine on the borrowed `pool`) + return the most accurate

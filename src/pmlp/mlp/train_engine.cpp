@@ -256,7 +256,7 @@ BackpropReport TrainEngine::train(FloatMlp& net, std::uint64_t seed) {
       }
 
       // Momentum SGD step with L2 — arithmetic kept verbatim from the
-      // naive oracle (backprop.cpp).
+      // naive oracle (oracles/backprop_oracle.cpp).
       for (std::size_t l = 0; l < layers.size(); ++l) {
         auto& layer = layers[l];
         double* dw = ws_.grad_.data() + w_off_[l];

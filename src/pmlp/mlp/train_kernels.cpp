@@ -20,10 +20,10 @@ namespace {
 //
 // The whole block under scalar dispatch, and the nb % lanes tail of the
 // SIMD variants. Per sample this is the exact image of the per-sample naive
-// loop in backprop.cpp: same multiplies, same adds, same order (on targets
-// without implicit FMA contraction the scalar sweep is bit-identical to
-// train_backprop_naive for a single-block batch — train_engine_test pins
-// that down on x86-64).
+// loop in oracles/backprop_oracle.cpp: same multiplies, same adds, same
+// order (on targets without implicit FMA contraction the scalar sweep is
+// bit-identical to train_backprop_naive for a single-block batch —
+// train_engine_test pins that down on x86-64).
 
 void forward_scalar(const double* w, const double* bias, int n_in, int n_out,
                     const double* in, double* out, int nb, int s0, int s1,

@@ -2,7 +2,8 @@
 // bit-identity against independent run_flow() calls for any pool size,
 // checkpoint/resume (including a mid-campaign stop, the in-process stand-in
 // for a kill), resume with a different thread count, failure isolation,
-// stage rollups and the JSON report.
+// upstream sharing between flows with one upstream key (adoption, leader
+// failure and stop), stage rollups and the JSON report.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -63,6 +64,24 @@ std::vector<core::CampaignFlowSpec> grid() {
   specs[1] = {"bc_s2", "BreastCancer", bc_data(), bc_topo(), small_cfg(2)};
   specs[2] = {"wine_s1", "RedWine", wine_data(), wine_topo(), small_cfg(1)};
   return specs;
+}
+
+std::string slurp(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+/// The checkpoint artifacts of the split, backprop and baseline stages.
+constexpr const char* kUpstreamFiles[] = {"train_raw.ds", "test_raw.ds",
+                                          "train.qds",    "test.qds",
+                                          "float_net.txt", "baseline.txt"};
+
+bool is_upstream(core::FlowStage stage) {
+  return stage == core::FlowStage::kSplit ||
+         stage == core::FlowStage::kBackprop ||
+         stage == core::FlowStage::kBaseline;
 }
 
 /// Independent single-flow references for the grid (what the campaign's
@@ -202,16 +221,166 @@ TEST(Campaign, FailureIsolation) {
 
 TEST(Campaign, StageRollupsCoverEveryFlow) {
   const auto result = run_campaign(2);
-  // 3 flows x 7 stages, none reused (no checkpointing).
+  // 3 flows x 7 stages. No checkpointing, so the only reuse is bc_s2
+  // adopting bc_s1's split, backprop and baseline.
   for (int s = 0; s < core::kNumFlowStages; ++s) {
-    EXPECT_EQ(result.stages[s].executed, 3)
-        << core::flow_stage_name(static_cast<core::FlowStage>(s));
-    EXPECT_EQ(result.stages[s].reused, 0);
+    const auto stage = static_cast<core::FlowStage>(s);
+    EXPECT_EQ(result.stages[s].executed, 3) << core::flow_stage_name(stage);
+    EXPECT_EQ(result.stages[s].reused, is_upstream(stage) ? 1 : 0)
+        << core::flow_stage_name(stage);
   }
   EXPECT_GT(result.stage_wall_seconds, 0.0);
   EXPECT_GT(result.wall_seconds, 0.0);
   EXPECT_GT(result.flows_per_second(), 0.0);
   EXPECT_EQ(result.n_threads, 2);
+}
+
+TEST(Campaign, SecondSeedAdoptsTheFirstSeedsBaseline) {
+  // bc_s1 and bc_s2 differ only in the GA seed: bc_s2 adopts bc_s1's
+  // split, backprop and baseline instead of training its own, and still
+  // ends bit-identical to an independent run_flow().
+  const auto refs = grid_references();
+  for (int threads : {1, 2}) {
+    const auto result = run_campaign(threads);
+    expect_matches_references(result, refs);
+    for (std::size_t f = 0; f < 3; ++f) {
+      const auto& flow = *result.flows[f].result;
+      ASSERT_EQ(flow.stages.size(), 7u);
+      for (const auto& s : flow.stages) {
+        const bool adopted = f == 1 && is_upstream(s.stage);
+        EXPECT_EQ(s.reused, adopted)
+            << result.flows[f].name << " " << core::flow_stage_name(s.stage);
+        if (adopted) {
+          EXPECT_EQ(s.wall_seconds, 0.0);
+        }
+      }
+    }
+    // The follower's backprop report is the empty one of a reload.
+    EXPECT_GT(result.flows[0].result->backprop.epochs_run, 0);
+    EXPECT_EQ(result.flows[1].result->backprop.epochs_run, 0);
+  }
+}
+
+TEST(Campaign, FollowerCheckpointIsCompleteAndByteIdentical) {
+  TempDir dir("adopt");
+  const auto refs = grid_references();
+  expect_matches_references(run_campaign(2, dir.path.string()), refs);
+  for (const char* f : kUpstreamFiles) {
+    ASSERT_TRUE(fs::exists(dir.path / "bc_s2" / f)) << f;
+    EXPECT_EQ(slurp(dir.path / "bc_s2" / f), slurp(dir.path / "bc_s1" / f))
+        << f;
+  }
+
+  // The follower's directory is a checkpoint on its own: a lone engine
+  // reloads every checkpointed stage from it.
+  auto spec = grid()[1];
+  core::FlowEngine lone(std::move(spec.data), spec.topology, spec.config);
+  lone.set_checkpoint_dir((dir.path / "bc_s2").string());
+  const auto result = lone.run();
+  expect_same_result(result, refs[1]);
+  int reused = 0;
+  for (const auto& s : result.stages) reused += s.reused ? 1 : 0;
+  EXPECT_EQ(reused, 6);
+}
+
+TEST(Campaign, FollowerOfAResumedLeaderCommitsItsUpstream) {
+  // bc_s1 alone first; then the whole grid on the same root. bc_s1
+  // reloads its baseline and hands it to bc_s2, whose empty directory
+  // receives the upstream artifacts while its GA runs fresh.
+  TempDir dir("late");
+  const auto refs = grid_references();
+  {
+    core::CampaignConfig cfg;
+    cfg.n_threads = 2;
+    cfg.checkpoint_root = dir.path.string();
+    core::CampaignRunner runner(cfg);
+    runner.add_flow(grid()[0]);
+    ASSERT_TRUE(runner.run().all_ok());
+  }
+  const auto result = run_campaign(2, dir.path.string());
+  expect_matches_references(result, refs);
+  for (const auto& s : result.flows[1].result->stages) {
+    EXPECT_EQ(s.reused, is_upstream(s.stage)) << core::flow_stage_name(s.stage);
+  }
+  for (const char* f : kUpstreamFiles) {
+    EXPECT_EQ(slurp(dir.path / "bc_s2" / f), slurp(dir.path / "bc_s1" / f))
+        << f;
+  }
+  EXPECT_TRUE(fs::exists(dir.path / "bc_s2" / "evaluated.txt"));
+}
+
+TEST(Campaign, DifferentUpstreamInputsAreNotShared) {
+  // Each variant changes one upstream input of bc_s1 (and the GA seed,
+  // which alone would be shared): none of them may adopt.
+  std::vector<core::CampaignFlowSpec> specs(4);
+  specs[0] = {"base", "BreastCancer", bc_data(), bc_topo(), small_cfg(1)};
+  specs[1] = specs[0];
+  specs[1].name = "backprop_seed";
+  specs[1].config.backprop.seed = 62;
+  specs[2] = specs[0];
+  specs[2].name = "topology";
+  specs[2].topology = pmlp::mlp::Topology{{10, 4, 2}};
+  specs[3] = specs[0];
+  specs[3].name = "split_seed";
+  specs[3].config.split_seed += 1;
+  for (std::size_t i = 1; i < specs.size(); ++i) {
+    specs[i].config.trainer.ga.seed = 2;
+  }
+  core::CampaignConfig cfg;
+  cfg.n_threads = 2;
+  core::CampaignRunner runner(cfg);
+  for (auto spec : specs) runner.add_flow(std::move(spec));
+  const auto result = runner.run();
+  EXPECT_TRUE(result.all_ok());
+  for (int s = 0; s < core::kNumFlowStages; ++s) {
+    EXPECT_EQ(result.stages[s].executed, 4);
+    EXPECT_EQ(result.stages[s].reused, 0)
+        << core::flow_stage_name(static_cast<core::FlowStage>(s));
+  }
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    expect_same_result(*result.flows[i].result,
+                       core::run_flow(specs[i].data, specs[i].topology,
+                                      specs[i].config));
+  }
+}
+
+TEST(Campaign, FailedLeaderReleasesItsFollower) {
+  // The leader's checkpoint is poisoned, so it fails before its baseline;
+  // bc_s2 then computes its own upstream and still matches run_flow().
+  TempDir dir("leader");
+  fs::create_directories(dir.path / "bc_s1");
+  std::ofstream(dir.path / "bc_s1" / "meta.txt") << "pmlp-flow-meta v9\n";
+  const auto refs = grid_references();
+  const auto result = run_campaign(2, dir.path.string());
+  EXPECT_EQ(result.failed, 1);
+  EXPECT_EQ(result.completed, 2);
+  EXPECT_EQ(result.flows[0].status, core::CampaignFlowStatus::kFailed);
+  ASSERT_EQ(result.flows[1].status, core::CampaignFlowStatus::kDone)
+      << result.flows[1].error;
+  expect_same_result(*result.flows[1].result, refs[1]);
+  for (const auto& s : result.flows[1].result->stages) {
+    EXPECT_EQ(s.reused, false) << core::flow_stage_name(s.stage);
+  }
+  EXPECT_GT(result.flows[1].result->backprop.epochs_run, 0);
+}
+
+TEST(Campaign, StopBeforeLeaderBaselineLeavesFollowerPending) {
+  for (int threads : {1, 2}) {
+    core::CampaignConfig cfg;
+    cfg.n_threads = threads;
+    core::CampaignRunner runner(cfg);
+    for (auto& spec : grid()) runner.add_flow(std::move(spec));
+    runner.set_progress([&](const core::CampaignProgress& p) {
+      if (p.flow_name == "bc_s1") runner.request_stop();
+    });
+    const auto result = runner.run();
+    ASSERT_EQ(result.flows.size(), 3u);
+    EXPECT_EQ(result.flows[0].status, core::CampaignFlowStatus::kStopped);
+    EXPECT_EQ(result.flows[1].status, core::CampaignFlowStatus::kPending);
+    EXPECT_EQ(result.flows[1].wall_seconds, 0.0);
+    EXPECT_EQ(result.failed, 0);
+    EXPECT_EQ(result.completed + result.stopped + result.pending, 3);
+  }
 }
 
 TEST(Campaign, RejectsBadFlowNames) {

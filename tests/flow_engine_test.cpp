@@ -268,6 +268,120 @@ TEST(FlowEngine, InjectedArtifactsMatchFullRun) {
   EXPECT_EQ(reused, 3);  // split, backprop, baseline
 }
 
+TEST(FlowEngine, UpstreamFingerprintCoversOnlyUpstreamInputs) {
+  const auto data = small_data();
+  const auto key = [&](const ds::Dataset& d, const pmlp::mlp::Topology& t,
+                       const core::FlowConfig& c) {
+    return core::FlowEngine(d, t, c).upstream_fingerprint();
+  };
+  const auto base = key(data, small_topo(), small_cfg());
+
+  // Downstream-only inputs (GA, refine, hardware) do not change the key.
+  auto cfg = small_cfg();
+  cfg.trainer.ga.seed = 99;
+  cfg.trainer.ga.generations = 3;
+  cfg.refine = false;
+  cfg.hardware.equivalence_samples = 2;
+  EXPECT_EQ(key(data, small_topo(), cfg), base);
+
+  // Every upstream input does.
+  cfg = small_cfg();
+  cfg.backprop.seed = 62;
+  EXPECT_NE(key(data, small_topo(), cfg), base);
+  cfg = small_cfg();
+  cfg.split_seed += 1;
+  EXPECT_NE(key(data, small_topo(), cfg), base);
+  cfg = small_cfg();
+  cfg.train_fraction = 0.6;
+  EXPECT_NE(key(data, small_topo(), cfg), base);
+  cfg = small_cfg();
+  cfg.trainer.bits.weight_bits += 1;
+  EXPECT_NE(key(data, small_topo(), cfg), base);
+  EXPECT_NE(key(data, pmlp::mlp::Topology{{10, 4, 2}}, small_cfg()), base);
+  auto other = data;
+  other.labels[0] = 1 - other.labels[0];
+  EXPECT_NE(key(other, small_topo(), small_cfg()), base);
+}
+
+/// The split, float net and baseline of a finished engine, as a leader
+/// hands them to a follower.
+void adopt_from(core::FlowEngine& leader, core::FlowEngine& follower) {
+  follower.adopt_upstream(leader.split(), leader.float_net(),
+                          leader.baseline());
+}
+
+TEST(FlowEngine, AdoptedUpstreamCompletesTheCheckpoint) {
+  TempDir lead_dir("adopt_lead");
+  TempDir dir("adopt");
+  const auto data = small_data();
+  auto cfg = small_cfg();
+  core::FlowEngine leader(data, small_topo(), cfg);
+  leader.set_checkpoint_dir(lead_dir.path.string());
+  (void)leader.baseline();
+
+  cfg.trainer.ga.seed = 62;
+  const auto ref = core::run_flow(data, small_topo(), cfg);
+  core::FlowEngine follower(data, small_topo(), cfg);
+  follower.set_checkpoint_dir(dir.path.string());
+  adopt_from(leader, follower);
+  const auto r1 = follower.run();
+  expect_same_result(ref, r1);
+  EXPECT_EQ(r1.backprop.epochs_run, 0);
+  ASSERT_EQ(r1.stages.size(), 7u);
+  for (const auto& s : r1.stages) {
+    const bool upstream = s.stage == core::FlowStage::kSplit ||
+                          s.stage == core::FlowStage::kBackprop ||
+                          s.stage == core::FlowStage::kBaseline;
+    EXPECT_EQ(s.reused, upstream) << core::flow_stage_name(s.stage);
+  }
+  for (const char* f : {"train_raw.ds", "test_raw.ds", "train.qds",
+                        "test.qds", "float_net.txt", "baseline.txt"}) {
+    std::ifstream a(lead_dir.path / f, std::ios::binary);
+    std::ifstream b(dir.path / f, std::ios::binary);
+    std::ostringstream sa, sb;
+    sa << a.rdbuf();
+    sb << b.rdbuf();
+    EXPECT_FALSE(sb.str().empty()) << f;
+    EXPECT_EQ(sa.str(), sb.str()) << f;
+  }
+
+  // A complete directory: adoption writes nothing and the downstream
+  // stages reload, as after the stages themselves reloaded.
+  core::FlowEngine again(data, small_topo(), cfg);
+  again.set_checkpoint_dir(dir.path.string());
+  adopt_from(leader, again);
+  const auto r2 = again.run();
+  expect_same_result(ref, r2);
+  for (const auto& s : r2.stages) {
+    EXPECT_EQ(s.reused, s.stage != core::FlowStage::kSelect)
+        << core::flow_stage_name(s.stage);
+  }
+
+  // A missing float net is committed and, as when backprop recomputes,
+  // every downstream stage recomputes too.
+  fs::remove(dir.path / "float_net.txt");
+  core::FlowEngine partial(data, small_topo(), cfg);
+  partial.set_checkpoint_dir(dir.path.string());
+  adopt_from(leader, partial);
+  const auto r3 = partial.run();
+  expect_same_result(ref, r3);
+  EXPECT_TRUE(fs::exists(dir.path / "float_net.txt"));
+  for (const auto& s : r3.stages) {
+    EXPECT_EQ(s.reused, s.stage == core::FlowStage::kSplit ||
+                            s.stage == core::FlowStage::kBackprop ||
+                            s.stage == core::FlowStage::kBaseline)
+        << core::flow_stage_name(s.stage);
+  }
+}
+
+TEST(FlowEngine, AdoptAfterAStageRanThrows) {
+  const auto data = small_data();
+  core::FlowEngine leader(data, small_topo(), small_cfg());
+  core::FlowEngine follower(data, small_topo(), small_cfg());
+  (void)follower.advance();  // split
+  EXPECT_THROW(adopt_from(leader, follower), std::logic_error);
+}
+
 TEST(FlowEngine, ParallelHardwareAnalysisBitIdentical) {
   const auto data = small_data();
   core::FlowEngine engine(data, small_topo(), small_cfg());

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <vector>
 
+#include "backprop_oracle.hpp"
 #include "flow_test_util.hpp"
 #include "pmlp/core/flow_engine.hpp"
 #include "pmlp/core/simd.hpp"
@@ -22,6 +23,7 @@
 namespace core = pmlp::core;
 namespace ds = pmlp::datasets;
 namespace mlp = pmlp::mlp;
+namespace oracles = pmlp::oracles;
 
 namespace {
 
@@ -101,7 +103,7 @@ TEST(TrainEngine, ScalarSingleBlockMatchesNaiveOracle) {
 
   ScopedIsa scalar(core::SimdIsa::kScalar);
   mlp::FloatMlp naive_net(small_topo(), cfg.seed);
-  const auto naive = mlp::train_backprop_naive(naive_net, data, cfg);
+  const auto naive = oracles::train_backprop_naive(naive_net, data, cfg);
 
   mlp::FloatMlp engine_net(small_topo(), cfg.seed);
   const auto engine = mlp::train_backprop(engine_net, data, cfg);
@@ -142,7 +144,8 @@ TEST(TrainEngine, ConvergenceMatchesNaiveOnSuiteDatasets) {
     cfg.seed = 7;
 
     mlp::FloatMlp naive_net(topo, cfg.seed);
-    const auto naive = mlp::train_backprop_naive(naive_net, split.train, cfg);
+    const auto naive =
+        oracles::train_backprop_naive(naive_net, split.train, cfg);
     mlp::FloatMlp engine_net(topo, cfg.seed);
     const auto engine = mlp::train_backprop(engine_net, split.train, cfg);
 
