@@ -3,7 +3,8 @@
 // chromosome decode, netlist build/simulate, the sample-blocked
 // predict_batch kernels (scalar vs the dispatched SIMD ISA, across batch
 // sizes and layer densities), the GA's whole-set accuracy over sample
-// planes and the greedy refine loop's block-vectorized trials — so
+// planes, the greedy refine loop's block-vectorized trials and NSGA-II
+// ranking (Deb's pairwise loop vs the sort-and-sweep) — so
 // kernel-level wins are measured in their own tier, apart from flow wall
 // time.
 #include <benchmark/benchmark.h>
@@ -16,6 +17,7 @@
 
 #include "backprop_oracle.hpp"
 #include "bench_common.hpp"
+#include "nsga2_oracle.hpp"
 #include "pmlp/core/chromosome.hpp"
 #include "pmlp/core/eval_engine.hpp"
 #include "pmlp/core/refine.hpp"
@@ -24,6 +26,7 @@
 #include "pmlp/mlp/backprop.hpp"
 #include "pmlp/mlp/train_engine.hpp"
 #include "pmlp/netlist/builders.hpp"
+#include "pmlp/nsga2/nsga2.hpp"
 
 #ifdef PMLP_HAVE_GPERFTOOLS
 #include <gperftools/profiler.h>
@@ -342,6 +345,31 @@ void BM_AdderReduction(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AdderReduction)->Arg(8)->Arg(16)->Arg(24);
+
+/// NSGA-II ranking of one merged parent+offspring set: Deb's pairwise loop
+/// (the oracle) vs the library's sort-and-sweep. Objectives are tied the
+/// way the GA's are (accuracy loss on a 1/64 grid, integer FA area) and
+/// ~20% of the set is infeasible with a few distinct violations.
+/// args: N, the merged population size.
+void BM_NsgaSort(benchmark::State& state, bool sweep) {
+  std::mt19937_64 rng(7);
+  std::vector<nsga2::Individual> pop(static_cast<std::size_t>(state.range(0)));
+  for (auto& ind : pop) {
+    ind.objectives = {static_cast<double>(rng() % 64) / 64.0,
+                      static_cast<double>(rng() % 400)};
+    ind.constraint_violation =
+        rng() % 5 == 0 ? static_cast<double>(1 + rng() % 8) / 64.0 : 0.0;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sweep ? nsga2::fast_non_dominated_sort(pop)
+                                   : oracles::non_dominated_sort_naive(pop));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK_CAPTURE(BM_NsgaSort, naive, false)
+    ->Arg(120)->Arg(240)->Arg(480)->Arg(960);
+BENCHMARK_CAPTURE(BM_NsgaSort, sweep, true)
+    ->Arg(120)->Arg(240)->Arg(480)->Arg(960);
 
 }  // namespace
 

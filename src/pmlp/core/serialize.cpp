@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <array>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -526,14 +527,23 @@ nsga2::GenerationState load_ga_state(std::istream& is) {
   r.records("ind", count, "population count mismatch", [&] {
     nsga2::Individual ind;
     ind.rank = r.value<int>(-1, kMaxInt, "bad rank");
+    // Ranking needs NaN-free objectives and violations; crowding is +inf
+    // on a front's boundary points but never NaN.
     ind.crowding = r.hex();
+    if (std::isnan(ind.crowding)) r.fail("NaN crowding");
     ind.constraint_violation = r.hex();
+    if (!std::isfinite(ind.constraint_violation)) {
+      r.fail("non-finite constraint violation");
+    }
     r.expect("genes");
     ind.genes.resize(n_genes);
     for (int& g : ind.genes) g = r.value<int>("malformed genes");
     r.expect("obj");
     ind.objectives.resize(n_obj);
-    for (double& o : ind.objectives) o = r.hex();
+    for (double& o : ind.objectives) {
+      o = r.hex();
+      if (!std::isfinite(o)) r.fail("non-finite objective");
+    }
     state.population.push_back(std::move(ind));
   });
   return state;

@@ -1,14 +1,16 @@
 #include "pmlp/nsga2/nsga2.hpp"
 
 #include <algorithm>
-
-#include "pmlp/core/thread_pool.hpp"
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <random>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
+
+#include "pmlp/core/thread_pool.hpp"
 
 namespace pmlp::nsga2 {
 
@@ -26,59 +28,104 @@ bool dominates(const Individual& a, const Individual& b) {
   return strictly_better;
 }
 
+namespace {
+
+/// One feasible individual's place in the sweep.
+struct SweepKey {
+  double f0;
+  double f1;
+  std::size_t index;
+};
+
+}  // namespace
+
 int fast_non_dominated_sort(std::vector<Individual>& pop) {
-  const std::size_t n = pop.size();
-  std::vector<std::vector<std::size_t>> dominated(n);
-  std::vector<int> dominate_count(n, 0);
-  std::vector<std::size_t> current;
-
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      if (dominates(pop[i], pop[j])) {
-        dominated[i].push_back(j);
-        ++dominate_count[j];
-      } else if (dominates(pop[j], pop[i])) {
-        dominated[j].push_back(i);
-        ++dominate_count[i];
-      }
+  std::vector<SweepKey> feasible;
+  std::vector<std::pair<double, std::size_t>> infeasible;  // (violation, index)
+  feasible.reserve(pop.size());
+  for (std::size_t i = 0; i < pop.size(); ++i) {
+    const Individual& ind = pop[i];
+    if (ind.objectives.size() != 2) {
+      throw std::invalid_argument(
+          "nsga2: individuals need exactly 2 objectives");
     }
-    if (dominate_count[i] == 0) {
-      pop[i].rank = 0;
-      current.push_back(i);
+    const double f0 = ind.objectives[0];
+    const double f1 = ind.objectives[1];
+    const double cv = ind.constraint_violation;
+    if (std::isnan(f0) || std::isnan(f1) || std::isnan(cv)) {
+      throw std::invalid_argument(
+          "nsga2: NaN objective or constraint violation");
+    }
+    if (cv <= 0.0) {
+      feasible.push_back({f0, f1, i});
+    } else {
+      infeasible.emplace_back(cv, i);
     }
   }
 
-  int rank = 0;
-  while (!current.empty()) {
-    std::vector<std::size_t> next;
-    for (std::size_t i : current) {
-      for (std::size_t j : dominated[i]) {
-        if (--dominate_count[j] == 0) {
-          pop[j].rank = rank + 1;
-          next.push_back(j);
-        }
-      }
+  // Feasible fronts: sweep in (f0, f1) order, so every dominator of p comes
+  // before p, and an earlier q dominates p exactly when q.f1 <= p.f1 and q is
+  // not p's exact duplicate. last[k] is the last point placed in front k;
+  // front k dominates p iff last[k] does, and the fronts that dominate p
+  // form a prefix, so p's front is found by binary search.
+  std::sort(feasible.begin(), feasible.end(),
+            [](const SweepKey& a, const SweepKey& b) {
+              return a.f0 < b.f0 || (a.f0 == b.f0 && a.f1 < b.f1);
+            });
+  std::vector<SweepKey> last;
+  for (const SweepKey& p : feasible) {
+    const auto front = std::partition_point(
+        last.begin(), last.end(), [&p](const SweepKey& q) {
+          return q.f1 <= p.f1 && !(q.f0 == p.f0 && q.f1 == p.f1);
+        });
+    const auto rank = front - last.begin();
+    if (front == last.end()) {
+      last.push_back(p);
+    } else {
+      *front = p;
     }
-    current = std::move(next);
-    ++rank;
+    pop[p.index].rank = static_cast<int>(rank);
   }
-  return rank;
+
+  // Infeasible points rank after every feasible front, one front per
+  // distinct violation, smallest first (Deb's constraint domination).
+  int fronts = static_cast<int>(last.size());
+  std::sort(infeasible.begin(), infeasible.end());
+  for (std::size_t k = 0; k < infeasible.size(); ++k) {
+    if (k == 0 || infeasible[k].first != infeasible[k - 1].first) ++fronts;
+    pop[infeasible[k].second].rank = fronts - 1;
+  }
+  return fronts;
 }
 
 void assign_crowding_distances(std::vector<Individual>& pop) {
   if (pop.empty()) return;
   const std::size_t n_obj = pop.front().objectives.size();
-  for (auto& ind : pop) ind.crowding = 0.0;
-
   int max_rank = 0;
-  for (const auto& ind : pop) max_rank = std::max(max_rank, ind.rank);
+  for (auto& ind : pop) {
+    ind.crowding = 0.0;
+    max_rank = std::max(max_rank, ind.rank);
+  }
 
-  std::vector<std::size_t> idx;
-  for (int r = 0; r <= max_rank; ++r) {
-    idx.clear();
-    for (std::size_t i = 0; i < pop.size(); ++i) {
-      if (pop[i].rank == r) idx.push_back(i);
-    }
+  // Bucket the indices by rank, ascending within each rank: the same index
+  // sequence a per-rank scan of the population builds. The per-objective
+  // std::sort below is unstable, so this identical input order is what
+  // keeps the distances bit-identical.
+  std::vector<std::size_t> start(static_cast<std::size_t>(max_rank) + 2, 0);
+  for (const auto& ind : pop) {
+    if (ind.rank >= 0) ++start[static_cast<std::size_t>(ind.rank) + 1];
+  }
+  std::partial_sum(start.begin(), start.end(), start.begin());
+  std::vector<std::size_t> order(start.back());
+  std::vector<std::size_t> next(start.begin(), start.end() - 1);
+  for (std::size_t i = 0; i < pop.size(); ++i) {
+    if (pop[i].rank < 0) continue;
+    order[next[static_cast<std::size_t>(pop[i].rank)]++] = i;
+  }
+
+  for (std::size_t r = 0; r + 1 < start.size(); ++r) {
+    const std::span<std::size_t> idx(order.begin() + start[r],
+                                     order.begin() + start[r + 1]);
     if (idx.empty()) continue;
     for (std::size_t m = 0; m < n_obj; ++m) {
       std::sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
@@ -260,6 +307,17 @@ Result optimize(const Problem& problem, const Config& cfg,
   }
   if (problem.n_genes() <= 0) {
     throw std::invalid_argument("nsga2: problem has no genes");
+  }
+  // bernoulli_distribution requires p in [0, 1]; NaN fails these tests too.
+  for (const double p : {cfg.crossover_prob, cfg.mutation_prob,
+                         cfg.creep_fraction, cfg.per_gene_rate}) {
+    if (!(p >= 0.0 && p <= 1.0)) {
+      throw std::invalid_argument(
+          "nsga2: probabilities and rates must lie in [0, 1]");
+    }
+  }
+  if (cfg.creep_step < 1) {
+    throw std::invalid_argument("nsga2: creep_step must be >= 1");
   }
   const auto t0 = std::chrono::steady_clock::now();
   std::mt19937_64 rng(cfg.seed);

@@ -1,7 +1,31 @@
 // NSGA-II (Deb et al., 2002) over integer genomes, as the paper's training
-// engine (§IV-A): fast non-dominated sorting, crowding distance, binary
+// engine (§IV-A): non-dominated sorting, crowding distance, binary
 // tournament, uniform/k-point crossover and reset/creep mutation, with
 // constraint domination for the paper's 10% accuracy-loss bound.
+//
+// Every problem has exactly two minimized objectives (the library's are
+// accuracy loss and FA area), so ranking is a sort-and-sweep front peeling
+// (Kung et al., 1975; Jensen, 2003) in O(N log N) instead of Deb's O(M·N²)
+// pairwise loop. Feasible individuals (violation <= 0) are sorted by
+// (f0, f1) and swept in that order, so every dominator of a point p comes
+// before it: an earlier q dominates p exactly when q.f1 <= p.f1 and q is
+// not p's exact duplicate. The sweep keeps the last point placed in each
+// front; front k dominates p iff its last point does, the fronts that
+// dominate p form a prefix, and p joins the first one that does not, found
+// by binary search. Exact duplicates therefore share a front, as in Deb's
+// loop. Infeasible individuals rank after every feasible front, one front
+// per distinct violation value, smallest first — exactly Deb's constraint
+// domination. Ranks and the front count equal Deb's loop, which survives
+// as the test oracle pmlp::oracles::non_dominated_sort_naive. NaN
+// objectives or violations break the strict weak ordering the sort needs,
+// so they are rejected.
+//
+// Ranks are exact, but the survivor order is not fixed by the ranks alone:
+// crowding sorts each front per objective with the unstable std::sort, and
+// survivor selection sorts by (rank, crowding) with it too. Both keep their
+// exact std::sort calls and inputs, because the resulting order is part of
+// GenerationState: a different tie order would change which individual a
+// tournament picks, and every front after it.
 #pragma once
 
 #include <cstdint>
@@ -27,20 +51,21 @@ struct GeneBounds {
 /// A candidate solution with its evaluation and NSGA-II bookkeeping.
 struct Individual {
   std::vector<int> genes;
-  std::vector<double> objectives;       ///< minimized
+  std::vector<double> objectives;       ///< exactly 2, minimized, not NaN
   double constraint_violation = 0.0;    ///< 0 = feasible, >0 = infeasible
   int rank = -1;                        ///< 0 = non-dominated front
   double crowding = 0.0;
 };
 
-/// Problem interface. evaluate() must be thread-safe (const).
+/// Problem interface. evaluate() must be thread-safe (const) and return
+/// exactly two minimized objectives and a violation, none of them NaN;
+/// ranking throws std::invalid_argument otherwise.
 class Problem {
  public:
   virtual ~Problem() = default;
 
   [[nodiscard]] virtual int n_genes() const = 0;
   [[nodiscard]] virtual GeneBounds bounds(int gene) const = 0;
-  [[nodiscard]] virtual int n_objectives() const { return 2; }
 
   struct Evaluation {
     std::vector<double> objectives;
@@ -113,7 +138,7 @@ struct Config {
   /// Fraction of mutations that creep (+/- small step) instead of resetting
   /// the gene uniformly — creep helps fine-tuning discrete exponents/biases.
   double creep_fraction = 0.5;
-  int creep_step = 1;
+  int creep_step = 1;  ///< largest creep move, >= 1
   CrossoverKind crossover = CrossoverKind::kUniform;
   std::uint64_t seed = 1;
   /// Called after each generation with the sorted parent population.
@@ -132,7 +157,8 @@ struct Config {
   /// sort are skipped and the loop starts at resume->next_generation. The
   /// result is bit-identical to the uninterrupted run that produced the
   /// state. Throws std::invalid_argument on a state whose population size
-  /// does not match cfg.population or whose RNG blob does not parse.
+  /// does not match cfg.population, whose individuals do not have exactly
+  /// 2 objectives or whose RNG blob does not parse.
   std::shared_ptr<const GenerationState> resume;
 };
 
@@ -170,7 +196,9 @@ class PopulationEvaluator {
 
 /// Run NSGA-II, evaluating fitness on the borrowed `pool` (null = serial).
 /// Deterministic in cfg.seed for any pool: only evaluate() runs off the
-/// calling thread; selection and mutation RNG stay serial.
+/// calling thread; selection and mutation RNG stay serial. Throws
+/// std::invalid_argument on an odd or < 4 population, a gene-less problem,
+/// a probability or rate outside [0, 1], or creep_step < 1.
 [[nodiscard]] Result optimize(const Problem& problem, const Config& cfg,
                               core::ThreadPool* pool = nullptr);
 
@@ -180,10 +208,14 @@ class PopulationEvaluator {
 /// compare by violation; two feasible by Pareto dominance on objectives.
 [[nodiscard]] bool dominates(const Individual& a, const Individual& b);
 
-/// Assign ranks (fronts) in place; returns the number of fronts.
+/// Assign ranks (fronts) in place by the sort-and-sweep above, in
+/// O(N log N); returns the number of fronts. Throws std::invalid_argument
+/// on an individual without exactly 2 objectives or with a NaN objective
+/// or violation.
 int fast_non_dominated_sort(std::vector<Individual>& pop);
 
-/// Assign crowding distances within each rank, in place.
+/// Assign crowding distances within each rank, in place: one counting pass
+/// buckets the indices by rank, then each front is sorted per objective.
 void assign_crowding_distances(std::vector<Individual>& pop);
 
 /// Deduplicated feasible rank-0 subset (by objective vector).

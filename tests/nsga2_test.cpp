@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
 
+#include "nsga2_oracle.hpp"
 #include "pmlp/core/thread_pool.hpp"
 #include "pmlp/nsga2/nsga2.hpp"
 
@@ -105,6 +110,128 @@ TEST(FastNonDominatedSort, KnownFronts) {
   EXPECT_EQ(pop[3].rank, 1);
   EXPECT_EQ(pop[4].rank, 1);
   EXPECT_EQ(pop[5].rank, 2);
+}
+
+namespace {
+
+/// Random population for the oracle comparison. Each draw mixes one
+/// objective shape (few tied integers, uniform reals, a single front, a
+/// chain of N fronts) with one feasibility mix and optional exact
+/// duplicates, +-inf objectives, tied violations and -0.0 violations.
+std::vector<nsga2::Individual> random_population(std::size_t n,
+                                                 std::mt19937_64& rng) {
+  const auto pick = [&rng](std::uint64_t k) { return rng() % k; };
+  const std::uint64_t shape = pick(4);
+  const std::uint64_t levels = 1 + pick(12);
+  const std::uint64_t feasibility = pick(3);  // all / none / 25% infeasible
+  const bool tied_violations = pick(2) == 0;
+  const bool negative_zero = pick(2) == 0;
+  const bool infinities = pick(4) == 0;
+  const bool duplicates = pick(3) == 0;
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+
+  std::vector<nsga2::Individual> pop(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    auto& ind = pop[i];
+    const double t = static_cast<double>(i);
+    switch (shape) {
+      case 0:
+        ind.objectives = {static_cast<double>(pick(levels)),
+                          static_cast<double>(pick(levels))};
+        break;
+      case 1:
+        ind.objectives = {unit(rng), unit(rng)};
+        break;
+      case 2:
+        ind.objectives = {t, -t};  // one front
+        break;
+      default:
+        ind.objectives = {t, 2.0 * t};  // a chain of N fronts
+        break;
+    }
+    if (infinities && pick(8) == 0) {
+      ind.objectives[pick(2)] = pick(2) == 0 ? kInf : -kInf;
+    }
+    const bool infeasible =
+        feasibility == 1 || (feasibility == 2 && pick(4) == 0);
+    if (infeasible) {
+      ind.constraint_violation =
+          tied_violations ? 0.25 * static_cast<double>(1 + pick(3))
+                          : unit(rng) + 1e-3;
+    } else {
+      ind.constraint_violation = negative_zero && pick(2) == 0 ? -0.0 : 0.0;
+    }
+    if (duplicates && i > 0 && pick(3) == 0) ind = pop[pick(i)];
+  }
+  std::shuffle(pop.begin(), pop.end(), rng);
+  return pop;
+}
+
+}  // namespace
+
+TEST(FastNonDominatedSort, MatchesDebsLoopAndCrowdingIsBitIdentical) {
+  std::mt19937_64 rng(0x5eed);
+  for (int trial = 0; trial < 10000; ++trial) {
+    // Mostly small populations, every 50th up to 500 (and both ends).
+    const std::size_t n = trial == 0   ? 0
+                          : trial == 1 ? 500
+                          : trial % 50 == 0 ? rng() % 501
+                                            : rng() % 65;
+    auto sweep = random_population(n, rng);
+    auto naive = sweep;
+    const int naive_fronts = pmlp::oracles::non_dominated_sort_naive(naive);
+    const int sweep_fronts = nsga2::fast_non_dominated_sort(sweep);
+    ASSERT_EQ(sweep_fronts, naive_fronts) << "trial " << trial << " n " << n;
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(sweep[i].rank, naive[i].rank)
+          << "trial " << trial << " n " << n << " individual " << i;
+    }
+    pmlp::oracles::assign_crowding_distances_naive(naive);
+    nsga2::assign_crowding_distances(sweep);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(sweep[i].crowding),
+                std::bit_cast<std::uint64_t>(naive[i].crowding))
+          << "trial " << trial << " n " << n << " individual " << i;
+    }
+  }
+}
+
+TEST(FastNonDominatedSort, DuplicatesShareAFrontAndViolationsRankLast) {
+  std::vector<nsga2::Individual> pop = {
+      make_ind({1, 1}),       make_ind({1, 1}),       make_ind({1, 2}),
+      make_ind({9, 9}, 0.5),  make_ind({0, 0}, 0.5),  make_ind({0, 0}, 2.0),
+      make_ind({2, 2}, -0.0),
+  };
+  EXPECT_EQ(nsga2::fast_non_dominated_sort(pop), 5);
+  const std::vector<int> want = {0, 0, 1, 3, 3, 4, 2};
+  for (std::size_t i = 0; i < pop.size(); ++i) {
+    EXPECT_EQ(pop[i].rank, want[i]) << i;
+  }
+}
+
+TEST(FastNonDominatedSort, RejectsNanObjective) {
+  std::vector<nsga2::Individual> pop = {
+      make_ind({1, 2}), make_ind({std::nan(""), 1})};
+  EXPECT_THROW(nsga2::fast_non_dominated_sort(pop), std::invalid_argument);
+  pop[1] = make_ind({1, std::nan("")}, 1.0);  // infeasible too
+  EXPECT_THROW(nsga2::fast_non_dominated_sort(pop), std::invalid_argument);
+}
+
+TEST(FastNonDominatedSort, RejectsNanViolation) {
+  std::vector<nsga2::Individual> pop = {
+      make_ind({1, 2}), make_ind({2, 1}, std::nan(""))};
+  EXPECT_THROW(nsga2::fast_non_dominated_sort(pop), std::invalid_argument);
+}
+
+TEST(FastNonDominatedSort, RejectsOtherObjectiveCounts) {
+  for (const std::vector<double>& objs :
+       {std::vector<double>{}, std::vector<double>{1.0},
+        std::vector<double>{1.0, 2.0, 3.0}}) {
+    std::vector<nsga2::Individual> pop = {make_ind({1, 2}), make_ind(objs)};
+    EXPECT_THROW(nsga2::fast_non_dominated_sort(pop), std::invalid_argument)
+        << objs.size();
+  }
 }
 
 TEST(CrowdingDistance, BoundaryPointsInfinite) {
@@ -316,6 +443,84 @@ TEST(Optimize, ResumeRejectsMismatchedState) {
   state2->rng = "not a valid mt19937_64 stream";
   cfg.resume = state2;
   EXPECT_THROW((void)nsga2::optimize(problem, cfg), std::invalid_argument);
+}
+
+TEST(Optimize, ResumeRejectsWrongObjectiveCount) {
+  LinearTradeoff problem(4);
+  nsga2::Config cfg;
+  cfg.population = 8;
+  cfg.generations = 4;
+  cfg.checkpoint_every = 1;
+  std::shared_ptr<nsga2::GenerationState> state;
+  cfg.on_checkpoint = [&](const nsga2::GenerationState& st) {
+    if (!state) state = std::make_shared<nsga2::GenerationState>(st);
+  };
+  (void)nsga2::optimize(problem, cfg);
+  ASSERT_TRUE(state);
+  cfg.on_checkpoint = nullptr;
+  state->population[3].objectives.push_back(0.0);
+  cfg.resume = state;
+  EXPECT_THROW((void)nsga2::optimize(problem, cfg), std::invalid_argument);
+}
+
+namespace {
+
+/// optimize() with one Config field changed must throw invalid_argument.
+template <typename Edit>
+void expect_config_rejected(Edit edit) {
+  LinearTradeoff problem(4);
+  nsga2::Config cfg;
+  cfg.population = 8;
+  cfg.generations = 2;
+  edit(cfg);
+  EXPECT_THROW((void)nsga2::optimize(problem, cfg), std::invalid_argument);
+}
+
+constexpr double kOutsideUnit[] = {
+    -0.1, 1.5, std::numeric_limits<double>::quiet_NaN()};
+
+}  // namespace
+
+TEST(Optimize, RejectsCrossoverProbOutsideUnitInterval) {
+  for (const double p : kOutsideUnit) {
+    expect_config_rejected([p](nsga2::Config& c) { c.crossover_prob = p; });
+  }
+}
+
+TEST(Optimize, RejectsMutationProbOutsideUnitInterval) {
+  for (const double p : kOutsideUnit) {
+    expect_config_rejected([p](nsga2::Config& c) { c.mutation_prob = p; });
+  }
+}
+
+TEST(Optimize, RejectsCreepFractionOutsideUnitInterval) {
+  for (const double p : kOutsideUnit) {
+    expect_config_rejected([p](nsga2::Config& c) { c.creep_fraction = p; });
+  }
+}
+
+TEST(Optimize, RejectsPerGeneRateOutsideUnitInterval) {
+  for (const double p : kOutsideUnit) {
+    expect_config_rejected([p](nsga2::Config& c) { c.per_gene_rate = p; });
+  }
+}
+
+TEST(Optimize, RejectsCreepStepBelowOne) {
+  for (const int step : {0, -3}) {
+    expect_config_rejected([step](nsga2::Config& c) { c.creep_step = step; });
+  }
+}
+
+TEST(Optimize, AcceptsUnitIntervalEndpoints) {
+  LinearTradeoff problem(4);
+  nsga2::Config cfg;
+  cfg.population = 8;
+  cfg.generations = 2;
+  cfg.crossover_prob = 1.0;
+  cfg.mutation_prob = 1.0;
+  cfg.creep_fraction = 0.0;
+  cfg.per_gene_rate = 1.0;
+  EXPECT_NO_THROW((void)nsga2::optimize(problem, cfg));
 }
 
 class CrossoverKinds

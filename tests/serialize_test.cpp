@@ -4,6 +4,7 @@
 
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -654,6 +655,54 @@ TEST(SerializeArtifacts, GaStateRoundTripExact) {
   std::string bad = good;
   bad.replace(bad.find("population 4"), 12, "population 5");
   EXPECT_THROW((void)parse(bad), std::invalid_argument);
+}
+
+namespace {
+
+/// A crc-free two-individual GA state whose first `ind`/`obj` lines are
+/// replaced by the given ones.
+std::string ga_state_text(const std::string& ind, const std::string& obj) {
+  return "pmlp-ga-state v1\ngeneration 1\nevaluations 8\nrng 1 2 3\n"
+         "population 2 1 2\n" + ind + "\ngenes 1\n" + obj + "\n"
+         "ind 1 0x1p-2 0x0p+0\ngenes 0\nobj 0x1p+0 0x1p+1\nend\n";
+}
+
+nsga2::GenerationState parse_ga_state(const std::string& text) {
+  std::istringstream is(text);
+  return core::load_ga_state(is);
+}
+
+}  // namespace
+
+TEST(SerializeArtifacts, GaStateAcceptsInfiniteCrowding) {
+  const auto st = parse_ga_state(
+      ga_state_text("ind 0 inf 0x0p+0", "obj 0x1p-1 0x1p+2"));
+  ASSERT_EQ(st.population.size(), 2u);
+  EXPECT_TRUE(std::isinf(st.population[0].crowding));
+}
+
+TEST(SerializeArtifacts, GaStateRejectsNanCrowding) {
+  EXPECT_THROW((void)parse_ga_state(
+                   ga_state_text("ind 0 nan 0x0p+0", "obj 0x1p-1 0x1p+2")),
+               std::invalid_argument);
+}
+
+TEST(SerializeArtifacts, GaStateRejectsNonFiniteViolation) {
+  for (const char* v : {"nan", "inf", "-inf"}) {
+    EXPECT_THROW((void)parse_ga_state(ga_state_text(
+                     std::string("ind 0 inf ") + v, "obj 0x1p-1 0x1p+2")),
+                 std::invalid_argument)
+        << v;
+  }
+}
+
+TEST(SerializeArtifacts, GaStateRejectsNonFiniteObjective) {
+  for (const char* obj : {"obj nan 0x1p+2", "obj 0x1p-1 -nan",
+                          "obj inf 0x1p+2", "obj 0x1p-1 -inf"}) {
+    EXPECT_THROW((void)parse_ga_state(ga_state_text("ind 0 inf 0x0p+0", obj)),
+                 std::invalid_argument)
+        << obj;
+  }
 }
 
 // --------------------------------------------- crash-truncation property
