@@ -3,8 +3,9 @@
 // chromosome decode, netlist build/simulate, the sample-blocked
 // predict_batch kernels (scalar vs the dispatched SIMD ISA, across batch
 // sizes and layer densities), the GA's whole-set accuracy over sample
-// planes, the greedy refine loop's block-vectorized trials and NSGA-II
-// ranking (Deb's pairwise loop vs the sort-and-sweep) — so
+// planes, the greedy refine loop's block-vectorized trials, NSGA-II
+// ranking (Deb's pairwise loop vs the sort-and-sweep) and checkpoint
+// record I/O (dataset write/read, slicing-by-8 vs bytewise CRC) — so
 // kernel-level wins are measured in their own tier, apart from flow wall
 // time.
 #include <benchmark/benchmark.h>
@@ -13,14 +14,18 @@
 #include <cstdio>
 #include <cstdlib>
 #include <random>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "backprop_oracle.hpp"
 #include "bench_common.hpp"
 #include "nsga2_oracle.hpp"
+#include "record_oracle.hpp"
 #include "pmlp/core/chromosome.hpp"
 #include "pmlp/core/eval_engine.hpp"
 #include "pmlp/core/refine.hpp"
+#include "pmlp/core/serialize.hpp"
 #include "pmlp/core/simd.hpp"
 #include "pmlp/datasets/synthetic.hpp"
 #include "pmlp/mlp/backprop.hpp"
@@ -370,6 +375,98 @@ BENCHMARK_CAPTURE(BM_NsgaSort, naive, false)
     ->Arg(120)->Arg(240)->Arg(480)->Arg(960);
 BENCHMARK_CAPTURE(BM_NsgaSort, sweep, true)
     ->Arg(120)->Arg(240)->Arg(480)->Arg(960);
+
+/// Checkpoint record I/O at the size of Pendigits' train_raw.ds (16
+/// features, ~2450 rows, ~0.85 MB of hexfloats) and its train.qds (4-bit
+/// codes): writing a dataset artifact, loading it back, and the CRC-32 of
+/// its footer, slicing-by-8 vs the bytewise oracle.
+datasets::Dataset record_dataset() {
+  std::mt19937_64 rng(21);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  datasets::Dataset d;
+  d.name = "pendigits-train";
+  d.n_features = 16;
+  d.n_classes = 10;
+  for (int i = 0; i < 2450; ++i) {
+    d.labels.push_back(static_cast<int>(rng() % 10));
+    for (int f = 0; f < d.n_features; ++f) d.features.push_back(unit(rng));
+  }
+  return d;
+}
+
+datasets::QuantizedDataset record_quant_dataset() {
+  const auto raw = record_dataset();
+  datasets::QuantizedDataset d;
+  d.name = raw.name;
+  d.n_features = raw.n_features;
+  d.n_classes = raw.n_classes;
+  d.input_bits = 4;
+  d.labels = raw.labels;
+  for (double x : raw.features) {
+    d.codes.push_back(static_cast<std::uint8_t>(x * 16.0));
+  }
+  return d;
+}
+
+std::string record_text(bool quant) {
+  std::ostringstream os;
+  if (quant) {
+    core::save_quant_dataset(record_quant_dataset(), os);
+  } else {
+    core::save_dataset(record_dataset(), os);
+  }
+  return os.str();
+}
+
+void BM_RecordWrite(benchmark::State& state, bool quant) {
+  const auto raw = record_dataset();
+  const auto q = record_quant_dataset();
+  std::int64_t bytes = 0;
+  for (auto _ : state) {
+    std::ostringstream os;
+    if (quant) {
+      core::save_quant_dataset(q, os);
+    } else {
+      core::save_dataset(raw, os);
+    }
+    bytes = static_cast<std::int64_t>(os.tellp());
+    benchmark::DoNotOptimize(bytes);
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          bytes);
+}
+BENCHMARK_CAPTURE(BM_RecordWrite, raw, false)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_RecordWrite, quant, true)->Unit(benchmark::kMillisecond);
+
+void BM_RecordRead(benchmark::State& state, bool quant) {
+  const std::string text = record_text(quant);
+  for (auto _ : state) {
+    std::istringstream is(text);
+    if (quant) {
+      benchmark::DoNotOptimize(core::load_quant_dataset(is));
+    } else {
+      benchmark::DoNotOptimize(core::load_dataset(is));
+    }
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK_CAPTURE(BM_RecordRead, raw, false)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_RecordRead, quant, true)->Unit(benchmark::kMillisecond);
+
+void BM_Crc32(benchmark::State& state, bool sliced) {
+  const std::string text = record_text(/*quant=*/false);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        sliced ? core::crc32(text.data(), text.size())
+               : oracles::crc32_bytewise(text.data(), text.size()));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK_CAPTURE(BM_Crc32, bytewise, false)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Crc32, sliced, true)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

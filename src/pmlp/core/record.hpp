@@ -45,6 +45,7 @@
 // index.tsv is a tab-separated table, not a record format (serialize.hpp).
 #pragma once
 
+#include <charconv>
 #include <concepts>
 #include <cstddef>
 #include <istream>
@@ -52,12 +53,16 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <vector>
 
 namespace pmlp::core {
 
 /// Writes one artifact's records to a stream. `what` names the writer in
-/// its stream-failure error.
+/// its stream-failure error. Each record is formatted into a buffer the
+/// writer reuses (std::to_chars, no locale) and handed to the stream in
+/// one write, so records interleave correctly with other writers of the
+/// same stream.
 class RecordWriter {
  public:
   RecordWriter(std::ostream& os, const char* what) : os_(os), what_(what) {}
@@ -70,9 +75,11 @@ class RecordWriter {
   /// hexfloats, strings verbatim, and spans/vectors element by element.
   template <typename... Fields>
   void line(const char* tag, const Fields&... fields) {
-    os_ << tag;
+    line_.clear();
+    line_ += tag;
     (field(fields), ...);
-    os_ << '\n';
+    line_ += '\n';
+    os_.write(line_.data(), static_cast<std::streamsize>(line_.size()));
   }
 
   /// `tag <name>`, with `-` for the empty name (RecordReader::name).
@@ -94,19 +101,30 @@ class RecordWriter {
   /// failed.
   void check() const;
 
-  /// One bare hexfloat token ("%a"), no separator.
+  /// One bare hexfloat token, byte for byte C's "%a", no separator.
   static void hexfloat(std::ostream& os, double v);
 
  private:
+  /// Append the "%a" hexfloat of `v` to `out`: normal values and zero as
+  /// the sign, `0x` and std::to_chars' hex form of |v|; subnormals, inf
+  /// and NaN through snprintf.
+  static void append_hexfloat(std::string& out, double v);
+
   template <std::integral T>
   void field(T v) {
-    os_ << ' ' << +v;
+    char buf[24];  // any 64-bit integer, sign included
+    const auto r = std::to_chars(buf, buf + sizeof buf, +v);
+    line_ += ' ';
+    line_.append(buf, static_cast<std::size_t>(r.ptr - buf));
   }
   void field(double v) {
-    os_ << ' ';
-    hexfloat(os_, v);
+    line_ += ' ';
+    append_hexfloat(line_, v);
   }
-  void field(std::string_view s) { os_ << ' ' << s; }
+  void field(std::string_view s) {
+    line_ += ' ';
+    line_ += s;
+  }
   template <typename T>
   void field(std::span<const T> values) {
     for (const T& v : values) field(v);
@@ -118,15 +136,24 @@ class RecordWriter {
 
   std::ostream& os_;
   const char* what_;
+  std::string line_;
 };
 
 /// Reads one artifact's records from a stream. Every failure throws
-/// std::invalid_argument prefixed with the loader's `what`. Values are
-/// parsed with `istream >>` and strtod; tags and hexfloats go through
-/// buffers the reader reuses, so numeric tokens cost no allocation.
+/// std::invalid_argument prefixed with the loader's `what`.
+///
+/// Tokens are scanned in place in the stream's buffered bytes. A canonical
+/// token (what RecordWriter emits: `-?[0-9]+` integers, `-?0x` hexfloats of
+/// the "%a" shape) is converted with std::from_chars and consumed; any other
+/// token, a conversion error, a token not wholly buffered, or a stream not
+/// in its default state (classic locale, skipws, decimal, no field width)
+/// takes the `istream >>` / strtod path at the same position. A fast-path
+/// value is one that path would return too, so what loads and what is
+/// rejected does not depend on which path ran, and loaders nested on one
+/// stream see it exactly where `>>` would have left it.
 class RecordReader {
  public:
-  RecordReader(std::istream& is, const char* what) : is_(is), what_(what) {}
+  RecordReader(std::istream& is, const char* what);
 
   [[noreturn]] void fail(std::string_view why) const;
 
@@ -140,7 +167,7 @@ class RecordReader {
   template <typename T>
   T value(const char* why) {
     T v{};
-    if (!(is_ >> v)) fail(why);
+    if (!canonical(v) && !(is_ >> v)) fail(why);
     return v;
   }
 
@@ -148,7 +175,7 @@ class RecordReader {
   template <typename T>
   T value(T lo, T hi, const char* why) {
     T v{};
-    if (!(is_ >> v) || v < lo || v > hi) fail(why);
+    if ((!canonical(v) && !(is_ >> v)) || v < lo || v > hi) fail(why);
     return v;
   }
 
@@ -188,8 +215,38 @@ class RecordReader {
   }
 
  private:
+  /// The buffered bytes from the next token on, the whitespace before it
+  /// consumed; empty when the stream is not good, not in its default
+  /// state, or has nothing buffered.
+  std::string_view buffered();
+
+  /// Consume a token that starts `buffered` and ends at `last`, if a
+  /// whitespace byte in the buffer follows it; else consume nothing.
+  bool take(std::string_view buffered, const char* last);
+
+  /// The next token into `out` (`is_ >> out` semantics).
+  bool token(std::string& out);
+
+  /// A canonical integer token converted and consumed; false (nothing
+  /// consumed) for any other token or type.
+  template <typename T>
+  bool canonical(T& v) {
+    if constexpr (std::integral<T> && !std::same_as<T, bool> &&
+                  sizeof(T) > 1) {
+      const std::string_view b = buffered();
+      T parsed{};
+      const auto r = std::from_chars(b.data(), b.data() + b.size(), parsed);
+      if (r.ec != std::errc() || !take(b, r.ptr)) return false;
+      v = parsed;
+      return true;
+    } else {
+      return false;
+    }
+  }
+
   std::istream& is_;
   const char* what_;
+  bool fast_;
   std::string tag_;
   std::string token_;
 };

@@ -262,7 +262,11 @@ datasets::Dataset load_dataset(std::istream& is) {
       r.value<std::size_t>(0, std::size_t{1} << 32, "bad shape");
   r.records("row", n_samples, "sample count mismatch", [&] {
     d.labels.push_back(r.value<int>(0, d.n_classes - 1, "label out of range"));
-    for (int f = 0; f < d.n_features; ++f) d.features.push_back(r.hex());
+    for (int f = 0; f < d.n_features; ++f) {
+      d.features.push_back(r.hex());
+      // Quantization clamps and rounds features; NaN passes the clamp.
+      if (!std::isfinite(d.features.back())) r.fail("non-finite feature");
+    }
   });
   return d;
 }
@@ -551,23 +555,44 @@ nsga2::GenerationState load_ga_state(std::istream& is) {
 
 // ------------------------------------------------------- checksum footers
 
-std::uint32_t crc32(const void* data, std::size_t n) {
-  static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
+namespace {
+
+/// Slicing-by-8 tables (Kounavis & Berry, 2005) for the reflected
+/// polynomial 0xEDB88320: kCrcTables[0] is the bytewise table and
+/// kCrcTables[k][b] the CRC of byte b followed by k zero bytes, so eight
+/// lookups advance the CRC by eight bytes.
+constexpr auto kCrcTables = [] {
+  std::array<std::array<std::uint32_t, 256>, 8> t{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    return t;
-  }();
-  std::uint32_t crc = 0xFFFFFFFFu;
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
+    t[0][i] = c;
   }
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
+}();
+
+}  // namespace
+
+std::uint32_t crc32(const void* data, std::size_t n) {
+  const auto& t = kCrcTables;
+  const auto* p = static_cast<const unsigned char*>(data);
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t low =
+        crc ^ (std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 |
+               std::uint32_t{p[2]} << 16 | std::uint32_t{p[3]} << 24);
+    crc = t[7][low & 0xFFu] ^ t[6][(low >> 8) & 0xFFu] ^
+          t[5][(low >> 16) & 0xFFu] ^ t[4][low >> 24] ^ t[3][p[4]] ^
+          t[2][p[5]] ^ t[1][p[6]] ^ t[0][p[7]];
+  }
+  for (; n > 0; ++p, --n) crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   return crc ^ 0xFFFFFFFFu;
 }
 
@@ -633,12 +658,20 @@ std::string read_artifact_file(const std::string& path) {
   if (!is) {
     throw std::runtime_error("cannot open " + path);
   }
-  std::ostringstream buffer;
-  buffer << is.rdbuf();
+  // One read into a string sized from the file; bytes appended since the
+  // size was taken follow in chunks.
+  std::error_code ec;
+  const auto size = std::filesystem::file_size(path, ec);
+  std::string content(ec ? 0 : static_cast<std::size_t>(size), '\0');
+  is.read(content.data(), static_cast<std::streamsize>(content.size()));
+  content.resize(static_cast<std::size_t>(is.gcount()));
+  for (char chunk[4096]; is.good();) {
+    is.read(chunk, sizeof chunk);
+    content.append(chunk, static_cast<std::size_t>(is.gcount()));
+  }
   if (is.bad()) {
     throw std::runtime_error("cannot read " + path);
   }
-  std::string content = buffer.str();
   verify_checksum_footer(content, path.c_str());
   return content;
 }

@@ -15,10 +15,14 @@
 // loops.
 //
 // Parallelism: blocks of one batch fan out over a borrowed ThreadPool
-// (per-chunk plane scratch, per-BLOCK gradient shards). Because the block
-// partition depends only on the batch layout — never on the pool size — and
-// the shards are reduced into the batch gradient in fixed block order,
-// results are bit-identical across pool sizes and across repeated runs.
+// (per-chunk plane scratch, per-BLOCK gradient shards). A batch of at most
+// kBlockSamples samples is one block and runs on the caller, so at the
+// default batch_size of 32 (= kBlockSamples) training is serial at every
+// pool size; batches fan out only when batch_size > kBlockSamples.
+// Because the block partition depends only on the batch layout — never on
+// the pool size — and the shards are reduced into the batch gradient in
+// fixed block order, results are bit-identical across pool sizes and
+// across repeated runs.
 //
 // Determinism contract (stated once, tested in train_engine_test):
 //   * bit-identical across pool sizes and across runs for a given ISA;
@@ -75,7 +79,8 @@ class TrainEngine {
   /// L1-resident, large enough to fill 4-wide AVX2 lanes with slack.
   static constexpr int kBlockSamples = 32;
 
-  /// Blocks fan out over `pool`; null trains serially on the caller.
+  /// Blocks fan out over `pool` (only when batch_size > kBlockSamples);
+  /// null trains serially on the caller.
   TrainEngine(const datasets::Dataset& train, const BackpropConfig& cfg,
               core::ThreadPool* pool = nullptr);
 

@@ -304,6 +304,21 @@ TEST(SerializeArtifacts, DatasetRejectsMalformed) {
   EXPECT_THROW((void)parse(bad), std::invalid_argument);
 }
 
+TEST(SerializeArtifacts, DatasetRejectsNonFiniteFeatures) {
+  // A NaN feature would pass the quantizer's clamp straight into lround.
+  const auto good = dump(tiny_dataset(), [](const auto& v, auto& os) {
+    core::save_dataset(v, os);
+  });
+  const std::string first = "0x1.999999999999ap-4";  // 0.1, the first feature
+  ASSERT_NE(good.find(first), std::string::npos);
+  for (const char* v : {"nan", "-nan", "inf", "-inf", "0x1p+1024"}) {
+    std::string bad = good;
+    bad.replace(bad.find(first), first.size(), v);
+    std::istringstream is(bad);
+    EXPECT_THROW((void)core::load_dataset(is), std::invalid_argument) << v;
+  }
+}
+
 TEST(SerializeArtifacts, QuantDatasetRoundTripAndRejects) {
   const auto d = tiny_quant();
   const auto r =
