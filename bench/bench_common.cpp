@@ -64,19 +64,17 @@ core::TrainerConfig default_trainer_config(std::uint64_t seed) {
 core::FlowEngine make_engine(const Prepared& p, std::uint64_t seed) {
   core::FlowEngine engine(datasets::Dataset{}, p.paper.topology,
                           default_flow_config(seed));
-  core::SplitArtifacts split;
-  split.train_raw = p.train_raw;
-  split.test_raw = p.test_raw;
-  split.train = p.train;
-  split.test = p.test;
-  engine.provide_split(std::move(split));
-  engine.provide_float_net(p.float_net);
-  core::BaselinePricing pricing;
-  pricing.net = p.baseline;
-  pricing.cost = p.baseline_cost;
-  pricing.train_accuracy = p.baseline_train_accuracy;
-  pricing.test_accuracy = p.baseline_test_accuracy;
-  engine.provide_baseline(std::move(pricing));
+  core::UpstreamArtifacts up;
+  up.split.train_raw = p.train_raw;
+  up.split.test_raw = p.test_raw;
+  up.split.train = p.train;
+  up.split.test = p.test;
+  up.float_net = p.float_net;
+  up.baseline.net = p.baseline;
+  up.baseline.cost = p.baseline_cost;
+  up.baseline.train_accuracy = p.baseline_train_accuracy;
+  up.baseline.test_accuracy = p.baseline_test_accuracy;
+  engine.adopt_upstream(std::move(up));
   return engine;
 }
 

@@ -1,36 +1,37 @@
-// Multi-dataset campaign runner: one process drives N independent
-// FlowEngines (dataset x seed x config grid) over a SINGLE shared ThreadPool
-// with a global stage-aware scheduler, instead of one-flow-at-a-time
-// binaries that each spawn their own worker forest.
+// One campaign scheduler for a dataset x seed x config grid of FlowEngines.
+// CampaignRunner drives it in one process; CampaignWorker (worker.hpp) drives
+// the same loop over a checkpoint tree that any number of worker processes
+// drain together.
 //
-// Scheduling model. Every flow is decomposed into its pipeline stages
-// (FlowEngine::advance() runs exactly one pending stage); each stage is one
-// task on the shared pool, and a completed stage re-enqueues the flow's next
-// stage at the BACK of the pool's FIFO queue. With W workers that yields
-// round-robin fairness across flows at stage granularity — the same
-// global-fairness-over-independent-work-items shape as HOTS-style iterative
-// schedulers — and bounds the campaign's thread count at W regardless of the
-// number of flows. Inside the campaign every flow runs its stages serially
-// (TrainerConfig::n_threads is forced to 1), so N flows never oversubscribe
-// to N x n_threads workers; since every stage is bit-identical for any
-// thread count, each flow's result is exactly what an independent run_flow()
-// call would produce.
+// The loop. run() starts resolve_n_threads(n_threads) lanes. Each lane
+// claims a flow, takes one step and hands the flow back. A step runs the
+// flow's pipeline (FlowEngine::advance()) up to and including its next
+// computed stage; stages that reload from a checkpoint ride along, and the
+// last step assembles the FlowResult. Claims sweep the flows round-robin
+// from the one after the last taken, so a flow that finished a step waits
+// until every other flow had its turn. Every flow runs its stages serially
+// (TrainerConfig::n_threads is forced to 1), so the lanes are the
+// campaign's whole thread budget; since every stage is bit-identical for
+// any thread count, each flow's result is exactly what an independent
+// run_flow() call would produce. A stage that throws fails only its flow.
+// A ClaimSource says what may be claimed and what a step leaves behind:
+//   - in memory (CampaignRunner): every flow keeps one engine;
+//   - lease tree (CampaignWorker): a claim takes the flow's lease file and
+//     steps a fresh engine reloaded from the tree.
 //
-// Leaders and followers. Flows with the same
-// FlowEngine::upstream_fingerprint() (dataset, topology, split, backprop
-// config, bit widths — typically the GA seeds of one dataset) would compute
-// bit-identical split, backprop and baseline stages, so the campaign
-// computes them once. run() groups the flows by that key: the first of each
-// group in add_flow() order is its leader and is submitted at start; the
-// others are followers and stay parked. When the leader's baseline stage
-// completes (computed or reloaded), each follower gets a copy of the
-// leader's upstream artifacts, and is submitted at the back of the queue,
-// where its first step adopts them (FlowEngine::adopt_upstream()). Adopted
-// stages are reported as reused with 0 s wall through the same rollups and
-// progress callback. A leader that fails or is stopped before its baseline
-// releases its followers without artifacts: they compute their own
-// upstream, or end kPending on a stop. No worker ever blocks on another
-// flow, and no parked flow outlives run().
+// Leaders and followers. Flows with the same upstream_fingerprint()
+// (dataset, topology, split, backprop config, bit widths — typically the GA
+// seeds of one dataset) would compute bit-identical split, backprop and
+// baseline stages, so the campaign computes them once. run() groups the
+// flows by that key: the first of each group in add_flow() order leads it.
+// A follower is not claimed until its leader's baseline exists or the
+// leader has ended without one. It then adopts the leader's three upstream
+// artifacts (FlowEngine::adopt_upstream()) before its first stage: from
+// memory in a CampaignRunner, read-only from the leader's checkpoint
+// directory in a tree. Adopted stages are reported as reused with 0 s wall
+// through the same rollups and progress callback. A follower whose leader
+// ended without a baseline, or whose leader's files do not load, computes
+// its own upstream.
 //
 // Checkpointing. With a checkpoint_root, flow `name` persists under
 // `<root>/<name>/` through the ordinary FlowEngine artifact formats, so a
@@ -39,14 +40,8 @@
 // A follower commits each adopted artifact that its own directory lacks, so
 // every flow directory is a complete checkpoint, byte-identical to one the
 // flow would have written alone — usable by a lone FlowEngine,
-// `campaign --worker`, `campaign status` and `verify-rtl` — and its later
-// stages reload or recompute exactly as if it had run the three upstream
-// stages itself. The distributed CampaignWorker (worker.hpp) does not share
-// upstream stages: each worker process computes its flow's own.
-//
-// Failure isolation. A flow that throws (corrupt checkpoint, bad artifact,
-// ...) is recorded as failed with its error message; the remaining flows run
-// to completion.
+// `campaign --worker`, `campaign status` and `verify-rtl`. A completed flow
+// gets a `done.txt` marker.
 #pragma once
 
 #include <array>
@@ -69,7 +64,7 @@ struct CampaignFlowSpec {
   datasets::Dataset data;
   mlp::Topology topology;
   /// Per-flow flow config. trainer.n_threads is ignored inside a campaign
-  /// (flows share the campaign pool and run their stages serially); results
+  /// (flows run their stages serially on the campaign's lanes); results
   /// are unchanged because every stage is bit-identical for any setting.
   FlowConfig config;
 };
@@ -78,7 +73,8 @@ enum class CampaignFlowStatus {
   kPending,  ///< never started: the campaign never ran, or request_stop()
              ///< hit before any of the flow's stages executed
   kDone,
-  kFailed,   ///< threw; see `error` — other flows are unaffected
+  kFailed,   ///< threw (in a tree: max_failures times); see `error` —
+             ///< other flows are unaffected
   kStopped,  ///< request_stop() hit it mid-pipeline; checkpoint is resumable
 };
 
@@ -91,7 +87,7 @@ struct CampaignFlowOutcome {
   mlp::Topology topology;
   CampaignFlowStatus status = CampaignFlowStatus::kPending;
   std::string error;                 ///< non-empty iff kFailed
-  std::optional<FlowResult> result;  ///< set iff kDone
+  std::optional<FlowResult> result;  ///< set iff this run completed it
   /// Wall span from the flow's first scheduled stage to its completion
   /// (includes time interleaved with other flows' stages).
   double wall_seconds = 0.0;
@@ -101,7 +97,8 @@ struct CampaignFlowOutcome {
 struct CampaignStageRollup {
   double wall_seconds = 0.0;  ///< summed stage walls (compute or reload)
   long items = 0;             ///< summed stage work counters
-  int executed = 0;           ///< stage runs, reloads included
+  int executed = 0;           ///< stage runs, reloads included (a flow's
+                              ///< reload of a stage counts once)
   int reused = 0;             ///< of which reloaded or adopted from another
                               ///< flow
 };
@@ -111,14 +108,20 @@ struct CampaignResult {
   double wall_seconds = 0.0;       ///< campaign wall clock
   double stage_wall_seconds = 0.0;  ///< summed per-stage wall spans over all
                                     ///< flows (exceeds wall_seconds when
-                                    ///< flows overlap workers)
+                                    ///< flows overlap lanes)
   /// Indexed by static_cast<int>(FlowStage).
   std::array<CampaignStageRollup, kNumFlowStages> stages{};
-  int n_threads = 1;  ///< actual shared-pool worker count
+  int n_threads = 1;  ///< lanes: flows stepped at once
   int completed = 0;
   int failed = 0;
   int stopped = 0;
   int pending = 0;  ///< stopped before any stage ran
+  /// Lease-tree runs only (CampaignWorker): the worker's identity, leases
+  /// acquired, claim attempts lost to another worker, stale leases stolen.
+  std::string worker_id;
+  int claims = 0;
+  int claim_conflicts = 0;
+  int leases_stolen = 0;
   [[nodiscard]] bool all_ok() const {
     return failed == 0 && stopped == 0 && pending == 0;
   }
@@ -132,27 +135,63 @@ struct CampaignProgress {
   std::size_t flow_index = 0;
   const std::string& flow_name;
   StageReport stage;
-  int flows_done = 0;  ///< done + failed + stopped so far
+  int flows_done = 0;  ///< flows this run finished (done or failed) so far
   int flows_total = 0;
 };
-/// Invoked from worker threads, serialized by the runner (never
-/// concurrently). Throwing from the callback fails the current flow.
+/// Invoked from the lanes, serialized by the loop (never concurrently).
+/// Throwing from the callback fails the current step of the flow.
 using CampaignCallback = std::function<void(const CampaignProgress&)>;
 
 struct CampaignConfig {
-  /// Shared-pool worker count: 0 = all hardware threads, N = N workers.
-  /// This is the campaign's TOTAL thread budget — flows never spawn pools
-  /// of their own.
+  /// Lanes: 0 = all hardware threads, N = N flows stepped at once. This is
+  /// the campaign's TOTAL thread budget — flows never spawn pools of their
+  /// own.
   int n_threads = 0;
   /// Per-flow checkpoint subdirectories live under this root (created on
   /// demand); empty disables checkpointing.
   std::string checkpoint_root;
 };
 
+/// What the loop may claim and what a step leaves behind. This base class
+/// is the in-memory backend: every flow keeps its engine, may always be
+/// taken, and ends as its steps leave it; the loop hands upstreams over.
+/// The lease tree of CampaignWorker overrides it. Lanes call the members
+/// concurrently, but take() only under the loop's lock.
+class ClaimSource {
+ public:
+  enum class Take { kTaken, kBusy, kEnded };
+
+  ClaimSource() = default;
+  ClaimSource(const ClaimSource&) = delete;
+  ClaimSource& operator=(const ClaimSource&) = delete;
+  virtual ~ClaimSource() = default;
+
+  /// True when each claim steps a fresh engine reloaded from the checkpoint
+  /// and a leader hands its upstream over through its directory.
+  bool fresh_engines = false;
+  /// Jittered exponential backoff between sweeps that took nothing.
+  double backoff_initial_s = 1.0;
+  double backoff_max_s = 1.0;
+
+  /// Try to take flow `i`, which no lane holds, for one step: kEnded when
+  /// it is finished for good, kBusy when it is not claimable now.
+  virtual Take take(std::size_t) { return Take::kTaken; }
+  /// Hand back flow `i` after a step that left it `status` (kPending: more
+  /// to run; kDone; kFailed with `error`). Returns the status the flow is
+  /// left in: kPending when the source may offer it again.
+  virtual CampaignFlowStatus release(std::size_t, CampaignFlowStatus status,
+                                     const std::string& /*error*/) {
+    return status;
+  }
+  /// After the lanes stop: add the source's view to `result`, whose flows
+  /// this run did not finish are still kPending or kStopped.
+  virtual void report(CampaignResult& /*result*/) const {}
+};
+
 class CampaignRunner {
  public:
   explicit CampaignRunner(CampaignConfig cfg);
-  ~CampaignRunner();
+  virtual ~CampaignRunner();
 
   CampaignRunner(const CampaignRunner&) = delete;
   CampaignRunner& operator=(const CampaignRunner&) = delete;
@@ -163,30 +202,27 @@ class CampaignRunner {
 
   CampaignRunner& set_progress(CampaignCallback cb);
 
-  /// Stop scheduling new stages (in-flight stages finish). Flows that have
-  /// not completed are reported kStopped (or kPending if never started);
-  /// their checkpoints remain resumable. Safe from any thread, including
-  /// the progress callback.
+  /// Stop claiming (in-flight steps end after their current stage). Flows
+  /// that have not completed are reported kStopped (or kPending if never
+  /// started); their checkpoints remain resumable. Safe from any thread,
+  /// the progress callback and a signal handler (one atomic store).
   void request_stop();
 
   /// Run every flow to completion (or failure) and aggregate. One-shot:
-  /// a runner cannot be reused after run() returns.
+  /// a runner cannot be reused after run() returns. Throws what the claim
+  /// source throws (an unusable checkpoint tree); stage failures are
+  /// contained per flow.
   [[nodiscard]] CampaignResult run();
 
+ protected:
+  /// The backend run() claims from, for flows `specs` whose leaders are
+  /// `leader` (leader[i] == i for a leader). The default is in-memory.
+  virtual std::unique_ptr<ClaimSource> make_source(
+      const std::vector<CampaignFlowSpec>& specs,
+      const std::vector<std::size_t>& leader);
+
  private:
-  struct FlowState;
-
-  void step(std::size_t index);
-  /// Submit every parked follower of `leader`, each with a copy of the
-  /// leader's upstream artifacts when `adopt`.
-  void release_followers(FlowState& leader, bool adopt);
-  void finish_flow(FlowState& st, CampaignFlowStatus status,
-                   const std::string& error);
-
-  CampaignConfig cfg_;
-  CampaignCallback progress_;
-  std::vector<std::unique_ptr<FlowState>> flows_;
-  struct Impl;  ///< scheduler state, live during run()
+  struct Impl;  ///< the loop
   std::unique_ptr<Impl> impl_;
 };
 

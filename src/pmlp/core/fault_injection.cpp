@@ -44,13 +44,13 @@ void FaultInjector::maybe_kill_at_ga_checkpoint(int next_generation) const {
 }
 
 void FaultInjector::maybe_corrupt_artifact(const std::string& path) const {
-  if (!armed_ || corrupt_file_.empty() || corrupted_once_) return;
+  if (!armed_ || corrupt_file_.empty()) return;
   if (fs::path(path).filename().string() != corrupt_file_) return;
+  // Once per process, also when several campaign lanes commit at once.
+  if (corrupted_once_.exchange(true)) return;
   std::error_code ec;
   const auto size = fs::file_size(path, ec);
-  if (ec) return;
-  fs::resize_file(path, size / 2, ec);
-  corrupted_once_ = true;
+  if (!ec) fs::resize_file(path, size / 2, ec);
 }
 
 }  // namespace pmlp::core

@@ -9,7 +9,7 @@
 //
 //   PMLP_FAULT_KILL_STAGE=<stage>      _exit(137) right after the named
 //                                      stage's artifact commits (the stage
-//                                      boundary) in a campaign worker
+//                                      boundary) in a campaign
 //   PMLP_FAULT_KILL_GA_GEN=<n>         _exit(137) right after the GA
 //                                      generation checkpoint for next
 //                                      generation <n> commits (mid-stage
@@ -24,6 +24,7 @@
 //                                      detect, quarantine and recompute
 #pragma once
 
+#include <atomic>
 #include <string>
 
 namespace pmlp::core {
@@ -57,7 +58,7 @@ class FaultInjector {
   int kill_ga_gen_ = -1;
   bool heartbeat_stall_ = false;
   std::string corrupt_file_;
-  mutable bool corrupted_once_ = false;
+  mutable std::atomic<bool> corrupted_once_{false};
 };
 
 }  // namespace pmlp::core

@@ -99,6 +99,22 @@ Fnv1a hash_upstream_inputs(const mlp::Topology& topology,
   return h;
 }
 
+/// The (dataset digest, config fingerprint) pair that meta.txt guards.
+using MetaIds = std::pair<std::uint64_t, std::uint64_t>;
+
+/// Parse meta.txt; throws std::invalid_argument naming `what` when
+/// malformed.
+MetaIds read_meta(std::istream& is, const char* what) {
+  RecordReader r(is, what);
+  r.header("pmlp-flow-meta");
+  r.expect("dataset");
+  (void)r.name();  // informational; the digest is the guard
+  r.expect("digest");
+  const auto digest = r.value<std::uint64_t>("bad digest");
+  r.expect("config");
+  return {digest, r.value<std::uint64_t>("bad config")};
+}
+
 }  // namespace
 
 const char* flow_stage_name(FlowStage stage) {
@@ -144,43 +160,15 @@ FlowEngine& FlowEngine::set_progress(StageCallback cb) {
   return *this;
 }
 
-FlowEngine& FlowEngine::provide_split(SplitArtifacts split) {
-  split_ = std::move(split);
-  report(FlowStage::kSplit, 0.0, /*reused=*/true,
-         static_cast<long>(split_->train.size() + split_->test.size()));
-  return *this;
-}
-
-FlowEngine& FlowEngine::provide_float_net(mlp::FloatMlp net) {
-  float_net_ = std::move(net);
-  report(FlowStage::kBackprop, 0.0, /*reused=*/true, 0);
-  return *this;
-}
-
-FlowEngine& FlowEngine::provide_baseline(BaselinePricing pricing) {
-  pricing_ = std::move(pricing);
-  report(FlowStage::kBaseline, 0.0, /*reused=*/true,
-         pricing_->cost.cell_count);
-  return *this;
-}
-
-FlowEngine& FlowEngine::provide_training(TrainingResult training) {
-  training_ = std::move(training);
-  report(FlowStage::kGa, 0.0, /*reused=*/true, training_->evaluations);
-  return *this;
-}
-
-FlowEngine& FlowEngine::adopt_upstream(SplitArtifacts split,
-                                       mlp::FloatMlp net,
-                                       BaselinePricing pricing) {
+FlowEngine& FlowEngine::adopt_upstream(UpstreamArtifacts up) {
   if (split_ || float_net_ || pricing_) {
     throw std::logic_error(
         "FlowEngine::adopt_upstream: an upstream stage already ran");
   }
   ensure_checkpoint();
-  split_ = std::move(split);
-  float_net_ = std::move(net);
-  pricing_ = std::move(pricing);
+  split_ = std::move(up.split);
+  float_net_ = std::move(up.float_net);
+  pricing_ = std::move(up.baseline);
   // Each artifact is committed exactly where the stage would have
   // recomputed it (missing, or downstream of a recompute), so the reload
   // decisions of the later stages are those of a flow that ran all three.
@@ -244,10 +232,37 @@ std::uint64_t FlowEngine::config_fingerprint() const {
   return h.state;
 }
 
-std::uint64_t FlowEngine::upstream_fingerprint() const {
-  Fnv1a h = hash_upstream_inputs(topology_, config_);
-  h.u64(dataset_digest(data_));
+std::uint64_t upstream_fingerprint(const datasets::Dataset& data,
+                                   const mlp::Topology& topology,
+                                   const FlowConfig& cfg) {
+  Fnv1a h = hash_upstream_inputs(topology, cfg);
+  h.u64(dataset_digest(data));
   return h.state;
+}
+
+std::optional<UpstreamArtifacts> FlowEngine::read_upstream(
+    const std::string& dir) const {
+  const auto load = [&](const char* file, auto parse) {
+    std::istringstream is(read_artifact_file((fs::path(dir) / file).string()));
+    return parse(is);
+  };
+  try {
+    const auto meta = [](std::istream& is) { return read_meta(is, kMetaFile); };
+    if (load(kMetaFile, meta) !=
+        MetaIds{dataset_digest(data_), config_fingerprint()}) {
+      return std::nullopt;
+    }
+    UpstreamArtifacts up;
+    up.split.train_raw = load("train_raw.ds", load_dataset);
+    up.split.test_raw = load("test_raw.ds", load_dataset);
+    up.split.train = load("train.qds", load_quant_dataset);
+    up.split.test = load("test.qds", load_quant_dataset);
+    up.float_net = load("float_net.txt", load_float_mlp);
+    up.baseline = load("baseline.txt", load_baseline_pricing);
+    return up;
+  } catch (const std::exception&) {
+    return std::nullopt;
+  }
 }
 
 void FlowEngine::ensure_checkpoint() {
@@ -268,15 +283,7 @@ void FlowEngine::ensure_checkpoint() {
     } catch (const std::invalid_argument& e) {
       throw std::invalid_argument(what + ": " + e.what());
     }
-    RecordReader r(is, what.c_str());
-    r.header("pmlp-flow-meta");
-    r.expect("dataset");
-    (void)r.name();  // informational; the digest is the guard
-    r.expect("digest");
-    const auto got_digest = r.value<std::uint64_t>("bad digest");
-    r.expect("config");
-    const auto got_config = r.value<std::uint64_t>("bad config");
-    if (got_digest != digest || got_config != config) {
+    if (read_meta(is, what.c_str()) != MetaIds{digest, config}) {
       throw std::runtime_error(
           "FlowEngine: checkpoint " + checkpoint_dir_ +
           " was created for a different dataset or flow config (delete the "

@@ -46,23 +46,21 @@
 // recomputed — only meta.txt damage is fatal, because it guards against
 // resuming onto the wrong dataset/config.
 //
-// Benches that already hold a trained baseline can inject artifacts with
-// the provide_*() calls; injected stages are reported as reused and are not
-// written to the checkpoint.
-//
 // Adoption: adopt_upstream() hands the engine the split, float net and
 // baseline of another flow with the same upstream_fingerprint() (same
 // dataset, topology, split, backprop config and bit widths), which are
 // bit-identical to what its own first three stages would compute. The
-// campaign runner uses it so that GA seeds of one dataset train one
-// baseline. The three stages are reported as reused with 0 s wall and an
-// empty BackpropReport, like a checkpoint reload. Unlike provide_*(), a
-// checkpointing engine commits each adopted artifact that its own stage
-// would have written (missing on disk, or downstream of one that was), so
-// its directory stays a complete checkpoint and its later stages reload or
-// recompute exactly as if it had run the three stages itself. An adopted
-// artifact already on disk is not re-read, so a corrupt one is quarantined
-// only by the next engine that loads it.
+// campaign uses it so that GA seeds of one dataset train one baseline, and
+// the benches to reuse one trained baseline across many GA runs. The three
+// stages are reported as reused with 0 s wall and an empty BackpropReport,
+// like a checkpoint reload. A checkpointing engine commits each adopted
+// artifact that its own stage would have written (missing on disk, or
+// downstream of one that was), so its directory stays a complete checkpoint
+// and its later stages reload or recompute exactly as if it had run the
+// three stages itself. An adopted artifact already on disk is not re-read,
+// so a corrupt one is quarantined only by the next engine that loads it.
+// read_upstream() reads the three artifacts from another flow's checkpoint
+// without writing or quarantining anything there.
 #pragma once
 
 #include <cstdint>
@@ -82,10 +80,25 @@ namespace pmlp::core {
 /// Called right after each stage completes (or reloads from checkpoint).
 using StageCallback = std::function<void(const StageReport&)>;
 
+/// The outputs of the split, backprop and baseline stages, as one flow hands
+/// them to another with the same upstream fingerprint.
+struct UpstreamArtifacts {
+  SplitArtifacts split;
+  mlp::FloatMlp float_net;
+  BaselinePricing baseline;
+};
+
+/// Digest of everything the split, backprop and baseline stages read: the
+/// dataset, topology, split, backprop config and bit widths. Flows with
+/// equal values compute bit-identical upstream artifacts.
+[[nodiscard]] std::uint64_t upstream_fingerprint(
+    const datasets::Dataset& data, const mlp::Topology& topology,
+    const FlowConfig& cfg);
+
 class FlowEngine {
  public:
   /// `data` must be normalized ([0,1] features). It may be empty when the
-  /// split artifacts are injected with provide_split().
+  /// upstream is adopted (adopt_upstream()).
   FlowEngine(datasets::Dataset data, mlp::Topology topology, FlowConfig cfg);
 
   /// Enable checkpointing under `dir` (created on first use). Throws
@@ -94,24 +107,18 @@ class FlowEngine {
   FlowEngine& set_checkpoint_dir(std::string dir);
   FlowEngine& set_progress(StageCallback cb);
 
-  // Artifact injection (benches reuse one trained baseline across many GA
-  // runs). Must be called before the corresponding stage executes.
-  FlowEngine& provide_split(SplitArtifacts split);
-  FlowEngine& provide_float_net(mlp::FloatMlp net);
-  FlowEngine& provide_baseline(BaselinePricing pricing);
-  FlowEngine& provide_training(TrainingResult training);
-
   /// Take over the first three stages from a flow with the same
   /// upstream_fingerprint() (see the header). Must be called before any
   /// stage ran; throws std::logic_error otherwise, and std::runtime_error
   /// on a checkpoint meta mismatch or a failed artifact commit.
-  FlowEngine& adopt_upstream(SplitArtifacts split, mlp::FloatMlp net,
-                             BaselinePricing pricing);
+  FlowEngine& adopt_upstream(UpstreamArtifacts up);
 
-  /// Digest of everything the split, backprop and baseline stages read:
-  /// the dataset, topology, split, backprop config and bit widths. Engines
-  /// with equal values compute bit-identical upstream artifacts.
-  [[nodiscard]] std::uint64_t upstream_fingerprint() const;
+  /// The upstream artifacts that this engine's flow committed under `dir`,
+  /// whose meta.txt must name this engine's dataset and config. Reads only:
+  /// nothing under `dir` is written or quarantined. nullopt when any file
+  /// is missing, damaged or foreign.
+  [[nodiscard]] std::optional<UpstreamArtifacts> read_upstream(
+      const std::string& dir) const;
 
   // Lazy stage access: each accessor runs (or checkpoint-loads) the
   // pipeline up to the stage producing the artifact.
@@ -135,9 +142,8 @@ class FlowEngine {
 
   /// Run (or checkpoint-load) exactly one stage: the earliest one whose
   /// artifact is not yet available. Returns the stage that ran, or nullopt
-  /// once the pipeline is complete (run() is then a cheap assembly). This is
-  /// the scheduling unit of the campaign runner (campaign.hpp), which
-  /// interleaves many flows' stages over one shared worker pool.
+  /// once the pipeline is complete (run() is then a cheap assembly). The
+  /// campaign loop (campaign.hpp) interleaves many flows' stages with it.
   std::optional<FlowStage> advance();
 
   /// Reports of every stage executed so far, in execution order.

@@ -4,7 +4,6 @@
 #include <signal.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -36,11 +35,6 @@ constexpr const char* kBeatFile = "beat.txt";
 constexpr const char* kDoneFile = "done.txt";
 constexpr const char* kFailedFile = "failed.txt";
 constexpr const char* kFailuresFile = "failures.txt";
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
 
 std::string host_name() {
   char buf[256] = {0};
@@ -311,301 +305,249 @@ void release_claim(const std::string& flow_dir,
 
 // ------------------------------------------------------------------ worker
 
-struct CampaignWorker::Impl {
-  std::vector<CampaignFlowSpec> specs;
-  WorkerConfig cfg;
-  std::string id;
-  ProgressFn progress;
-  WorkerReport report;
+namespace {
 
-  std::atomic<bool> stop{false};
+/// The lease-tree backend: the tree's markers decide what is finished, a
+/// lease file what is taken.
+class LeaseTree final : public ClaimSource {
+ public:
+  LeaseTree(const WorkerConfig& cfg, const std::vector<CampaignFlowSpec>& specs,
+            std::vector<std::size_t> leader)
+      : cfg_(cfg), specs_(specs), leader_(std::move(leader)),
+        slots_(specs.size()) {
+    fresh_engines = true;
+    backoff_initial_s = cfg.backoff_initial_s;
+    backoff_max_s = cfg.backoff_max_s;
+    if (!fs::is_directory(cfg_.checkpoint_root)) {
+      throw std::runtime_error("worker: checkpoint root '" +
+                               cfg_.checkpoint_root + "' is not a directory");
+    }
+    beater_ = std::thread([this] { beat_loop(); });
+  }
 
-  // Heartbeat thread state: which flow directory to beat for ("" = none),
-  // and whether the claim disappeared under us (fencing). `lease_gen`
-  // increments on every begin/end so an in-flight beat iteration for a
-  // PREVIOUS lease can never set lease_lost for the current one.
-  std::thread beater;
-  std::mutex beat_mutex;
-  std::condition_variable beat_cv;
-  std::string beat_dir;          // guarded by beat_mutex
-  long lease_gen = 0;            // guarded by beat_mutex
-  bool beater_exit = false;      // guarded by beat_mutex
-  bool beat_now = false;         // guarded by beat_mutex: first beat due
-  std::atomic<bool> lease_lost{false};
-  long beat_count = 0;  ///< beater thread only
+  ~LeaseTree() override {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      exit_ = true;
+    }
+    beat_cv_.notify_all();
+    beater_.join();
+  }
 
-  // Per-flow staleness tracking: last observed (claim, beat) snapshot and
-  // when THIS worker first saw it (local monotonic clock).
-  struct StaleTrack {
+  Take take(std::size_t i) override {
+    if (terminal(i)) return Take::kEnded;
+    if (waiting(i) || !acquire(i)) return Take::kBusy;
+    if (terminal(i)) {  // finished between the check and the claim
+      lease::release_claim(dir(i), cfg_.worker_id);
+      return Take::kEnded;
+    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    slots_[i].leased = true;
+    slots_[i].lost = false;
+    beat_now_ = true;  // the first beat right away
+    beat_cv_.notify_all();
+    return Take::kTaken;
+  }
+
+  CampaignFlowStatus release(std::size_t i, CampaignFlowStatus status,
+                             const std::string& error) override {
+    // Under mutex_, so no beat of this lease lands during or after it.
+    std::lock_guard<std::mutex> lock(mutex_);
+    slots_[i].leased = false;
+    if (slots_[i].lost) return CampaignFlowStatus::kPending;  // not ours
+    const std::string d = dir(i);
+    auto out = CampaignFlowStatus::kPending;
+    if (status == CampaignFlowStatus::kFailed) {
+      FailureRecord rec = read_failures(d);
+      ++rec.count;
+      rec.error = error;
+      commit_records(d, kFailuresFile, "pmlp-failures", [&](RecordWriter& w) {
+        w.line("count", rec.count);
+        w.text("error", rec.error);
+      });
+      if (rec.count >= cfg_.max_failures) {
+        commit_records(d, kFailedFile, "pmlp-failed", [&](RecordWriter& w) {
+          w.name("worker", cfg_.worker_id);
+          w.text("error", rec.error);
+        });
+        out = CampaignFlowStatus::kFailed;
+      }
+    } else {
+      if (status == CampaignFlowStatus::kDone) {
+        write_done_marker(d, cfg_.worker_id);
+        out = CampaignFlowStatus::kDone;
+      }
+      std::error_code ec;
+      fs::remove(fs::path(d) / kFailuresFile, ec);
+    }
+    lease::release_claim(d, cfg_.worker_id);
+    return out;
+  }
+
+  /// Every flow as the tree sees it, whoever finished it.
+  void report(CampaignResult& result) const override {
+    result.worker_id = cfg_.worker_id;
+    result.claims = claims_;
+    result.claim_conflicts = conflicts_;
+    result.leases_stolen = stolen_;
+    for (std::size_t i = 0; i < result.flows.size(); ++i) {
+      auto& f = result.flows[i];
+      if (has(i, kDoneFile)) {
+        f.status = CampaignFlowStatus::kDone;
+      } else if (has(i, kFailedFile)) {
+        f.status = CampaignFlowStatus::kFailed;
+        f.error = read_failures(dir(i)).error;
+      }
+    }
+  }
+
+ private:
+  struct Slot {
+    bool leased = false;  ///< held by a lane of this worker: beat it
+    bool lost = false;    ///< the claim vanished or changed owner
+    // Last observed (claim, beat) snapshot of a foreign lease and when
+    // THIS worker first saw it (local monotonic clock).
     std::string claim_raw;
     std::string beat_raw;
     std::chrono::steady_clock::time_point first_seen;
-    bool valid = false;
+    bool tracked = false;
   };
-  std::vector<StaleTrack> track;
 
-  std::mt19937 jitter_rng{std::random_device{}()};
+  std::string dir(std::size_t i) const {
+    return (fs::path(cfg_.checkpoint_root) / specs_[i].name).string();
+  }
+  bool has(std::size_t i, const char* file) const {
+    std::error_code ec;
+    return fs::exists(fs::path(dir(i)) / file, ec);
+  }
+  bool terminal(std::size_t i) const {
+    return has(i, kDoneFile) || has(i, kFailedFile);
+  }
+  /// A follower waits while neither it nor its leader has a baseline and
+  /// the leader may still commit one.
+  bool waiting(std::size_t i) const {
+    const std::size_t j = leader_[i];
+    const char* baseline = flow_stage_artifact(FlowStage::kBaseline);
+    return j != i && !has(i, baseline) && !has(j, baseline) && !terminal(j);
+  }
 
-  void beater_loop();
-  void begin_lease(const std::string& dir);
-  void end_lease();
-  bool acquire(std::size_t i, const std::string& dir);
-  bool run_one_claim(std::size_t i, const std::string& dir);
+  bool acquire(std::size_t i);
+  void beat_loop();
+
+  const WorkerConfig& cfg_;
+  const std::vector<CampaignFlowSpec>& specs_;
+  const std::vector<std::size_t> leader_;
+  /// Slots' lease flags and the beater, whose beat passes hold it; only
+  /// take(), which the loop serializes, touches tracking and counters.
+  std::mutex mutex_;
+  std::condition_variable beat_cv_;
+  std::vector<Slot> slots_;
+  int claims_ = 0;
+  int conflicts_ = 0;
+  int stolen_ = 0;
+  bool beat_now_ = false;
+  bool exit_ = false;
+  long beats_ = 0;  ///< beater thread only
+  std::thread beater_;
 };
-
-CampaignWorker::CampaignWorker(std::vector<CampaignFlowSpec> specs,
-                               WorkerConfig cfg)
-    : impl_(std::make_unique<Impl>()) {
-  impl_->specs = std::move(specs);
-  impl_->cfg = std::move(cfg);
-  if (impl_->cfg.checkpoint_root.empty()) {
-    throw std::invalid_argument("CampaignWorker: checkpoint_root is empty");
-  }
-  if (impl_->cfg.lease_timeout_s <= 0 || impl_->cfg.heartbeat_s <= 0) {
-    throw std::invalid_argument(
-        "CampaignWorker: lease_timeout_s and heartbeat_s must be positive");
-  }
-  if (impl_->cfg.worker_id.empty()) {
-    std::random_device rd;
-    char hex[16];
-    std::snprintf(hex, sizeof hex, "%08x", rd());
-    impl_->cfg.worker_id =
-        host_name() + "-" + std::to_string(::getpid()) + "-" + hex;
-  }
-  impl_->id = impl_->cfg.worker_id;
-  impl_->report.worker_id = impl_->id;
-  impl_->track.resize(impl_->specs.size());
-}
-
-CampaignWorker::~CampaignWorker() {
-  if (impl_->beater.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(impl_->beat_mutex);
-      impl_->beater_exit = true;
-    }
-    impl_->beat_cv.notify_all();
-    impl_->beater.join();
-  }
-}
-
-CampaignWorker& CampaignWorker::set_progress(ProgressFn cb) {
-  impl_->progress = std::move(cb);
-  return *this;
-}
-
-void CampaignWorker::request_stop() { impl_->stop.store(true); }
-
-const std::string& CampaignWorker::worker_id() const { return impl_->id; }
-
-void CampaignWorker::Impl::beater_loop() {
-  std::unique_lock<std::mutex> lock(beat_mutex);
-  for (;;) {
-    // The predicate keeps an exit or first-beat request made before this
-    // thread started waiting from being lost for a whole heartbeat period.
-    beat_cv.wait_for(lock, std::chrono::duration<double>(cfg.heartbeat_s),
-                     [this] { return beater_exit || beat_now; });
-    if (beater_exit) return;
-    beat_now = false;
-    if (beat_dir.empty()) continue;
-    const std::string dir = beat_dir;
-    const long gen = lease_gen;
-    lock.unlock();
-    // Fencing: re-read the claim every beat. If it vanished or names
-    // someone else, our lease was stolen (we stalled past the timeout).
-    // Stop beating and raise the flag — the main loop must not write
-    // terminal markers or release the NEW owner's claim.
-    const auto claim = lease::read_claim(dir);
-    const bool lost = !claim || claim->worker != id;
-    if (!lost && !FaultInjector::instance().heartbeat_stalled()) {
-      lease::write_beat(dir, id, ++beat_count);
-    }
-    lock.lock();
-    if (lost && lease_gen == gen) lease_lost.store(true);
-  }
-}
-
-void CampaignWorker::Impl::begin_lease(const std::string& dir) {
-  {
-    std::lock_guard<std::mutex> lock(beat_mutex);
-    beat_dir = dir;
-    ++lease_gen;
-    lease_lost.store(false);
-    beat_now = true;
-  }
-  // Wake the beater for the first beat right away; the fresh claim itself
-  // already starts a fresh staleness snapshot for other workers.
-  beat_cv.notify_all();
-}
-
-void CampaignWorker::Impl::end_lease() {
-  std::lock_guard<std::mutex> lock(beat_mutex);
-  beat_dir.clear();
-  ++lease_gen;
-}
 
 /// Try to become the owner of flow `i`. Handles the contention path:
 /// conflict accounting, same-host dead-owner fast path, snapshot-based
 /// staleness and the atomic steal.
-bool CampaignWorker::Impl::acquire(std::size_t i, const std::string& dir) {
-  if (lease::try_claim(dir, id)) {
-    ++report.claims;
-    track[i].valid = false;
+bool LeaseTree::acquire(std::size_t i) {
+  const std::string d = dir(i);
+  fs::create_directories(d);
+  const std::string& id = cfg_.worker_id;
+  Slot& t = slots_[i];
+  if (lease::try_claim(d, id)) {
+    ++claims_;
+    t.tracked = false;
     return true;
   }
-  ++report.claim_conflicts;
-  const auto claim = lease::read_claim(dir);
+  ++conflicts_;
+  const auto claim = lease::read_claim(d);
   if (!claim) return false;  // released between our open() and read: retry
-  const std::string beat = lease::read_beat_raw(dir);
+  const std::string beat = lease::read_beat_raw(d);
   const auto now = std::chrono::steady_clock::now();
-  auto& t = track[i];
   const bool changed =
-      !t.valid || t.claim_raw != claim->raw || t.beat_raw != beat;
+      !t.tracked || t.claim_raw != claim->raw || t.beat_raw != beat;
   if (changed) {
     t.claim_raw = claim->raw;
     t.beat_raw = beat;
     t.first_seen = now;
-    t.valid = true;
+    t.tracked = true;
   }
   const bool dead = lease::claim_owner_dead_locally(*claim);
   const bool timed_out =
-      t.valid && std::chrono::duration<double>(now - t.first_seen).count() >=
-                     cfg.lease_timeout_s;
+      std::chrono::duration<double>(now - t.first_seen).count() >=
+      cfg_.lease_timeout_s;
   if (!dead && (changed || !timed_out)) return false;  // owner looks alive
-  if (!lease::steal_claim(dir, id)) return false;  // lost the steal race
-  ++report.leases_stolen;
-  t.valid = false;
-  if (lease::try_claim(dir, id)) {
-    ++report.claims;
+  if (!lease::steal_claim(d, id)) return false;  // lost the steal race
+  ++stolen_;
+  t.tracked = false;
+  if (lease::try_claim(d, id)) {
+    ++claims_;
     return true;
   }
   return false;  // another worker claimed first; their lease, their flow
 }
 
-/// Holding the lease on flow `i`: run the pipeline forward by exactly one
-/// computed stage (reloads of already-checkpointed stages ride along), or
-/// finish the flow. Returns true when the tree advanced (stage computed,
-/// marker written) — the sweep-level progress signal that resets backoff.
-bool CampaignWorker::Impl::run_one_claim(std::size_t i,
-                                         const std::string& dir) {
-  begin_lease(dir);
-  bool progressed = false;
-  try {
-    // Fresh engine per claim: state is reloaded from the tree, so this
-    // worker composes with whatever other workers committed since its
-    // last visit. Copies keep the spec reusable for later claims.
-    const CampaignFlowSpec& spec = specs[i];
-    FlowEngine engine(spec.data, spec.topology, spec.config);
-    engine.set_checkpoint_dir(dir);
-    std::optional<FlowStage> stage;
-    for (;;) {
-      stage = engine.advance();
-      if (!stage) break;  // pipeline complete
-      const StageReport& rep = engine.stages().back();
-      if (rep.reused) {
-        ++report.stages_reloaded;
-      } else {
-        ++report.stages_computed;
+void LeaseTree::beat_loop() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  for (;;) {
+    // The predicate keeps an exit or first-beat request made before this
+    // thread started waiting from being lost for a whole heartbeat period.
+    beat_cv_.wait_for(lock, std::chrono::duration<double>(cfg_.heartbeat_s),
+                      [this] { return exit_ || beat_now_; });
+    if (exit_) return;
+    beat_now_ = false;
+    // Fencing: re-read every claim each beat. If one vanished or names
+    // someone else, that lease was stolen (we stalled past the timeout):
+    // stop beating it and flag it, so its lane neither writes terminal
+    // markers nor releases the NEW owner's claim.
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+      if (!slots_[i].leased || slots_[i].lost) continue;
+      const auto claim = lease::read_claim(dir(i));
+      if (!claim || claim->worker != cfg_.worker_id) {
+        slots_[i].lost = true;
+      } else if (!FaultInjector::instance().heartbeat_stalled()) {
+        lease::write_beat(dir(i), cfg_.worker_id, ++beats_);
       }
-      if (progress) progress(spec.name, rep);
-      // kSelect is derived (never checkpointed): computing it is not a
-      // commit boundary, keep going to the completion branch.
-      if (!rep.reused && *stage != FlowStage::kSelect) {
-        progressed = true;
-        break;
-      }
-      if (stop.load()) break;
-    }
-    if (stage) {
-      // One computed stage committed — the stage boundary. The injected
-      // kill lands here, AFTER the commit and BEFORE the release: the
-      // checkpoint tree keeps the work, the lease dies with the process.
-      FaultInjector::instance().maybe_kill_at_stage(
-          flow_stage_name(*stage));
-    } else if (!lease_lost.load()) {
-      write_done_marker(dir, id);
-      ++report.flows_completed;
-      progressed = true;
-    }
-    if (!lease_lost.load()) {
-      std::error_code ec;
-      fs::remove((fs::path(dir) / kFailuresFile).string(), ec);
-    }
-  } catch (const std::exception& e) {
-    ++report.stage_failures;
-    if (!lease_lost.load()) {
-      FailureRecord rec = read_failures(dir);
-      ++rec.count;
-      rec.error = e.what();
-      commit_records(dir, kFailuresFile, "pmlp-failures",
-                     [&](RecordWriter& w) {
-                       w.line("count", rec.count);
-                       w.text("error", rec.error);
-                     });
-      if (rec.count >= cfg.max_failures) {
-        commit_records(dir, kFailedFile, "pmlp-failed", [&](RecordWriter& w) {
-          w.name("worker", id);
-          w.text("error", rec.error);
-        });
-        ++report.flows_failed;
-      }
-      progressed = true;  // the failure record itself advanced the tree
     }
   }
-  end_lease();
-  if (!lease_lost.load()) {
-    lease::release_claim(dir, id);
-  }
-  return progressed;
 }
 
-WorkerReport CampaignWorker::run() {
-  Impl& im = *impl_;
-  const auto t0 = std::chrono::steady_clock::now();
-  if (!fs::is_directory(im.cfg.checkpoint_root)) {
-    throw std::runtime_error("worker: checkpoint root '" +
-                             im.cfg.checkpoint_root +
-                             "' is not a directory");
-  }
-  im.beater = std::thread([&im] { im.beater_loop(); });
+}  // namespace
 
-  double backoff = im.cfg.backoff_initial_s;
-  while (!im.stop.load()) {
-    bool any_active = false;
-    bool progressed = false;
-    for (std::size_t i = 0; i < im.specs.size() && !im.stop.load(); ++i) {
-      const std::string dir =
-          (fs::path(im.cfg.checkpoint_root) / im.specs[i].name).string();
-      fs::create_directories(dir);
-      std::error_code ec;
-      if (fs::exists(fs::path(dir) / kDoneFile, ec) ||
-          fs::exists(fs::path(dir) / kFailedFile, ec)) {
-        continue;  // terminal
-      }
-      any_active = true;
-      if (!im.acquire(i, dir)) continue;
-      progressed = im.run_one_claim(i, dir) || progressed;
-    }
-    if (!any_active) break;  // tree fully drained
-    if (!progressed && !im.stop.load()) {
-      // Everything claimable is claimed by live owners: back off with
-      // jitter so a fleet of idle workers doesn't poll in lockstep.
-      std::uniform_real_distribution<double> u(0.5, 1.5);
-      std::this_thread::sleep_for(
-          std::chrono::duration<double>(backoff * u(im.jitter_rng)));
-      backoff = std::min(backoff * 2.0, im.cfg.backoff_max_s);
-    } else {
-      backoff = im.cfg.backoff_initial_s;
-    }
+CampaignWorker::CampaignWorker(std::vector<CampaignFlowSpec> specs,
+                               WorkerConfig cfg)
+    : CampaignRunner(cfg), worker_(std::move(cfg)) {
+  const WorkerConfig& c = worker_;
+  if (c.checkpoint_root.empty()) {
+    throw std::invalid_argument("CampaignWorker: checkpoint_root is empty");
   }
+  // A heartbeat slower than half the lease timeout lets other workers steal
+  // live leases; a zero backoff doubles to zero forever and busy-polls.
+  if (!(c.heartbeat_s > 0 && c.heartbeat_s <= c.lease_timeout_s / 2 &&
+        c.max_failures >= 1 && c.backoff_initial_s > 0)) {
+    throw std::invalid_argument(
+        "CampaignWorker: need 0 < heartbeat_s <= lease_timeout_s / 2, "
+        "max_failures >= 1 and backoff_initial_s > 0");
+  }
+  if (worker_.worker_id.empty()) {
+    std::random_device rd;
+    char hex[16];
+    std::snprintf(hex, sizeof hex, "%08x", rd());
+    worker_.worker_id =
+        host_name() + "-" + std::to_string(::getpid()) + "-" + hex;
+  }
+  for (auto& spec : specs) add_flow(std::move(spec));
+}
 
-  {
-    std::lock_guard<std::mutex> lock(im.beat_mutex);
-    im.beater_exit = true;
-  }
-  im.beat_cv.notify_all();
-  im.beater.join();
-  im.report.wall_seconds = seconds_since(t0);
-  return im.report;
+std::unique_ptr<ClaimSource> CampaignWorker::make_source(
+    const std::vector<CampaignFlowSpec>& specs,
+    const std::vector<std::size_t>& leader) {
+  return std::make_unique<LeaseTree>(worker_, specs, leader);
 }
 
 // ------------------------------------------------------------------ status

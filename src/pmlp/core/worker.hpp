@@ -5,22 +5,24 @@
 // Protocol. The campaign coordinator (`pmlp campaign --checkpoint DIR`)
 // writes a manifest (`campaign.txt`) describing the dataset x seed grid;
 // any number of workers then join with `--worker --checkpoint DIR`. A
-// worker claims one flow at a time through a per-flow lease file
+// CampaignWorker runs the campaign loop (campaign.hpp) over the tree: each
+// lane claims one flow at a time through a per-flow lease file
 // (`claim.lock`, created with O_CREAT|O_EXCL — the filesystem arbitrates,
-// exactly one creator wins), runs ONE pipeline stage to its atomic
-// checkpoint commit, releases the lease and moves on round-robin. Stage
-// granularity keeps the grid balanced: a slow flow never pins a worker for
-// its whole pipeline, and a killed worker forfeits at most one stage of
-// work.
+// exactly one creator wins), runs one step on a fresh engine reloaded from
+// the tree, releases the lease and moves on round-robin, so a killed worker
+// forfeits at most one stage per lane. A follower is not claimed until its
+// leader has committed `baseline.txt` or is marked failed or done; it then
+// adopts the leader's split, float net and baseline, read-only from the
+// leader's directory, or computes its own if any of them fails to load.
 //
-// Liveness. While a worker holds a lease its heartbeat thread refreshes a
-// monotonic counter in `beat.txt` (tmp+rename, per-worker temp name).
-// Other workers judge a lease stale when the (claim, beat) pair has not
-// changed for `lease_timeout_s` on THEIR OWN monotonic clock — no cross-
-// host clock comparison — or immediately when the claim names a pid on
-// their host that no longer exists. A stale lease is stolen by renaming
-// `claim.lock` aside (atomic: exactly one thief wins the rename) and
-// re-claiming fresh.
+// Liveness. One heartbeat thread per worker refreshes a monotonic counter
+// in `beat.txt` (tmp+rename, per-worker temp name) of every lease the
+// worker holds. Other workers judge a lease stale when the (claim, beat)
+// pair has not changed for `lease_timeout_s` on THEIR OWN monotonic clock —
+// no cross-host clock comparison — or immediately when the claim names a
+// pid on their host that no longer exists. A stale lease is stolen by
+// renaming `claim.lock` aside (atomic: exactly one thief wins the rename)
+// and re-claiming fresh.
 //
 // Safety does NOT depend on mutual exclusion. Every stage is a
 // bit-identical recompute committed via fsync+rename (serialize.hpp), so
@@ -32,7 +34,7 @@
 // writes terminal markers, so it cannot clobber the new owner's
 // bookkeeping.
 //
-// Failure handling. A flow whose stage throws gets its failure count
+// Failure handling. A flow whose step throws gets its failure count
 // bumped in `failures.txt`; after `max_failures` consecutive failed claims
 // the flow is marked terminally failed (`failed.txt`) and the rest of the
 // grid keeps draining — one poisoned checkpoint never wedges the campaign.
@@ -41,7 +43,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <optional>
@@ -83,8 +84,8 @@ void save_campaign_manifest(const CampaignManifest& m,
 [[nodiscard]] CampaignManifest load_campaign_manifest(const std::string& root);
 
 /// Commit the terminal `done.txt` marker in `flow_dir` (crash-safe,
-/// checksum-footed). An empty `worker_id` (a CampaignRunner, which has no
-/// lease identity) is written as `-`.
+/// checksum-footed). An empty `worker_id` (an in-memory CampaignRunner,
+/// which has no lease identity) is written as `-`.
 void write_done_marker(const std::string& flow_dir,
                        const std::string& worker_id);
 
@@ -142,67 +143,47 @@ void release_claim(const std::string& flow_dir, const std::string& worker_id);
 
 // ------------------------------------------------------------------ worker
 
-struct WorkerConfig {
-  std::string checkpoint_root;
+/// A CampaignConfig (n_threads = lanes, each holding at most one lease;
+/// checkpoint_root = the tree) plus the lease protocol's knobs.
+struct WorkerConfig : CampaignConfig {
   /// Unique worker identity; "" derives "<host>-<pid>-<random hex>".
   std::string worker_id;
   /// Lease with an unchanged (claim, beat) snapshot for this long is
   /// stale and may be stolen.
   double lease_timeout_s = 10.0;
-  /// Heartbeat refresh period; must be well under lease_timeout_s.
+  /// Heartbeat refresh period; at most lease_timeout_s / 2.
   double heartbeat_s = 1.0;
-  /// Consecutive failed claims before a flow is marked terminally failed.
+  /// Consecutive failed claims (>= 1) before a flow is marked failed.
   int max_failures = 3;
-  /// Jittered exponential backoff between sweeps that found no work
-  /// (every flow claimed by a live owner).
+  /// Jittered exponential backoff (> 0) while every claimable flow is held
+  /// by a live owner.
   double backoff_initial_s = 0.05;
   double backoff_max_s = 1.0;
 };
 
-/// What one worker process did (its exit summary).
-struct WorkerReport {
-  std::string worker_id;
-  int claims = 0;           ///< leases acquired
-  int claim_conflicts = 0;  ///< claim attempts that lost to another worker
-  int leases_stolen = 0;    ///< stale leases reclaimed
-  int stages_computed = 0;  ///< stages actually executed (checkpointed)
-  int stages_reloaded = 0;  ///< stages reloaded from the tree
-  int flows_completed = 0;  ///< done.txt markers this worker wrote
-  int flows_failed = 0;     ///< failed.txt markers this worker wrote
-  int stage_failures = 0;   ///< stage throws recorded to failures.txt
-  double wall_seconds = 0.0;
-};
-
-/// One cooperating drain process over a campaign checkpoint tree. Specs
-/// come from the manifest (the CLI reconstructs them, datasets loaded);
-/// flow order must match the manifest. run() returns when every flow is
-/// terminal (done/failed) or request_stop() was called.
-class CampaignWorker {
+/// One cooperating drain process: the campaign loop over a checkpoint tree.
+/// Specs come from the manifest (the CLI reconstructs them, datasets
+/// loaded), in its order. run() returns when every flow is terminal or on
+/// request_stop(). Its result holds every flow as the tree sees it then (a
+/// flow another worker finished is kDone without a result), the stages this
+/// worker ran, and its lease counters.
+class CampaignWorker : public CampaignRunner {
  public:
+  /// Throws std::invalid_argument on an empty checkpoint_root or on knobs
+  /// outside the ranges WorkerConfig states.
   CampaignWorker(std::vector<CampaignFlowSpec> specs, WorkerConfig cfg);
-  ~CampaignWorker();
 
-  CampaignWorker(const CampaignWorker&) = delete;
-  CampaignWorker& operator=(const CampaignWorker&) = delete;
+  [[nodiscard]] const std::string& worker_id() const {
+    return worker_.worker_id;
+  }
 
-  /// Progress hook: one completed (or reloaded) stage of a claimed flow.
-  using ProgressFn =
-      std::function<void(const std::string& flow, const StageReport&)>;
-  CampaignWorker& set_progress(ProgressFn cb);
-
-  /// Finish the current stage, release the lease and return from run().
-  /// Safe from a signal handler (one atomic store).
-  void request_stop();
-
-  [[nodiscard]] const std::string& worker_id() const;
-
-  /// Drain the tree. Throws std::runtime_error on setup failures (bad
-  /// root); per-flow stage failures are contained (failures.txt).
-  [[nodiscard]] WorkerReport run();
+ protected:
+  std::unique_ptr<ClaimSource> make_source(
+      const std::vector<CampaignFlowSpec>& specs,
+      const std::vector<std::size_t>& leader) override;
 
  private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
+  WorkerConfig worker_;
 };
 
 // ------------------------------------------------------------------ status

@@ -164,8 +164,7 @@ TEST(Cli, UnconsumedFlagsRejectedBeforeTraining) {
         (first_word(flag) + " is not supported by the 'campaign status'")
             .c_str());
   }
-  for (const char* flag :
-       {"--datasets Cardio", "--seeds 4", "--resume", "--json w.json"}) {
+  for (const char* flag : {"--datasets Cardio", "--seeds 4", "--resume"}) {
     expect_usage_error(
         run_cli("campaign --worker --checkpoint /nonexistent_dir_xyz/c " +
                 std::string(flag)),

@@ -247,19 +247,17 @@ TEST(FlowEngine, InjectedArtifactsMatchFullRun) {
   // Prime a second engine with the first run's baseline artifacts (the
   // bench path: one baseline, many GA runs).
   core::FlowEngine engine(ds::Dataset{}, small_topo(), small_cfg());
-  core::SplitArtifacts split;
-  split.train_raw = r0.baseline.train_raw;
-  split.test_raw = r0.baseline.test_raw;
-  split.train = r0.baseline.train;
-  split.test = r0.baseline.test;
-  engine.provide_split(std::move(split));
-  engine.provide_float_net(r0.baseline.float_net);
-  core::BaselinePricing pricing;
-  pricing.net = r0.baseline.baseline;
-  pricing.cost = r0.baseline.baseline_cost;
-  pricing.train_accuracy = r0.baseline.baseline_train_accuracy;
-  pricing.test_accuracy = r0.baseline.baseline_test_accuracy;
-  engine.provide_baseline(std::move(pricing));
+  core::UpstreamArtifacts up;
+  up.split.train_raw = r0.baseline.train_raw;
+  up.split.test_raw = r0.baseline.test_raw;
+  up.split.train = r0.baseline.train;
+  up.split.test = r0.baseline.test;
+  up.float_net = r0.baseline.float_net;
+  up.baseline.net = r0.baseline.baseline;
+  up.baseline.cost = r0.baseline.baseline_cost;
+  up.baseline.train_accuracy = r0.baseline.baseline_train_accuracy;
+  up.baseline.test_accuracy = r0.baseline.baseline_test_accuracy;
+  engine.adopt_upstream(std::move(up));
 
   const auto r1 = engine.run();
   expect_same_result(r0, r1);
@@ -272,7 +270,7 @@ TEST(FlowEngine, UpstreamFingerprintCoversOnlyUpstreamInputs) {
   const auto data = small_data();
   const auto key = [&](const ds::Dataset& d, const pmlp::mlp::Topology& t,
                        const core::FlowConfig& c) {
-    return core::FlowEngine(d, t, c).upstream_fingerprint();
+    return core::upstream_fingerprint(d, t, c);
   };
   const auto base = key(data, small_topo(), small_cfg());
 
@@ -306,8 +304,8 @@ TEST(FlowEngine, UpstreamFingerprintCoversOnlyUpstreamInputs) {
 /// The split, float net and baseline of a finished engine, as a leader
 /// hands them to a follower.
 void adopt_from(core::FlowEngine& leader, core::FlowEngine& follower) {
-  follower.adopt_upstream(leader.split(), leader.float_net(),
-                          leader.baseline());
+  follower.adopt_upstream(
+      {leader.split(), leader.float_net(), leader.baseline()});
 }
 
 TEST(FlowEngine, AdoptedUpstreamCompletesTheCheckpoint) {

@@ -370,9 +370,9 @@ TEST(FormatGolden, FlowMetaAndWorkerMarkers) {
   wcfg.backoff_max_s = 0.05;
   {
     core::CampaignWorker worker(specs, wcfg);
-    const auto report = worker.run();
-    ASSERT_EQ(report.flows_completed, 1);
-    ASSERT_EQ(report.flows_failed, 1);
+    const auto result = worker.run();
+    ASSERT_EQ(result.completed, 1);
+    ASSERT_EQ(result.failed, 1);
   }
 
   EXPECT_EQ(slurp(dir.path / "ok" / "meta.txt"),

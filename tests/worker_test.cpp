@@ -1,9 +1,11 @@
 // Failure-matrix tests for the distributed campaign workers (worker.hpp):
 // claim races (exactly one winner), cooperative multi-worker drains that
-// stay bit-identical to independent flows, stale-lease takeover (foreign
-// stall and same-host dead pid), corrupt-artifact quarantine + recompute,
-// terminal failure marking, and the kill-at-every-stage-boundary sweep
-// against the real CLI binary with fault injection.
+// stay bit-identical to independent flows, upstream sharing through the
+// tree (a drained tree equals an in-process one file for file), stale-lease
+// takeover (foreign stall and same-host dead pid), corrupt-artifact
+// quarantine + recompute, terminal failure marking, config validation, and
+// the kill-at-every-stage-boundary sweep against the real CLI binary with
+// fault injection.
 //
 // The in-process tests drive CampaignWorker / lease::* directly on a tiny
 // synthetic grid; the subprocess tests spawn the binary CMake passes in as
@@ -13,6 +15,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdio>
@@ -109,6 +112,41 @@ void expect_matches_independent_flows(const core::CampaignResult& result) {
         core::run_flow(specs[i].data, specs[i].topology, specs[i].config);
     expect_same_result(*result.flows[i].result, ref);
   }
+}
+
+/// Stages computed (not reloaded or adopted) over the whole run.
+int stages_computed(const core::CampaignResult& result) {
+  int n = 0;
+  for (const auto& roll : result.stages) n += roll.executed - roll.reused;
+  return n;
+}
+
+const core::CampaignStageRollup& backprop_rollup(
+    const core::CampaignResult& result) {
+  return result.stages[static_cast<int>(core::FlowStage::kBackprop)];
+}
+
+/// No flow of the grid has a failure recorded in the tree.
+void expect_no_failures(const TempDir& dir) {
+  for (const char* flow : {"bc_s1", "bc_s2"}) {
+    EXPECT_FALSE(fs::exists(dir.path / flow / "failures.txt")) << flow;
+  }
+}
+
+/// Artifact text minus the wall-clock counters line (training results
+/// record wall_seconds/evals_per_second) and the crc footer that hashes it
+/// — everything semantically meaningful, byte for byte.
+std::string read_deterministic_lines(const fs::path& path) {
+  std::ifstream is(path, std::ios::binary);
+  std::string line, out;
+  while (std::getline(is, line)) {
+    if (line.rfind("counters ", 0) == 0 || line.rfind("# crc32 ", 0) == 0) {
+      continue;
+    }
+    out += line;
+    out += '\n';
+  }
+  return out;
 }
 
 void write_raw(const fs::path& path, const std::string& text) {
@@ -245,13 +283,17 @@ TEST(Worker, DrainsGridBitIdenticalToIndependentFlows) {
   TempDir dir("drain");
   core::save_campaign_manifest(grid_manifest(), dir.path.string());
   core::CampaignWorker worker(grid(), worker_cfg(dir, "solo"));
-  const auto report = worker.run();
-  EXPECT_EQ(report.flows_completed, 2);
-  EXPECT_EQ(report.flows_failed, 0);
-  EXPECT_EQ(report.stage_failures, 0);
-  EXPECT_EQ(report.leases_stolen, 0);
-  // 6 checkpointed stages + the derived select stage, per flow.
-  EXPECT_EQ(report.stages_computed, 2 * 7);
+  const auto result = worker.run();
+  EXPECT_EQ(result.worker_id, "solo");
+  EXPECT_EQ(result.completed, 2);
+  EXPECT_EQ(result.failed, 0);
+  EXPECT_EQ(result.leases_stolen, 0);
+  expect_no_failures(dir);
+  // 6 checkpointed stages + the derived select stage, per flow, less the
+  // split, backprop and baseline that bc_s2 adopts from bc_s1's directory.
+  EXPECT_EQ(stages_computed(result), 2 * 7 - 3);
+  EXPECT_EQ(backprop_rollup(result).executed, 2);
+  EXPECT_EQ(backprop_rollup(result).reused, 1);
   EXPECT_TRUE(fs::exists(dir.path / "bc_s1" / "done.txt"));
   EXPECT_TRUE(fs::exists(dir.path / "bc_s2" / "done.txt"));
   EXPECT_FALSE(fs::exists(dir.path / "bc_s1" / "claim.lock"));
@@ -280,10 +322,11 @@ TEST(Worker, DrainedTreeReturnsWithoutWaitingOutHeartbeat) {
   cfg.heartbeat_s = 5.0;
   core::CampaignWorker worker(grid(), cfg);
   const auto t0 = std::chrono::steady_clock::now();
-  const auto report = worker.run();
+  const auto result = worker.run();
   const std::chrono::duration<double> wall =
       std::chrono::steady_clock::now() - t0;
-  EXPECT_EQ(report.claims, 0);
+  EXPECT_EQ(result.claims, 0);
+  EXPECT_EQ(result.completed, 2);  // as the tree reports them
   // run() finds nothing to do and stops the heartbeat thread at once, most
   // likely before that thread first waits: the stop request must not be
   // lost for a whole heartbeat period.
@@ -295,16 +338,23 @@ TEST(Worker, TwoConcurrentWorkersCooperate) {
   core::save_campaign_manifest(grid_manifest(), dir.path.string());
   core::CampaignWorker a(grid(), worker_cfg(dir, "worker-a"));
   core::CampaignWorker b(grid(), worker_cfg(dir, "worker-b"));
-  core::WorkerReport ra, rb;
+  core::CampaignResult ra, rb;
   std::thread ta([&] { ra = a.run(); });
   std::thread tb([&] { rb = b.run(); });
   ta.join();
   tb.join();
-  // Both return only when the whole tree is terminal; each flow was
-  // completed exactly once no matter how the claims interleaved.
-  EXPECT_EQ(ra.flows_completed + rb.flows_completed, 2);
-  EXPECT_EQ(ra.flows_failed + rb.flows_failed, 0);
-  EXPECT_EQ(ra.stage_failures + rb.stage_failures, 0);
+  // Both return only when the whole tree is terminal, and each reports it
+  // so; each flow was completed exactly once — by whichever worker holds
+  // its result — no matter how the claims interleaved.
+  EXPECT_EQ(ra.completed, 2);
+  EXPECT_EQ(rb.completed, 2);
+  int results = 0;
+  for (const auto* r : {&ra, &rb}) {
+    for (const auto& f : r->flows) results += f.result.has_value() ? 1 : 0;
+  }
+  EXPECT_EQ(results, 2);
+  EXPECT_EQ(ra.failed + rb.failed, 0);
+  expect_no_failures(dir);
   expect_matches_independent_flows(reload_tree(dir));
 }
 
@@ -321,9 +371,9 @@ TEST(Worker, StaleForeignLeaseStolenAfterTimeout) {
   auto cfg = worker_cfg(dir, "survivor");
   cfg.lease_timeout_s = 0.2;
   core::CampaignWorker worker(grid(), cfg);
-  const auto report = worker.run();
-  EXPECT_GE(report.leases_stolen, 1);
-  EXPECT_EQ(report.flows_completed, 2);
+  const auto result = worker.run();
+  EXPECT_GE(result.leases_stolen, 1);
+  EXPECT_EQ(result.completed, 2);
   expect_matches_independent_flows(reload_tree(dir));
 }
 
@@ -338,9 +388,9 @@ TEST(Worker, DeadLocalOwnerReclaimedWithoutTimeout) {
   auto cfg = worker_cfg(dir, "survivor");
   cfg.lease_timeout_s = 3600.0;
   core::CampaignWorker worker(grid(), cfg);
-  const auto report = worker.run();
-  EXPECT_GE(report.leases_stolen, 1);
-  EXPECT_EQ(report.flows_completed, 2);
+  const auto result = worker.run();
+  EXPECT_GE(result.leases_stolen, 1);
+  EXPECT_EQ(result.completed, 2);
   expect_matches_independent_flows(reload_tree(dir));
 }
 
@@ -359,9 +409,9 @@ TEST(Worker, TruncatedArtifactQuarantinedAndRecomputed) {
   fs::resize_file(victim, full / 2);
   fs::remove(dir.path / "bc_s1" / "done.txt");
   core::CampaignWorker worker(grid(), worker_cfg(dir, "second"));
-  const auto report = worker.run();
-  EXPECT_EQ(report.flows_failed, 0);
-  EXPECT_EQ(report.stage_failures, 0);
+  const auto result = worker.run();
+  EXPECT_EQ(result.failed, 0);
+  expect_no_failures(dir);
   EXPECT_TRUE(fs::exists(dir.path / "bc_s1" / "baseline.txt.corrupt-0"));
   EXPECT_EQ(fs::file_size(victim), full);  // recomputed, same bytes
   expect_matches_independent_flows(reload_tree(dir));
@@ -377,20 +427,117 @@ TEST(Worker, PoisonedFlowMarkedFailedRestDrains) {
   auto cfg = worker_cfg(dir, "lone");
   cfg.max_failures = 2;
   core::CampaignWorker worker(grid(), cfg);
-  const auto report = worker.run();  // must return, not wedge
-  EXPECT_EQ(report.flows_failed, 1);
-  EXPECT_EQ(report.flows_completed, 1);
-  EXPECT_GE(report.stage_failures, 2);
+  // bc_s2 follows bc_s1: it may not start before its leader is marked
+  // failed, and then computes its own upstream.
+  bool leader_failed_first = false;
+  worker.set_progress([&](const core::CampaignProgress& p) {
+    if (p.flow_name == "bc_s2" && p.stage.stage == core::FlowStage::kSplit) {
+      leader_failed_first = fs::exists(dir.path / "bc_s1" / "failed.txt");
+    }
+  });
+  const auto result = worker.run();  // must return, not wedge
+  EXPECT_EQ(result.failed, 1);
+  EXPECT_EQ(result.completed, 1);
   EXPECT_TRUE(fs::exists(dir.path / "bc_s1" / "failed.txt"));
   EXPECT_TRUE(fs::exists(dir.path / "bc_s2" / "done.txt"));
+  EXPECT_TRUE(leader_failed_first);
+  EXPECT_EQ(backprop_rollup(result).executed, 1);
+  EXPECT_EQ(backprop_rollup(result).reused, 0);
+  EXPECT_TRUE(fs::exists(dir.path / "bc_s2" / "float_net.txt"));
+  ASSERT_EQ(result.flows.size(), 2u);
+  EXPECT_EQ(result.flows[0].status, core::CampaignFlowStatus::kFailed);
+  EXPECT_NE(result.flows[0].error.find("meta"), std::string::npos)
+      << result.flows[0].error;
 
   const auto status = core::read_campaign_status(dir.path.string());
   EXPECT_EQ(status.failed, 1);
   EXPECT_EQ(status.done, 1);
   ASSERT_EQ(status.flows.size(), 2u);
   EXPECT_TRUE(status.flows[0].failed);
+  EXPECT_EQ(status.flows[0].failures, 2);
   EXPECT_NE(status.flows[0].error.find("meta"), std::string::npos)
       << status.flows[0].error;
+}
+
+TEST(Worker, DrainedTreeEqualsInProcessTree) {
+  // The same grid drained by one worker and run by a CampaignRunner: the
+  // trees hold the same files with the same bytes, but for the run-time
+  // counters of the GA's training artifacts (and their crc footers) and
+  // the worker id in done.txt.
+  TempDir dir("trees");
+  const fs::path worker_root = dir.path / "worker";
+  const fs::path runner_root = dir.path / "runner";
+  core::save_campaign_manifest(grid_manifest(), worker_root.string());
+  core::save_campaign_manifest(grid_manifest(), runner_root.string());
+  auto wcfg = worker_cfg(dir, "solo");
+  wcfg.checkpoint_root = worker_root.string();
+  core::CampaignWorker worker(grid(), wcfg);
+  ASSERT_TRUE(worker.run().all_ok());
+  core::CampaignConfig rcfg;
+  rcfg.n_threads = 2;
+  rcfg.checkpoint_root = runner_root.string();
+  core::CampaignRunner runner(rcfg);
+  for (auto& spec : grid()) runner.add_flow(std::move(spec));
+  ASSERT_TRUE(runner.run().all_ok());
+
+  const auto files = [](const fs::path& root) {
+    std::vector<std::string> out;
+    for (const auto& e : fs::recursive_directory_iterator(root)) {
+      if (e.is_regular_file()) {
+        out.push_back(fs::relative(e.path(), root).string());
+      }
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  const auto names = files(worker_root);
+  ASSERT_EQ(names, files(runner_root));
+  for (const auto& name : names) {
+    const fs::path a = worker_root / name;
+    const fs::path b = runner_root / name;
+    const std::string file = a.filename().string();
+    if (file == "ga_front.txt" || file == "refined_front.txt") {
+      EXPECT_EQ(read_deterministic_lines(a), read_deterministic_lines(b))
+          << name;
+    } else if (file == "done.txt") {
+      EXPECT_NE(read_deterministic_lines(a).find("worker solo\n"),
+                std::string::npos);
+      EXPECT_NE(read_deterministic_lines(b).find("worker -\n"),
+                std::string::npos);
+    } else {
+      std::ifstream ia(a, std::ios::binary), ib(b, std::ios::binary);
+      std::ostringstream sa, sb;
+      sa << ia.rdbuf();
+      sb << ib.rdbuf();
+      EXPECT_EQ(sa.str(), sb.str()) << name;
+    }
+  }
+}
+
+TEST(Worker, RejectsTimingsThatBreakTheLeaseProtocol) {
+  TempDir dir("bad_cfg");
+  const auto rejected = [&](double lease_timeout_s, double heartbeat_s,
+                            int max_failures, double backoff_initial_s) {
+    auto cfg = worker_cfg(dir, "w");
+    cfg.lease_timeout_s = lease_timeout_s;
+    cfg.heartbeat_s = heartbeat_s;
+    cfg.max_failures = max_failures;
+    cfg.backoff_initial_s = backoff_initial_s;
+    try {
+      core::CampaignWorker worker(grid(), cfg);
+    } catch (const std::invalid_argument&) {
+      return true;
+    }
+    return false;
+  };
+  // A heartbeat slower than half the timeout lets live leases be stolen.
+  EXPECT_TRUE(rejected(10.0, 20.0, 3, 0.05));
+  EXPECT_TRUE(rejected(10.0, 5.01, 3, 0.05));
+  EXPECT_FALSE(rejected(10.0, 5.0, 3, 0.05));
+  EXPECT_TRUE(rejected(10.0, 1.0, 0, 0.05));
+  // A zero backoff never grows: an idle worker would busy-poll the tree.
+  EXPECT_TRUE(rejected(10.0, 1.0, 3, 0.0));
+  EXPECT_TRUE(rejected(10.0, 1.0, 3, -1.0));
 }
 
 TEST(Status, JsonCarriesTheGrid) {
@@ -447,22 +594,6 @@ void make_manifest_only_tree(const fs::path& reference, const fs::path& target) 
   fs::create_directories(target);
   fs::copy_file(reference / "campaign.txt", target / "campaign.txt",
                 fs::copy_options::overwrite_existing);
-}
-
-/// Artifact text minus the wall-clock counters line (training results
-/// record wall_seconds/evals_per_second) and the crc footer that hashes it
-/// — everything semantically meaningful, byte for byte.
-std::string read_deterministic_lines(const fs::path& path) {
-  std::ifstream is(path, std::ios::binary);
-  std::string line, out;
-  while (std::getline(is, line)) {
-    if (line.rfind("counters ", 0) == 0 || line.rfind("# crc32 ", 0) == 0) {
-      continue;
-    }
-    out += line;
-    out += '\n';
-  }
-  return out;
 }
 
 /// The six checkpointed artifacts must be byte-identical between trees
@@ -553,6 +684,16 @@ TEST(WorkerCli, InjectedCorruptionQuarantinedAndHealed) {
       fs::exists(tree / "BreastCancer_s1" / "float_net.txt.corrupt-0"))
       << r.out;
   expect_identical_artifacts(reference, tree);
+}
+
+TEST(WorkerCli, HeartbeatSlowerThanHalfTheLeaseTimeoutIsAUsageError) {
+  TempDir dir("slow_beat");
+  core::save_campaign_manifest(grid_manifest(), dir.path.string());
+  const auto r = run_cli(std::string(PMLP_CLI_PATH) +
+                         " --worker --heartbeat 20 --lease-timeout 10" +
+                         " --checkpoint " + dir.path.string() + " campaign");
+  EXPECT_EQ(r.status, 2) << r.out;
+  EXPECT_NE(r.out.find("heartbeat_s"), std::string::npos) << r.out;
 }
 
 TEST(WorkerCli, WorkerFlagsRequireWorkerMode) {

@@ -10,13 +10,14 @@
 //                               price, pick the Table II point, save it.
 //                               resume continues a --checkpoint; train is
 //                               the legacy alias of run (no progress lines)
-//   campaign                    a dataset x seed grid of flows on ONE shared
-//                               worker pool; bit-identical to independent
-//                               runs, resumable from --checkpoint
+//   campaign                    a dataset x seed grid of flows stepped on
+//                               --threads lanes; bit-identical to
+//                               independent runs, resumable from --checkpoint
 //   campaign --worker           drain a campaign tree as one crash-safe
-//                               distributed worker (per-flow lease files,
-//                               stale leases reclaimed; the grid comes from
-//                               the tree's manifest)
+//                               distributed worker: the same campaign loop
+//                               over per-flow lease files (stale leases
+//                               reclaimed; the grid comes from the tree's
+//                               manifest)
 //   campaign status             grid progress from the tree alone
 //   serve                       batched classify server on a localhost TCP
 //                               line protocol over a saved front or a
@@ -56,6 +57,7 @@
 #include <iostream>
 #include <limits>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <type_traits>
@@ -134,7 +136,7 @@ constexpr OptionRow kOptions[] = {
     {kLeaseTimeout, "--lease-timeout", kSeconds, "S",
      "seconds without a beat before a lease may be stolen (default 10)"},
     {kHeartbeat, "--heartbeat", kSeconds, "S",
-     "lease refresh period (default 1)"},
+     "lease refresh period, at most half the lease timeout (default 1)"},
     {kMaxFailures, "--max-failures", kPositive, "N",
      "failed claims in a row before a flow is marked failed (default 3)"},
     {kPort, "--port", kTcpPort, "N", "TCP port (default 0 = OS-assigned)"},
@@ -529,6 +531,56 @@ std::vector<core::CampaignFlowSpec> campaign_specs(
   return specs;
 }
 
+/// Run a campaign — in-process or as one worker of a tree — with progress
+/// on stderr, then print its flow summary and write its --json report.
+/// Exit 0 when every flow of the grid is done.
+int run_campaign(core::CampaignRunner& runner, JsonSink& json) {
+  runner.set_progress([](const core::CampaignProgress& p) {
+    std::cerr << "  [" << p.flow_name << "] " << stage_line(p.stage) << "  ("
+              << p.flows_done << "/" << p.flows_total << " flows done)\n";
+  });
+  const StopOnSignal<core::CampaignRunner> stop_on_signal(runner);
+  const auto result = runner.run();
+
+  std::ostream& out = json.text();
+  out << "campaign: " << result.completed << "/" << result.flows.size()
+      << " flows in " << result.wall_seconds << " s wall ("
+      << result.stage_wall_seconds << " s of summed stage wall on "
+      << result.n_threads << " lanes, " << result.flows_per_second()
+      << " flows/s)\n";
+  if (!result.worker_id.empty()) {
+    out << "worker " << result.worker_id << ": " << result.claims
+        << " claims (" << result.claim_conflicts << " conflicts, "
+        << result.leases_stolen << " stale leases reclaimed)\n";
+  }
+  out << "  flow                 status    wall-s    front  "
+         "pick-acc   area-red\n";
+  for (const auto& f : result.flows) {
+    out << "  " << std::left << std::setw(20) << f.name << std::right << " "
+        << campaign_flow_status_name(f.status) << "  " << f.wall_seconds;
+    if (f.result) {
+      out << "  " << f.result->front.size() << "  ";
+      if (f.result->best) {
+        out << f.result->best->test_accuracy << "  "
+            << f.result->area_reduction << "x";
+      } else {
+        out << "-  -";
+      }
+    } else if (!f.error.empty()) {
+      out << "  " << f.error;
+    }
+    out << "\n";
+  }
+  json.write(
+      [&](std::ostream& os) { core::write_campaign_report_json(result, os); });
+  for (const auto& f : result.flows) {
+    if (f.status == core::CampaignFlowStatus::kFailed) {
+      std::cerr << "flow " << f.name << " FAILED: " << f.error << "\n";
+    }
+  }
+  return result.all_ok() ? 0 : 1;
+}
+
 int cmd_campaign(const Invocation& in) {
   const int pop = int_arg(in, 0, "population", 80);
   const int gens = int_arg(in, 1, "generations", 200);
@@ -568,93 +620,42 @@ int cmd_campaign(const Invocation& in) {
   }
   std::cerr << "campaign: " << manifest.flows.size() << " flows ("
             << names.size() << " datasets x " << seeds << " seeds), NSGA-II "
-            << pop << "x" << gens << ", shared pool of "
-            << core::resolve_n_threads(ccfg.n_threads) << " workers\n";
-  runner.set_progress([](const core::CampaignProgress& p) {
-    std::cerr << "  [" << p.flow_name << "] " << stage_line(p.stage) << "  ("
-              << p.flows_done << "/" << p.flows_total << " flows done)\n";
-  });
-  const StopOnSignal<core::CampaignRunner> stop_on_signal(runner);
-  const auto result = runner.run();
-
-  std::ostream& out = json.text();
-  out << "campaign: " << result.completed << "/" << result.flows.size()
-      << " flows in " << result.wall_seconds << " s wall ("
-      << result.stage_wall_seconds << " s of summed stage wall on "
-      << result.n_threads << " workers, " << result.flows_per_second()
-      << " flows/s)\n";
-  out << "  flow                 status    wall-s    front  "
-         "pick-acc   area-red\n";
-  for (const auto& f : result.flows) {
-    out << "  " << std::left << std::setw(20) << f.name << std::right << " "
-        << campaign_flow_status_name(f.status) << "  " << f.wall_seconds;
-    if (f.result) {
-      out << "  " << f.result->front.size() << "  ";
-      if (f.result->best) {
-        out << f.result->best->test_accuracy << "  "
-            << f.result->area_reduction << "x";
-      } else {
-        out << "-  -";
-      }
-    } else if (!f.error.empty()) {
-      out << "  " << f.error;
-    }
-    out << "\n";
-  }
-  json.write(
-      [&](std::ostream& os) { core::write_campaign_report_json(result, os); });
-  for (const auto& f : result.flows) {
-    if (f.status == core::CampaignFlowStatus::kFailed) {
-      std::cerr << "flow " << f.name << " FAILED: " << f.error << "\n";
-    }
-  }
-  return result.all_ok() ? 0 : 1;
+            << pop << "x" << gens << ", "
+            << core::resolve_n_threads(ccfg.n_threads) << " lanes\n";
+  return run_campaign(runner, json);
 }
 
 /// `pmlp campaign --worker --checkpoint DIR`: join an existing campaign
 /// tree as one crash-safe distributed drain process. The grid comes from
 /// the tree's manifest; pop/gens positionals are rejected so two workers
 /// can never disagree about the flow configs (the config fingerprint would
-/// catch it, but at the cost of a poisoned flow).
+/// catch it, but at the cost of a poisoned flow). --threads N steps N
+/// flows at once, each serially. The exit code reflects the whole tree,
+/// not just this worker's share of it.
 int cmd_campaign_worker(const Invocation& in) {
   const std::string& checkpoint = in.opts.text[kCheckpoint];
+  JsonSink json(in.opts.text[kJson]);
   auto manifest = core::load_campaign_manifest(checkpoint);
   manifest.ga_checkpoint = in.opts.get(kGaCheckpoint, manifest.ga_checkpoint);
   core::WorkerConfig wcfg;
+  wcfg.n_threads = in.opts.get(kThreads, 0);
   wcfg.checkpoint_root = checkpoint;
   wcfg.worker_id = in.opts.text[kWorkerId];
   wcfg.lease_timeout_s = in.opts.get(kLeaseTimeout, wcfg.lease_timeout_s);
   wcfg.heartbeat_s = in.opts.get(kHeartbeat, wcfg.heartbeat_s);
   wcfg.max_failures = in.opts.get(kMaxFailures, wcfg.max_failures);
-  core::CampaignWorker worker(campaign_specs(manifest, in.opts), wcfg);
-  worker.set_progress(
-      [&worker](const std::string& flow, const core::StageReport& r) {
-        std::cerr << "  [" << worker.worker_id() << " @ " << flow << "] "
-                  << stage_line(r) << "\n";
-      });
-  std::cerr << "worker " << worker.worker_id() << ": joining campaign tree "
+  auto specs = campaign_specs(manifest, in.opts);
+  std::optional<core::CampaignWorker> worker;
+  try {
+    worker.emplace(std::move(specs), wcfg);
+  } catch (const std::invalid_argument& e) {
+    throw UsageError(e.what());  // e.g. a heartbeat too slow for the lease
+  }
+  std::cerr << "worker " << worker->worker_id() << ": joining campaign tree "
             << checkpoint << " (" << manifest.flows.size()
             << " flows, lease timeout " << wcfg.lease_timeout_s
             << " s, heartbeat " << wcfg.heartbeat_s << " s)\n";
-
-  const StopOnSignal<core::CampaignWorker> stop_on_signal(worker);
-  const auto report = worker.run();
-
-  std::cout << "worker " << report.worker_id << ": "
-            << report.stages_computed << " stages computed, "
-            << report.stages_reloaded << " reloaded, " << report.claims
-            << " claims (" << report.claim_conflicts << " conflicts, "
-            << report.leases_stolen << " stale leases reclaimed), "
-            << report.flows_completed << " flows completed, "
-            << report.flows_failed << " marked failed, "
-            << report.stage_failures << " stage failures, "
-            << report.wall_seconds << " s wall\n";
-
-  // Exit reflects the TREE, not just this worker: 0 = fully drained with
-  // no failed flows (no matter which worker did the work).
-  const auto status = core::read_campaign_status(checkpoint);
-  if (status.failed > 0) return 1;
-  return status.done == static_cast<int>(status.flows.size()) ? 0 : 1;
+  return run_campaign(*worker, json);
 }
 
 /// `pmlp campaign status --checkpoint DIR`: grid progress from the tree
@@ -932,8 +933,8 @@ constexpr CommandRow kCommands[] = {
      opts({kCheckpoint, kJson, kDatasets, kSeeds, kResume, kGaCheckpoint}),
      false, cmd_campaign},
     {"campaign --worker", "", 0, 0,
-     opts({kCheckpoint, kWorkerId, kLeaseTimeout, kHeartbeat, kMaxFailures,
-           kGaCheckpoint}),
+     opts({kCheckpoint, kJson, kWorkerId, kLeaseTimeout, kHeartbeat,
+           kMaxFailures, kGaCheckpoint}),
      true, cmd_campaign_worker, "the grid comes from the tree's manifest"},
     {"campaign status", "", 0, 0, opts({kCheckpoint, kJson}), true,
      cmd_campaign_status},
