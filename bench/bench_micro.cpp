@@ -1,6 +1,7 @@
 // google-benchmark micro suite for the hot kernels of the framework:
 // FA-count area estimation (the GA's inner loop), Eq. 4 inference,
-// chromosome decode, netlist build/simulate, the sample-blocked
+// chromosome decode, netlist build and simulate (scalar vs 64-lane
+// packed), testbench text (per-vector oracle vs streamed), the sample-blocked
 // predict_batch kernels (scalar vs the dispatched SIMD ISA, across batch
 // sizes and layer densities), the GA's whole-set accuracy over sample
 // planes, the greedy refine loop's block-vectorized trials, NSGA-II
@@ -22,6 +23,7 @@
 #include "bench_common.hpp"
 #include "nsga2_oracle.hpp"
 #include "record_oracle.hpp"
+#include "testbench_oracle.hpp"
 #include "pmlp/core/chromosome.hpp"
 #include "pmlp/core/eval_engine.hpp"
 #include "pmlp/core/refine.hpp"
@@ -31,6 +33,8 @@
 #include "pmlp/mlp/backprop.hpp"
 #include "pmlp/mlp/train_engine.hpp"
 #include "pmlp/netlist/builders.hpp"
+#include "pmlp/netlist/opt.hpp"
+#include "pmlp/netlist/testbench.hpp"
 #include "pmlp/nsga2/nsga2.hpp"
 
 #ifdef PMLP_HAVE_GPERFTOOLS
@@ -126,8 +130,62 @@ void BM_NetlistSimulate(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(circuit.predict(x));
   }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_NetlistSimulate);
+
+/// The packed simulator the sign-off runs: predict_batch over a sign-off
+/// point's 2112 vectors (64 recorded + 2048 LFSR), 64 per word. items/s
+/// is vectors/s, comparable with BM_NetlistSimulate's.
+void BM_NetlistSimulatePacked(benchmark::State& state) {
+  const auto model = make_model(5);
+  const auto circuit = netlist::build_bespoke_mlp(model.to_bespoke_desc("m"));
+  const std::size_t n = 2112;
+  const auto codes = make_codes(n, 16, 5);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(circuit.predict_batch(codes, n));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_NetlistSimulatePacked);
+
+/// A stream that counts and drops what it is given, so the testbench bench
+/// times text generation, not string growth or disk.
+class NullBuf : public std::streambuf {
+ protected:
+  int_type overflow(int_type c) override { return traits_type::not_eof(c); }
+  std::streamsize xsputn(const char*, std::streamsize n) override { return n; }
+};
+
+/// A sign-off point's testbench (optimized circuit, 2112 vectors). arg:
+/// 0 = the per-vector oracle writer, 1 = the streamed emit_testbench.
+/// items/s is vectors/s, bytes/s the text rate.
+void BM_TestbenchEmit(benchmark::State& state) {
+  const bool streamed = state.range(0) != 0;
+  const auto circuit = netlist::optimize(
+      netlist::build_bespoke_mlp(make_model(5).to_bespoke_desc("m")));
+  const std::size_t n = 2112;
+  const auto codes = make_codes(n, 16, 6);
+  netlist::TestbenchOptions opts;
+  opts.max_vectors = static_cast<int>(n);
+  std::ostringstream once;
+  netlist::emit_testbench(circuit, 16, codes, opts, once);
+  NullBuf sink;
+  std::ostream os(&sink);
+  for (auto _ : state) {
+    if (streamed) {
+      netlist::emit_testbench(circuit, 16, codes, opts, os);
+    } else {
+      oracles::emit_testbench_naive(circuit, 16, codes, opts, os);
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(once.str().size()));
+}
+BENCHMARK(BM_TestbenchEmit)->Arg(0)->Arg(1)->ArgName("streamed");
 
 /// The tentpole kernel: sample-blocked batched classification. args:
 /// (simd 0/1, batch size, sparse 0/1). simd=0 forces scalar dispatch,

@@ -46,10 +46,11 @@ HwEvaluatedPoint evaluate_candidate(const EstimatedPoint& cand,
   }
   const CompiledNet net(cand.model);
   const auto preds = net.predict_batch(test, ws);
+  const auto gate_level = circuit.predict_batch(test.codes, n_check);
   std::size_t correct = 0;
   for (std::size_t i = 0; i < test.size(); ++i) {
     const int model_pred = preds[i];
-    if (i < n_check && circuit.predict(test.row(i)) != model_pred) {
+    if (i < n_check && gate_level[i] != model_pred) {
       p.functional_match = false;
     }
     if (model_pred == test.labels[i]) ++correct;

@@ -1,6 +1,7 @@
 #include "pmlp/core/rtl_export.hpp"
 
 #include <algorithm>
+#include <array>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -8,7 +9,6 @@
 
 #include "pmlp/bitops/lfsr.hpp"
 #include "pmlp/core/eval_engine.hpp"
-#include "pmlp/netlist/activity.hpp"
 #include "pmlp/netlist/builders.hpp"
 #include "pmlp/netlist/opt.hpp"
 #include "pmlp/netlist/testbench.hpp"
@@ -70,19 +70,12 @@ std::vector<std::uint8_t> lfsr_stimulus(std::size_t n_vectors, int n_features,
 
 namespace {
 
-/// Class index from the emitted module's output bits (outputs are the
-/// class-index bus, bit i at position i — little-endian).
-int class_from_bits(const std::vector<bool>& bits) {
-  int v = 0;
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    if (bits[i]) v |= 1 << i;
-  }
-  return v;
-}
-
-void write_text_file(const fs::path& path, const std::string& text) {
+/// Open `path`, let `write` stream the contents into it, and check the
+/// stream once the last byte is flushed.
+template <typename Write>
+void write_file(const fs::path& path, const Write& write) {
   std::ofstream os(path);
-  os << text;
+  write(os);
   os.flush();
   if (!os) {
     throw std::runtime_error("rtl_export: cannot write " + path.string());
@@ -90,17 +83,17 @@ void write_text_file(const fs::path& path, const std::string& text) {
 }
 
 void write_manifest(const RtlExportReport& report, const fs::path& outdir) {
-  std::ostringstream os;
-  os << "name\tdut\ttb\trecorded\trandom\tgates\tgates_removed\tsim\t"
-        "sim_errors\n";
-  for (const auto& p : report.points) {
-    os << p.name << '\t' << fs::path(p.dut_file).filename().string() << '\t'
-       << fs::path(p.tb_file).filename().string() << '\t' << p.n_recorded
-       << '\t' << p.n_random << '\t' << p.gates << '\t' << p.gates_removed
-       << '\t' << rtl_sim_outcome_name(p.sim) << '\t' << p.sim_errors
-       << '\n';
-  }
-  write_text_file(outdir / "manifest.tsv", os.str());
+  write_file(outdir / "manifest.tsv", [&](std::ostream& os) {
+    os << "name\tdut\ttb\trecorded\trandom\tgates\tgates_removed\tsim\t"
+          "sim_errors\n";
+    for (const auto& p : report.points) {
+      os << p.name << '\t' << fs::path(p.dut_file).filename().string() << '\t'
+         << fs::path(p.tb_file).filename().string() << '\t' << p.n_recorded
+         << '\t' << p.n_random << '\t' << p.gates << '\t' << p.gates_removed
+         << '\t' << rtl_sim_outcome_name(p.sim) << '\t' << p.sim_errors
+         << '\n';
+    }
+  });
 }
 
 }  // namespace
@@ -162,41 +155,59 @@ RtlExportReport export_rtl(std::span<const RtlPointSpec> points,
       circuit = netlist::optimize(std::move(circuit), &stats);
     }
 
-    // Three-way check per vector: oracle == gate-level sim == in-process
-    // evaluation of the emitted assigns (plus a gate-by-gate cross-check
-    // of emitter vs simulator).
+    // Three-way check, 64 vectors per pass: oracle == gate-level sim ==
+    // in-process evaluation of the emitted assigns, plus a gate-by-gate
+    // cross-check of emitter vs simulator. Both simulators are packed
+    // (one bit per vector in a word per net); lanes are checked in vector
+    // order, so the first divergence reported is the first vector's.
     const netlist::EmittedModule emitted(circuit.nl, name);
-    const auto input_vectors = netlist::vectors_from_samples(
-        circuit.input_buses, circuit.nl, codes, n_features);
-    for (std::size_t v = 0; v < n_vectors; ++v) {
-      const auto row = std::span<const std::uint8_t>(codes).subspan(
-          v * static_cast<std::size_t>(n_features),
-          static_cast<std::size_t>(n_features));
-      const int gate_level = circuit.predict(row);
-      const int emitted_class = class_from_bits(emitted.eval(input_vectors[v]));
-      const int gate_mismatches = emitted.cross_check(input_vectors[v]);
-      if (gate_level != expected[v] || emitted_class != expected[v] ||
-          gate_mismatches != 0) {
-        std::ostringstream msg;
-        msg << "rtl_export: " << name << " diverged on vector " << v
-            << ": oracle=" << expected[v] << " gate-sim=" << gate_level
-            << " emitted=" << emitted_class << " gate mismatches="
-            << gate_mismatches;
-        throw std::runtime_error(msg.str());
+    netlist::Bus emitted_outputs;
+    for (const auto& [net, port] : circuit.nl.outputs()) {
+      emitted_outputs.push_back(net);
+    }
+    std::vector<std::uint64_t> gate_words(
+        static_cast<std::size_t>(circuit.nl.n_nets()), 0);
+    std::vector<std::uint64_t> assign_words(gate_words.size(), 0);
+    std::array<int, 64> gate_level{};
+    std::array<int, 64> emitted_class{};
+    for (std::size_t first = 0; first < n_vectors; first += 64) {
+      const std::size_t lanes = std::min<std::size_t>(64, n_vectors - first);
+      circuit.drive_block(codes, first, lanes, gate_words);
+      assign_words = gate_words;
+      circuit.nl.evaluate_packed(gate_words);
+      emitted.eval_packed(assign_words);
+      const auto gate_mismatches =
+          emitted.cross_check_packed(assign_words, gate_words);
+      netlist::read_bus_lanes(gate_words, circuit.class_index,
+                              std::span(gate_level).first(lanes));
+      netlist::read_bus_lanes(assign_words, emitted_outputs,
+                              std::span(emitted_class).first(lanes));
+      for (std::size_t l = 0; l < lanes; ++l) {
+        const std::size_t v = first + l;
+        if (gate_level[l] != expected[v] || emitted_class[l] != expected[v] ||
+            gate_mismatches[l] != 0) {
+          std::ostringstream msg;
+          msg << "rtl_export: " << name << " diverged on vector " << v
+              << ": oracle=" << expected[v] << " gate-sim=" << gate_level[l]
+              << " emitted=" << emitted_class[l] << " gate mismatches="
+              << gate_mismatches[l];
+          throw std::runtime_error(msg.str());
+        }
       }
     }
 
-    // Artifacts: DUT, self-checking testbench over the same stimulus.
+    // Artifacts: DUT, self-checking testbench over the same stimulus,
+    // each streamed straight into its file.
     const fs::path dut_path = out / (name + ".v");
-    write_text_file(dut_path, emitted.text());
+    write_file(dut_path, [&](std::ostream& os) { emitted.emit(os); });
 
     netlist::TestbenchOptions tb;
     tb.dut_name = name;
     tb.max_vectors = static_cast<int>(n_vectors);
-    std::ostringstream tb_text;
-    netlist::emit_testbench(circuit, n_features, codes, tb, tb_text);
     const fs::path tb_path = out / (name + "_tb.v");
-    write_text_file(tb_path, tb_text.str());
+    write_file(tb_path, [&](std::ostream& os) {
+      netlist::emit_testbench(circuit, n_features, codes, tb, os);
+    });
 
     RtlPointReport pr;
     pr.name = name;

@@ -8,11 +8,13 @@
 //      that gets simulated and checked; there is no second "golden" build,
 //   2. asserts, over recorded dataset vectors plus LFSR random stimulus,
 //      that the C++ oracle (CompiledNet::predict_batch), the gate-level
-//      simulator (BespokeCircuit::predict) and the in-process evaluation of
-//      the emitted Verilog (EmittedModule::eval, gate-by-gate cross_check)
-//      produce bit-identical classes — any divergence throws,
-//   3. writes <name>.v (DUT), <name>_tb.v (self-checking testbench over the
-//      same stimulus) and a manifest.tsv row,
+//      simulator (Netlist::evaluate_packed) and the in-process evaluation
+//      of the emitted Verilog (EmittedModule::eval_packed, gate-by-gate
+//      cross_check_packed) produce bit-identical classes — any divergence
+//      throws. Both simulators run 64 vectors per word; their scalar
+//      forms are the test oracles,
+//   3. streams <name>.v (DUT), <name>_tb.v (self-checking testbench over
+//      the same stimulus) into their files and writes a manifest.tsv row,
 //   4. (verify_rtl only) compiles and runs each testbench with a discovered
 //      iverilog/verilator and records PASS/FAIL. No simulator installed is
 //      a graceful skip — the in-process three-way check has already run.

@@ -602,36 +602,52 @@ CampaignStatusReport read_campaign_status(const std::string& root) {
   return out;
 }
 
+namespace {
+
+/// A left-aligned table cell: `text` padded to `width`, with at least one
+/// space after it so a value as wide as its column never runs into the
+/// next one.
+void pad_cell(std::ostream& os, const std::string& text, std::size_t width) {
+  os << text
+     << std::string(text.size() < width ? width - text.size() : 1, ' ');
+}
+
+}  // namespace
+
 void write_campaign_status_table(const CampaignStatusReport& s,
                                  std::ostream& os) {
+  // Column widths, each at least its header plus one separator.
+  constexpr std::size_t kFlow = 21, kStages = 8, kNext = 10, kState = 10,
+                        kOwner = 27;
   os << "campaign: " << s.flows.size() << " flows (NSGA-II "
      << s.manifest.population << "x" << s.manifest.generations << "), "
      << s.done << " done, " << s.failed << " failed, " << s.claimed
      << " claimed\n";
-  os << "  flow                 stages  next      state     owner"
-        "                      beat-age  fails\n";
+  os << "  ";
+  pad_cell(os, "flow", kFlow);
+  pad_cell(os, "stages", kStages);
+  pad_cell(os, "next", kNext);
+  pad_cell(os, "state", kState);
+  pad_cell(os, "owner", kOwner);
+  os << "beat-age  fails\n";
   for (const auto& f : s.flows) {
     os << "  ";
-    os.width(20);
-    os.setf(std::ios::left);
-    os << f.name;
-    os.unsetf(std::ios::left);
-    os << ' ' << f.stages_done << '/' << f.stages_total << "     ";
-    os.width(9);
-    os.setf(std::ios::left);
-    os << f.next_stage;
-    os.width(9);
-    const char* state = f.failed   ? "FAILED"
-                        : f.done   ? "done"
-                        : !f.owner.empty() ? "claimed"
-                                           : "unclaimed";
-    os << state;
-    os.width(26);
-    os << (f.owner.empty() ? "-" : f.owner);
-    os.unsetf(std::ios::left);
+    pad_cell(os, f.name, kFlow);
+    pad_cell(os,
+             std::to_string(f.stages_done) + '/' +
+                 std::to_string(f.stages_total),
+             kStages);
+    pad_cell(os, f.next_stage, kNext);
+    pad_cell(os,
+             f.failed            ? "FAILED"
+             : f.done            ? "done"
+             : !f.owner.empty()  ? "claimed"
+                                 : "unclaimed",
+             kState);
+    pad_cell(os, f.owner.empty() ? "-" : f.owner, kOwner);
     if (f.heartbeat_age_s >= 0) {
       char buf[32];
-      std::snprintf(buf, sizeof buf, "%8.1fs", f.heartbeat_age_s);
+      std::snprintf(buf, sizeof buf, "%7.1fs", f.heartbeat_age_s);
       os << buf;
     } else {
       os << "       -";

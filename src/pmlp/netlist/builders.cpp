@@ -260,4 +260,44 @@ int BespokeCircuit::predict(std::span<const std::uint8_t> codes) const {
   return static_cast<int>(read_bus(values, class_index));
 }
 
+void BespokeCircuit::drive_block(std::span<const std::uint8_t> codes,
+                                 std::size_t first, std::size_t lanes,
+                                 std::vector<std::uint64_t>& words) const {
+  const std::size_t n_features = input_buses.size();
+  if (lanes > 64 || codes.size() < (first + lanes) * n_features ||
+      words.size() != static_cast<std::size_t>(nl.n_nets())) {
+    throw std::invalid_argument("BespokeCircuit::drive_block: bad block");
+  }
+  const std::uint8_t* rows = codes.data() + first * n_features;
+  for (std::size_t f = 0; f < n_features; ++f) {
+    const Bus& bus = input_buses[f];
+    for (std::size_t bit = 0; bit < bus.size(); ++bit) {
+      std::uint64_t w = 0;
+      for (std::size_t l = 0; l < lanes; ++l) {
+        w |= static_cast<std::uint64_t>((rows[l * n_features + f] >> bit) & 1u)
+             << l;
+      }
+      words[static_cast<std::size_t>(bus[bit])] = w;
+    }
+  }
+}
+
+std::vector<int> BespokeCircuit::predict_batch(
+    std::span<const std::uint8_t> codes, std::size_t n) const {
+  if (codes.size() < n * input_buses.size()) {
+    throw std::invalid_argument(
+        "BespokeCircuit::predict_batch: fewer codes than rows");
+  }
+  std::vector<int> out(n);
+  std::vector<std::uint64_t> words(static_cast<std::size_t>(nl.n_nets()), 0);
+  for (std::size_t first = 0; first < n; first += 64) {
+    const std::size_t lanes = std::min<std::size_t>(64, n - first);
+    drive_block(codes, first, lanes, words);
+    nl.evaluate_packed(words);
+    read_bus_lanes(words, class_index,
+                   std::span<int>(out).subspan(first, lanes));
+  }
+  return out;
+}
+
 }  // namespace pmlp::netlist

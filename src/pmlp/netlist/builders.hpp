@@ -91,6 +91,19 @@ struct BespokeCircuit {
 
   /// Classify one quantized sample (codes must fit the input width).
   [[nodiscard]] int predict(std::span<const std::uint8_t> codes) const;
+
+  /// Classify the first `n` rows of row-major `codes` (input_buses.size()
+  /// codes per row) on the packed simulator, 64 rows per pass. Equal to
+  /// predict() row by row, which is its oracle.
+  [[nodiscard]] std::vector<int> predict_batch(
+      std::span<const std::uint8_t> codes, std::size_t n) const;
+
+  /// Transpose rows [first, first + lanes) of row-major `codes` into
+  /// bit-planes on the input-bus nets of per-net `words` (n_nets()
+  /// entries): bit l of bus f's bit b is bit b of row first+l's code f.
+  /// Lanes at and above `lanes` (<= 64) read 0.
+  void drive_block(std::span<const std::uint8_t> codes, std::size_t first,
+                   std::size_t lanes, std::vector<std::uint64_t>& words) const;
 };
 
 /// Build the complete circuit: all layers, QReLUs, argmax.

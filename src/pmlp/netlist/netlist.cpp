@@ -353,6 +353,62 @@ void Netlist::evaluate_with_override(std::vector<char>& values,
   }
 }
 
+void Netlist::evaluate_packed(std::vector<std::uint64_t>& words) const {
+  if (words.size() != static_cast<std::size_t>(n_nets_)) {
+    throw std::invalid_argument("evaluate_packed: words size != n_nets");
+  }
+  std::uint64_t* w = words.data();
+  w[0] = 0;
+  w[1] = ~std::uint64_t{0};
+  for (const auto& g : gates_) {
+    const std::uint64_t a = w[g.in[0]];
+    const std::uint64_t b = g.in[1] >= 0 ? w[g.in[1]] : 0;
+    switch (g.type) {
+      case CellType::kNot:
+        w[g.out[0]] = ~a;
+        break;
+      case CellType::kBuf:
+      case CellType::kDff:  // transparent in combinational simulation
+        w[g.out[0]] = a;
+        break;
+      case CellType::kAnd2:
+        w[g.out[0]] = a & b;
+        break;
+      case CellType::kOr2:
+        w[g.out[0]] = a | b;
+        break;
+      case CellType::kNand2:
+        w[g.out[0]] = ~(a & b);
+        break;
+      case CellType::kNor2:
+        w[g.out[0]] = ~(a | b);
+        break;
+      case CellType::kXor2:
+        w[g.out[0]] = a ^ b;
+        break;
+      case CellType::kXnor2:
+        w[g.out[0]] = ~(a ^ b);
+        break;
+      case CellType::kMux2:
+        w[g.out[0]] = a ^ ((a ^ b) & w[g.in[2]]);
+        break;
+      case CellType::kHalfAdder:
+        w[g.out[0]] = a ^ b;
+        w[g.out[1]] = a & b;
+        break;
+      case CellType::kFullAdder: {
+        const std::uint64_t c = w[g.in[2]];
+        const std::uint64_t ab = a ^ b;
+        w[g.out[0]] = ab ^ c;
+        w[g.out[1]] = (a & b) | (c & ab);  // majority
+        break;
+      }
+      case CellType::kCount:
+        throw std::logic_error("evaluate_packed: bad gate");
+    }
+  }
+}
+
 std::vector<bool> Netlist::simulate(
     const std::vector<bool>& input_values) const {
   if (input_values.size() != inputs_.size()) {
@@ -386,6 +442,20 @@ std::uint64_t read_bus(const std::vector<char>& values, const Bus& bus) {
     }
   }
   return v;
+}
+
+void read_bus_lanes(const std::vector<std::uint64_t>& words, const Bus& bus,
+                    std::span<int> out) {
+  if (out.size() > 64) {
+    throw std::invalid_argument("read_bus_lanes: more than 64 lanes");
+  }
+  std::fill(out.begin(), out.end(), 0);
+  for (std::size_t i = 0; i < bus.size(); ++i) {
+    const std::uint64_t w = words[static_cast<std::size_t>(bus[i])];
+    for (std::size_t l = 0; l < out.size(); ++l) {
+      out[l] |= static_cast<int>((w >> l) & 1u) << i;
+    }
+  }
 }
 
 }  // namespace pmlp::netlist

@@ -7,6 +7,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -96,6 +97,12 @@ class Netlist {
   void evaluate_with_override(std::vector<char>& values, int gate_index,
                               int output_slot, bool value) const;
 
+  /// Packed evaluation of up to 64 vectors at once: `words` has n_nets()
+  /// entries and bit l of words[n] is net n's value in vector (lane) l.
+  /// Inputs are pre-set; the constants and every gate output are filled
+  /// in. Lane for lane the result equals evaluate(), which is its oracle.
+  void evaluate_packed(std::vector<std::uint64_t>& words) const;
+
  private:
   NetId new_net();
   Gate& push_gate(hwmodel::CellType type);
@@ -111,5 +118,9 @@ void drive_bus(std::vector<char>& values, const Bus& bus, std::uint64_t v);
 /// Read a little-endian bus as unsigned.
 [[nodiscard]] std::uint64_t read_bus(const std::vector<char>& values,
                                      const Bus& bus);
+/// Packed read_bus: out[l] = the bus value in lane l of per-net `words`,
+/// for the first out.size() (<= 64) lanes.
+void read_bus_lanes(const std::vector<std::uint64_t>& words, const Bus& bus,
+                    std::span<int> out);
 
 }  // namespace pmlp::netlist

@@ -1,5 +1,6 @@
 #include "pmlp/netlist/verilog.hpp"
 
+#include <bit>
 #include <sstream>
 #include <stdexcept>
 
@@ -72,6 +73,57 @@ void AssignExpr::eval(std::vector<char>& values) const {
     }
     case CellType::kCount:
       throw std::logic_error("AssignExpr::eval: bad gate");
+  }
+}
+
+void AssignExpr::eval_packed(std::vector<std::uint64_t>& words) const {
+  std::uint64_t* w = words.data();
+  switch (op) {
+    case CellType::kNot:
+      w[out[0]] = ~w[in[0]];
+      break;
+    case CellType::kBuf:
+    case CellType::kDff:  // modeled as a wire in the combinational export
+      w[out[0]] = w[in[0]];
+      break;
+    case CellType::kAnd2:
+      w[out[0]] = w[in[0]] & w[in[1]];
+      break;
+    case CellType::kOr2:
+      w[out[0]] = w[in[0]] | w[in[1]];
+      break;
+    case CellType::kNand2:
+      w[out[0]] = ~(w[in[0]] & w[in[1]]);
+      break;
+    case CellType::kNor2:
+      w[out[0]] = ~(w[in[0]] | w[in[1]]);
+      break;
+    case CellType::kXor2:
+      w[out[0]] = w[in[0]] ^ w[in[1]];
+      break;
+    case CellType::kXnor2:
+      w[out[0]] = ~(w[in[0]] ^ w[in[1]]);
+      break;
+    case CellType::kMux2:
+      // `sel ? b : a` with inputs {a, b, sel}.
+      w[out[0]] = (w[in[2]] & w[in[1]]) | (~w[in[2]] & w[in[0]]);
+      break;
+    case CellType::kHalfAdder: {
+      // `{carry, sum} = a + b`, bit-sliced.
+      const std::uint64_t a = w[in[0]], b = w[in[1]];
+      w[out[0]] = a ^ b;
+      w[out[1]] = a & b;
+      break;
+    }
+    case CellType::kFullAdder: {
+      // `{carry, sum} = a + b + c`, bit-sliced: carry when any two are set.
+      const std::uint64_t a = w[in[0]], b = w[in[1]], c = w[in[2]];
+      w[out[0]] = a ^ b ^ c;
+      w[out[1]] = (a & b) | (a & c) | (b & c);
+      break;
+    }
+    case CellType::kCount:
+      throw std::logic_error("AssignExpr::eval_packed: bad gate");
   }
 }
 
@@ -223,14 +275,53 @@ int EmittedModule::cross_check(const std::vector<bool>& inputs) const {
         inputs[i] ? 1 : 0;
   }
   nl.evaluate(golden);
+  return cross_check(ours, golden);
+}
 
+int EmittedModule::cross_check(const std::vector<char>& ours,
+                               const std::vector<char>& golden) const {
+  const auto n = static_cast<std::size_t>(nl_->n_nets());
+  if (ours.size() != n || golden.size() != n) {
+    throw std::invalid_argument("EmittedModule::cross_check: bad value count");
+  }
   int mismatches = 0;
-  for (const auto& g : nl.gates()) {
+  for (const auto& g : nl_->gates()) {
     for (NetId out : g.out) {
       if (out < 0) continue;
       if ((ours[static_cast<std::size_t>(out)] != 0) !=
           (golden[static_cast<std::size_t>(out)] != 0)) {
         ++mismatches;
+      }
+    }
+  }
+  return mismatches;
+}
+
+void EmittedModule::eval_packed(std::vector<std::uint64_t>& words) const {
+  if (words.size() != static_cast<std::size_t>(nl_->n_nets())) {
+    throw std::invalid_argument("EmittedModule::eval_packed: bad word count");
+  }
+  words[static_cast<std::size_t>(nl_->const0())] = 0;
+  words[static_cast<std::size_t>(nl_->const1())] = ~std::uint64_t{0};
+  for (const auto& ax : assigns_) ax.eval_packed(words);
+}
+
+std::array<int, 64> EmittedModule::cross_check_packed(
+    const std::vector<std::uint64_t>& ours,
+    const std::vector<std::uint64_t>& golden) const {
+  const auto n = static_cast<std::size_t>(nl_->n_nets());
+  if (ours.size() != n || golden.size() != n) {
+    throw std::invalid_argument(
+        "EmittedModule::cross_check_packed: bad word count");
+  }
+  std::array<int, 64> mismatches{};
+  for (const auto& g : nl_->gates()) {
+    for (NetId out : g.out) {
+      if (out < 0) continue;
+      for (std::uint64_t diff = ours[static_cast<std::size_t>(out)] ^
+                                golden[static_cast<std::size_t>(out)];
+           diff != 0; diff &= diff - 1) {
+        ++mismatches[static_cast<std::size_t>(std::countr_zero(diff))];
       }
     }
   }

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <map>
 #include <ostream>
 #include <string>
@@ -41,6 +42,9 @@ struct AssignExpr {
   /// Execute the assign over per-net storage (index = NetId, as in
   /// Netlist::evaluate; slots 0/1 must hold the constants).
   void eval(std::vector<char>& values) const;
+  /// The same over 64 vectors at once: bit l of words[n] is net n in
+  /// vector l (as in Netlist::evaluate_packed).
+  void eval_packed(std::vector<std::uint64_t>& words) const;
 };
 
 /// A netlist rendered as a Verilog module. Holds a pointer to the netlist
@@ -75,6 +79,27 @@ class EmittedModule {
   /// Returns the number of mismatching nets (0 = the emitted RTL and the
   /// gate-level sim agree everywhere, not just at the outputs).
   [[nodiscard]] int cross_check(const std::vector<bool>& inputs) const;
+  /// The comparison half of cross_check: the number of gate output nets
+  /// whose values differ between two per-net value sets (`ours` from the
+  /// assigns, `golden` from Netlist::evaluate).
+  [[nodiscard]] int cross_check(const std::vector<char>& ours,
+                                const std::vector<char>& golden) const;
+
+  /// Packed eval: run the assigns over 64 vectors at once. `words` is
+  /// per-net storage (n_nets() entries, bit l = vector l) with the
+  /// primary inputs pre-set; the constants and assign outputs are filled
+  /// in. Implements the emitted text's semantics on its own, not by
+  /// calling Netlist::evaluate_packed, so the packed check still compares
+  /// two implementations.
+  void eval_packed(std::vector<std::uint64_t>& words) const;
+
+  /// Packed cross_check: per-lane mismatch counts between packed assign
+  /// values (`ours`, from eval_packed) and packed netlist values
+  /// (`golden`, from Netlist::evaluate_packed) over every gate output
+  /// net. Lane l of the result is cross_check for vector l.
+  [[nodiscard]] std::array<int, 64> cross_check_packed(
+      const std::vector<std::uint64_t>& ours,
+      const std::vector<std::uint64_t>& golden) const;
 
  private:
   [[nodiscard]] std::vector<char> run_assigns(

@@ -3,9 +3,11 @@
 // hardware analysis and stage reporting.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
 
 #include "flow_test_util.hpp"
 #include "pmlp/core/flow_engine.hpp"
@@ -159,6 +161,21 @@ int process_threads() {
   return static_cast<int>(std::distance(it, fs::directory_iterator{}));
 }
 
+/// process_threads() once it has stopped changing: a thread that was just
+/// joined can stay listed in /proc/self/task for a moment. Reads every
+/// 10 ms until five readings in a row agree, for about a second at most.
+int settled_process_threads() {
+  int last = process_threads();
+  int same = 0;
+  for (int i = 0; i < 100 && same < 5; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const int now = process_threads();
+    same = now == last ? same + 1 : 0;
+    last = now;
+  }
+  return last;
+}
+
 }  // namespace
 
 TEST(FlowEngine, ReloadOnlyRunStartsNoThreads) {
@@ -173,7 +190,7 @@ TEST(FlowEngine, ReloadOnlyRunStartsNoThreads) {
     first.set_checkpoint_dir(dir.path.string());
     (void)first.run();
   }
-  const int before = process_threads();
+  const int before = settled_process_threads();
   if (before < 0) GTEST_SKIP() << "no /proc/self/task";
   core::FlowEngine second(data, small_topo(), cfg);
   second.set_checkpoint_dir(dir.path.string());

@@ -555,6 +555,37 @@ TEST(Status, JsonCarriesTheGrid) {
   }
 }
 
+TEST(Status, TableKeepsColumnsApart) {
+  TempDir dir("status_table");
+  core::save_campaign_manifest(grid_manifest(), dir.path.string());
+  const auto status = core::read_campaign_status(dir.path.string());
+  std::ostringstream os;
+  core::write_campaign_status_table(status, os);
+  std::istringstream lines(os.str());
+  std::string line;
+  std::getline(lines, line);  // summary
+  std::getline(lines, line);
+  EXPECT_EQ(line,
+            "  flow                 stages  next      state     owner"
+            "                      beat-age  fails");
+  int rows = 0;
+  while (std::getline(lines, line)) {
+    ++rows;
+    // `unclaimed` fills the state column; the owner `-` still stands apart.
+    const auto at = line.find("unclaimed");
+    ASSERT_NE(at, std::string::npos) << line;
+    const auto owner = line.find_first_not_of(' ', at + 9);
+    ASSERT_NE(owner, std::string::npos) << line;
+    EXPECT_GT(owner, at + 9) << line;
+    EXPECT_EQ(line[owner], '-') << line;
+    // `next` starts under its header.
+    EXPECT_EQ(line.find("split"),
+              std::string("  flow                 stages  ").size())
+        << line;
+  }
+  EXPECT_EQ(rows, 2);
+}
+
 // --------------------------------------------------- CLI + fault injection
 
 #ifdef PMLP_CLI_PATH
