@@ -91,10 +91,14 @@ int main() {
 
       // D. adder architecture on the refined design.
       double fa_only = 0, with_ha = 0, ripple = 0;
-      for (const auto& spec : refined.adder_specs()) {
-        fa_only += adder::fa_only_cost(spec).ha_equivalents();
-        with_ha += adder::csa_with_ha_cost(spec).ha_equivalents();
-        ripple += adder::ripple_accumulate_cost(spec).ha_equivalents();
+      adder::NeuronAdderSpec spec;
+      for (const auto& layer : refined.layers()) {
+        for (int o = 0; o < layer.n_out; ++o) {
+          core::load_neuron_spec(layer, o, spec);
+          fa_only += adder::fa_only_cost(spec).ha_equivalents();
+          with_ha += adder::csa_with_ha_cost(spec).ha_equivalents();
+          ripple += adder::ripple_accumulate_cost(spec).ha_equivalents();
+        }
       }
       std::cout << "D. adder arch (HA-equiv): FA-only CSA "
                 << bench::fmt(fa_only, 0, 0) << ", Wallace+HA "

@@ -11,6 +11,7 @@
 // time.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -24,6 +25,7 @@
 #include "nsga2_oracle.hpp"
 #include "record_oracle.hpp"
 #include "testbench_oracle.hpp"
+#include "pmlp/adder/fa_model.hpp"
 #include "pmlp/core/chromosome.hpp"
 #include "pmlp/core/eval_engine.hpp"
 #include "pmlp/core/refine.hpp"
@@ -87,6 +89,8 @@ std::vector<std::uint8_t> make_codes(std::size_t n_samples, int n_features,
   return codes;
 }
 
+/// ApproxMlp::fa_area: Eq. 2 over every neuron through the walk the GA's
+/// compile_layer shares, one reused scratch spec.
 void BM_FaAreaEstimate(benchmark::State& state) {
   const auto model = make_model(1);
   for (auto _ : state) {
@@ -401,9 +405,13 @@ void BM_TrainStepNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_TrainStepNaive)->Arg(0)->Arg(1)->ArgName("wide");
 
+/// reduce_columns over W columns 12 bits high; the reduction works in
+/// place, so each iteration first restores the heights (no allocation).
 void BM_AdderReduction(benchmark::State& state) {
-  std::vector<int> heights(static_cast<std::size_t>(state.range(0)), 12);
+  const std::vector<int> start(static_cast<std::size_t>(state.range(0)), 12);
+  std::vector<int> heights(start.size());
   for (auto _ : state) {
+    std::copy(start.begin(), start.end(), heights.begin());
     benchmark::DoNotOptimize(adder::reduce_columns(heights));
   }
 }

@@ -1,47 +1,21 @@
 #include "pmlp/adder/fa_model.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <numeric>
-#include <stdexcept>
-
-#include "pmlp/bitops/bitops.hpp"
 
 namespace pmlp::adder {
 
-int ReductionStage::total() const {
-  return std::accumulate(fa_per_column.begin(), fa_per_column.end(), 0);
-}
-
-AdderCost reduce_columns(std::vector<int> heights) {
-  AdderCost cost;
-  cost.acc_width = static_cast<int>(heights.size());
-
-  auto needs_reduction = [](const std::vector<int>& h) {
-    return std::any_of(h.begin(), h.end(), [](int v) { return v > 2; });
-  };
-
-  while (needs_reduction(heights)) {
-    ReductionStage stage;
-    stage.fa_per_column.assign(heights.size(), 0);
-    std::vector<int> next(heights.size(), 0);
-    for (std::size_t c = 0; c < heights.size(); ++c) {
-      const int h = heights[c];
+ReductionCost reduce_columns(std::span<int> heights) noexcept {
+  ReductionCost cost;
+  const auto tall = [](int h) { return h > 2; };
+  while (std::ranges::any_of(heights, tall)) {
+    int carry = 0;
+    for (int& h : heights) {
       const int fa = h / 3;  // each FA eats 3 bits, emits 1 sum + 1 carry
-      stage.fa_per_column[c] = fa;
-      next[c] += h - 3 * fa + fa;  // untouched bits + sum bits
-      if (fa > 0) {
-        if (c + 1 < heights.size()) {
-          next[c + 1] += fa;  // carries
-        }
-        // Carries out of the MSB column wrap nowhere: at accumulator width W
-        // the arithmetic is mod 2^W, so they are dropped (two's complement).
-      }
+      cost.fa_reduction += fa;
+      h += carry - 2 * fa;  // untouched bits + sum bits + carries in
+      carry = fa;
     }
-    cost.fa_reduction += stage.total();
-    cost.schedule.push_back(std::move(stage));
-    heights = std::move(next);
-    ++cost.stages;
+    ++cost.stages;  // the last column's carries drop (mod 2^W)
   }
 
   // Final carry-propagate adder over the remaining <=2 rows: one FA per
@@ -49,100 +23,21 @@ AdderCost reduce_columns(std::vector<int> heights) {
   // the accumulator MSB (a ripple chain must propagate that far).
   int first_two = -1;
   int last_any = -1;
-  for (std::size_t c = 0; c < heights.size(); ++c) {
-    if (heights[c] == 2 && first_two < 0) first_two = static_cast<int>(c);
-    if (heights[c] > 0) last_any = static_cast<int>(c);
+  for (int c = 0; c < static_cast<int>(heights.size()); ++c) {
+    const int h = heights[static_cast<std::size_t>(c)];
+    if (h == 2 && first_two < 0) first_two = c;
+    if (h > 0) last_any = c;
   }
-  if (first_two >= 0) {
-    cost.fa_cpa = last_any - first_two + 1;
-  }
-  cost.final_heights = std::move(heights);
+  if (first_two >= 0) cost.fa_cpa = last_any - first_two + 1;
   return cost;
 }
 
 AdderCost estimate_adder(const NeuronAdderSpec& spec) {
   const NeuronStructure s = analyze_neuron(spec);
-  AdderCost cost = reduce_columns(s.total_heights());
-  cost.acc_width = s.acc_width;
-  cost.folded_constant = s.folded_constant;
-  return cost;
-}
-
-int estimate_total_fa(const NeuronAdderSpec& spec) {
-  // Range analysis, exactly as analyze_neuron().
-  std::int64_t pos_max = 0;
-  std::int64_t neg_max = 0;
-  for (const auto& s : spec.summands) {
-    if (s.sign >= 0) {
-      pos_max += s.max_value();
-    } else {
-      neg_max += s.max_value();
-    }
-  }
-  const std::int64_t max_sum = pos_max + spec.bias;
-  const std::int64_t min_sum = -neg_max + spec.bias;
-  const int W = std::max(
-      {bitops::bit_width_signed(max_sum), bitops::bit_width_signed(min_sum),
-       2});
-  if (W > 62) {
-    throw std::invalid_argument("analyze_neuron: accumulator width > 62");
-  }
-  const std::uint64_t wmask = bitops::low_mask(W);
-
-  // Column heights (variable wires + folded-constant ones), stack-resident.
-  int heights[64] = {};
-  std::uint64_t constant = bitops::to_twos_complement(spec.bias, W);
-  for (const auto& s : spec.summands) {
-    std::uint64_t occ = s.occupancy() & wmask;
-    if (s.sign < 0 && !s.is_pruned()) {
-      constant = (constant + (~occ & wmask) + 1) & wmask;
-    }
-    while (occ != 0) {
-      heights[std::countr_zero(occ)] += 1;
-      occ &= occ - 1;
-    }
-  }
-  for (std::uint64_t k = constant; k != 0; k &= k - 1) {
-    heights[std::countr_zero(k)] += 1;
-  }
-
-  // 3:2 reduction rounds, same placement rule as reduce_columns() but
-  // without recording the schedule. Carries out of the MSB column drop
-  // (mod 2^W arithmetic).
-  int total = 0;
-  for (;;) {
-    bool needs_reduction = false;
-    for (int c = 0; c < W; ++c) {
-      if (heights[c] > 2) {
-        needs_reduction = true;
-        break;
-      }
-    }
-    if (!needs_reduction) break;
-    int carry = 0;
-    for (int c = 0; c < W; ++c) {
-      const int fa = heights[c] / 3;
-      total += fa;
-      heights[c] = heights[c] - 3 * fa + fa + carry;
-      carry = fa;
-    }
-  }
-
-  // Final carry-propagate adder span, as in reduce_columns().
-  int first_two = -1;
-  int last_any = -1;
-  for (int c = 0; c < W; ++c) {
-    if (heights[c] == 2 && first_two < 0) first_two = c;
-    if (heights[c] > 0) last_any = c;
-  }
-  if (first_two >= 0) total += last_any - first_two + 1;
-  return total;
-}
-
-long total_fa_count(const std::vector<NeuronAdderSpec>& neurons) {
-  long total = 0;
-  for (const auto& n : neurons) total += estimate_adder(n).total_fa();
-  return total;
+  ColumnHeights heights = s.total_heights();
+  return {reduce_columns(std::span(heights).first(
+              static_cast<std::size_t>(s.acc_width))),
+          s.acc_width, s.folded_constant};
 }
 
 }  // namespace pmlp::adder

@@ -4,52 +4,43 @@
 // next; rounds repeat until every column holds at most two bits; the final
 // two rows go through a carry-propagate adder. Only FAs are assumed.
 //
-// estimate_adder() additionally returns the exact FA placement schedule so
-// the netlist generator instantiates *the same* tree the model priced —
-// keeping the training-time proxy and the "synthesis" result consistent.
+// This is the only implementation of the estimator: the GA's per-evaluation
+// area objective and ApproxMlp::fa_area price through estimate_adder, and
+// the adder variants (variants.hpp) reuse analyze_neuron and
+// reduce_columns. netlist::build_column_adder applies the same per-round
+// rule to wires; its constant folding can only remove cells, and
+// NeuronCost.NetlistAdderCellsBoundedByFaModel checks that bound.
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "pmlp/adder/summand.hpp"
 
 namespace pmlp::adder {
 
-/// FA placements of one reduction stage: fa_per_column[c] FAs in column c.
-struct ReductionStage {
-  std::vector<int> fa_per_column;
-  [[nodiscard]] int total() const;
-};
-
-/// Complete cost/plan of one neuron's multi-operand adder.
-struct AdderCost {
+/// FA cost of reducing one column-height profile.
+struct ReductionCost {
   int fa_reduction = 0;  ///< FAs spent in the 3:2 reduction stages
   int fa_cpa = 0;        ///< FAs of the final carry-propagate adder
   int stages = 0;        ///< number of reduction rounds
-  int acc_width = 0;     ///< accumulator width W used
-  std::uint64_t folded_constant = 0;  ///< design-time constant added (mod 2^W)
-  std::vector<ReductionStage> schedule;  ///< per-stage FA placements
-  std::vector<int> final_heights;        ///< heights after reduction (<=2)
 
   [[nodiscard]] int total_fa() const { return fa_reduction + fa_cpa; }
 };
 
-/// Reduce raw column heights with FAs only; returns cost + schedule.
-/// `heights[c]` is the number of bits entering column c.
-[[nodiscard]] AdderCost reduce_columns(std::vector<int> heights);
+/// Complete cost of one neuron's multi-operand adder.
+struct AdderCost : ReductionCost {
+  int acc_width = 0;     ///< accumulator width W used
+  std::uint64_t folded_constant = 0;  ///< design-time constant added (mod 2^W)
+};
 
-/// Full neuron estimate: range analysis + constant folding + reduction.
+/// Reduce column heights with FAs only, in place: `heights[c]` bits enter
+/// column c; on return every column holds at most two. Carries out of the
+/// last column drop (mod 2^W arithmetic).
+[[nodiscard]] ReductionCost reduce_columns(std::span<int> heights) noexcept;
+
+/// Full neuron estimate: analyze_neuron, then reduce_columns over its
+/// total heights. Allocates nothing.
 [[nodiscard]] AdderCost estimate_adder(const NeuronAdderSpec& spec);
-
-/// `estimate_adder(spec).total_fa()` without materializing the schedule:
-/// the same range analysis / folding / 3:2 reduction over fixed-size stack
-/// arrays, zero heap allocations. This is the GA's per-evaluation area
-/// path; `estimate_adder` stays the source of truth for netlist generation
-/// and the two are asserted identical by the adder tests.
-[[nodiscard]] int estimate_total_fa(const NeuronAdderSpec& spec);
-
-/// Paper Eq. 2: total FA count of an MLP = sum over neurons.
-[[nodiscard]] long total_fa_count(const std::vector<NeuronAdderSpec>& neurons);
 
 }  // namespace pmlp::adder

@@ -1,6 +1,7 @@
 #include "pmlp/adder/summand.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 #include "pmlp/bitops/bitops.hpp"
@@ -27,10 +28,10 @@ int SummandSpec::wire_count() const noexcept {
   return popcount(effective_mask());
 }
 
-std::vector<int> NeuronStructure::total_heights() const {
-  std::vector<int> h = variable_heights;
-  for (int c = 0; c < acc_width; ++c) {
-    if (bitops::test_bit(folded_constant, c)) h[static_cast<std::size_t>(c)] += 1;
+ColumnHeights NeuronStructure::total_heights() const noexcept {
+  ColumnHeights h = variable_heights;
+  for (std::uint64_t k = folded_constant; k != 0; k &= k - 1) {
+    ++h[static_cast<std::size_t>(std::countr_zero(k))];
   }
   return h;
 }
@@ -61,12 +62,11 @@ NeuronStructure analyze_neuron(const NeuronAdderSpec& spec) {
 
   // --- Column heights of variable bits and design-time constant folding.
   const int W = out.acc_width;
-  out.variable_heights.assign(static_cast<std::size_t>(W), 0);
   std::uint64_t constant = bitops::to_twos_complement(spec.bias, W);
   for (const auto& s : spec.summands) {
     const std::uint64_t occ = s.occupancy() & low_mask(W);
-    for (int c : bitops::set_bit_positions(occ)) {
-      out.variable_heights[static_cast<std::size_t>(c)] += 1;
+    for (std::uint64_t bits = occ; bits != 0; bits &= bits - 1) {
+      ++out.variable_heights[static_cast<std::size_t>(std::countr_zero(bits))];
     }
     if (s.sign < 0 && !s.is_pruned()) {
       // ~v has constant ones wherever v has no variable bit; plus the +1.

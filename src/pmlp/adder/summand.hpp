@@ -12,6 +12,7 @@
 //     + sign-extension ones of negative summands).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -45,19 +46,24 @@ struct NeuronAdderSpec {
   std::int64_t bias = 0;
 };
 
+/// Bits per adder-tree column, one entry per column of a 64-bit word. The
+/// accumulator width W never exceeds 62, so columns [W, 64) stay zero.
+using ColumnHeights = std::array<int, 64>;
+
 /// Range/width analysis plus design-time constant folding for a neuron.
 struct NeuronStructure {
   int acc_width = 0;               ///< two's-complement accumulator width W
   std::int64_t min_sum = 0;        ///< smallest reachable accumulator value
   std::int64_t max_sum = 0;        ///< largest reachable accumulator value
   std::uint64_t folded_constant = 0;  ///< K mod 2^W: bias + corrections
-  /// Variable-bit column heights, size acc_width; constant K excluded.
-  std::vector<int> variable_heights;
+  /// Variable-bit column heights; constant K excluded.
+  ColumnHeights variable_heights{};
   /// Heights including the set bits of the folded constant K.
-  [[nodiscard]] std::vector<int> total_heights() const;
+  [[nodiscard]] ColumnHeights total_heights() const noexcept;
 };
 
 /// Analyze the neuron: compute W, the folded constant and column heights.
+/// Allocates nothing; throws std::invalid_argument when W would exceed 62.
 ///
 /// Negative summands are realized as two's complement at width W:
 ///   -(v) mod 2^W = (~v mod 2^W) + 1,

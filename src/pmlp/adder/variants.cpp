@@ -38,41 +38,27 @@ VariantCost ripple_accumulate_cost(const NeuronAdderSpec& spec) {
 
 VariantCost csa_with_ha_cost(const NeuronAdderSpec& spec) {
   const NeuronStructure st = analyze_neuron(spec);
-  std::vector<int> heights = st.total_heights();
+  ColumnHeights heights = st.total_heights();
+  const std::span<int> cols =
+      std::span(heights).first(static_cast<std::size_t>(st.acc_width));
   VariantCost cost;
 
-  auto needs_reduction = [](const std::vector<int>& h) {
-    return std::any_of(h.begin(), h.end(), [](int v) { return v > 2; });
-  };
-  while (needs_reduction(heights)) {
-    std::vector<int> next(heights.size(), 0);
-    for (std::size_t c = 0; c < heights.size(); ++c) {
-      int h = heights[c];
-      while (h >= 3) {
-        cost.full_adders += 1;
-        h -= 3;
-        next[c] += 1;
-        if (c + 1 < heights.size()) next[c + 1] += 1;
-      }
-      if (h == 2) {
-        // Wallace-style: compress the leftover pair immediately.
-        cost.half_adders += 1;
-        h = 0;
-        next[c] += 1;
-        if (c + 1 < heights.size()) next[c + 1] += 1;
-      }
-      next[c] += h;
+  const auto tall = [](int h) { return h > 2; };
+  while (std::ranges::any_of(cols, tall)) {
+    int carry = 0;
+    for (int& h : cols) {
+      const int fa = h / 3;
+      // Wallace-style: a leftover pair is compressed at once by a HA.
+      const int ha = h - 3 * fa == 2 ? 1 : 0;
+      cost.full_adders += fa;
+      cost.half_adders += ha;
+      h += carry - 2 * fa - ha;  // sums stay, pairs halve, carries arrive
+      carry = fa + ha;
     }
-    heights = std::move(next);
     cost.stages += 1;
   }
-  // Final CPA over the <=2 rows.
-  int first_two = -1, last_any = -1;
-  for (std::size_t c = 0; c < heights.size(); ++c) {
-    if (heights[c] == 2 && first_two < 0) first_two = static_cast<int>(c);
-    if (heights[c] > 0) last_any = static_cast<int>(c);
-  }
-  if (first_two >= 0) cost.full_adders += last_any - first_two + 1;
+  // Final CPA over the <=2 rows: no column is tall, so no rounds run.
+  cost.full_adders += reduce_columns(cols).fa_cpa;
   return cost;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "pmlp/adder/fa_model.hpp"
 #include "pmlp/bitops/bitops.hpp"
 #include "pmlp/bitops/fixed_point.hpp"
 
@@ -98,28 +99,17 @@ int ApproxMlp::predict(std::span<const std::uint8_t> x) const {
       logits.begin(), std::max_element(logits.begin(), logits.end())));
 }
 
-std::vector<adder::NeuronAdderSpec> ApproxMlp::adder_specs() const {
-  std::vector<adder::NeuronAdderSpec> specs;
+long ApproxMlp::fa_area() const {
+  long area = 0;
+  adder::NeuronAdderSpec scratch;
   for (const auto& layer : layers_) {
     for (int o = 0; o < layer.n_out; ++o) {
-      adder::NeuronAdderSpec n;
-      n.bias = layer.biases[static_cast<std::size_t>(o)];
-      for (int i = 0; i < layer.n_in; ++i) {
-        const ApproxConn& c = layer.conn(o, i);
-        adder::SummandSpec s;
-        s.mask = c.mask;
-        s.input_width = layer.input_bits;
-        s.shift = c.exponent;
-        s.sign = c.sign;
-        if (!s.is_pruned()) n.summands.push_back(s);
-      }
-      specs.push_back(std::move(n));
+      load_neuron_spec(layer, o, scratch);
+      area += adder::estimate_adder(scratch).total_fa();
     }
   }
-  return specs;
+  return area;
 }
-
-long ApproxMlp::fa_area() const { return adder::total_fa_count(adder_specs()); }
 
 long ApproxMlp::wire_count() const {
   long wires = 0;

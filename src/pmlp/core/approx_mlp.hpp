@@ -13,7 +13,8 @@
 #include <string>
 #include <vector>
 
-#include "pmlp/adder/fa_model.hpp"
+#include "pmlp/adder/summand.hpp"
+#include "pmlp/bitops/bitops.hpp"
 #include "pmlp/datasets/dataset.hpp"
 #include "pmlp/mlp/quant_mlp.hpp"
 #include "pmlp/mlp/topology.hpp"
@@ -65,6 +66,34 @@ struct ApproxLayer {
   }
 };
 
+/// Takes no action on a connection; load_neuron_spec's default.
+struct IgnoreConn {
+  void operator()(int, const ApproxConn&, std::uint32_t) const noexcept {}
+};
+
+/// The one per-neuron walk behind Eq. 2 (ApproxMlp::fa_area and
+/// compile_layer both price through it): loads `spec` with neuron `o`'s
+/// bias and one summand per active connection, i.e. one whose mask keeps an
+/// input bit. A fully pruned connection is a provably-zero term and costs
+/// no hardware. `on_active(i, conn, m)` sees each active connection with
+/// its input index and its mask cut to the layer's input width.
+template <class OnActive = IgnoreConn>
+void load_neuron_spec(const ApproxLayer& layer, int o,
+                      adder::NeuronAdderSpec& spec, OnActive on_active = {}) {
+  const auto in_mask =
+      static_cast<std::uint32_t>(bitops::low_mask(layer.input_bits));
+  spec.summands.clear();
+  spec.bias = layer.biases[static_cast<std::size_t>(o)];
+  for (int i = 0; i < layer.n_in; ++i) {
+    const ApproxConn& c = layer.conn(o, i);
+    const std::uint32_t m = c.mask & in_mask;
+    if (m == 0) continue;
+    on_active(i, c, m);
+    spec.summands.push_back(
+        adder::SummandSpec{m, layer.input_bits, c.exponent, c.sign});
+  }
+}
+
 class ApproxMlp {
  public:
   ApproxMlp() = default;
@@ -101,9 +130,8 @@ class ApproxMlp {
       std::span<const std::uint8_t> x) const;
   [[nodiscard]] int predict(std::span<const std::uint8_t> x) const;
 
-  /// Structural adder description per neuron (layer-major), for Eq. 2.
-  [[nodiscard]] std::vector<adder::NeuronAdderSpec> adder_specs() const;
-  /// Paper Eq. 2 with AdderArea = FA count: the training-time area proxy.
+  /// Paper Eq. 2 with AdderArea = FA count: the training-time area proxy,
+  /// priced neuron by neuron through load_neuron_spec.
   [[nodiscard]] long fa_area() const;
   /// Total retained activation bits (wires) — a sparsity diagnostic.
   [[nodiscard]] long wire_count() const;

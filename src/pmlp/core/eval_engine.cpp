@@ -6,7 +6,6 @@
 #include <type_traits>
 
 #include "pmlp/adder/fa_model.hpp"
-#include "pmlp/bitops/bitops.hpp"
 #include "pmlp/core/eval_kernels.hpp"
 #include "pmlp/core/simd.hpp"
 
@@ -34,8 +33,6 @@ bool layers_block_safe(std::span<const CompiledLayer> layers,
 }
 
 CompiledLayer compile_layer(const ApproxLayer& layer, long* fa_area) {
-  const auto in_mask =
-      static_cast<std::uint32_t>(bitops::low_mask(layer.input_bits));
   CompiledLayer cl;
   cl.n_in = layer.n_in;
   cl.n_out = layer.n_out;
@@ -45,27 +42,18 @@ CompiledLayer compile_layer(const ApproxLayer& layer, long* fa_area) {
   cl.conn_begin.reserve(static_cast<std::size_t>(layer.n_out) + 1);
   cl.conn_begin.push_back(0);
   // One scratch spec reused across neurons: the FA-count streams out of the
-  // same walk that collects active connections, so the training path never
-  // materializes the all-neurons adder_specs() vector.
+  // same walk that collects the active connections.
   adder::NeuronAdderSpec scratch;
-  if (fa_area != nullptr) {
-    scratch.summands.reserve(static_cast<std::size_t>(layer.n_in));
-  }
+  scratch.summands.reserve(static_cast<std::size_t>(layer.n_in));
+  const auto collect = [&cl](int i, const ApproxConn& c, std::uint32_t m) {
+    cl.conns.push_back(CompiledConn{i, m, c.exponent, c.sign < 0 ? 1 : 0});
+  };
   for (int o = 0; o < layer.n_out; ++o) {
-    scratch.summands.clear();
-    scratch.bias = layer.biases[static_cast<std::size_t>(o)];
-    for (int i = 0; i < layer.n_in; ++i) {
-      const ApproxConn& c = layer.conn(o, i);
-      const std::uint32_t m = c.mask & in_mask;
-      if (m == 0) continue;  // fully pruned: provably-zero term
-      cl.conns.push_back(CompiledConn{i, m, c.exponent, c.sign < 0 ? 1 : 0});
-      if (fa_area != nullptr) {
-        scratch.summands.push_back(
-            adder::SummandSpec{c.mask, layer.input_bits, c.exponent, c.sign});
-      }
-    }
+    load_neuron_spec(layer, o, scratch, collect);
     cl.conn_begin.push_back(static_cast<std::int32_t>(cl.conns.size()));
-    if (fa_area != nullptr) *fa_area += adder::estimate_total_fa(scratch);
+    if (fa_area != nullptr) {
+      *fa_area += adder::estimate_adder(scratch).total_fa();
+    }
   }
   return cl;
 }

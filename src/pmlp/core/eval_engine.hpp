@@ -9,7 +9,8 @@
 //              per layer a CSR array of only the *active* connections
 //              (mask & in_mask != 0) with the layer input mask pre-ANDed in,
 //              plus the FA-count area (Eq. 2) computed neuron-by-neuron
-//              during the same walk (no `adder_specs()` vector).
+//              during the same walk (`load_neuron_spec`, shared with
+//              `ApproxMlp::fa_area`).
 //   planes   — a training set is laid out once, when its problem is built,
 //              as `SamplePlanes`: blocks of up to `CompiledNet::kBlockSamples`
 //              samples in neuron-major int32 planes, plus int32 labels. Every

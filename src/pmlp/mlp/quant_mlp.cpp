@@ -146,33 +146,6 @@ int QuantMlp::predict(std::span<const std::uint8_t> x,
       logits.begin(), std::max_element(logits.begin(), logits.end())));
 }
 
-std::vector<adder::NeuronAdderSpec> QuantMlp::adder_specs() const {
-  std::vector<adder::NeuronAdderSpec> specs;
-  for (const auto& layer : layers_) {
-    const auto full_mask = static_cast<std::uint32_t>(
-        bitops::low_mask(layer.input_bits));
-    for (int o = 0; o < layer.n_out; ++o) {
-      adder::NeuronAdderSpec n;
-      n.bias = layer.biases[static_cast<std::size_t>(o)];
-      for (int i = 0; i < layer.n_in; ++i) {
-        const std::int32_t w = layer.weight(o, i);
-        if (w == 0) continue;
-        const auto mag = static_cast<std::uint64_t>(w < 0 ? -w : w);
-        for (int p : bitops::set_bit_positions(mag)) {
-          adder::SummandSpec s;
-          s.mask = full_mask;
-          s.input_width = layer.input_bits;
-          s.shift = p;
-          s.sign = w < 0 ? -1 : +1;
-          n.summands.push_back(s);
-        }
-      }
-      specs.push_back(std::move(n));
-    }
-  }
-  return specs;
-}
-
 double accuracy(const QuantMlp& net, const datasets::QuantizedDataset& d) {
   if (d.size() == 0) return 0.0;
   QuantScratch scratch;  // shared across the whole pass: no per-sample allocs

@@ -2,15 +2,14 @@
 // as used by the paper: 8-bit fixed-point weights, 4-bit inputs, 8-bit QReLU
 // hidden activations, integer-only inference. In a bespoke circuit each
 // constant-coefficient multiplier synthesizes to shift-adds (one shifted copy
-// of the input per set bit of the coefficient), which is exactly how
-// adder_specs() prices it for the hardware model.
+// of the input per set bit of the coefficient); netlist::to_bespoke_desc
+// builds the baseline circuit that way.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "pmlp/adder/summand.hpp"
 #include "pmlp/datasets/dataset.hpp"
 #include "pmlp/mlp/float_mlp.hpp"
 
@@ -67,11 +66,6 @@ class QuantMlp {
       std::span<const std::uint8_t> x, QuantScratch& scratch) const;
   [[nodiscard]] int predict(std::span<const std::uint8_t> x,
                             QuantScratch& scratch) const;
-
-  /// Structural adder description of every neuron (layer-major order) for
-  /// the FA-count model / netlist generator. Each set bit of each weight
-  /// code becomes one shifted full-width summand (bespoke multiplier).
-  [[nodiscard]] std::vector<adder::NeuronAdderSpec> adder_specs() const;
 
  private:
   Topology topology_;

@@ -22,16 +22,6 @@ adder::NeuronAdderSpec to_adder_spec(const NeuronDesc& neuron, int input_bits) {
   return spec;
 }
 
-std::vector<adder::NeuronAdderSpec> to_adder_specs(const BespokeMlpDesc& desc) {
-  std::vector<adder::NeuronAdderSpec> specs;
-  for (const auto& layer : desc.layers) {
-    for (const auto& n : layer.neurons) {
-      specs.push_back(to_adder_spec(n, layer.input_bits));
-    }
-  }
-  return specs;
-}
-
 Bus build_column_adder(Netlist& nl, std::vector<std::vector<NetId>> columns) {
   const std::size_t width = columns.size();
   if (width == 0) return {};

@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "pmlp/adder/fa_model.hpp"
+#include "pmlp/adder/summand.hpp"
 #include "pmlp/netlist/netlist.hpp"
 
 namespace pmlp::netlist {
@@ -48,12 +48,11 @@ struct BespokeMlpDesc {
   std::vector<LayerDesc> layers;
 };
 
-/// Translate a layer+neuron into the adder model's structural form (shared
-/// with training so the netlist and the area proxy price the same tree).
+/// Translate a neuron into the adder model's structural form: build_neuron
+/// sizes its accumulator and folds its constant from this spec, the same
+/// analysis the FA-count model prices.
 [[nodiscard]] adder::NeuronAdderSpec to_adder_spec(const NeuronDesc& neuron,
                                                    int input_bits);
-[[nodiscard]] std::vector<adder::NeuronAdderSpec> to_adder_specs(
-    const BespokeMlpDesc& desc);
 
 /// Multi-operand addition: reduce `columns` (bits per weight) with FAs,
 /// then a ripple CPA; returns the two's-complement sum bus of exactly

@@ -2,7 +2,10 @@
 
 #include <numeric>
 #include <random>
+#include <stdexcept>
+#include <vector>
 
+#include "adder_oracle.hpp"
 #include "pmlp/adder/fa_model.hpp"
 #include "pmlp/adder/summand.hpp"
 #include "pmlp/bitops/bitops.hpp"
@@ -102,7 +105,8 @@ TEST(AnalyzeNeuron, VariableHeightsCountWires) {
 // ------------------------------------------------------------ reduce_columns
 
 TEST(ReduceColumns, TwoRowsNeedNoReduction) {
-  auto cost = adder::reduce_columns({2, 2, 2});
+  std::vector<int> h{2, 2, 2};
+  const auto cost = adder::reduce_columns(h);
   EXPECT_EQ(cost.fa_reduction, 0);
   EXPECT_EQ(cost.stages, 0);
   // CPA spans from the first 2-high column to the top.
@@ -110,61 +114,75 @@ TEST(ReduceColumns, TwoRowsNeedNoReduction) {
 }
 
 TEST(ReduceColumns, SingleRowIsFree) {
-  auto cost = adder::reduce_columns({1, 1, 0, 1});
-  EXPECT_EQ(cost.total_fa(), 0);
+  std::vector<int> h{1, 1, 0, 1};
+  EXPECT_EQ(adder::reduce_columns(h).total_fa(), 0);
 }
 
 TEST(ReduceColumns, ThreeBitsOneFa) {
-  auto cost = adder::reduce_columns({3});
+  std::vector<int> h{3};
+  const auto cost = adder::reduce_columns(h);
   EXPECT_EQ(cost.fa_reduction, 1);
   EXPECT_EQ(cost.stages, 1);
   // After reduction: col0 has 1 bit, carry dropped beyond MSB -> no CPA.
   EXPECT_EQ(cost.fa_cpa, 0);
+  EXPECT_EQ(h[0], 1);
 }
 
 TEST(ReduceColumns, KnownSmallCase) {
   // Heights {3,3}: stage 1 -> col0: 1 FA leaves 1, carries to col1.
   // col1: 1 FA leaves 1 + carry_in 1 = 2. Final: col0=1,col1=2 -> CPA 1 FA.
-  auto cost = adder::reduce_columns({3, 3});
+  std::vector<int> h{3, 3};
+  const auto cost = adder::reduce_columns(h);
   EXPECT_EQ(cost.fa_reduction, 2);
   EXPECT_EQ(cost.stages, 1);
   EXPECT_EQ(cost.fa_cpa, 1);
   EXPECT_EQ(cost.total_fa(), 3);
+  EXPECT_EQ(h, (std::vector<int>{1, 2}));
 }
 
 TEST(ReduceColumns, TerminatesOnTallColumns) {
-  auto cost = adder::reduce_columns({30, 30, 30, 30});
-  for (int h : cost.final_heights) EXPECT_LE(h, 2);
+  std::vector<int> h{30, 30, 30, 30};
+  const auto cost = adder::reduce_columns(h);
+  for (int v : h) EXPECT_LE(v, 2);
   EXPECT_GT(cost.stages, 1);
-}
-
-TEST(ReduceColumns, ScheduleTotalsMatchFaCount) {
-  auto cost = adder::reduce_columns({7, 5, 9, 2, 6});
-  int scheduled = 0;
-  for (const auto& stage : cost.schedule) scheduled += stage.total();
-  EXPECT_EQ(scheduled, cost.fa_reduction);
 }
 
 // 3:2 reduction conserves "value-weighted" bit count: each FA replaces
 // 3 bits of weight 2^c by one of 2^c and one of 2^(c+1) (unless the carry
-// falls off the MSB). Verify weighted conservation per stage, mod 2^W.
+// falls off the MSB). Verify weighted conservation, mod 2^W, on the heights
+// reduce_columns leaves in place.
 TEST(ReduceColumns, WeightedBitConservation) {
   std::mt19937 rng(42);
   std::uniform_int_distribution<int> h(0, 9);
+  auto weight = [](const std::vector<int>& hh) {
+    std::uint64_t w = 0;
+    for (std::size_t c = 0; c < hh.size(); ++c) {
+      w += static_cast<std::uint64_t>(hh[c]) << c;
+    }
+    return w & bitops::low_mask(static_cast<int>(hh.size()));
+  };
   for (int trial = 0; trial < 50; ++trial) {
     std::vector<int> heights(6);
     for (auto& v : heights) v = h(rng);
-    auto cost = adder::reduce_columns(heights);
-    // Simulate: value of all-ones input must be preserved mod 2^6 by
-    // construction; check final heights reproduce the same total weight.
-    auto weight = [](const std::vector<int>& hh) {
-      std::uint64_t w = 0;
-      for (std::size_t c = 0; c < hh.size(); ++c) {
-        w += static_cast<std::uint64_t>(hh[c]) << c;
-      }
-      return w & bitops::low_mask(static_cast<int>(hh.size()));
-    };
-    EXPECT_EQ(weight(cost.final_heights), weight(heights)) << "trial " << trial;
+    const std::uint64_t before = weight(heights);
+    (void)adder::reduce_columns(heights);
+    EXPECT_EQ(weight(heights), before) << "trial " << trial;
+  }
+}
+
+TEST(ReduceColumns, MatchesOracleOnRandomHeights) {
+  std::mt19937 rng(43);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<int> heights(1 + rng() % 24);
+    for (auto& v : heights) v = static_cast<int>(rng() % 40);
+    std::vector<int> oracle_final;
+    const auto want = pmlp::oracles::reduce_columns_naive(heights,
+                                                          &oracle_final);
+    const auto got = adder::reduce_columns(heights);
+    EXPECT_EQ(got.fa_reduction, want.fa_reduction) << "trial " << trial;
+    EXPECT_EQ(got.fa_cpa, want.fa_cpa) << "trial " << trial;
+    EXPECT_EQ(got.stages, want.stages) << "trial " << trial;
+    EXPECT_EQ(heights, oracle_final) << "trial " << trial;
   }
 }
 
@@ -222,27 +240,65 @@ TEST(EstimateAdder, ZeroMaskEqualsAbsentSummand) {
             adder::estimate_adder(without).folded_constant);
 }
 
-TEST(EstimateAdder, FastTotalFaMatchesFullEstimateOnRandomNeurons) {
-  // estimate_total_fa is the GA's allocation-free area path; it must agree
-  // with the schedule-producing estimator bit for bit on every neuron shape
-  // (random masks/shifts/signs/biases, including fully pruned summands).
+namespace {
+
+/// Every field of the cost the library and the oracle both report.
+void expect_matches_oracle(const adder::NeuronAdderSpec& n, int trial) {
+  const auto want = pmlp::oracles::estimate_adder_naive(n);
+  const auto got = adder::estimate_adder(n);
+  EXPECT_EQ(got.fa_reduction, want.fa_reduction) << "trial " << trial;
+  EXPECT_EQ(got.fa_cpa, want.fa_cpa) << "trial " << trial;
+  EXPECT_EQ(got.stages, want.stages) << "trial " << trial;
+  EXPECT_EQ(got.acc_width, want.acc_width) << "trial " << trial;
+  EXPECT_EQ(got.folded_constant, want.folded_constant) << "trial " << trial;
+}
+
+}  // namespace
+
+TEST(EstimateAdder, MatchesOracleOnRandomNeurons) {
+  // Random masks (fully pruned ones included), shifts 0-6, both signs and
+  // biases in [-2000, 2000], from empty neurons to tall columns.
   std::mt19937 rng(41);
-  for (int trial = 0; trial < 500; ++trial) {
+  for (int trial = 0; trial < 600; ++trial) {
     adder::NeuronAdderSpec n;
-    const int n_summands = static_cast<int>(rng() % 12);
+    const int n_summands = static_cast<int>(rng() % 40);
     for (int i = 0; i < n_summands; ++i) {
       adder::SummandSpec s;
-      s.mask = rng() & 0xF;
-      s.input_width = 4;
+      s.input_width = trial % 3 == 0 ? 8 : 4;
+      s.mask = rng() % 4 == 0 ? 0 : static_cast<std::uint32_t>(rng() & 0xFF);
       s.shift = static_cast<int>(rng() % 7);
       s.sign = (rng() & 1) ? +1 : -1;
       n.summands.push_back(s);
     }
     n.bias = static_cast<std::int64_t>(rng() % 4001) - 2000;
-    EXPECT_EQ(adder::estimate_total_fa(n),
-              adder::estimate_adder(n).total_fa())
-        << "trial " << trial;
+    expect_matches_oracle(n, trial);
   }
+}
+
+TEST(EstimateAdder, MatchesOracleNearTheWidthLimit) {
+  // A 32-bit activation with its top bit kept, shifted to bit 29, reaches
+  // 2^60: W = 62, the widest accumulator the model accepts. Two negative
+  // summands below it fill the lower columns.
+  std::mt19937 rng(44);
+  for (int trial = 0; trial < 50; ++trial) {
+    adder::NeuronAdderSpec n;
+    n.summands.push_back(adder::SummandSpec{
+        static_cast<std::uint32_t>(rng()) | 0x80000000u, 32, 29, +1});
+    for (int i = 0; i < 2; ++i) {
+      n.summands.push_back(adder::SummandSpec{
+          static_cast<std::uint32_t>(rng()), 32,
+          static_cast<int>(rng() % 28), -1});
+    }
+    n.bias = static_cast<std::int64_t>(rng() % 4001) - 2000;
+    EXPECT_EQ(adder::estimate_adder(n).acc_width, 62) << "trial " << trial;
+    expect_matches_oracle(n, trial);
+  }
+  // One column more and both reject the neuron.
+  adder::NeuronAdderSpec wide;
+  wide.summands.push_back(adder::SummandSpec{0xFFFFFFFFu, 32, 30, +1});
+  EXPECT_THROW((void)adder::estimate_adder(wide), std::invalid_argument);
+  EXPECT_THROW((void)pmlp::oracles::estimate_adder_naive(wide),
+               std::invalid_argument);
 }
 
 // Property sweep: FA count grows (weakly) with the number of mask bits.
@@ -266,13 +322,3 @@ TEST_P(EstimateAdderMaskSweep, MoreMaskBitsMoreArea) {
 
 INSTANTIATE_TEST_SUITE_P(SummandCounts, EstimateAdderMaskSweep,
                          ::testing::Values(2, 3, 5, 8, 13));
-
-TEST(TotalFaCount, SumsNeurons) {
-  adder::NeuronAdderSpec a;
-  a.summands.push_back({0xF, 4, 0, +1});
-  a.summands.push_back({0xF, 4, 0, +1});
-  a.summands.push_back({0xF, 4, 0, +1});
-  adder::NeuronAdderSpec b = a;
-  const long both = adder::total_fa_count({a, b});
-  EXPECT_EQ(both, 2 * adder::estimate_adder(a).total_fa());
-}

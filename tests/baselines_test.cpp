@@ -45,6 +45,32 @@ const Fixture& fixture() {
 
 }  // namespace
 
+// ----------------------------------------------------- exact bespoke MLP
+
+TEST(ExactBaseline, DescCountsPartialProducts) {
+  // A bespoke constant multiplier is shift-adds: one full-width shifted
+  // copy of the input per set bit of the weight code.
+  const auto& f = fixture();
+  const auto desc = pmlp::netlist::to_bespoke_desc(f.baseline, "exact");
+  const auto& layers = f.baseline.layers();
+  ASSERT_EQ(desc.layers.size(), layers.size());
+  for (std::size_t l = 0; l < layers.size(); ++l) {
+    const auto& ql = layers[l];
+    ASSERT_EQ(desc.layers[l].neurons.size(), static_cast<std::size_t>(ql.n_out));
+    for (int o = 0; o < ql.n_out; ++o) {
+      long pp = 0;
+      for (int i = 0; i < ql.n_in; ++i) {
+        const auto w = ql.weight(o, i);
+        pp += pmlp::bitops::popcount(static_cast<std::uint64_t>(w < 0 ? -w : w));
+      }
+      EXPECT_EQ(static_cast<long>(
+                    desc.layers[l].neurons[static_cast<std::size_t>(o)]
+                        .conns.size()),
+                pp);
+    }
+  }
+}
+
 // ------------------------------------------------------------------ TC'23
 
 TEST(Tc23, SnapToPopcountProperties) {

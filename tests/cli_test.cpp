@@ -290,6 +290,22 @@ TEST(Cli, ClassifyBadCodesAreUsageErrors) {
   fs::remove_all(dir);
 }
 
+TEST(Cli, ExportToUnwritablePrefixFails) {
+  const fs::path dir = fs::temp_directory_path() / "pmlp_cli_test_export";
+  fs::remove_all(dir);
+  const auto setup =
+      run_cli("run BreastCancer 8 2 --save-front " + dir.string());
+  ASSERT_TRUE(fs::exists(dir / "front_000.model")) << setup.out;
+  const auto r = run_cli("export " + (dir / "front_000.model").string() +
+                         " BreastCancer /nonexistent_dir_xyz/bc");
+  fs::remove_all(dir);
+  EXPECT_EQ(r.status, 1) << r.out;
+  EXPECT_NE(r.out.find("cannot write /nonexistent_dir_xyz/bc.v"),
+            std::string::npos)
+      << r.out;
+  EXPECT_EQ(r.out.find("wrote"), std::string::npos) << r.out;
+}
+
 TEST(Cli, ClassifyMissingModelIsRuntimeFailure) {
   const auto r = run_cli("classify /nonexistent_dir_xyz/m.model 1 2 3");
   EXPECT_EQ(r.status, 1) << r.out;

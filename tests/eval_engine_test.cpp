@@ -11,11 +11,13 @@
 #include <stdexcept>
 #include <vector>
 
+#include "adder_oracle.hpp"
 #include "pmlp/bitops/bitops.hpp"
 #include "pmlp/core/eval_engine.hpp"
 #include "pmlp/core/eval_kernels.hpp"
 #include "pmlp/core/problem.hpp"
 #include "pmlp/core/simd.hpp"
+#include "pmlp/core/suite.hpp"
 #include "pmlp/core/thread_pool.hpp"
 #include "pmlp/datasets/synthetic.hpp"
 #include "pmlp/mlp/backprop.hpp"
@@ -113,6 +115,41 @@ TEST(CompiledNet, MatchesNaiveOnRandomChromosomes) {
     for (int rep = 0; rep < 8; ++rep) {
       const auto genes = random_genes(codec, style, rng);
       expect_compiled_matches_naive(codec.decode(genes), data);
+    }
+  }
+}
+
+TEST(FaArea, BothWalksEqualOracleOnTableOneTopologies) {
+  // ApproxMlp::fa_area and CompiledNet (the GA's per-evaluation path) price
+  // through one shared neuron walk; the oracle prices every connection as
+  // stored, fully pruned ones included, with the vector-based Eq. 2 model.
+  const core::BitConfig bits;
+  for (const char* name :
+       {"BreastCancer", "Cardio", "Pendigits", "RedWine", "WhiteWine"}) {
+    const core::ChromosomeCodec codec(core::paper_topology(name), bits);
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      std::mt19937_64 rng(seed);
+      for (MaskStyle style : {MaskStyle::kDense, MaskStyle::kSparse,
+                              MaskStyle::kFullyPruned, MaskStyle::kCoarse}) {
+        const core::ApproxMlp net =
+            codec.decode(random_genes(codec, style, rng));
+        long oracle = 0;
+        for (const auto& layer : net.layers()) {
+          for (int o = 0; o < layer.n_out; ++o) {
+            pmlp::adder::NeuronAdderSpec spec;
+            spec.bias = layer.biases[static_cast<std::size_t>(o)];
+            for (int i = 0; i < layer.n_in; ++i) {
+              const core::ApproxConn& c = layer.conn(o, i);
+              spec.summands.push_back(pmlp::adder::SummandSpec{
+                  c.mask, layer.input_bits, c.exponent, c.sign});
+            }
+            oracle += pmlp::oracles::estimate_adder_naive(spec).total_fa();
+          }
+        }
+        EXPECT_EQ(net.fa_area(), oracle) << name << " seed " << seed;
+        EXPECT_EQ(core::CompiledNet(net).fa_area(), oracle)
+            << name << " seed " << seed;
+      }
     }
   }
 }

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "pmlp/bitops/bitops.hpp"
 #include "pmlp/datasets/synthetic.hpp"
 #include "pmlp/mlp/backprop.hpp"
 #include "pmlp/mlp/float_mlp.hpp"
@@ -148,30 +147,6 @@ TEST(QuantMlp, QreluClampsToActivationRange) {
           acc <= 0 ? 0 : std::min<std::int64_t>(acc >> l0.qrelu_shift, 255);
       EXPECT_GE(v, 0);
       EXPECT_LE(v, 255);
-    }
-  }
-}
-
-TEST(QuantMlp, AdderSpecsCountPartialProducts) {
-  const auto d = ds::generate(ds::breast_cancer_spec());
-  const auto net = trained_bc_net(d);
-  const auto q = mlp::QuantMlp::from_float(net, 8, 4, 8);
-  const auto specs = q.adder_specs();
-  // One spec per neuron.
-  std::size_t n_neurons = 0;
-  for (const auto& l : q.layers()) n_neurons += static_cast<std::size_t>(l.n_out);
-  ASSERT_EQ(specs.size(), n_neurons);
-  // Summand count per neuron equals the total popcount of its weights.
-  std::size_t spec_idx = 0;
-  for (const auto& l : q.layers()) {
-    for (int o = 0; o < l.n_out; ++o) {
-      long pp = 0;
-      for (int i = 0; i < l.n_in; ++i) {
-        const auto w = l.weight(o, i);
-        pp += pmlp::bitops::popcount(static_cast<std::uint64_t>(w < 0 ? -w : w));
-      }
-      EXPECT_EQ(static_cast<long>(specs[spec_idx].summands.size()), pp);
-      ++spec_idx;
     }
   }
 }

@@ -763,6 +763,16 @@ int cmd_classify(const Invocation& in) {
   return 0;
 }
 
+/// Write `path` through `emit`. A failed open or a stream left bad after
+/// the final flush throws "cannot write <path>" (a runtime failure).
+template <class Emit>
+void write_file(const std::string& path, const Emit& emit) {
+  std::ofstream os(path);
+  if (os) emit(os);
+  os.close();
+  if (!os) throw std::runtime_error("cannot write " + path);
+}
+
 int cmd_export(const Invocation& in) {
   const std::string& prefix = in.args[2];
   require_dataset(in.args[1]);
@@ -774,14 +784,16 @@ int cmd_export(const Invocation& in) {
   // testbench's golden predictions come from.
   const auto circuit = netlist::optimize(
       netlist::build_bespoke_mlp(model.to_bespoke_desc(prefix)));
-  std::ofstream verilog(prefix + ".v");
-  netlist::emit_verilog(circuit.nl, prefix, verilog);
+  write_file(prefix + ".v", [&](std::ostream& os) {
+    netlist::emit_verilog(circuit.nl, prefix, os);
+  });
   const std::size_t n_vec = std::min<std::size_t>(test.size(), 64);
   const auto codes = first_codes(test, n_vec);
   netlist::TestbenchOptions tb;
   tb.dut_name = prefix;
-  std::ofstream testbench(prefix + "_tb.v");
-  netlist::emit_testbench(circuit, test.n_features, codes, tb, testbench);
+  write_file(prefix + "_tb.v", [&](std::ostream& os) {
+    netlist::emit_testbench(circuit, test.n_features, codes, tb, os);
+  });
   std::cout << "wrote " << prefix << ".v (" << circuit.nl.gates().size()
             << " cells) and " << prefix << "_tb.v (" << n_vec
             << " vectors)\n";
