@@ -8,22 +8,12 @@
 // (3) runs the whole Table I suite through ONE CampaignRunner: the five
 // Fig. 2 flows execute concurrently over a single shared worker pool of
 // PMLP_THREADS workers (stage-granular scheduling, no per-flow thread
-// forests), replacing the old one-flow-at-a-time loop. The campaign's
-// aggregate accounting (wall, flows/sec, per-stage rollups) and the actual
-// thread counts are printed for tools/run_bench.sh, which runs this bench
-// once serial (PMLP_THREADS=1) and once on all hardware threads and records
-// the shared-pool speedup as the `campaign` block of BENCH_table3.json.
+// forests). Cells are milliseconds so that small budgets stay readable.
+#include <algorithm>
 #include <iostream>
-#include <limits>
-#include <map>
-#include <sstream>
 
-#include "backprop_oracle.hpp"
 #include "bench_common.hpp"
 #include "pmlp/core/campaign.hpp"
-#include "pmlp/mlp/train_engine.hpp"
-#include "pmlp/core/eval_engine.hpp"
-#include "pmlp/core/simd.hpp"
 #include "pmlp/core/suite.hpp"
 #include "pmlp/core/thread_pool.hpp"
 
@@ -39,9 +29,8 @@ int main() {
       {"WhiteWine", 7, 77, 79},
   };
 
-  // (3) GA-AxC: the five flows (GA seeded like the old bench:
-  // default_flow_config(2)) on one shared pool. Per-flow results are
-  // bit-identical to the old sequential FlowEngine loop.
+  // (3) GA-AxC: the five flows (GA seeded with default_flow_config(2)) on
+  // one shared pool.
   const int env_threads = bench::env_int("PMLP_THREADS", 0);
   core::CampaignConfig campaign_cfg;
   campaign_cfg.n_threads = env_threads;
@@ -65,63 +54,33 @@ int main() {
     }
   }
 
-  std::cout << "=== Table III: training execution times (seconds at the "
-               "scaled benchmark budget; paper minutes in parentheses) "
+  std::cout << "=== Table III: training execution times (milliseconds at "
+               "the scaled benchmark budget; paper minutes in parentheses) "
                "===\n\n";
-  std::cout << "Dataset        Grad s(paper min)   GA s(paper min)   "
-               "GA-AxC s(paper min)   GA-AxC/GA ratio\n";
+  std::cout << "Dataset        Grad ms(paper min)  GA ms(paper min)  "
+               "GA-AxC ms(paper min)  GA-AxC/GA ratio\n";
 
-  // Full-precision cell for the machine-readable rows: the 2-decimal table
-  // cells truncated sub-10ms stages to "0.00" (the PR 6 index.tsv lesson),
-  // so run_bench.sh parses these instead.
-  const auto full = [](double v) {
-    std::ostringstream os;
-    os.precision(std::numeric_limits<double>::max_digits10);
-    os << v;
-    return os.str();
+  const auto ms = [](double seconds, int width) {
+    return bench::fmt(seconds * 1e3, width, 2);
   };
-
   double sum_grad = 0, sum_ga = 0, sum_axc = 0;
-  double sum_naive = 0;
-  double grad_samples = 0;  // samples swept by the engine reruns
-  long axc_evals = 0, axc_cache_hits = 0;
-  std::map<std::string, double> stage_walls;  // aggregated over datasets
-  long hw_candidates = 0;
-  core::RefineFrontReport refine_totals;  // aggregated over datasets
   for (std::size_t i = 0; i < std::size(paper); ++i) {
     const auto& pr = paper[i];
     const core::FlowResult& flow = *campaign.flows[i].result;
-    for (const auto& s : flow.stages) {
-      stage_walls[core::flow_stage_name(s.stage)] += s.wall_seconds;
-      if (s.stage == core::FlowStage::kHardware) hw_candidates += s.items;
-    }
-    refine_totals.points += flow.refine.points;
-    refine_totals.trials += flow.refine.trials;
-    refine_totals.early_aborts += flow.refine.early_aborts;
-    refine_totals.bits_cleared += flow.refine.bits_cleared;
-    refine_totals.biases_simplified += flow.refine.biases_simplified;
     const auto& axc = flow.training;
 
     // (1) Gradient training time: a clean rerun at the same epochs budget
     // on the blocked SIMD TrainEngine (PMLP_THREADS-wide block
-    // parallelism), plus the per-sample naive oracle for the speedup row.
+    // parallelism).
     mlp::BackpropConfig bp;
     bp.epochs = bench::env_int("PMLP_EPOCHS", 150);
     bp.seed = 77;
     mlp::FloatMlp net(core::paper_topology(pr.name), 77);
     const auto grad = mlp::train_backprop(net, flow.baseline.train_raw, bp,
                                           core::make_pool(env_threads).get());
-    mlp::FloatMlp naive_net(core::paper_topology(pr.name), 77);
-    const auto naive =
-        oracles::train_backprop_naive(naive_net, flow.baseline.train_raw, bp);
-    sum_naive += naive.wall_seconds;
-    grad_samples += static_cast<double>(grad.epochs_run) *
-                    static_cast<double>(flow.baseline.train_raw.size());
 
-    // (2) GA accuracy-only, same evaluation budget as (3). Runs outside
-    // the campaign with PMLP_THREADS-wide intra-run fitness parallelism —
-    // the pool-effectiveness reference run_bench.sh turns into
-    // `parallel_speedup`.
+    // (2) GA accuracy-only, same evaluation budget as (3), outside the
+    // campaign with PMLP_THREADS-wide intra-run fitness parallelism.
     const auto cfg = bench::default_flow_config(2);
     const auto ga = core::train_ga_accuracy_only(
         core::paper_topology(pr.name), flow.baseline.train, cfg.trainer);
@@ -129,82 +88,19 @@ int main() {
     sum_grad += grad.wall_seconds;
     sum_ga += ga.wall_seconds;
     sum_axc += axc.wall_seconds;
-    axc_evals += axc.evaluations;
-    axc_cache_hits += axc.cache_hits;
-    std::cout << bench::fmt(pr.name, -14)
-              << bench::fmt(grad.wall_seconds, 8, 2) << " ("
+    std::cout << bench::fmt(pr.name, -14) << ms(grad.wall_seconds, 9) << " ("
               << bench::fmt(pr.grad_min, 0, 1) << ")"
-              << bench::fmt(ga.wall_seconds, 12, 2) << " ("
+              << ms(ga.wall_seconds, 12) << " ("
               << bench::fmt(pr.ga_min, 0, 0) << ")"
-              << bench::fmt(axc.wall_seconds, 12, 2) << " ("
+              << ms(axc.wall_seconds, 12) << " ("
               << bench::fmt(pr.gaaxc_min, 0, 0) << ")"
               << bench::fmt(axc.wall_seconds / std::max(ga.wall_seconds, 1e-9),
                             14, 2)
               << "\n";
-    // Machine-readable twin of the table row, at full precision.
-    std::cout << "Timing " << pr.name << ' ' << full(grad.wall_seconds) << ' '
-              << full(ga.wall_seconds) << ' ' << full(axc.wall_seconds)
-              << "\n";
   }
-  // Training-engine aggregate over the five gradient reruns (parsed by
-  // tools/run_bench.sh into the backprop_stage block of BENCH_table3.json):
-  // engine vs per-sample naive oracle at the same epochs budget.
-  std::cout << "BackpropStage naive_s " << full(sum_naive) << " engine_s "
-            << full(sum_grad) << " samples_per_s "
-            << full(grad_samples / std::max(sum_grad, 1e-9)) << " isa "
-            << core::simd_isa_name(core::active_simd_isa()) << " block "
-            << mlp::TrainEngine::kBlockSamples << " speedup "
-            << full(sum_naive / std::max(sum_grad, 1e-9)) << "\n";
-  // Evaluation-engine aggregate over the five GA-AxC runs, parsed by
-  // tools/run_bench.sh into the eval_throughput figure of BENCH_table3.json.
-  std::cout << "\nThroughput: "
-            << bench::fmt(static_cast<double>(axc_evals) /
-                              std::max(sum_axc, 1e-9), 0, 1)
-            << " evals/s over " << axc_evals
-            << " GA-AxC evals, cache hit rate "
-            << bench::fmt(static_cast<double>(axc_cache_hits) /
-                              std::max<double>(static_cast<double>(axc_evals),
-                                               1.0), 0, 4)
-            << "\n";
-  // The kernel configuration those evals ran on (ISA the runtime dispatch
-  // picked + layer-sweep block size) — parsed into the same eval_throughput
-  // block so the per-PR trajectory stays comparable across machines.
-  std::cout << "SimdDispatch " << core::simd_isa_name(core::active_simd_isa())
-            << ' ' << core::CompiledNet::kBlockSamples << "\n";
-  // Per-stage pipeline accounting (also parsed by tools/run_bench.sh).
-  // Inside a campaign every stage runs serially on its worker, so these
-  // are pure compute walls; flow-level overlap shows up in the Campaign
-  // wall below instead.
-  std::cout << "\nPer-stage wall times (CampaignRunner flows, seconds "
-               "summed over the 5 datasets):\n";
-  for (const char* name :
-       {"split", "backprop", "baseline", "ga", "refine", "hardware",
-        "select"}) {
-    const auto it = stage_walls.find(name);
-    if (it == stage_walls.end()) continue;
-    std::cout << "StageWall " << name << ' ' << full(it->second) << "\n";
-  }
-  std::cout << "HwCandidates " << hw_candidates << "\n";
-  // Incremental refine-engine accounting (also parsed by tools/run_bench.sh
-  // into the refine_stage block of BENCH_table3.json).
-  std::cout << "RefineStats trials " << refine_totals.trials << " aborts "
-            << refine_totals.early_aborts << " bits "
-            << refine_totals.bits_cleared << " biases "
-            << refine_totals.biases_simplified << " points "
-            << refine_totals.points << "\n";
-  // Actual thread counts, cross-checked by run_bench.sh against the
-  // PMLP_THREADS it exported (so the recorded speedups stay attributable):
-  // ThreadsUsed is the resolved intra-run knob of the reference GA runs,
-  // Campaign's `threads` the shared pool actually constructed.
-  std::cout << "ThreadsUsed " << core::resolve_n_threads(env_threads) << "\n";
-  std::cout << "Campaign flows " << campaign.flows.size() << " threads "
-            << campaign.n_threads << " wall " << full(campaign.wall_seconds)
-            << " stage_wall " << full(campaign.stage_wall_seconds)
-            << " flows_per_s " << full(campaign.flows_per_second()) << "\n";
-  std::cout << "\nAverage: grad " << bench::fmt(sum_grad / 5, 0, 2)
-            << " s, GA " << bench::fmt(sum_ga / 5, 0, 2) << " s, GA-AxC "
-            << bench::fmt(sum_axc / 5, 0, 2)
-            << " s  (paper: 5 / 89 / 100 min — GA-AxC stays close to "
+  std::cout << "\nAverage: grad " << ms(sum_grad / 5, 0) << " ms, GA "
+            << ms(sum_ga / 5, 0) << " ms, GA-AxC " << ms(sum_axc / 5, 0)
+            << " ms  (paper: 5 / 89 / 100 min — GA-AxC stays close to "
                "hardware-unaware GA despite doubling the trainable "
                "parameters)\n";
   return 0;

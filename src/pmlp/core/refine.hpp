@@ -67,8 +67,8 @@ RefineReport refine_greedy(ApproxMlp& net,
                            const RefineConfig& cfg);
 
 /// Aggregate accounting of one refine_front call (summed point reports) —
-/// surfaced as the flow's refine-stage counters and by run_bench.sh as the
-/// refine_stage block of BENCH_table3.json.
+/// surfaced as the flow's refine-stage counters and as perfbench's traced
+/// `refine.*` figures.
 struct RefineFrontReport {
   long points = 0;
   long trials = 0;

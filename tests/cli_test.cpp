@@ -306,6 +306,25 @@ TEST(Cli, ExportToUnwritablePrefixFails) {
   EXPECT_EQ(r.out.find("wrote"), std::string::npos) << r.out;
 }
 
+TEST(Cli, DatasetWidthMismatchIsUsageErrorBeforeAnyFile) {
+  // A BreastCancer model (10 inputs) against Cardio (21 features) is an
+  // argument error naming both widths, caught before export opens a file.
+  const fs::path dir = fs::temp_directory_path() / "pmlp_cli_test_width";
+  fs::remove_all(dir);
+  const auto setup =
+      run_cli("run BreastCancer 8 2 --save-front " + dir.string());
+  ASSERT_TRUE(fs::exists(dir / "front_000.model")) << setup.out;
+  const std::string model = (dir / "front_000.model").string();
+  const char* msg = "dataset Cardio has 21 features but the model expects 10";
+  expect_usage_error(run_cli("evaluate " + model + " Cardio"), msg);
+  const fs::path prefix = dir / "out";
+  expect_usage_error(
+      run_cli("export " + model + " Cardio " + prefix.string()), msg);
+  EXPECT_FALSE(fs::exists(prefix.string() + ".v"));
+  EXPECT_FALSE(fs::exists(prefix.string() + "_tb.v"));
+  fs::remove_all(dir);
+}
+
 TEST(Cli, ClassifyMissingModelIsRuntimeFailure) {
   const auto r = run_cli("classify /nonexistent_dir_xyz/m.model 1 2 3");
   EXPECT_EQ(r.status, 1) << r.out;

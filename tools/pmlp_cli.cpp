@@ -686,12 +686,26 @@ datasets::QuantizedDataset test_split(const std::string& dataset,
   return engine.split().test;
 }
 
+/// A model fed a dataset of another width is an argument error: throw it
+/// (exit 2) before any output file is opened.
+void require_width(const std::string& dataset,
+                   const datasets::QuantizedDataset& test,
+                   const core::ApproxMlp& model) {
+  if (model.topology().n_inputs() != test.n_features) {
+    throw UsageError("dataset " + dataset + " has " +
+                     std::to_string(test.n_features) +
+                     " features but the model expects " +
+                     std::to_string(model.topology().n_inputs()));
+  }
+}
+
 int cmd_evaluate(const Invocation& in) {
   const std::string& model_path = in.args[0];
   const std::string& dataset = in.args[1];
   require_dataset(dataset);
   const auto model = core::load_model_file(model_path);
   const auto test = test_split(dataset, in.opts);
+  require_width(dataset, test, model);
   const double acc = core::accuracy(model, test);
 
   const auto nl = netlist::optimize(
@@ -778,6 +792,7 @@ int cmd_export(const Invocation& in) {
   require_dataset(in.args[1]);
   const auto model = core::load_model_file(in.args[0]);
   const auto test = test_split(in.args[1], in.opts);
+  require_width(in.args[1], test, model);
 
   // One build: optimize(BespokeCircuit) keeps the I/O bus metadata valid
   // across the rewrite, so the optimized DUT is also the circuit the
@@ -845,14 +860,8 @@ int cmd_rtl(const Invocation& in) {
     if (ds.empty()) return std::vector<std::uint8_t>{};
     auto [it, fresh] = splits.try_emplace(ds);
     if (fresh) it->second = test_split(ds, in.opts);
-    const auto& test = it->second;
-    if (model.topology().n_inputs() != test.n_features) {
-      throw UsageError("dataset " + ds + " has " +
-                       std::to_string(test.n_features) +
-                       " features but the model expects " +
-                       std::to_string(model.topology().n_inputs()));
-    }
-    return first_codes(test, rtl.max_recorded_vectors);
+    require_width(ds, it->second, model);
+    return first_codes(it->second, rtl.max_recorded_vectors);
   };
 
   std::vector<core::RtlPointSpec> specs;
