@@ -163,31 +163,40 @@ class NullBuf : public std::streambuf {
 };
 
 /// A sign-off point's testbench (optimized circuit, 2112 vectors). arg:
-/// 0 = the per-vector oracle writer, 1 = the streamed emit_testbench.
-/// items/s is vectors/s, bytes/s the text rate.
+/// 0 = the per-vector oracle writer, 1 = emit_testbench, which writes a
+/// fixed-size testbench plus its $readmemh stimulus file. items/s is
+/// vectors/s, bytes/s the rate of everything written and bytes_out its
+/// size per emission.
 void BM_TestbenchEmit(benchmark::State& state) {
   const bool streamed = state.range(0) != 0;
   const auto circuit = netlist::optimize(
       netlist::build_bespoke_mlp(make_model(5).to_bespoke_desc("m")));
   const std::size_t n = 2112;
   const auto codes = make_codes(n, 16, 6);
+  const auto expected = circuit.predict_batch(codes, n);
   netlist::TestbenchOptions opts;
   opts.max_vectors = static_cast<int>(n);
-  std::ostringstream once;
-  netlist::emit_testbench(circuit, 16, codes, opts, once);
+  std::ostringstream tb_once, hex_once, oracle_once;
+  netlist::emit_testbench(circuit, 16, codes, expected, opts, tb_once,
+                          hex_once);
+  oracles::emit_testbench_naive(circuit, 16, codes, opts, oracle_once);
   NullBuf sink;
   std::ostream os(&sink);
   for (auto _ : state) {
     if (streamed) {
-      netlist::emit_testbench(circuit, 16, codes, opts, os);
+      netlist::emit_testbench(circuit, 16, codes, expected, opts, os, os);
     } else {
       oracles::emit_testbench_naive(circuit, 16, codes, opts, os);
     }
   }
+  const std::size_t bytes =
+      streamed ? tb_once.str().size() + hex_once.str().size()
+               : oracle_once.str().size();
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(once.str().size()));
+                          static_cast<std::int64_t>(bytes));
+  state.counters["bytes_out"] = static_cast<double>(bytes);
 }
 BENCHMARK(BM_TestbenchEmit)->Arg(0)->Arg(1)->ArgName("streamed");
 

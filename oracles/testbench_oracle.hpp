@@ -1,7 +1,8 @@
 // Test-only oracle for the testbench emitter: the original per-vector
-// writer, one stream insertion per input bit per vector with a scalar
-// BespokeCircuit::predict per vector for the expected class.
-// netlist::emit_testbench must produce exactly its bytes.
+// writer, one `<port> = 1'bB;` drive statement per input bit per vector and
+// a scalar BespokeCircuit::predict per vector for the expected class.
+// netlist::emit_testbench, which writes the stimulus as data for $readmemh,
+// must apply exactly its vector sequence with exactly its expected classes.
 #pragma once
 
 #include <cstdint>

@@ -196,8 +196,10 @@ RtlExportReport export_rtl(std::span<const RtlPointSpec> points,
       }
     }
 
-    // Artifacts: DUT, self-checking testbench over the same stimulus,
-    // each streamed straight into its file.
+    // Artifacts: DUT, self-checking testbench and its stimulus file over
+    // the same stimulus, each streamed straight into its file. The
+    // expected classes are the oracle's, which the check above has just
+    // proven equal to the gate-level simulator's.
     const fs::path dut_path = out / (name + ".v");
     write_file(dut_path, [&](std::ostream& os) { emitted.emit(os); });
 
@@ -205,8 +207,11 @@ RtlExportReport export_rtl(std::span<const RtlPointSpec> points,
     tb.dut_name = name;
     tb.max_vectors = static_cast<int>(n_vectors);
     const fs::path tb_path = out / (name + "_tb.v");
-    write_file(tb_path, [&](std::ostream& os) {
-      netlist::emit_testbench(circuit, n_features, codes, tb, os);
+    write_file(tb_path, [&](std::ostream& tb_os) {
+      write_file(out / (name + "_tb.hex"), [&](std::ostream& hex_os) {
+        netlist::emit_testbench(circuit, n_features, codes, expected, tb,
+                                tb_os, hex_os);
+      });
     });
 
     RtlPointReport pr;
@@ -238,15 +243,25 @@ RtlExportReport verify_rtl(std::span<const RtlPointSpec> points,
   for (auto& p : report.points) {
     const auto run =
         runner.run(p.dut_file, p.tb_file, (out / ("work_" + p.name)).string());
+    p.sim_log = run.log;
     if (run.ok) {
-      p.sim = RtlSimOutcome::kPass;
+      // A PASS over fewer vectors than were exported (a short loop bound
+      // or hex file) signs off less than it claims: it is a failure.
+      const auto want = static_cast<long long>(p.n_vectors());
+      if (run.vectors == want) {
+        p.sim = RtlSimOutcome::kPass;
+      } else {
+        p.sim = RtlSimOutcome::kFail;
+        p.sim_log += "verify_rtl: testbench passed " +
+                     std::to_string(run.vectors) + " vectors, exported " +
+                     std::to_string(want) + "\n";
+      }
     } else if (run.errors > 0) {
       p.sim = RtlSimOutcome::kFail;
       p.sim_errors = run.errors;
     } else {
       p.sim = RtlSimOutcome::kError;
     }
-    p.sim_log = run.log;
   }
   write_manifest(report, out);  // refresh sim columns
   return report;

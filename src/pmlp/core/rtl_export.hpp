@@ -13,11 +13,14 @@
 //      cross_check_packed) produce bit-identical classes — any divergence
 //      throws. Both simulators run 64 vectors per word; their scalar
 //      forms are the test oracles,
-//   3. streams <name>.v (DUT), <name>_tb.v (self-checking testbench over
-//      the same stimulus) into their files and writes a manifest.tsv row,
+//   3. streams <name>.v (DUT), <name>_tb.v (self-checking testbench) and
+//      <name>_tb.hex (the same stimulus and the oracle's classes, which
+//      the testbench loads with $readmemh) into their files and writes a
+//      manifest.tsv row,
 //   4. (verify_rtl only) compiles and runs each testbench with a discovered
-//      iverilog/verilator and records PASS/FAIL. No simulator installed is
-//      a graceful skip — the in-process three-way check has already run.
+//      iverilog/verilator and records PASS/FAIL; a PASS counts only when it
+//      reports every exported vector. No simulator installed is a graceful
+//      skip — the in-process three-way check has already run.
 #pragma once
 
 #include <cstdint>
@@ -47,8 +50,8 @@ struct RtlPointSpec {
 
 enum class RtlSimOutcome {
   kSkipped,  ///< no simulator available (or export-only)
-  kPass,     ///< testbench printed TESTBENCH PASS
-  kFail,     ///< testbench ran and reported mismatches
+  kPass,     ///< testbench printed TESTBENCH PASS over every vector
+  kFail,     ///< testbench reported mismatches, or passed too few vectors
   kError,    ///< compile/run failed before a summary was printed
 };
 
@@ -93,7 +96,7 @@ struct RtlExportReport {
                                                       std::uint32_t seed);
 
 /// Export every point: build + optimize + three-way cross-check + write
-/// DUT/testbench/manifest under `outdir` (created if missing). Throws
+/// DUT/testbench/stimulus/manifest under `outdir` (created if missing). Throws
 /// std::runtime_error on any cross-check divergence or I/O failure; sim
 /// outcomes stay kSkipped.
 RtlExportReport export_rtl(std::span<const RtlPointSpec> points,

@@ -1,11 +1,9 @@
 #include "pmlp/netlist/testbench.hpp"
 
 #include <algorithm>
-#include <array>
 #include <charconv>
 #include <concepts>
 #include <map>
-#include <sstream>
 #include <stdexcept>
 #include <string_view>
 #include <vector>
@@ -54,24 +52,41 @@ class ChunkedWriter {
 
 void emit_testbench(const BespokeCircuit& circuit, int n_features,
                     std::span<const std::uint8_t> codes_flat,
-                    const TestbenchOptions& opts, std::ostream& os) {
-  if (n_features <= 0 ||
-      codes_flat.size() % static_cast<std::size_t>(n_features) != 0) {
+                    std::span<const std::int32_t> expected,
+                    const TestbenchOptions& opts, std::ostream& tb,
+                    std::ostream& hex) {
+  const auto row_len = static_cast<std::size_t>(n_features);
+  if (n_features <= 0 || codes_flat.size() % row_len != 0) {
     throw std::invalid_argument("emit_testbench: bad sample shape");
   }
-  if (circuit.input_buses.size() != static_cast<std::size_t>(n_features)) {
+  if (circuit.input_buses.size() != row_len) {
     throw std::invalid_argument("emit_testbench: feature count mismatch");
   }
+  const std::size_t rows = codes_flat.size() / row_len;
+  if (expected.size() != rows) {
+    throw std::invalid_argument(
+        "emit_testbench: need one expected class per stimulus row");
+  }
   const auto n_samples = std::min<std::size_t>(
-      codes_flat.size() / static_cast<std::size_t>(n_features),
-      static_cast<std::size_t>(opts.max_vectors));
+      rows, static_cast<std::size_t>(opts.max_vectors));
   if (n_samples == 0) throw std::invalid_argument("emit_testbench: no vectors");
 
   const auto& nl = circuit.nl;
   const std::string dut = sanitize_identifier(opts.dut_name);
-  if (nl.outputs().size() != circuit.class_index.size()) {
+  const std::size_t class_bits = circuit.class_index.size();
+  if (class_bits == 0 || nl.outputs().size() != class_bits) {
     throw std::invalid_argument(
         "emit_testbench: outputs are not the class-index bus");
+  }
+  for (std::size_t s = 0; s < n_samples; ++s) {
+    const std::int32_t cls = expected[s];
+    if (cls < 0 || (class_bits < 32 &&
+                    (static_cast<std::uint32_t>(cls) >> class_bits) != 0)) {
+      throw std::invalid_argument(
+          "emit_testbench: expected class " + std::to_string(cls) +
+          " does not fit the " + std::to_string(class_bits) +
+          "-bit class-index bus");
+    }
   }
 
   // Port names come from the netlist's own I/O records (the same source
@@ -88,49 +103,78 @@ void emit_testbench(const BespokeCircuit& circuit, int n_features,
     out_names.push_back(sanitize_identifier(name));
   }
 
-  // Every line that repeats per vector is built once: the two drive
-  // statements of each feature bus bit (feature-major, LSB first), the
-  // half-period delay and the head of the class-index compare.
-  struct Drive {
-    std::size_t feature;
-    unsigned bit;
-    std::array<std::string, 2> line;  ///< drives 1'b0 / 1'b1
+  // The stimulus word, MSB first: one field per feature bus (MSB first),
+  // then the expected class. Each field is padded with `pad` bits at its
+  // top to whole hex digits, so every field is its own group of digits.
+  // `concat` is the testbench's view of the word, `line` the hex file's
+  // (a template whose digits are filled in per vector).
+  struct Field {
+    std::size_t digits;
+    std::uint32_t mask;
+    std::size_t end;  ///< one past the field's last digit in `line`
   };
-  std::vector<Drive> drives;
-  for (int f = 0; f < n_features; ++f) {
-    const Bus& bus = circuit.input_buses[static_cast<std::size_t>(f)];
-    for (std::size_t bit = 0; bit < bus.size(); ++bit) {
+  std::vector<Field> fields;
+  std::string concat;
+  std::string line;
+  std::size_t n_pad = 0;
+  std::size_t word_bits = 0;
+  auto add_field = [&](std::size_t bits,
+                       const std::vector<std::string>& msb_first) {
+    const std::size_t digits = (bits + 3) / 4;
+    if (!fields.empty()) {
+      concat += ",\n       ";
+      line += '_';
+    }
+    for (std::size_t p = bits; p < 4 * digits; ++p) {
+      concat += "pad[" + std::to_string(n_pad++) + "], ";
+    }
+    for (std::size_t i = 0; i < msb_first.size(); ++i) {
+      concat += (i == 0 ? "" : ", ") + msb_first[i];
+    }
+    line.append(digits, '0');
+    word_bits += 4 * digits;
+    fields.push_back(
+        {digits, bits >= 32 ? ~0u : (1u << bits) - 1u, line.size()});
+  };
+  for (const Bus& bus : circuit.input_buses) {
+    std::vector<std::string> ports;
+    for (std::size_t bit = bus.size(); bit-- > 0;) {
       const auto it = in_index.find(bus[bit]);
       if (it == in_index.end()) {
         throw std::invalid_argument(
             "emit_testbench: input bus net is not a primary input");
       }
-      const std::string head = "    " + in_names[it->second] + " = 1'b";
-      drives.push_back({static_cast<std::size_t>(f), static_cast<unsigned>(bit),
-                        {head + "0;\n", head + "1;\n"}});
+      ports.push_back(in_names[it->second]);
     }
+    add_field(bus.size(), ports);
+  }
+  add_field(class_bits, {"expected"});
+  line += '\n';
+
+  const std::string hex_file =
+      opts.hex_file.empty() ? dut + "_tb.hex" : opts.hex_file;
+  if (hex_file.find_first_of("\"\\\n") != std::string::npos) {
+    throw std::invalid_argument("emit_testbench: hex file name " + hex_file +
+                                " cannot be a Verilog string");
   }
   const std::string delay =
-      "    #" +
+      "      #" +
       std::to_string(static_cast<long long>(opts.clock_period_ns / 2.0)) +
       ";\n";
-  // Compare the class-index bus (MSB first) against the golden value.
-  std::string compare = "    if ({";
-  for (std::size_t bit = out_names.size(); bit-- > 0;) {
-    compare += out_names[bit];
-    if (bit != 0) compare += ", ";
-  }
-  compare += "} !== " + std::to_string(circuit.class_index.size()) + "'d";
 
-  // Expected class index per vector from the golden simulator.
-  const auto expected = circuit.predict_batch(codes_flat, n_samples);
-
-  ChunkedWriter w(os);
+  ChunkedWriter w(tb);
   w << "`timescale 1ns/1ns\n";
   w << "module " << dut << "_tb;\n";
   for (const auto& name : in_names) w << "  reg " << name << ";\n";
   for (const auto& name : out_names) w << "  wire " << name << ";\n";
-  w << "  integer errors;\n\n";
+  w << "  integer errors;\n";
+  w << "  integer v;\n";
+  w << "  // One word per vector: feature codes then the expected class, in\n";
+  w << "  // '_'-separated hex fields, as " << hex_file << " lists them.\n";
+  w << "  reg [" << word_bits - 1 << ":0] stim [0:" << n_samples - 1
+    << "];\n";
+  if (n_pad > 0) w << "  reg [" << n_pad - 1 << ":0] pad;\n";
+  w << "  reg [" << class_bits - 1 << ":0] expected;\n\n";
   w << "  " << dut << " dut(\n";
   bool first = true;
   for (const auto& name : in_names) {
@@ -144,17 +188,22 @@ void emit_testbench(const BespokeCircuit& circuit, int n_features,
 
   w << "  initial begin\n";
   w << "    errors = 0;\n";
-  for (std::size_t s = 0; s < n_samples; ++s) {
-    const std::uint8_t* row =
-        codes_flat.data() + s * static_cast<std::size_t>(n_features);
-    for (const auto& d : drives) w << d.line[(row[d.feature] >> d.bit) & 1u];
-    w << delay << compare << expected[s] << ") begin\n";
-    w << "      $display(\"MISMATCH vector " << s << ": expected "
-      << expected[s] << "\");\n";
-    w << "      errors = errors + 1;\n";
-    w << "    end\n";
-    w << delay;
+  w << "    $readmemh(\"" << hex_file << "\", stim);\n";
+  w << "    for (v = 0; v < " << n_samples << "; v = v + 1) begin\n";
+  w << "      {" << concat << "} = stim[v];\n";
+  w << delay;
+  // Compare the class-index bus (MSB first) against the expected class.
+  w << "      if ({";
+  for (std::size_t bit = out_names.size(); bit-- > 0;) {
+    w << out_names[bit] << (bit != 0 ? ", " : "");
   }
+  w << "} !== expected) begin\n";
+  w << "        $display(\"MISMATCH vector %0d: expected %0d\", v, "
+       "expected);\n";
+  w << "        errors = errors + 1;\n";
+  w << "      end\n";
+  w << delay;
+  w << "    end\n";
   w << "    if (errors == 0) $display(\"TESTBENCH PASS (" << n_samples
     << " vectors)\");\n";
   w << "    else $display(\"TESTBENCH FAIL: %0d errors\", errors);\n";
@@ -162,17 +211,24 @@ void emit_testbench(const BespokeCircuit& circuit, int n_features,
   w << "  end\n";
   w << "endmodule\n";
   w.flush();
-}
 
-std::string to_verilog_with_testbench(const BespokeCircuit& circuit,
-                                      int n_features,
-                                      std::span<const std::uint8_t> codes_flat,
-                                      const TestbenchOptions& opts) {
-  std::ostringstream os;
-  emit_verilog(circuit.nl, opts.dut_name, os);
-  os << "\n";
-  emit_testbench(circuit, n_features, codes_flat, opts, os);
-  return os.str();
+  // One line per vector, filled into the template in place.
+  static constexpr char kHexDigits[] = "0123456789abcdef";
+  auto put = [&](const Field& field, std::uint32_t value) {
+    value &= field.mask;
+    for (std::size_t at = field.end; at-- > field.end - field.digits;) {
+      line[at] = kHexDigits[value & 0xFu];
+      value >>= 4;
+    }
+  };
+  ChunkedWriter h(hex);
+  for (std::size_t s = 0; s < n_samples; ++s) {
+    const std::uint8_t* row = codes_flat.data() + s * row_len;
+    for (std::size_t f = 0; f < row_len; ++f) put(fields[f], row[f]);
+    put(fields.back(), static_cast<std::uint32_t>(expected[s]));
+    h << line;
+  }
+  h.flush();
 }
 
 }  // namespace pmlp::netlist

@@ -113,37 +113,44 @@ SimRun SimRunner::run(const std::string& dut_file, const std::string& tb_file,
                       const std::string& work_dir) const {
   std::error_code ec;
   fs::create_directories(work_dir, ec);
-  const fs::path work(work_dir);
-  const fs::path log_path = work / "sim.log";
+  // The simulation runs in the testbench's directory, where its $readmemh
+  // path points; every other path is absolute so the directory change
+  // cannot move it.
+  const fs::path work = fs::absolute(work_dir);
+  const fs::path dut = fs::absolute(dut_file);
+  const fs::path tb = fs::absolute(tb_file);
+  const fs::path tool = fs::absolute(sim_.path);
+  const std::string log = shell_quote((work / "sim.log").string());
+  std::string command =
+      "cd " + shell_quote(tb.parent_path().string()) + " > " + log + " 2>&1";
 
-  std::string command;
   if (sim_.name == "verilator") {
     // Verilator 5 can build and run a timed testbench directly.
     const fs::path objdir = work / "obj_dir";
-    command = shell_quote(sim_.path) + " --binary --timing -Wno-fatal -j 1" +
-              " --Mdir " + shell_quote(objdir.string()) + " -o sim " +
-              shell_quote(tb_file) + " " + shell_quote(dut_file) + " > " +
-              shell_quote(log_path.string()) + " 2>&1 && " +
-              shell_quote((objdir / "sim").string()) + " >> " +
-              shell_quote(log_path.string()) + " 2>&1";
+    command += " && " + shell_quote(tool.string()) +
+               " --binary --timing -Wno-fatal -j 1 --Mdir " +
+               shell_quote(objdir.string()) + " -o sim " +
+               shell_quote(tb.string()) + " " + shell_quote(dut.string()) +
+               " >> " + log + " 2>&1 && " +
+               shell_quote((objdir / "sim").string()) + " >> " + log +
+               " 2>&1";
   } else {
     // Icarus: compile to a vvp image, then run it with the vvp that ships
     // next to the discovered iverilog (fall back to PATH).
     const fs::path image = work / "sim.vvp";
-    const fs::path vvp_sibling = fs::path(sim_.path).parent_path() / "vvp";
+    const fs::path vvp_sibling = tool.parent_path() / "vvp";
     const std::string vvp = fs::exists(vvp_sibling, ec)
                                 ? vvp_sibling.string()
                                 : std::string("vvp");
-    command = shell_quote(sim_.path) + " -g2001 -o " +
-              shell_quote(image.string()) + " " + shell_quote(dut_file) +
-              " " + shell_quote(tb_file) + " > " +
-              shell_quote(log_path.string()) + " 2>&1 && " +
-              shell_quote(vvp) + " " + shell_quote(image.string()) + " >> " +
-              shell_quote(log_path.string()) + " 2>&1";
+    command += " && " + shell_quote(tool.string()) + " -g2001 -o " +
+               shell_quote(image.string()) + " " + shell_quote(dut.string()) +
+               " " + shell_quote(tb.string()) + " >> " + log + " 2>&1 && " +
+               shell_quote(vvp) + " " + shell_quote(image.string()) + " >> " +
+               log + " 2>&1";
   }
 
   const int rc = std::system(command.c_str());
-  SimRun result = parse_testbench_log(read_file(log_path));
+  SimRun result = parse_testbench_log(read_file(work / "sim.log"));
   result.command = command;
   if (rc != 0) result.ok = false;
   return result;

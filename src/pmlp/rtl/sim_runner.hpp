@@ -52,9 +52,11 @@ class SimRunner {
   [[nodiscard]] const Simulator& simulator() const { return sim_; }
 
   /// Compile `dut_file` + `tb_file` and run the testbench, staging build
-  /// products and logs under `work_dir` (created if missing). Never
-  /// throws for simulator failures — a compile error or missing summary
-  /// comes back as ok=false with the log attached.
+  /// products and logs under `work_dir` (created if missing). The tools
+  /// run in `tb_file`'s directory, so the testbench's relative $readmemh
+  /// path resolves and an exported directory can be moved as a whole.
+  /// Never throws for simulator failures — a compile error or missing
+  /// summary comes back as ok=false with the log attached.
   [[nodiscard]] SimRun run(const std::string& dut_file,
                            const std::string& tb_file,
                            const std::string& work_dir) const;

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 
@@ -322,6 +323,34 @@ TEST(Cli, DatasetWidthMismatchIsUsageErrorBeforeAnyFile) {
       run_cli("export " + model + " Cardio " + prefix.string()), msg);
   EXPECT_FALSE(fs::exists(prefix.string() + ".v"));
   EXPECT_FALSE(fs::exists(prefix.string() + "_tb.v"));
+  EXPECT_FALSE(fs::exists(prefix.string() + "_tb.hex"));
+  fs::remove_all(dir);
+}
+
+TEST(Cli, ExportWritesDutTestbenchAndStimulusHex) {
+  // A prefix with a directory: the testbench names its hex file relative
+  // to its own directory, which is where a simulator runs it from.
+  const fs::path dir = fs::temp_directory_path() / "pmlp_cli_test_export_hex";
+  fs::remove_all(dir);
+  const auto setup =
+      run_cli("run BreastCancer 8 2 --save-front " + dir.string());
+  ASSERT_TRUE(fs::exists(dir / "front_000.model")) << setup.out;
+  const std::string prefix = (dir / "bc").string();
+  const auto r = run_cli("export " + (dir / "front_000.model").string() +
+                         " BreastCancer " + prefix);
+  ASSERT_EQ(r.status, 0) << r.out;
+  EXPECT_NE(r.out.find(" cells), " + prefix + "_tb.v and " + prefix +
+                       "_tb.hex (64 vectors)"),
+            std::string::npos)
+      << r.out;
+  std::ifstream tb(prefix + "_tb.v");
+  const std::string text((std::istreambuf_iterator<char>(tb)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_NE(text.find("$readmemh(\"bc_tb.hex\", stim);"), std::string::npos);
+  std::ifstream hex(prefix + "_tb.hex");
+  int lines = 0;
+  for (std::string line; std::getline(hex, line);) ++lines;
+  EXPECT_EQ(lines, 64);
   fs::remove_all(dir);
 }
 

@@ -2,7 +2,9 @@
 // power analysis (activity.hpp) and the testbench emitter (testbench.hpp).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <sstream>
 
 #include "pmlp/core/approx_mlp.hpp"
 #include "pmlp/core/chromosome.hpp"
@@ -10,6 +12,7 @@
 #include "pmlp/netlist/builders.hpp"
 #include "pmlp/netlist/opt.hpp"
 #include "pmlp/netlist/testbench.hpp"
+#include "pmlp/netlist/verilog.hpp"
 
 namespace nl = pmlp::netlist;
 namespace hw = pmlp::hwmodel;
@@ -289,36 +292,49 @@ TEST(Testbench, EmitsSelfCheckingBench) {
   }
   nl::TestbenchOptions opts;
   opts.dut_name = "dut_mlp";
-  const auto v = nl::to_verilog_with_testbench(circuit, 4, codes, opts);
-  EXPECT_NE(v.find("module dut_mlp ("), std::string::npos);
+  std::ostringstream dut, tb, hex;
+  nl::emit_verilog(circuit.nl, opts.dut_name, dut);
+  nl::emit_testbench(circuit, 4, codes, circuit.predict_batch(codes, 6), opts,
+                     tb, hex);
+  EXPECT_NE(dut.str().find("module dut_mlp ("), std::string::npos);
+  const std::string v = tb.str();
   EXPECT_NE(v.find("module dut_mlp_tb;"), std::string::npos);
-  EXPECT_NE(v.find("TESTBENCH PASS"), std::string::npos);
+  EXPECT_NE(v.find("dut_mlp dut("), std::string::npos);
+  EXPECT_NE(v.find("$readmemh(\"dut_mlp_tb.hex\", stim);"),
+            std::string::npos);
+  EXPECT_NE(v.find("TESTBENCH PASS (6 vectors)"), std::string::npos);
   EXPECT_NE(v.find("$finish"), std::string::npos);
-  // One comparison block per vector.
+  // One comparison block, looped over the six hex lines.
   std::size_t count = 0;
   for (std::size_t pos = v.find("MISMATCH vector"); pos != std::string::npos;
        pos = v.find("MISMATCH vector", pos + 1)) {
     ++count;
   }
-  EXPECT_EQ(count, 6u);
+  EXPECT_EQ(count, 1u);
+  const std::string lines = hex.str();
+  EXPECT_EQ(std::count(lines.begin(), lines.end(), '\n'), 6);
 }
 
 TEST(Testbench, ExpectedValuesMatchGoldenSimulator) {
+  // 4 features of 4 bits and a 1-bit class index (two classes): the hex
+  // line is the four codes and the golden class, one digit each.
   const auto circuit = random_circuit(29);
+  ASSERT_EQ(circuit.class_index.size(), 1u);
   std::vector<std::uint8_t> codes = {3, 7, 1, 15};
   nl::TestbenchOptions opts;
-  const auto v = nl::to_verilog_with_testbench(circuit, 4, codes, opts);
-  const int expected = circuit.predict(codes);
-  const std::string needle =
-      "'d" + std::to_string(expected) + ")";
-  EXPECT_NE(v.find(needle), std::string::npos);
+  std::ostringstream tb, hex;
+  nl::emit_testbench(circuit, 4, codes, circuit.predict_batch(codes, 1), opts,
+                     tb, hex);
+  EXPECT_EQ(hex.str(), "3_7_1_f_" + std::to_string(circuit.predict(codes)) +
+                           "\n");
 }
 
 TEST(Testbench, RejectsBadShapes) {
   const auto circuit = random_circuit(31);
   std::vector<std::uint8_t> codes = {1, 2, 3};  // not a multiple of 4
+  const std::vector<std::int32_t> expected = {0};
   nl::TestbenchOptions opts;
-  std::ostringstream os;
-  EXPECT_THROW(nl::emit_testbench(circuit, 4, codes, opts, os),
+  std::ostringstream tb, hex;
+  EXPECT_THROW(nl::emit_testbench(circuit, 4, codes, expected, opts, tb, hex),
                std::invalid_argument);
 }

@@ -3,13 +3,17 @@
 // oracle: Netlist::evaluate_packed vs Netlist::evaluate on random netlists
 // that use every cell type, BespokeCircuit::predict_batch vs predict on
 // real bespoke circuits, EmittedModule::eval_packed/cross_check_packed vs
-// their scalar forms, and emit_testbench vs oracles::emit_testbench_naive.
+// their scalar forms, and the vector sequence emit_testbench's
+// testbench and hex file apply vs oracles::emit_testbench_naive's.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <map>
 #include <random>
 #include <sstream>
+#include <string>
 
 #include "pmlp/core/chromosome.hpp"
 #include "pmlp/core/rtl_export.hpp"
@@ -95,9 +99,12 @@ std::vector<std::uint8_t> random_codes(std::size_t rows, int n_features,
 
 /// A bespoke circuit from a random genome (the recipe netlist_opt_test and
 /// rtl_roundtrip_test use).
-core::ApproxMlp random_model(std::uint64_t seed) {
-  const pmlp::mlp::Topology topo{{5, 4, 3}};
-  core::ChromosomeCodec codec(topo, core::BitConfig{});
+core::ApproxMlp random_model(std::uint64_t seed, int input_bits = 4,
+                             int n_classes = 3) {
+  const pmlp::mlp::Topology topo{{5, 4, n_classes}};
+  core::BitConfig bits;
+  bits.input_bits = input_bits;
+  core::ChromosomeCodec codec(topo, bits);
   std::mt19937_64 rng(seed);
   std::vector<int> genes(static_cast<std::size_t>(codec.n_genes()));
   for (int g = 0; g < codec.n_genes(); ++g) {
@@ -111,9 +118,11 @@ core::ApproxMlp random_model(std::uint64_t seed) {
 /// The first random bespoke circuit, counting up from `seed`, whose
 /// optimized netlist keeps at least 20 cells (some random genomes prune to
 /// a constant).
-nl::BespokeCircuit bespoke(std::uint64_t seed, bool optimized) {
+nl::BespokeCircuit bespoke(std::uint64_t seed, bool optimized,
+                           int input_bits = 4, int n_classes = 3) {
   for (;; ++seed) {
-    auto c = nl::build_bespoke_mlp(random_model(seed).to_bespoke_desc("m"));
+    auto c = nl::build_bespoke_mlp(
+        random_model(seed, input_bits, n_classes).to_bespoke_desc("m"));
     auto opt = nl::optimize(c);
     if (opt.nl.gates().size() < 20) continue;
     return optimized ? std::move(opt) : std::move(c);
@@ -152,14 +161,83 @@ bool lane(std::uint64_t word, std::size_t l) { return ((word >> l) & 1u) != 0; }
 
 /// Empty when equal, else the first differing offset with a little of
 /// each text around it (testbenches run to megabytes).
-std::string first_difference(const std::string& a, const std::string& b) {
-  std::size_t at = 0;
-  while (at < a.size() && at < b.size() && a[at] == b[at]) ++at;
-  if (at == a.size() && at == b.size()) return "";
-  const std::size_t from = at < 80 ? 0 : at - 80;
-  return "offset " + std::to_string(at) + " of " + std::to_string(a.size()) +
-         "/" + std::to_string(b.size()) + ":\n" + a.substr(from, 160) +
-         "\n---\n" + b.substr(from, 160);
+/// One vector as a testbench applies it: the value driven onto each
+/// input port and the class the DUT must answer.
+struct Applied {
+  std::map<std::string, int> drives;
+  long expected = -1;
+  bool operator==(const Applied&) const = default;
+};
+
+/// The vectors the per-vector oracle text applies: each `<port> = 1'bB;`
+/// line drives a port, and the `'d<class>)` of each compare ends a vector.
+std::vector<Applied> oracle_sequence(const std::string& text) {
+  std::vector<Applied> out;
+  Applied cur;
+  std::istringstream is(text);
+  std::string line;
+  while (std::getline(is, line)) {
+    const auto drive = line.find(" = 1'b");
+    if (line.rfind("    ", 0) == 0 && drive != std::string::npos) {
+      cur.drives[line.substr(4, drive - 4)] = line[drive + 6] - '0';
+    } else if (const auto cmp = line.find("} !== ");
+               cmp != std::string::npos) {
+      cur.expected = std::stol(line.substr(line.find("'d", cmp) + 2));
+      out.push_back(std::move(cur));
+      cur = {};
+    }
+  }
+  return out;
+}
+
+/// The vectors a stimulus-as-data testbench applies: the concatenation
+/// `{...} = stim[v];` is read from the testbench text itself, and every
+/// line of the hex file is decoded through it (pad bits must be 0).
+std::vector<Applied> hex_sequence(const std::string& tb,
+                                  const std::string& hex) {
+  const auto end = tb.find("} = stim[v];");
+  const auto begin = tb.rfind('{', end);
+  EXPECT_NE(end, std::string::npos);
+  std::vector<std::string> items;
+  std::istringstream list(tb.substr(begin + 1, end - begin - 1));
+  for (std::string item; std::getline(list, item, ',');) {
+    const auto first = item.find_first_not_of(" \n");
+    const auto last = item.find_last_not_of(" \n");
+    items.push_back(item.substr(first, last - first + 1));
+  }
+  const auto exp_decl = tb.find("] expected;");
+  EXPECT_NE(exp_decl, std::string::npos);
+  const int class_bits =
+      std::stoi(tb.substr(tb.rfind('[', exp_decl) + 1)) + 1;
+
+  std::vector<Applied> out;
+  std::istringstream is(hex);
+  std::string line;
+  while (std::getline(is, line)) {
+    std::vector<int> bits;  // MSB first
+    for (char c : line) {
+      if (c == '_') continue;
+      const int v = std::stoi(std::string(1, c), nullptr, 16);
+      for (int b = 3; b >= 0; --b) bits.push_back((v >> b) & 1);
+    }
+    Applied cur;
+    std::size_t at = 0;
+    for (const auto& item : items) {
+      if (item == "expected") {
+        cur.expected = 0;
+        for (int b = 0; b < class_bits; ++b) {
+          cur.expected = cur.expected * 2 + bits.at(at++);
+        }
+      } else if (item.rfind("pad[", 0) == 0) {
+        EXPECT_EQ(bits.at(at++), 0) << "pad bit " << item;
+      } else {
+        cur.drives[item] = bits.at(at++);
+      }
+    }
+    EXPECT_EQ(at, bits.size()) << "hex word wider than the concatenation";
+    out.push_back(std::move(cur));
+  }
+  return out;
 }
 
 }  // namespace
@@ -339,40 +417,113 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ----------------------------------------------------------- testbench
 
-TEST(TestbenchStream, BytesMatchPerVectorOracle) {
-  for (const bool optimized : {false, true}) {
-    const auto c = bespoke(31, optimized);
-    // Recorded rows followed by LFSR stimulus, as export_rtl builds it.
-    for (const std::size_t n_random : {0u, 1u, 64u, 2048u}) {
-      auto codes = random_codes(64, 5, 77);
-      const auto random = core::lfsr_stimulus(n_random, 5, 4, 1);
+TEST(TestbenchStream, AppliesOracleVectorSequence) {
+  // Input widths 1..8 bits (padded fields and whole-digit ones) and class
+  // buses of 1..4 bits, at vector counts around the 64-lane word and at a
+  // sign-off point's 2112.
+  for (const int input_bits : {1, 3, 4, 8}) {
+    for (const int n_classes : {2, 3, 5, 9}) {
+      const auto c = bespoke(31, true, input_bits, n_classes);
+      const std::size_t class_bits = c.class_index.size();
+      ASSERT_EQ(class_bits, static_cast<std::size_t>(
+                                std::bit_width(unsigned(n_classes - 1))));
+      // Recorded rows (wider than input_bits: the bus takes the low bits)
+      // followed by LFSR stimulus, as export_rtl builds it.
+      auto codes = random_codes(8, 5, 77);
+      const auto random = core::lfsr_stimulus(2112, 5, input_bits, 1);
       codes.insert(codes.end(), random.begin(), random.end());
-      for (const int max_vectors : {1, 65, 100000}) {
+      const auto expected = c.predict_batch(codes, codes.size() / 5);
+      for (const int n : {1, 63, 64, 65, 2112}) {
         nl::TestbenchOptions opts;
         opts.dut_name = "m_p0";
-        opts.max_vectors = max_vectors;
-        std::ostringstream ours, oracle;
-        nl::emit_testbench(c, 5, codes, opts, ours);
+        opts.max_vectors = n;
+        std::ostringstream tb, hex, oracle;
+        nl::emit_testbench(c, 5, codes, expected, opts, tb, hex);
         pmlp::oracles::emit_testbench_naive(c, 5, codes, opts, oracle);
-        ASSERT_EQ(first_difference(ours.str(), oracle.str()), "")
-            << "optimized " << optimized << " random " << n_random
-            << " max " << max_vectors;
+        const auto ours = hex_sequence(tb.str(), hex.str());
+        const auto want = oracle_sequence(oracle.str());
+        SCOPED_TRACE("input_bits " + std::to_string(input_bits) +
+                     " class_bits " + std::to_string(class_bits) +
+                     " vectors " + std::to_string(n));
+        ASSERT_EQ(want.size(), static_cast<std::size_t>(n));
+        ASSERT_EQ(ours.size(), want.size());
+        for (std::size_t v = 0; v < want.size(); ++v) {
+          ASSERT_EQ(ours[v].drives, want[v].drives) << "vector " << v;
+          ASSERT_EQ(ours[v].expected, want[v].expected) << "vector " << v;
+        }
+        const std::string t = tb.str();
+        const std::string ns = std::to_string(n);
+        EXPECT_NE(t.find("$readmemh(\"m_p0_tb.hex\", stim);"),
+                  std::string::npos);
+        EXPECT_NE(t.find(" stim [0:" + std::to_string(n - 1) + "];"),
+                  std::string::npos);
+        EXPECT_NE(t.find("v < " + ns + ";"), std::string::npos);
+        EXPECT_NE(t.find("TESTBENCH PASS (" + ns + " vectors)"),
+                  std::string::npos);
       }
     }
   }
 }
 
+TEST(TestbenchStream, TestbenchSizeIsFixedApartFromVectorCount) {
+  // The stimulus is all in the hex file: the testbench grows only by the
+  // digits of its three literals (array bound N-1, loop bound N, PASS N).
+  const auto c = bespoke(33, true);
+  const auto codes = core::lfsr_stimulus(2112, 5, 4, 3);
+  const auto expected = c.predict_batch(codes, 2112);
+  auto tb_bytes = [&](int n) {
+    nl::TestbenchOptions opts;
+    opts.max_vectors = n;
+    std::ostringstream tb, hex;
+    nl::emit_testbench(c, 5, codes, expected, opts, tb, hex);
+    return static_cast<long>(tb.str().size());
+  };
+  auto digits = [](int v) {
+    return static_cast<long>(std::to_string(v).size());
+  };
+  const long one = tb_bytes(1);
+  for (const int n : {63, 64, 65, 2112}) {
+    EXPECT_EQ(tb_bytes(n) - one,
+              (digits(n - 1) - 1) + 2 * (digits(n) - 1))
+        << n << " vectors";
+  }
+}
+
 TEST(TestbenchStream, LargeBenchSpansManyChunks) {
-  // 2112 vectors of a 5-feature circuit is over 1 MB of text: the writer
-  // hands it over in many chunks and the result is still the oracle's.
+  // 8192 vectors of a 5-feature circuit is 96 KiB of hex: the writer hands
+  // it over in three chunks and the sequence is still the oracle's.
   const auto c = bespoke(32, true);
-  const auto codes = core::lfsr_stimulus(2112, 5, 4, 9);
+  const auto codes = core::lfsr_stimulus(8192, 5, 4, 9);
+  const auto expected = c.predict_batch(codes, 8192);
   nl::TestbenchOptions opts;
-  opts.max_vectors = 2112;
+  opts.max_vectors = 8192;
   opts.clock_period_ns = 1000.0;
-  std::ostringstream ours, oracle;
-  nl::emit_testbench(c, 5, codes, opts, ours);
+  std::ostringstream tb, hex, oracle;
+  nl::emit_testbench(c, 5, codes, expected, opts, tb, hex);
   pmlp::oracles::emit_testbench_naive(c, 5, codes, opts, oracle);
-  EXPECT_GT(ours.str().size(), std::size_t{1} << 20);
-  EXPECT_EQ(first_difference(ours.str(), oracle.str()), "");
+  EXPECT_GE(hex.str().size(), std::size_t{96} << 10);
+  EXPECT_LT(tb.str().size(), std::size_t{4} << 10);
+  EXPECT_TRUE(hex_sequence(tb.str(), hex.str()) ==
+              oracle_sequence(oracle.str()));
+}
+
+TEST(TestbenchStream, RejectsExpectedClassesThatDoNotFit) {
+  const auto c = bespoke(34, true);
+  const auto codes = core::lfsr_stimulus(4, 5, 4, 5);
+  auto expected = c.predict_batch(codes, 4);
+  nl::TestbenchOptions opts;
+  std::ostringstream tb, hex;
+  // One class per row, no fewer...
+  EXPECT_THROW(nl::emit_testbench(c, 5, codes, std::span(expected).first(3),
+                                  opts, tb, hex),
+               std::invalid_argument);
+  // ...and each within the class-index bus.
+  expected[2] = 1 << c.class_index.size();
+  EXPECT_THROW(nl::emit_testbench(c, 5, codes, expected, opts, tb, hex),
+               std::invalid_argument);
+  expected[2] = -1;
+  EXPECT_THROW(nl::emit_testbench(c, 5, codes, expected, opts, tb, hex),
+               std::invalid_argument);
+  EXPECT_TRUE(tb.str().empty());
+  EXPECT_TRUE(hex.str().empty());
 }

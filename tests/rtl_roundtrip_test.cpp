@@ -7,8 +7,10 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <random>
 #include <sstream>
+#include <utility>
 
 #include "pmlp/core/chromosome.hpp"
 #include "pmlp/core/rtl_export.hpp"
@@ -62,6 +64,16 @@ fs::path fresh_dir(const std::string& name) {
   const fs::path dir = fs::path(::testing::TempDir()) / name;
   fs::remove_all(dir);
   return dir;
+}
+
+/// A fake iverilog that compiles nothing and a fake vvp that runs
+/// `vvp_body` as its shell script, both in `dir`.
+void write_fake_toolchain(const fs::path& dir, const std::string& vvp_body) {
+  fs::create_directories(dir);
+  std::ofstream(dir / "iverilog") << "#!/bin/sh\nexit 0\n";
+  std::ofstream(dir / "vvp") << "#!/bin/sh\n" << vvp_body << "\n";
+  fs::permissions(dir / "iverilog", fs::perms::owner_all);
+  fs::permissions(dir / "vvp", fs::perms::owner_all);
 }
 
 }  // namespace
@@ -134,30 +146,24 @@ TEST(FindSimulator, EnvPathUsedVerbatim) {
 TEST(SimRunner, RunsFakeToolchainAndParsesPass) {
   // A fake iverilog + vvp pair stands in for the real toolchain, so the
   // compile/run/parse plumbing is covered on machines without a simulator.
+  // The fake vvp passes only when it runs in the testbench's directory,
+  // where the testbench's relative $readmemh path points.
   const fs::path dir = fresh_dir("fake_toolchain");
-  fs::create_directories(dir);
-  {
-    std::ofstream os(dir / "iverilog");
-    os << "#!/bin/sh\nexit 0\n";
-  }
-  {
-    std::ofstream os(dir / "vvp");
-    os << "#!/bin/sh\necho 'TESTBENCH PASS (3 vectors)'\n";
-  }
-  fs::permissions(dir / "iverilog", fs::perms::owner_all);
-  fs::permissions(dir / "vvp", fs::perms::owner_all);
+  const fs::path rtl_dir = dir / "rtl";
+  fs::create_directories(rtl_dir);
+  write_fake_toolchain(
+      dir, "[ -f dut_tb.hex ] && echo 'TESTBENCH PASS (3 vectors)'");
 
   const rtl::SimRunner runner({"iverilog", (dir / "iverilog").string()});
-  const fs::path dut = dir / "dut.v";
-  const fs::path tb = dir / "tb.v";
-  {
-    std::ofstream os(dut);
-    os << "module m; endmodule\n";
-  }
-  {
-    std::ofstream os(tb);
-    os << "module tb; endmodule\n";
-  }
+  const fs::path dut = rtl_dir / "dut.v";
+  const fs::path tb = rtl_dir / "dut_tb.v";
+  std::ofstream(dut) << "module m; endmodule\n";
+  std::ofstream(tb) << "module tb; endmodule\n";
+  const auto missing = runner.run(dut.string(), tb.string(),
+                                  (dir / "work").string());
+  EXPECT_FALSE(missing.ok) << missing.log;
+
+  std::ofstream(rtl_dir / "dut_tb.hex") << "0_0\n";
   const auto run = runner.run(dut.string(), tb.string(),
                               (dir / "work").string());
   EXPECT_TRUE(run.ok) << run.log;
@@ -196,6 +202,11 @@ TEST_P(RtlRoundTrip, ThreeWayEquivalenceOverRandomDesigns) {
   EXPECT_TRUE(fs::is_regular_file(p.dut_file));
   EXPECT_TRUE(fs::is_regular_file(p.tb_file));
   EXPECT_TRUE(fs::is_regular_file(report.manifest_file));
+  // One stimulus line per vector, next to the testbench that loads it.
+  std::ifstream hex(dir / (spec.name + "_tb.hex"));
+  std::size_t lines = 0;
+  for (std::string line; std::getline(hex, line);) ++lines;
+  EXPECT_EQ(lines, p.n_vectors());
 
   // The unoptimized netlist must agree too (optimize=false path).
   const fs::path dir2 = fresh_dir("rtl_prop_raw_" + std::to_string(GetParam()));
@@ -263,6 +274,37 @@ TEST(VerifyRtl, SkipsGracefullyWithoutSimulator) {
   EXPECT_EQ(report.points.front().sim, core::RtlSimOutcome::kSkipped);
   EXPECT_TRUE(report.all_passed(false));
   EXPECT_FALSE(report.all_passed(true));  // --require-sim semantics
+}
+
+TEST(VerifyRtl, PassCountsOnlyWhenEveryVectorRan) {
+  // An 8-vector point whose testbench claims PASS over 3 vectors has not
+  // signed off what was exported: it is a failure, not a pass.
+  const fs::path bin = fresh_dir("fake_short_pass");
+  core::RtlPointSpec spec;
+  spec.name = "short";
+  spec.model = random_model(81);
+  core::RtlExportOptions opts;
+  opts.random_vectors = 8;
+  for (const auto& [vectors, outcome] :
+       {std::pair{3, core::RtlSimOutcome::kFail},
+        std::pair{8, core::RtlSimOutcome::kPass}}) {
+    write_fake_toolchain(bin, "[ -f short_tb.hex ] && echo 'TESTBENCH PASS (" +
+                                  std::to_string(vectors) + " vectors)'");
+    ScopedEnv env("PMLP_SIMULATOR", (bin / "iverilog").c_str());
+    const fs::path dir = fresh_dir("rtl_short");
+    const auto report = core::verify_rtl({&spec, 1}, dir.string(), opts);
+    ASSERT_EQ(report.simulator, "iverilog");
+    const auto& p = report.points.front();
+    EXPECT_EQ(p.sim, outcome) << vectors << " vectors\n" << p.sim_log;
+    EXPECT_EQ(report.all_passed(true), outcome == core::RtlSimOutcome::kPass);
+    std::ifstream manifest(report.manifest_file);
+    const std::string text((std::istreambuf_iterator<char>(manifest)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_NE(text.find(std::string("\t") +
+                        core::rtl_sim_outcome_name(outcome) + "\t0\n"),
+              std::string::npos)
+        << text;
+  }
 }
 
 TEST(VerifyRtl, RunsInstalledSimulatorWhenPresent) {

@@ -804,14 +804,19 @@ int cmd_export(const Invocation& in) {
   });
   const std::size_t n_vec = std::min<std::size_t>(test.size(), 64);
   const auto codes = first_codes(test, n_vec);
+  const auto expected = circuit.predict_batch(codes, n_vec);
   netlist::TestbenchOptions tb;
   tb.dut_name = prefix;
-  write_file(prefix + "_tb.v", [&](std::ostream& os) {
-    netlist::emit_testbench(circuit, test.n_features, codes, tb, os);
+  tb.hex_file = fs::path(prefix).filename().string() + "_tb.hex";
+  write_file(prefix + "_tb.v", [&](std::ostream& tb_os) {
+    write_file(prefix + "_tb.hex", [&](std::ostream& hex_os) {
+      netlist::emit_testbench(circuit, test.n_features, codes, expected, tb,
+                              tb_os, hex_os);
+    });
   });
   std::cout << "wrote " << prefix << ".v (" << circuit.nl.gates().size()
-            << " cells) and " << prefix << "_tb.v (" << n_vec
-            << " vectors)\n";
+            << " cells), " << prefix << "_tb.v and " << prefix
+            << "_tb.hex (" << n_vec << " vectors)\n";
   return 0;
 }
 
