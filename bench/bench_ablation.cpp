@@ -75,9 +75,10 @@ int main() {
     }
 
     // C. greedy refinement on the best-within-5% design.
-    {
-      const auto ours = bench::run_ours(p, 5);
-      core::ApproxMlp refined = ours.best.model;
+    if (const auto ours = bench::run_ours(p, 5); !ours.best) {
+      std::cout << "C-E skipped: no GA-AxC design within 5% accuracy loss\n";
+    } else {
+      core::ApproxMlp refined = ours.best->model;
       core::RefineConfig rcfg;
       rcfg.accuracy_floor =
           core::accuracy(refined, p.train) - 0.01;

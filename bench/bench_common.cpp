@@ -86,20 +86,14 @@ OursOutcome run_ours(const Prepared& p, std::uint64_t seed) {
   out.training = std::move(result.training);
   out.evaluated = std::move(result.evaluated);
   out.stages = std::move(result.stages);
-  if (result.best) {
-    out.best = *result.best;
-  } else {
-    // Fall back to the most accurate evaluated design (small GA budgets on
-    // the hard wine datasets may miss the 5% bound by a hair).
-    double best_acc = -1.0;
-    for (const auto& e : out.evaluated) {
-      if (e.test_accuracy > best_acc) {
-        best_acc = e.test_accuracy;
-        out.best = e;
-      }
-    }
-  }
+  out.best = std::move(result.best);
   return out;
+}
+
+double OursOutcome::best_test_accuracy() const {
+  double best_acc = 0.0;
+  for (const auto& e : evaluated) best_acc = std::max(best_acc, e.test_accuracy);
+  return best_acc;
 }
 
 std::string fmt(double v, int width, int precision) {

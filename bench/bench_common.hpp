@@ -19,6 +19,7 @@
 // reductions than the paper's at the default budget.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -67,12 +68,15 @@ core::TrainerConfig default_trainer_config(std::uint64_t seed = 1);
 core::FlowEngine make_engine(const Prepared& p, std::uint64_t seed = 1);
 
 /// GA-AxC + hardware sign-off; returns the Table II pick (min area within
-/// 5% test-accuracy loss; falls back to the most accurate evaluated design).
+/// 5% test-accuracy loss), empty when no evaluated design is within it.
 struct OursOutcome {
   core::TrainingResult training;
   std::vector<core::HwEvaluatedPoint> evaluated;
-  core::HwEvaluatedPoint best;
+  std::optional<core::HwEvaluatedPoint> best;
   std::vector<core::StageReport> stages;  ///< ga/refine/hardware/select walls
+
+  /// Best test accuracy among the evaluated designs (0 when none).
+  [[nodiscard]] double best_test_accuracy() const;
 };
 OursOutcome run_ours(const Prepared& p, std::uint64_t seed = 1);
 

@@ -3,7 +3,8 @@
 // chromosome decode, netlist build and simulate (scalar vs 64-lane
 // packed), testbench text (per-vector oracle vs streamed), the sample-blocked
 // predict_batch kernels (scalar vs the dispatched SIMD ISA, across batch
-// sizes and layer densities), the GA's whole-set accuracy over sample
+// sizes and layer densities), one first-layer sweep on int16 vs int32
+// lanes, the GA's whole-set accuracy over sample
 // planes, the greedy refine loop's block-vectorized trials, NSGA-II
 // ranking (Deb's pairwise loop vs the sort-and-sweep) and checkpoint
 // record I/O (dataset write/read, slicing-by-8 vs bytewise CRC) — so
@@ -28,6 +29,7 @@
 #include "pmlp/adder/fa_model.hpp"
 #include "pmlp/core/chromosome.hpp"
 #include "pmlp/core/eval_engine.hpp"
+#include "pmlp/core/eval_kernels.hpp"
 #include "pmlp/core/refine.hpp"
 #include "pmlp/core/serialize.hpp"
 #include "pmlp/core/simd.hpp"
@@ -309,6 +311,54 @@ void BM_RefineGreedy(benchmark::State& state) {
   core::set_simd_isa(prev);
 }
 BENCHMARK(BM_RefineGreedy)->Arg(0)->Arg(1)->ArgName("simd");
+
+/// One first-layer sweep over one 64-sample block, the GA's unit of work,
+/// on int16 vs int32 lanes under the machine's best detected ISA. args:
+/// (shape, lanes): shape 0 is Pendigits' first layer (16 -> 5), 1 is
+/// Cardio's (21 -> 3), both decoded from random default-BitConfig genes
+/// (which every first layer proves int16-exact); lanes is 16 or 32. Both
+/// widths sweep the same codes; items/s is samples/s.
+void BM_LayerSweep(benchmark::State& state) {
+  const bool cardio = state.range(0) != 0;
+  const bool int16 = state.range(1) == 16;
+  const mlp::Topology topo =
+      cardio ? mlp::Topology{{21, 3, 3}} : mlp::Topology{{16, 5, 10}};
+  const core::ChromosomeCodec codec(topo, core::BitConfig{});
+  std::mt19937_64 rng(cardio ? 31 : 32);
+  std::vector<int> genes(static_cast<std::size_t>(codec.n_genes()));
+  for (int g = 0; g < codec.n_genes(); ++g) {
+    const auto b = codec.bounds(g);
+    genes[static_cast<std::size_t>(g)] =
+        b.lo + static_cast<int>(rng() % static_cast<unsigned>(b.hi - b.lo + 1));
+  }
+  const core::CompiledLayer layer =
+      core::compile_layer(codec.decode(genes).layers().front());
+  constexpr int kN = core::CompiledNet::kBlockSamples;
+  const auto codes = make_codes(kN, layer.n_in, 21);
+  const std::vector<std::int16_t> in16(codes.begin(), codes.end());
+  const std::vector<std::int32_t> in32(codes.begin(), codes.end());
+  const auto planes = static_cast<std::size_t>(layer.n_out) * kN;
+  std::vector<std::int16_t> out16(planes);
+  std::vector<std::int32_t> out32(planes);
+  const core::SimdIsa isa = core::detect_simd_isa();
+  for (auto _ : state) {
+    if (int16) {
+      core::layer_sweep(isa, layer, in16.data(), out16.data(), out16.data(),
+                        kN, 255);
+      benchmark::DoNotOptimize(out16.data());
+    } else {
+      core::layer_sweep(isa, layer, in32.data(), out32.data(), out32.data(),
+                        kN, 255);
+      benchmark::DoNotOptimize(out32.data());
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kN);
+  state.SetLabel(core::simd_isa_name(isa));
+}
+BENCHMARK(BM_LayerSweep)
+    ->ArgsProduct({{0, 1}, {16, 32}})
+    ->ArgNames({"cardio", "lanes"});
 
 /// Pre-batching reference: the same samples classified one predict() call
 /// at a time (the per-sample scalar path every consumer used before).

@@ -3,6 +3,8 @@
 // exact bespoke baseline — next to the published values.
 #include <cmath>
 #include <iostream>
+#include <iterator>
+#include <string>
 
 #include "bench_common.hpp"
 
@@ -31,24 +33,40 @@ int main() {
   for (const auto& pr : paper) {
     const auto p = bench::prepare(pr.name);
     const auto ours = bench::run_ours(p, /*seed=*/1);
-    const double area_red =
-        p.baseline_cost.area_mm2 / ours.best.cost.area_mm2;
-    const double power_red =
-        p.baseline_cost.power_uw / ours.best.cost.power_uw;
+    const std::string tail =
+        "  (baseline acc " + bench::fmt(p.baseline_test_accuracy, 0, 3) +
+        ", GA evals " + std::to_string(ours.training.evaluations) + ")\n";
+    if (!ours.best) {
+      // No evaluated design is within 5% loss: report the flow's most
+      // accurate design and its loss instead of a row that breaks the bound.
+      const double best_acc = ours.best_test_accuracy();
+      std::cout << bench::fmt(pr.name, -14) << "no pick: best test acc "
+                << bench::fmt(best_acc, 0, 3) << ", loss "
+                << bench::fmt(p.baseline_test_accuracy - best_acc, 0, 3)
+                << " > 0.05" << tail;
+      continue;
+    }
+    const auto& best = *ours.best;
+    const double area_red = p.baseline_cost.area_mm2 / best.cost.area_mm2;
+    const double power_red = p.baseline_cost.power_uw / best.cost.power_uw;
     geo_area *= area_red;
     geo_power *= power_red;
     ++n;
     std::cout << bench::fmt(pr.name, -14)
-              << bench::fmt(ours.best.test_accuracy, 9, 3)
+              << bench::fmt(best.test_accuracy, 9, 3)
               << bench::fmt(pr.acc, 11, 3)
-              << bench::fmt(ours.best.cost.area_cm2(), 11, 3)
-              << bench::fmt(ours.best.cost.power_mw(), 11, 3)
+              << bench::fmt(best.cost.area_cm2(), 11, 3)
+              << bench::fmt(best.cost.power_mw(), 11, 3)
               << bench::fmt(area_red, 14, 1) << bench::fmt(pr.ared, 15, 1)
               << bench::fmt(power_red, 16, 1) << bench::fmt(pr.pred, 16, 1)
-              << "  (baseline acc " << bench::fmt(p.baseline_test_accuracy, 0, 3)
-              << ", GA evals " << ours.training.evaluations << ")\n";
+              << tail;
   }
-  std::cout << "\nGeometric-mean reduction: area "
+  if (n == 0) {
+    std::cout << "\nGeometric-mean reduction: no dataset has a pick\n";
+    return 0;
+  }
+  std::cout << "\nGeometric-mean reduction over the " << n << " of "
+            << std::size(paper) << " datasets with a pick: area "
             << bench::fmt(std::pow(geo_area, 1.0 / n), 0, 1) << "x, power "
             << bench::fmt(std::pow(geo_power, 1.0 / n), 0, 1)
             << "x  (paper reports 181x / 203x arithmetic averages at full "

@@ -10,26 +10,54 @@
 #include "pmlp/core/simd.hpp"
 
 namespace pmlp::core {
-bool layers_block_safe(std::span<const CompiledLayer> layers,
-                       std::int64_t act_max, std::int64_t bias_bound) {
-  constexpr std::int64_t kMax = std::numeric_limits<std::int32_t>::max();
-  if (act_max > kMax) return false;
-  for (const auto& layer : layers) {
-    for (int o = 0; o < layer.n_out; ++o) {
-      const std::int64_t bias = layer.biases[static_cast<std::size_t>(o)];
-      std::int64_t bound = std::max(bias < 0 ? -bias : bias, bias_bound);
-      if (bound > kMax) return false;
-      const std::int32_t end = layer.conn_begin[static_cast<std::size_t>(o) + 1];
-      for (std::int32_t c = layer.conn_begin[static_cast<std::size_t>(o)];
-           c < end; ++c) {
-        const CompiledConn& cc = layer.conns[static_cast<std::size_t>(c)];
-        if (cc.shift < 0 || cc.shift > 30 || cc.mask > kMax) return false;
-        bound += static_cast<std::int64_t>(cc.mask) << cc.shift;
-        if (bound > kMax) return false;
-      }
+namespace {
+
+/// The narrowest lane type of one layer, in one walk: every neuron's bound
+/// |bias| + sum(mask << k) (each |bias| widened to at least `bias_bound`),
+/// every shift and `act_max` must fit it. A mask never exceeds its shifted
+/// self, so the bound covers the masks too.
+LaneType narrowest_lane(const CompiledLayer& layer, std::int64_t act_max,
+                        std::int64_t bias_bound) {
+  constexpr std::int64_t kMax16 = std::numeric_limits<std::int16_t>::max();
+  constexpr std::int64_t kMax32 = std::numeric_limits<std::int32_t>::max();
+  if (act_max > kMax32) return LaneType::kInt64;
+  std::int64_t worst = act_max;
+  int max_shift = 0;
+  for (int o = 0; o < layer.n_out; ++o) {
+    const std::int64_t bias = layer.biases[static_cast<std::size_t>(o)];
+    std::int64_t bound = std::max(bias < 0 ? -bias : bias, bias_bound);
+    if (bound > kMax32) return LaneType::kInt64;
+    const std::int32_t end = layer.conn_begin[static_cast<std::size_t>(o) + 1];
+    for (std::int32_t c = layer.conn_begin[static_cast<std::size_t>(o)];
+         c < end; ++c) {
+      const CompiledConn& cc = layer.conns[static_cast<std::size_t>(c)];
+      if (cc.shift < 0 || cc.shift > 30) return LaneType::kInt64;
+      max_shift = std::max(max_shift, cc.shift);
+      bound += static_cast<std::int64_t>(cc.mask) << cc.shift;
+      if (bound > kMax32) return LaneType::kInt64;
     }
+    worst = std::max(worst, bound);
   }
-  return true;
+  return worst <= kMax16 && max_shift <= 14 ? LaneType::kInt16
+                                            : LaneType::kInt32;
+}
+
+template <typename T>
+constexpr LaneType kLaneOf = sizeof(T) == 2   ? LaneType::kInt16
+                             : sizeof(T) == 4 ? LaneType::kInt32
+                                              : LaneType::kInt64;
+
+}  // namespace
+
+std::vector<LaneType> layer_lanes(std::span<const CompiledLayer> layers,
+                                  std::int64_t act_max,
+                                  std::int64_t bias_bound) {
+  std::vector<LaneType> lanes;
+  lanes.reserve(layers.size());
+  for (const auto& layer : layers) {
+    lanes.push_back(narrowest_lane(layer, act_max, bias_bound));
+  }
+  return lanes;
 }
 
 CompiledLayer compile_layer(const ApproxLayer& layer, long* fa_area) {
@@ -69,8 +97,12 @@ CompiledNet::CompiledNet(const ApproxMlp& net) {
     max_width_ = std::max(max_width_, layers_.back().n_out);
     n_outputs_ = layers_.back().n_out;
   }
-  block_safe_ = !layers_.empty() && layers_block_safe(layers_, act_max_);
-  if (block_safe_) act_max32_ = static_cast<std::int32_t>(act_max_);
+  lanes_ = layer_lanes(layers_, act_max_);
+  // A layer's input planes are its predecessor's activations, so its lanes
+  // are at least that wide.
+  for (std::size_t l = 1; l < lanes_.size(); ++l) {
+    lanes_[l] = std::max(lanes_[l], lanes_[l - 1]);
+  }
 }
 
 std::span<const std::int64_t> CompiledNet::forward(
@@ -160,52 +192,99 @@ std::size_t CompiledNet::run_blocks(std::size_t n, const std::uint8_t* codes,
                                     const std::int32_t* labels,
                                     std::int32_t* preds,
                                     EvalWorkspace& ws) const {
-  const auto width = static_cast<std::size_t>(n_inputs_);
-  std::size_t correct = 0;
-  if (!block_safe_) {
-    // Overflow-unprovable net (never produced by a BitConfig decode at the
-    // paper's widths): keep the exact int64 per-sample path.
-    if (ws.row_.size() < width) ws.row_.resize(width);
-    for (std::size_t s = 0; s < n; ++s) {
-      const std::uint8_t* row = codes;
-      if (planes != nullptr) {
-        planes->gather_row(s, ws.row_.data());
-        row = ws.row_.data();
-      } else {
-        row += s * width;
-      }
-      const int pred = predict({row, width}, ws);
-      if (preds != nullptr) preds[s] = pred;
-      if (labels != nullptr && labels[s] == pred) ++correct;
-    }
-    return correct;
-  }
   const SimdIsa isa = active_simd_isa();
-  ws.bind_block(*this);
+  auto& rows = ws.lanes<std::int16_t>();
+  if (planes == nullptr) {
+    rows.reserve(static_cast<std::size_t>(max_width_) * kBlockSamples);
+  }
+  std::size_t correct = 0;
   for (std::size_t base = 0; base < n; base += kBlockSamples) {
     const int b = static_cast<int>(
         std::min<std::size_t>(kBlockSamples, n - base));
-    const std::int32_t* in = nullptr;
+    const std::int16_t* in = nullptr;
     if (planes != nullptr) {
       in = planes->block(base);
     } else {
-      transpose_block(codes + base * width, n_inputs_, b, ws.block_a_.data());
-      in = ws.block_a_.data();
+      transpose_block(codes + base * static_cast<std::size_t>(n_inputs_),
+                      n_inputs_, b, rows.a.data());
+      in = rows.a.data();
     }
-    // Ping-pong through the workspace: layer 1 writes block_b_, layer 2
-    // block_a_ (the transposed input is dead by then), and so on.
-    std::int32_t* out = ws.block_b_.data();
-    std::int32_t* spare = ws.block_a_.data();
-    for (const auto& layer : layers_) {
-      layer_sweep(isa, layer, in, out, out, b, act_max32_);
-      in = out;
-      std::swap(out, spare);
-    }
-    correct += argmax_block(isa, in, n_outputs_, b,
-                            labels != nullptr ? labels + base : nullptr,
-                            preds != nullptr ? preds + base : nullptr);
+    const BlockPass pass{
+        isa, b, use_int16_lanes(isa, b) ? LaneType::kInt16 : LaneType::kInt32,
+        labels != nullptr ? labels + base : nullptr,
+        preds != nullptr ? preds + base : nullptr};
+    correct += sweep_from(0, in, pass, ws);
   }
   return correct;
+}
+
+template <typename TIn>
+std::size_t CompiledNet::sweep_from(std::size_t l, const TIn* in,
+                                    const BlockPass& pass,
+                                    EvalWorkspace& ws) const {
+  if (l == layers_.size()) {
+    return argmax_block(pass.isa, in, n_outputs_, pass.n, pass.labels,
+                        pass.preds);
+  }
+  // Lanes never narrow along the net, so only types at least as wide as
+  // the input are instantiated.
+  const LaneType lane = std::max(lanes_[l], pass.floor);
+  if constexpr (sizeof(TIn) <= 2) {
+    if (lane == LaneType::kInt16) {
+      return sweep_run<std::int16_t>(l, in, pass, ws);
+    }
+  }
+  if constexpr (sizeof(TIn) <= 4) {
+    if (lane == LaneType::kInt32) {
+      return sweep_run<std::int32_t>(l, in, pass, ws);
+    }
+  }
+  return sweep_run<std::int64_t>(l, in, pass, ws);
+}
+
+template <typename T, typename TIn>
+std::size_t CompiledNet::sweep_run(std::size_t l, const TIn* in,
+                                   const BlockPass& pass,
+                                   EvalWorkspace& ws) const {
+  const auto need = static_cast<std::size_t>(max_width_) * kBlockSamples;
+  auto& planes = ws.lanes<T>();
+  planes.reserve(need);
+  const T* cur = nullptr;
+  if constexpr (std::is_same_v<T, TIn>) {
+    cur = in;
+  } else {
+    std::copy_n(in, static_cast<std::size_t>(layers_[l].n_in) * pass.n,
+                planes.a.data());
+    cur = planes.a.data();
+  }
+  // Ping-pong: the first layer of the run writes `b` (its input may sit in
+  // `a`), the next `a` (the run's input is dead by then), and so on.
+  T* out = planes.b.data();
+  T* spare = planes.a.data();
+  for (;;) {
+    const LaneType next = l + 1 < layers_.size()
+                              ? std::max(lanes_[l + 1], pass.floor)
+                              : kLaneOf<T>;
+    if constexpr (std::is_same_v<T, std::int16_t>) {
+      if (next == LaneType::kInt32) {
+        // Widen on store: the run's last layer writes its activations
+        // straight into the int32 run's input planes.
+        auto& wide = ws.lanes<std::int32_t>();
+        wide.reserve(need);
+        layer_sweep(pass.isa, layers_[l], cur, out, wide.a.data(), pass.n,
+                    static_cast<T>(act_max_));
+        return sweep_run<std::int32_t>(
+            l + 1, static_cast<const std::int32_t*>(wide.a.data()), pass, ws);
+      }
+    }
+    layer_sweep(pass.isa, layers_[l], cur, out, out, pass.n,
+                static_cast<T>(act_max_));
+    cur = out;
+    std::swap(out, spare);
+    if (++l == layers_.size() || next != kLaneOf<T>) {
+      return sweep_from(l, cur, pass, ws);
+    }
+  }
 }
 
 SamplePlanes::SamplePlanes(const datasets::QuantizedDataset& d)
@@ -225,31 +304,11 @@ SamplePlanes::SamplePlanes(const datasets::QuantizedDataset& d)
   }
 }
 
-void SamplePlanes::gather_row(std::size_t s, std::uint8_t* row) const {
-  constexpr auto kBlock = static_cast<std::size_t>(CompiledNet::kBlockSamples);
-  const std::size_t base = s - s % kBlock;
-  const std::size_t b = std::min(kBlock, size() - base);
-  const std::int32_t* planes = block(base);
-  for (int i = 0; i < n_features_; ++i) {
-    row[i] = static_cast<std::uint8_t>(
-        planes[static_cast<std::size_t>(i) * b + (s - base)]);
-  }
-}
-
 void EvalWorkspace::bind(const CompiledNet& net) {
   const auto width = static_cast<std::size_t>(net.max_width_);
   if (a_.size() < width) {
     a_.resize(width);
     b_.resize(width);
-  }
-}
-
-void EvalWorkspace::bind_block(const CompiledNet& net) {
-  const auto need = static_cast<std::size_t>(net.max_width_) *
-                    static_cast<std::size_t>(CompiledNet::kBlockSamples);
-  if (block_a_.size() < need) {
-    block_a_.resize(need);
-    block_b_.resize(need);
   }
 }
 

@@ -13,14 +13,15 @@
 //              `ApproxMlp::fa_area`).
 //   planes   — a training set is laid out once, when its problem is built,
 //              as `SamplePlanes`: blocks of up to `CompiledNet::kBlockSamples`
-//              samples in neuron-major int32 planes, plus int32 labels. Every
+//              samples in neuron-major int16 planes, plus int32 labels. Every
 //              GA evaluation then reads its layer-1 inputs straight from
 //              them; nothing re-transposes the constant dataset.
 //   batch    — one block loop sweeps each layer over a block
 //              (`EvalWorkspace` flat buffers, zero allocations after warmup)
 //              through explicitly vectorized mask-and-accumulate kernels
 //              picked by runtime CPU dispatch (AVX2 / NEON / scalar — see
-//              simd.hpp, eval_kernels.hpp), then a vectorized first-maximum
+//              simd.hpp, eval_kernels.hpp), each layer on the narrowest lanes
+//              its overflow proof allows, then a vectorized first-maximum
 //              argmax epilogue classifies the block and counts label
 //              matches in the same pass. Row-major callers (serve, RTL
 //              export, hardware scoring) enter the same loop; their blocks
@@ -33,25 +34,29 @@
 // Results are bit-identical to `ApproxMlp::forward`/`fa_area` by
 // construction: the compiled sample loop performs the same int64 additions
 // in the same order, merely skipping terms that are provably zero. The
-// batched int32 kernels stay bit-identical too: since `(x & mask) <= mask`
-// for any input, a per-neuron static bound `|bias| + sum(mask << k)` that
-// fits int32 proves no accumulator can ever leave int32 range, so the
-// narrow adds produce the same values as the int64 ones (computed once at
-// compile time as `block_safe()`; nets that fail it fall back to the
-// per-sample path). The epilogue keeps argmax_first's tie rule exactly (a
-// later class wins only when strictly greater). The naive path stays as
-// the reference oracle (see eval_engine_test), and the per-sample scalar
-// path as the kernels' one.
+// batched kernels stay bit-identical too: since `(x & mask) <= mask` for
+// any input, a per-neuron static bound `|bias| + sum(mask << k)` that fits
+// a lane type proves no accumulator can ever leave its range, so the
+// narrow adds produce the same values as the int64 ones. The proof runs
+// once at compile time and picks each layer's lanes (`lanes()`): int16
+// (every first layer the default BitConfig decodes), int32, or int64 for a
+// layer neither fits — the same block loop, on scalar int64 kernels. The
+// epilogue keeps argmax_first's tie rule exactly (a later class wins only
+// when strictly greater). The naive path stays as the reference oracle
+// (see eval_engine_test), and each lane width's scalar loop as its
+// kernels' one.
 #pragma once
 
 #include <cstdint>
 #include <list>
 #include <mutex>
 #include <span>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
 #include "pmlp/core/approx_mlp.hpp"
+#include "pmlp/core/simd.hpp"
 #include "pmlp/datasets/dataset.hpp"
 #include "pmlp/nsga2/nsga2.hpp"
 
@@ -98,16 +103,21 @@ struct CompiledLayer {
 [[nodiscard]] CompiledLayer compile_layer(const ApproxLayer& layer,
                                           long* fa_area = nullptr);
 
-/// The static int32-safety proof behind CompiledNet::block_safe():
-/// `(x & mask) <= mask` for any input, so |any partial accumulator| of a
-/// neuron is at most |bias| + sum(mask << k) over its connections. True
-/// when every neuron's bound, every shifted mask and the QReLU clamp
-/// `act_max` fit int32. `bias_bound` widens each |bias| to at least that
-/// much, covering biases that may later move anywhere in
-/// [-bias_bound, bias_bound] (the refine engine's reachable states).
-[[nodiscard]] bool layers_block_safe(std::span<const CompiledLayer> layers,
-                                     std::int64_t act_max,
-                                     std::int64_t bias_bound = 0);
+/// Lane width of a layer's block sweep, narrowest first.
+enum class LaneType : std::uint8_t { kInt16, kInt32, kInt64 };
+
+/// The static exactness proof behind CompiledNet::lanes(): `(x & mask) <=
+/// mask` for any input, so |any partial accumulator| of a neuron is at most
+/// |bias| + sum(mask << k) over its connections. Returns, per layer, the
+/// narrowest lane type T for which every neuron's bound, every shifted
+/// mask (shift below T's value bits) and the QReLU clamp `act_max` fit T;
+/// kInt64 when neither int16 nor int32 does. `bias_bound` widens each
+/// |bias| to at least that much, covering biases that may later move
+/// anywhere in [-bias_bound, bias_bound] (the refine engine's reachable
+/// states).
+[[nodiscard]] std::vector<LaneType> layer_lanes(
+    std::span<const CompiledLayer> layers, std::int64_t act_max,
+    std::int64_t bias_bound = 0);
 
 class EvalWorkspace;
 class SamplePlanes;
@@ -117,9 +127,9 @@ class SamplePlanes;
 /// and the FA-count area was computed once at compile time.
 class CompiledNet {
  public:
-  /// Samples per layer-sweep block: small enough that the int32 activation
-  /// planes of a paper-scale layer stay L1-resident, large enough to fill
-  /// 8-wide AVX2 lanes with slack for tails.
+  /// Samples per layer-sweep block: small enough that the activation
+  /// planes of a paper-scale layer stay L1-resident, and exactly four
+  /// 16-lane AVX2 int16 vectors (eight int32 ones).
   static constexpr int kBlockSamples = 64;
 
   CompiledNet() = default;
@@ -156,11 +166,12 @@ class CompiledNet {
   [[nodiscard]] double accuracy(const SamplePlanes& planes,
                                 EvalWorkspace& ws) const;
 
-  /// True when every neuron's static accumulator bound fits int32, i.e. the
-  /// sample-blocked kernels are provably bit-identical to the int64 path.
-  /// Holds for every net the default BitConfig can decode; predict_batch
-  /// falls back to per-sample predict() when false.
-  [[nodiscard]] bool block_safe() const { return block_safe_; }
+  /// The lane type each layer's block sweep runs at: layer_lanes() made
+  /// non-decreasing through the net, so every layer's input planes are
+  /// exact at its own width. Every net the default BitConfig decodes runs
+  /// its first layer on int16 and none on int64. A block shorter than one
+  /// int16 vector runs int16 layers on int32 lanes (use_int16_lanes).
+  [[nodiscard]] std::span<const LaneType> lanes() const { return lanes_; }
 
   /// Classify `n` samples stored row-major at `codes` (stride n_inputs()),
   /// one class per sample into `preds`. Transposes each block of
@@ -178,30 +189,50 @@ class CompiledNet {
   int n_outputs_ = 0;
   int max_width_ = 0;            ///< widest activation vector in the net
   std::int64_t act_max_ = 0;     ///< QReLU clamp, (1 << act_bits) - 1
-  std::int32_t act_max32_ = 0;   ///< act_max_ narrowed (valid iff block_safe_)
-  bool block_safe_ = false;
   long fa_area_ = 0;
   std::vector<CompiledLayer> layers_;
+  std::vector<LaneType> lanes_;
 
   /// The one block loop behind predict_batch and both accuracy overloads.
   /// Block inputs come from `planes` when given, else from `n` row-major
   /// samples at `codes`. Each block is swept layer by layer, then the
   /// argmax epilogue writes `preds` (when non-null) and counts matches
-  /// against `labels` (when non-null); returns the match count. Nets that
-  /// are not block_safe() classify per sample through predict().
+  /// against `labels` (when non-null); returns the match count.
   std::size_t run_blocks(std::size_t n, const std::uint8_t* codes,
                          const SamplePlanes* planes,
                          const std::int32_t* labels, std::int32_t* preds,
                          EvalWorkspace& ws) const;
 
+  /// One block's walk through run_blocks: its size, the narrowest lanes it
+  /// may use, and where the epilogue reads labels and writes classes.
+  struct BlockPass {
+    SimdIsa isa;
+    int n;
+    LaneType floor;
+    const std::int32_t* labels;
+    std::int32_t* preds;
+  };
+  /// Sweep layers [l, end) of one block from input planes `in`, then run
+  /// the argmax epilogue; returns the block's match count.
+  template <typename TIn>
+  std::size_t sweep_from(std::size_t l, const TIn* in, const BlockPass& pass,
+                         EvalWorkspace& ws) const;
+  /// Sweep the run of layers from `l` that share lane type T on T's
+  /// workspace planes, widening `in` first when it is narrower. An int16
+  /// run followed by an int32 one widens on store instead: its last layer
+  /// writes the int32 run's input planes.
+  template <typename T, typename TIn>
+  std::size_t sweep_run(std::size_t l, const TIn* in, const BlockPass& pass,
+                        EvalWorkspace& ws) const;
+
   friend class EvalWorkspace;
 };
 
-/// A QuantizedDataset laid out once as the sample-blocked int32 input
+/// A QuantizedDataset laid out once as the sample-blocked int16 input
 /// planes the batched sweep reads. Block k covers samples
 /// [64k, 64k + b) with b = min(kBlockSamples, size() - 64k): its
 /// n_features() planes of stride b start at offset 64k * n_features(), so
-/// blocks are contiguous and the layout costs 4 bytes per code. Labels are
+/// blocks are contiguous and the layout costs 2 bytes per code. Labels are
 /// kept as int32 in sample order, which the epilogue compares lane-wise.
 /// Immutable after construction, so any number of threads may read one.
 class SamplePlanes {
@@ -212,18 +243,14 @@ class SamplePlanes {
   [[nodiscard]] std::size_t size() const { return labels_.size(); }
   /// Input planes of the block that starts at sample `base` (a multiple of
   /// kBlockSamples).
-  [[nodiscard]] const std::int32_t* block(std::size_t base) const {
+  [[nodiscard]] const std::int16_t* block(std::size_t base) const {
     return planes_.data() + base * static_cast<std::size_t>(n_features_);
   }
   [[nodiscard]] const std::int32_t* labels() const { return labels_.data(); }
-  /// Copy sample `s` back out as row-major codes into `row` (size
-  /// n_features()) — the per-sample fallback of nets that are not
-  /// block_safe().
-  void gather_row(std::size_t s, std::uint8_t* row) const;
 
  private:
   int n_features_ = 0;
-  std::vector<std::int32_t> planes_;
+  std::vector<std::int16_t> planes_;
   std::vector<std::int32_t> labels_;
 };
 
@@ -237,19 +264,32 @@ class EvalWorkspace final : public nsga2::Problem::Workspace {
 
   /// Ensure capacity for `net`; cheap when already large enough.
   void bind(const CompiledNet& net);
-  /// Ensure block-plane capacity (kBlockSamples × widest layer) for `net`.
-  void bind_block(const CompiledNet& net);
+
+  /// Neuron-major activation planes of one lane type (ping-pong), sized
+  /// on first use to kBlockSamples × the widest layer.
+  template <typename T>
+  struct BlockLanes {
+    std::vector<T> a, b;
+    void reserve(std::size_t need) {
+      if (a.size() < need) {
+        a.resize(need);
+        b.resize(need);
+      }
+    }
+  };
+  template <typename T>
+  BlockLanes<T>& lanes() {
+    return std::get<BlockLanes<T>>(lanes_);
+  }
 
   std::vector<std::int64_t> a_;
   std::vector<std::int64_t> b_;
-  // Sample-block state: neuron-major int32 activation planes (ping-pong),
-  // the per-dataset prediction buffer the span-returning predict_batch hands
-  // out, and one gathered row for the non-block_safe() fallback over
-  // SamplePlanes.
-  std::vector<std::int32_t> block_a_;
-  std::vector<std::int32_t> block_b_;
+  // Sample-block state: block planes per lane type, and the per-dataset
+  // prediction buffer the span-returning predict_batch hands out.
+  std::tuple<BlockLanes<std::int16_t>, BlockLanes<std::int32_t>,
+             BlockLanes<std::int64_t>>
+      lanes_;
   std::vector<std::int32_t> preds_;
-  std::vector<std::uint8_t> row_;
 };
 
 /// The worker's own EvalWorkspace when `ws` is one (the PopulationEvaluator

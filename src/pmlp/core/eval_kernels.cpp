@@ -30,15 +30,19 @@ T masked_term(T x, std::uint32_t mask, int shift) {
 template <typename T>
 T activate(T a, const Activation& f) {
   if (!f.qrelu) return a;
-  return a <= 0 ? 0 : std::min(a >> f.shift, static_cast<T>(f.act_max));
+  return a <= 0 ? 0
+                : std::min(static_cast<T>(a >> f.shift),
+                           static_cast<T>(f.act_max));
 }
 
 /// Scalar sweep of samples [s0, s1) of the block — the whole block under
-/// scalar dispatch, and the n % lanes tail of the SIMD variants. Per sample
+/// scalar dispatch or when it is shorter than one vector, and the NEON
+/// variant's n % 4 tail: each lane width's oracle. Per sample
 /// this is the lane-width image of CompiledNet::forward's int64 loop: same
-/// connections, same order, same adds.
-template <typename T>
-void sweep_scalar(const CompiledLayer& layer, const T* in, T* acc, T* act,
+/// connections, same order, same adds. Activations are stored at TAct,
+/// which may be wider than T (a widening store).
+template <typename T, typename TAct>
+void sweep_scalar(const CompiledLayer& layer, const T* in, T* acc, TAct* act,
                   int n, int s0, int s1, T act_max) {
   const CompiledConn* conns = layer.conns.data();
   const std::int32_t* begin = layer.conn_begin.data();
@@ -46,7 +50,7 @@ void sweep_scalar(const CompiledLayer& layer, const T* in, T* acc, T* act,
   for (int o = 0; o < layer.n_out; ++o) {
     const auto bias = static_cast<T>(layer.biases[static_cast<std::size_t>(o)]);
     T* accp = acc + static_cast<std::size_t>(o) * n;
-    T* actp = act + static_cast<std::size_t>(o) * n;
+    TAct* actp = act + static_cast<std::size_t>(o) * n;
     const std::int32_t cb = begin[o];
     const std::int32_t ce = begin[o + 1];
     for (int s = s0; s < s1; ++s) {
@@ -64,7 +68,7 @@ void sweep_scalar(const CompiledLayer& layer, const T* in, T* acc, T* act,
 }
 
 /// Scalar argmax epilogue over samples [s0, s1) of the block: the oracle of
-/// the vector variant, and its n % 8 tail.
+/// the vector variants, and blocks shorter than one vector.
 template <typename T>
 std::size_t argmax_scalar(const T* out, int n_out, int n, int s0, int s1,
                           const std::int32_t* labels, std::int32_t* preds) {
@@ -128,126 +132,203 @@ void rank1_scalar(const T* old_in, const T* new_in, const CompiledConn* column,
 }
 
 #if defined(PMLP_HAVE_AVX2)
-__attribute__((target("avx2"))) void sweep_avx2(
-    const CompiledLayer& layer, const std::int32_t* in, std::int32_t* acc,
-    std::int32_t* act, int n, std::int32_t act_max) {
-  const CompiledConn* conns = layer.conns.data();
-  const std::int32_t* begin = layer.conn_begin.data();
-  const int vec_end = n & ~7;
-  const int quad_end = n & ~31;
-  const __m256i vzero = _mm256_setzero_si256();
-  const __m256i vact_max = _mm256_set1_epi32(act_max);
-  const __m128i vqshift = _mm_cvtsi32_si128(layer.qrelu_shift);
-  for (int o = 0; o < layer.n_out; ++o) {
-    std::int32_t* accp = acc + static_cast<std::size_t>(o) * n;
-    std::int32_t* actp = act + static_cast<std::size_t>(o) * n;
-    const __m256i vbias = _mm256_set1_epi32(static_cast<std::int32_t>(
-        layer.biases[static_cast<std::size_t>(o)]));
-    const std::int32_t cb = begin[o];
-    const std::int32_t ce = begin[o + 1];
-    int s = 0;
-    // 32-samples-per-pass main loop: the per-connection setup (struct
-    // load, mask broadcast, shift-count move, sign branch) is paid once
-    // per four 8-lane vectors instead of once per vector. Each lane still
-    // accumulates its sample's terms in the exact scalar order, so the
-    // unroll cannot change any result bit.
-    for (; s < quad_end; s += 32) {
-      __m256i a0 = vbias, a1 = vbias, a2 = vbias, a3 = vbias;
-      for (std::int32_t c = cb; c < ce; ++c) {
-        const CompiledConn& cc = conns[c];
-        const __m256i vmask =
-            _mm256_set1_epi32(static_cast<std::int32_t>(cc.mask));
-        const __m128i vsh = _mm_cvtsi32_si128(cc.shift);
-        const std::int32_t* p = in + static_cast<std::size_t>(cc.in) * n + s;
-        __m256i v0 = _mm256_sll_epi32(
-            _mm256_and_si256(
-                _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)),
-                vmask),
-            vsh);
-        __m256i v1 = _mm256_sll_epi32(
-            _mm256_and_si256(
-                _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 8)),
-                vmask),
-            vsh);
-        __m256i v2 = _mm256_sll_epi32(
-            _mm256_and_si256(
-                _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 16)),
-                vmask),
-            vsh);
-        __m256i v3 = _mm256_sll_epi32(
-            _mm256_and_si256(
-                _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 24)),
-                vmask),
-            vsh);
-        if (cc.neg) {
-          a0 = _mm256_sub_epi32(a0, v0);
-          a1 = _mm256_sub_epi32(a1, v1);
-          a2 = _mm256_sub_epi32(a2, v2);
-          a3 = _mm256_sub_epi32(a3, v3);
-        } else {
-          a0 = _mm256_add_epi32(a0, v0);
-          a1 = _mm256_add_epi32(a1, v1);
-          a2 = _mm256_add_epi32(a2, v2);
-          a3 = _mm256_add_epi32(a3, v3);
-        }
-      }
-      const __m256i as[4] = {a0, a1, a2, a3};
-      for (int q = 0; q < 4; ++q) {
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(accp + s + q * 8),
-                            as[q]);
-      }
-      if (layer.qrelu) {
-        // max(acc, 0) then >> then clamp matches the scalar
-        // `acc <= 0 ? 0 : min(acc >> shift, act_max)` exactly: a
-        // non-positive accumulator becomes 0, which shifts/clamps to 0.
-        for (int q = 0; q < 4; ++q) {
-          __m256i r = _mm256_max_epi32(as[q], vzero);
-          r = _mm256_sra_epi32(r, vqshift);
-          r = _mm256_min_epi32(r, vact_max);
-          _mm256_storeu_si256(reinterpret_cast<__m256i*>(actp + s + q * 8),
-                              r);
-        }
-      } else if (actp != accp) {
-        for (int q = 0; q < 4; ++q) {
-          _mm256_storeu_si256(reinterpret_cast<__m256i*>(actp + s + q * 8),
-                              as[q]);
-        }
-      }
-    }
-    for (; s < vec_end; s += 8) {
-      __m256i a = vbias;
-      for (std::int32_t c = cb; c < ce; ++c) {
-        const CompiledConn& cc = conns[c];
-        __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-            in + static_cast<std::size_t>(cc.in) * n + s));
-        v = _mm256_and_si256(
-            v, _mm256_set1_epi32(static_cast<std::int32_t>(cc.mask)));
-        v = _mm256_sll_epi32(v, _mm_cvtsi32_si128(cc.shift));
-        a = cc.neg ? _mm256_sub_epi32(a, v) : _mm256_add_epi32(a, v);
-      }
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(accp + s), a);
-      if (layer.qrelu) {
-        __m256i r = _mm256_max_epi32(a, vzero);
-        r = _mm256_sra_epi32(r, vqshift);
-        r = _mm256_min_epi32(r, vact_max);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(actp + s), r);
-      } else if (actp != accp) {
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(actp + s), a);
-      }
-    }
+#define PMLP_AVX2_INLINE \
+  __attribute__((target("avx2"), always_inline)) inline
+
+/// The AVX2 operations of one lane width, so one sweep and one argmax
+/// template serve int16 (16 lanes) and int32 (8 lanes).
+template <typename T>
+struct Avx2Lanes;
+
+template <>
+struct Avx2Lanes<std::int32_t> {
+  static constexpr int kLanes = 8;
+  PMLP_AVX2_INLINE static __m256i set1(std::int64_t v) {
+    return _mm256_set1_epi32(static_cast<std::int32_t>(v));
   }
-  if (vec_end < n) sweep_scalar(layer, in, acc, act, n, vec_end, n, act_max);
+  PMLP_AVX2_INLINE static __m256i add(__m256i a, __m256i b) {
+    return _mm256_add_epi32(a, b);
+  }
+  PMLP_AVX2_INLINE static __m256i sub(__m256i a, __m256i b) {
+    return _mm256_sub_epi32(a, b);
+  }
+  PMLP_AVX2_INLINE static __m256i sll(__m256i a, __m128i k) {
+    return _mm256_sll_epi32(a, k);
+  }
+  PMLP_AVX2_INLINE static __m256i sra(__m256i a, __m128i k) {
+    return _mm256_sra_epi32(a, k);
+  }
+  PMLP_AVX2_INLINE static __m256i max(__m256i a, __m256i b) {
+    return _mm256_max_epi32(a, b);
+  }
+  PMLP_AVX2_INLINE static __m256i min(__m256i a, __m256i b) {
+    return _mm256_min_epi32(a, b);
+  }
+  PMLP_AVX2_INLINE static __m256i cmpgt(__m256i a, __m256i b) {
+    return _mm256_cmpgt_epi32(a, b);
+  }
+  PMLP_AVX2_INLINE static unsigned store_classes(__m256i k,
+                                                 const std::int32_t* labels,
+                                                 std::int32_t* preds) {
+    if (preds != nullptr) {
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(preds), k);
+    }
+    if (labels == nullptr) return 0;
+    const __m256i eq = _mm256_cmpeq_epi32(
+        k, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(labels)));
+    return static_cast<unsigned>(_mm256_movemask_ps(_mm256_castsi256_ps(eq)));
+  }
+};
+
+template <>
+struct Avx2Lanes<std::int16_t> {
+  static constexpr int kLanes = 16;
+  PMLP_AVX2_INLINE static __m256i set1(std::int64_t v) {
+    return _mm256_set1_epi16(static_cast<std::int16_t>(v));
+  }
+  PMLP_AVX2_INLINE static __m256i add(__m256i a, __m256i b) {
+    return _mm256_add_epi16(a, b);
+  }
+  PMLP_AVX2_INLINE static __m256i sub(__m256i a, __m256i b) {
+    return _mm256_sub_epi16(a, b);
+  }
+  PMLP_AVX2_INLINE static __m256i sll(__m256i a, __m128i k) {
+    return _mm256_sll_epi16(a, k);
+  }
+  PMLP_AVX2_INLINE static __m256i sra(__m256i a, __m128i k) {
+    return _mm256_sra_epi16(a, k);
+  }
+  PMLP_AVX2_INLINE static __m256i max(__m256i a, __m256i b) {
+    return _mm256_max_epi16(a, b);
+  }
+  PMLP_AVX2_INLINE static __m256i min(__m256i a, __m256i b) {
+    return _mm256_min_epi16(a, b);
+  }
+  PMLP_AVX2_INLINE static __m256i cmpgt(__m256i a, __m256i b) {
+    return _mm256_cmpgt_epi16(a, b);
+  }
+  /// Widen 16 class indices to int32, store them to `preds` when non-null
+  /// and return the lane mask (bit s = sample s) of matches with `labels`.
+  PMLP_AVX2_INLINE static unsigned store_classes(__m256i k,
+                                                 const std::int32_t* labels,
+                                                 std::int32_t* preds) {
+    const __m256i lo = _mm256_cvtepi16_epi32(_mm256_castsi256_si128(k));
+    const __m256i hi = _mm256_cvtepi16_epi32(_mm256_extracti128_si256(k, 1));
+    return Avx2Lanes<std::int32_t>::store_classes(lo, labels, preds) |
+           Avx2Lanes<std::int32_t>::store_classes(
+               hi, labels != nullptr ? labels + 8 : nullptr,
+               preds != nullptr ? preds + 8 : nullptr)
+               << 8;
+  }
+};
+
+template <typename T>
+PMLP_AVX2_INLINE __m256i load_lanes(const T* p) {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
 }
 
-/// QReLU on 8 lanes: max(a, 0) then >> then clamp matches the scalar
+template <typename T>
+PMLP_AVX2_INLINE void store_lanes(T* p, __m256i v) {
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
+}
+
+/// Store a vector of T lanes at TAct: as is, or sign-extended int16 ->
+/// int32 into two vectors.
+template <typename T, typename TAct>
+PMLP_AVX2_INLINE void store_act(TAct* p, __m256i v) {
+  if constexpr (std::is_same_v<T, TAct>) {
+    store_lanes(p, v);
+  } else {
+    static_assert(sizeof(T) == 2 && sizeof(TAct) == 4);
+    store_lanes(p, _mm256_cvtepi16_epi32(_mm256_castsi256_si128(v)));
+    store_lanes(p + 8, _mm256_cvtepi16_epi32(_mm256_extracti128_si256(v, 1)));
+  }
+}
+
+/// QReLU on one vector: max(a, 0) then >> then clamp matches the scalar
 /// `a <= 0 ? 0 : min(a >> shift, act_max)` exactly (a non-positive
 /// accumulator becomes 0, which shifts and clamps to 0).
-__attribute__((target("avx2"))) inline __m256i qrelu8(__m256i a,
-                                                      __m128i vshift,
-                                                      __m256i vact_max) {
-  a = _mm256_max_epi32(a, _mm256_setzero_si256());
-  a = _mm256_sra_epi32(a, vshift);
-  return _mm256_min_epi32(a, vact_max);
+template <typename T>
+PMLP_AVX2_INLINE __m256i qrelu_lanes(__m256i a, __m128i vshift,
+                                     __m256i vact_max) {
+  using V = Avx2Lanes<T>;
+  return V::min(V::sra(V::max(a, _mm256_setzero_si256()), vshift), vact_max);
+}
+
+/// Neuron `o` of `layer` over the K vectors of samples starting at `s`.
+/// Each lane accumulates its sample's terms in the exact scalar order, so
+/// neither the unroll nor an overlapping tail vector can change a bit.
+template <typename T, typename TAct, int K>
+PMLP_AVX2_INLINE void sweep_vectors(const CompiledLayer& layer, int o,
+                                    const T* in, T* acc, TAct* act, int n,
+                                    int s, __m128i vqshift, __m256i vact_max) {
+  using V = Avx2Lanes<T>;
+  constexpr int W = V::kLanes;
+  const CompiledConn* conns = layer.conns.data();
+  const std::int32_t ce = layer.conn_begin[static_cast<std::size_t>(o) + 1];
+  __m256i a[K];
+  for (int q = 0; q < K; ++q) {
+    a[q] = V::set1(layer.biases[static_cast<std::size_t>(o)]);
+  }
+  // The per-connection setup (struct load, mask broadcast, shift-count
+  // move, sign branch) is paid once per K vectors.
+  for (std::int32_t c = layer.conn_begin[static_cast<std::size_t>(o)]; c < ce;
+       ++c) {
+    const CompiledConn& cc = conns[c];
+    const __m256i vmask = V::set1(cc.mask);
+    const __m128i vsh = _mm_cvtsi32_si128(cc.shift);
+    const T* p = in + static_cast<std::size_t>(cc.in) * n + s;
+    __m256i v[K];
+    for (int q = 0; q < K; ++q) {
+      v[q] = V::sll(_mm256_and_si256(load_lanes(p + q * W), vmask), vsh);
+    }
+    if (cc.neg) {
+      for (int q = 0; q < K; ++q) a[q] = V::sub(a[q], v[q]);
+    } else {
+      for (int q = 0; q < K; ++q) a[q] = V::add(a[q], v[q]);
+    }
+  }
+  T* accp = acc + static_cast<std::size_t>(o) * n + s;
+  TAct* actp = act + static_cast<std::size_t>(o) * n + s;
+  for (int q = 0; q < K; ++q) store_lanes(accp + q * W, a[q]);
+  if (layer.qrelu) {
+    for (int q = 0; q < K; ++q) {
+      store_act<T>(actp + q * W, qrelu_lanes<T>(a[q], vqshift, vact_max));
+    }
+  } else if (static_cast<void*>(actp) != static_cast<void*>(accp)) {
+    for (int q = 0; q < K; ++q) store_act<T>(actp + q * W, a[q]);
+  }
+}
+
+/// 4-vector passes (64 int16 samples: one whole block), then single
+/// vectors, then the ragged tail as one vector overlapping the last.
+template <typename T, typename TAct>
+__attribute__((target("avx2"))) void sweep_avx2(const CompiledLayer& layer,
+                                                const T* in, T* acc, TAct* act,
+                                                int n, T act_max) {
+  constexpr int W = Avx2Lanes<T>::kLanes;
+  if (n < W) {
+    sweep_scalar(layer, in, acc, act, n, 0, n, act_max);
+    return;
+  }
+  const int unroll_end = n - n % (4 * W);
+  const __m256i vact_max = Avx2Lanes<T>::set1(act_max);
+  const __m128i vqshift = _mm_cvtsi32_si128(layer.qrelu_shift);
+  for (int o = 0; o < layer.n_out; ++o) {
+    int s = 0;
+    for (; s < unroll_end; s += 4 * W) {
+      sweep_vectors<T, TAct, 4>(layer, o, in, acc, act, n, s, vqshift,
+                                vact_max);
+    }
+    for (; s + W <= n; s += W) {
+      sweep_vectors<T, TAct, 1>(layer, o, in, acc, act, n, s, vqshift,
+                                vact_max);
+    }
+    if (s < n) {
+      sweep_vectors<T, TAct, 1>(layer, o, in, acc, act, n, n - W, vqshift,
+                                vact_max);
+    }
+  }
 }
 
 __attribute__((target("avx2"))) void edit_row_avx2(
@@ -273,7 +354,7 @@ __attribute__((target("avx2"))) void edit_row_avx2(
       a = term.neg ? _mm256_sub_epi32(a, t) : _mm256_add_epi32(a, t);
     }
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc_out + s), a);
-    if (f.qrelu) a = qrelu8(a, vqshift, vact_max);
+    if (f.qrelu) a = qrelu_lanes<std::int32_t>(a, vqshift, vact_max);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(act_out + s), a);
   }
   if (vec_end < n) {
@@ -316,7 +397,7 @@ __attribute__((target("avx2"))) void rank1_avx2(
           cc.neg ? _mm256_sub_epi32(prev, d) : _mm256_add_epi32(prev, d);
       _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc_p + s), a);
       if (f.qrelu) {
-        a = qrelu8(a, vqshift, vact_max);
+        a = qrelu_lanes<std::int32_t>(a, vqshift, vact_max);
       } else if (act_p == acc_p) {
         continue;
       }
@@ -328,40 +409,73 @@ __attribute__((target("avx2"))) void rank1_avx2(
   }
 }
 
-/// 8 samples per vector: a lane takes class k only where its logit is
-/// strictly greater than the running maximum, so ties keep the lowest
-/// class exactly as argmax_scalar does. (max_epi32 equals the blend of the
-/// values on the same mask.) Label matches are counted from the equality
-/// mask's sign bits.
-__attribute__((target("avx2"))) std::size_t argmax_avx2(
-    const std::int32_t* out, int n_out, int n, const std::int32_t* labels,
-    std::int32_t* preds) {
-  const int vec_end = n & ~7;
-  std::size_t correct = 0;
-  for (int s = 0; s < vec_end; s += 8) {
-    __m256i best_v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(out + s));
-    __m256i best_k = _mm256_setzero_si256();
-    for (int k = 1; k < n_out; ++k) {
-      const __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-          out + static_cast<std::size_t>(k) * n + s));
-      const __m256i gt = _mm256_cmpgt_epi32(v, best_v);
-      best_v = _mm256_max_epi32(best_v, v);
-      best_k = _mm256_blendv_epi8(best_k, _mm256_set1_epi32(k), gt);
-    }
-    if (preds != nullptr) {
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(preds + s), best_k);
-    }
-    if (labels != nullptr) {
-      const __m256i eq = _mm256_cmpeq_epi32(
-          best_k,
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(labels + s)));
-      correct += static_cast<std::size_t>(__builtin_popcount(
-          static_cast<unsigned>(_mm256_movemask_ps(_mm256_castsi256_ps(eq)))));
+/// The classes of the K vectors of samples from `s` into `best_k`: a lane
+/// takes class k only where its logit is strictly greater than the running
+/// maximum, so ties keep the lowest class exactly as argmax_scalar does.
+/// (max equals the blend of the values on the same mask.) The class
+/// broadcast is paid once per K vectors.
+template <typename T, int K>
+PMLP_AVX2_INLINE void argmax_vectors(const T* out, int n_out, int n, int s,
+                                     __m256i (&best_k)[K]) {
+  using V = Avx2Lanes<T>;
+  constexpr int W = V::kLanes;
+  __m256i best_v[K];
+  for (int q = 0; q < K; ++q) {
+    best_v[q] = load_lanes(out + s + q * W);
+    best_k[q] = _mm256_setzero_si256();
+  }
+  for (int k = 1; k < n_out; ++k) {
+    const __m256i vk = V::set1(k);
+    const T* row = out + static_cast<std::size_t>(k) * n + s;
+    for (int q = 0; q < K; ++q) {
+      const __m256i v = load_lanes(row + q * W);
+      const __m256i gt = V::cmpgt(v, best_v[q]);
+      best_v[q] = V::max(best_v[q], v);
+      best_k[q] = _mm256_blendv_epi8(best_k[q], vk, gt);
     }
   }
-  if (vec_end < n) {
-    correct += argmax_scalar(out, n_out, n, vec_end, n, labels, preds);
+}
+
+/// Store one vector of classes for the samples from `s` and return the
+/// lanes whose class matches the label.
+template <typename T>
+PMLP_AVX2_INLINE unsigned store_matches(__m256i k, int s,
+                                        const std::int32_t* labels,
+                                        std::int32_t* preds) {
+  return Avx2Lanes<T>::store_classes(k, labels != nullptr ? labels + s : nullptr,
+                                     preds != nullptr ? preds + s : nullptr);
+}
+
+/// Label matches are counted from each vector's match mask; the overlapping
+/// tail vector counts only the lanes no earlier vector covered.
+template <typename T>
+__attribute__((target("avx2"))) std::size_t argmax_avx2(
+    const T* out, int n_out, int n, const std::int32_t* labels,
+    std::int32_t* preds) {
+  constexpr int W = Avx2Lanes<T>::kLanes;
+  if (n < W) return argmax_scalar(out, n_out, n, 0, n, labels, preds);
+  std::size_t correct = 0;
+  int s = 0;
+  for (; s + 4 * W <= n; s += 4 * W) {
+    __m256i k[4];
+    argmax_vectors<T, 4>(out, n_out, n, s, k);
+    for (int q = 0; q < 4; ++q) {
+      correct += static_cast<std::size_t>(__builtin_popcount(
+          store_matches<T>(k[q], s + q * W, labels, preds)));
+    }
+  }
+  for (; s + W <= n; s += W) {
+    __m256i k[1];
+    argmax_vectors<T, 1>(out, n_out, n, s, k);
+    correct += static_cast<std::size_t>(
+        __builtin_popcount(store_matches<T>(k[0], s, labels, preds)));
+  }
+  if (s < n) {
+    __m256i k[1];
+    argmax_vectors<T, 1>(out, n_out, n, n - W, k);
+    const unsigned fresh =
+        store_matches<T>(k[0], n - W, labels, preds) >> (W - (n - s));
+    correct += static_cast<std::size_t>(__builtin_popcount(fresh));
   }
   return correct;
 }
@@ -458,6 +572,32 @@ void sweep_neon(const CompiledLayer& layer, const std::int32_t* in,
 }  // namespace
 
 void layer_sweep(SimdIsa isa, const CompiledLayer& layer,
+                 const std::int16_t* in, std::int16_t* acc, std::int16_t* act,
+                 int n, std::int16_t act_max) {
+#if defined(PMLP_HAVE_AVX2)
+  if (isa == SimdIsa::kAvx2) {
+    sweep_avx2(layer, in, acc, act, n, act_max);
+    return;
+  }
+#endif
+  (void)isa;
+  sweep_scalar(layer, in, acc, act, n, 0, n, act_max);
+}
+
+void layer_sweep(SimdIsa isa, const CompiledLayer& layer,
+                 const std::int16_t* in, std::int16_t* acc, std::int32_t* act,
+                 int n, std::int16_t act_max) {
+#if defined(PMLP_HAVE_AVX2)
+  if (isa == SimdIsa::kAvx2) {
+    sweep_avx2(layer, in, acc, act, n, act_max);
+    return;
+  }
+#endif
+  (void)isa;
+  sweep_scalar(layer, in, acc, act, n, 0, n, act_max);
+}
+
+void layer_sweep(SimdIsa isa, const CompiledLayer& layer,
                  const std::int32_t* in, std::int32_t* acc, std::int32_t* act,
                  int n, std::int32_t act_max) {
   switch (isa) {
@@ -484,26 +624,36 @@ void layer_sweep(SimdIsa, const CompiledLayer& layer, const std::int64_t* in,
 }
 
 void transpose_block(const std::uint8_t* rows, int n_features, int n,
-                     std::int32_t* planes) {
+                     std::int16_t* planes) {
   for (int i = 0; i < n_features; ++i) {
-    std::int32_t* plane = planes + static_cast<std::size_t>(i) * n;
+    std::int16_t* plane = planes + static_cast<std::size_t>(i) * n;
     for (int s = 0; s < n; ++s) {
       plane[s] = rows[static_cast<std::size_t>(s) * n_features + i];
     }
   }
 }
 
+bool use_int16_lanes(SimdIsa isa, int n) {
+  return isa != SimdIsa::kNeon && n >= 16;
+}
+
+std::size_t argmax_block(SimdIsa isa, const std::int16_t* out, int n_out,
+                         int n, const std::int32_t* labels,
+                         std::int32_t* preds) {
+#if defined(PMLP_HAVE_AVX2)
+  if (isa == SimdIsa::kAvx2) return argmax_avx2(out, n_out, n, labels, preds);
+#endif
+  (void)isa;
+  return argmax_scalar(out, n_out, n, 0, n, labels, preds);
+}
+
 std::size_t argmax_block(SimdIsa isa, const std::int32_t* out, int n_out,
                          int n, const std::int32_t* labels,
                          std::int32_t* preds) {
-  switch (isa) {
 #if defined(PMLP_HAVE_AVX2)
-    case SimdIsa::kAvx2:
-      return argmax_avx2(out, n_out, n, labels, preds);
+  if (isa == SimdIsa::kAvx2) return argmax_avx2(out, n_out, n, labels, preds);
 #endif
-    default:
-      break;
-  }
+  (void)isa;
   return argmax_scalar(out, n_out, n, 0, n, labels, preds);
 }
 

@@ -1,21 +1,26 @@
 // Sample-blocked layer-sweep kernels behind the runtime SIMD dispatch.
 //
 // A block holds up to CompiledNet::kBlockSamples samples in neuron-major
-// int32 planes: the value of input/activation `i` for sample `s` lives at
+// planes: the value of input/activation `i` for sample `s` lives at
 // `in[i * n + s]`, stride `n` = the block's sample count. Sweeping a layer
 // is then a mask-and-accumulate over contiguous lanes — the Eq. 4 inner
-// loop `acc += ±((x & mask) << k)` vectorizes directly on int32 lanes
-// (8-wide AVX2, 4-wide NEON), with QReLU as max/shift/min on the same
-// registers.
+// loop `acc += ±((x & mask) << k)` vectorizes directly, with QReLU as
+// max/shift/min on the same registers.
 //
-// Every variant performs the same int32 additions in the same per-neuron
-// order as the scalar per-sample path, so results are bit-identical across
-// ISAs; the caller guarantees int32 cannot overflow (the static per-neuron
-// bound |bias| + Σ(mask << k) — see CompiledNet::block_safe()).
+// The sweep and the argmax come at three lane widths, one overload each:
+// int16 (16 lanes per AVX2 vector), int32 (8 per AVX2, 4 per NEON vector)
+// and int64 (scalar). The caller proves the width exact (the static
+// per-neuron bound |bias| + Σ(mask << k) — see layer_lanes()). Every
+// variant of a width performs the same additions in the same per-neuron
+// order as that width's scalar loop, its oracle, and every exact width
+// gives the int64 values, so results are bit-identical across ISAs and
+// widths. The AVX2 variants take a block's ragged tail as one more whole
+// vector that overlaps the previous one (recomputing lanes is idempotent),
+// so only blocks shorter than a vector run scalar.
 //
 // Around the sweep sit the block's prologue and epilogue: the row-major →
-// plane transpose (the only place rows become planes) and the argmax over
-// the output planes, which vectorizes across samples the same way.
+// int16 plane transpose (the only place rows become planes) and the argmax
+// over the output planes, which vectorizes across samples the same way.
 //
 // The refine engine's trial kernels (edit_row, rank1_update) re-evaluate
 // one edit over a block of memoized planes instead of sweeping whole
@@ -46,8 +51,17 @@ struct Activation {
 /// input planes `in` (stride `n`), writes raw accumulator planes to `acc`
 /// and activation planes (QReLU applied, or the raw accumulator when the
 /// layer has none) to `act`; `act` may alias `acc` when the caller only
-/// needs activations. `isa` selects the variant; an ISA this binary lacks
-/// falls back to scalar.
+/// needs activations, `in` aliases neither. `isa` selects the variant; an
+/// ISA without a variant at this width (or that this binary lacks) runs
+/// the scalar loop.
+void layer_sweep(SimdIsa isa, const CompiledLayer& layer,
+                 const std::int16_t* in, std::int16_t* acc, std::int16_t* act,
+                 int n, std::int16_t act_max);
+/// The int16 sweep with a widening store: activations go to int32 planes
+/// `act` (which cannot alias `acc`) for a next layer on int32 lanes.
+void layer_sweep(SimdIsa isa, const CompiledLayer& layer,
+                 const std::int16_t* in, std::int16_t* acc, std::int32_t* act,
+                 int n, std::int16_t act_max);
 void layer_sweep(SimdIsa isa, const CompiledLayer& layer,
                  const std::int32_t* in, std::int32_t* acc, std::int32_t* act,
                  int n, std::int32_t act_max);
@@ -59,15 +73,27 @@ void layer_sweep(SimdIsa isa, const CompiledLayer& layer,
 /// `n_features`) out as neuron-major planes: feature `i` of sample `s` goes
 /// to `planes[i * n + s]`.
 void transpose_block(const std::uint8_t* rows, int n_features, int n,
-                     std::int32_t* planes);
+                     std::int16_t* planes);
+
+/// True when a block of `n` samples should run its int16-proven layers on
+/// int16 lanes under `isa`: the block fills at least one 16-lane AVX2
+/// vector. A shorter block (serve's small batches), and every block under
+/// NEON, which has int32 kernels only, runs them on int32 lanes instead —
+/// 8 or 4 samples per vector, the same exact values. Scalar follows the
+/// AVX2 rule, so the int16 scalar oracle runs where AVX2 would vectorize.
+[[nodiscard]] bool use_int16_lanes(SimdIsa isa, int n);
 
 /// First-maximum argmax per sample over `n_out` output planes (stride `n`)
 /// of one block — the tie-breaking rule of argmax_first: a later class wins
 /// only when strictly greater. Writes each class to `preds[s]` when `preds`
 /// is non-null and returns how many samples' class equals `labels[s]` (0
 /// when `labels` is null). `isa` selects the variant: AVX2 compares with
-/// strict greater-than and blends the class index across 8 samples at a
-/// time; every other ISA takes the scalar loop, the variants' oracle.
+/// strict greater-than and blends the class index across 16 (int16) or 8
+/// (int32) samples at a time; every other ISA, and int64, takes the scalar
+/// loop, the variants' oracle.
+std::size_t argmax_block(SimdIsa isa, const std::int16_t* out, int n_out,
+                         int n, const std::int32_t* labels,
+                         std::int32_t* preds);
 std::size_t argmax_block(SimdIsa isa, const std::int32_t* out, int n_out,
                          int n, const std::int32_t* labels,
                          std::int32_t* preds);

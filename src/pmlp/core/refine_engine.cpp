@@ -46,11 +46,15 @@ RefineEngine::RefineEngine(ApproxMlp& net, const SamplePlanes& train)
     narrow = narrow && layer.qrelu_shift >= 0 && layer.qrelu_shift <= 30;
   }
   // Refine only clears mask bits and moves biases within the BitConfig
-  // range, so the block_safe() bound with every |bias| widened to
+  // range, so the layer_lanes() bound with every |bias| widened to
   // 2^(bias_bits-1) covers every state a trial can reach.
   const std::int64_t bias_bound =
       std::int64_t{1} << std::clamp(net.bits().bias_bits - 1, 0, 32);
-  if (narrow && layers_block_safe(layers_, act_max_, bias_bound)) {
+  const std::vector<LaneType> lanes =
+      layer_lanes(layers_, act_max_, bias_bound);
+  if (narrow && std::all_of(lanes.begin(), lanes.end(), [](LaneType t) {
+        return t != LaneType::kInt64;
+      })) {
     memo_.emplace<Memo<std::int32_t>>();
   } else {
     memo_.emplace<Memo<std::int64_t>>();
@@ -58,7 +62,6 @@ RefineEngine::RefineEngine(ApproxMlp& net, const SamplePlanes& train)
 
   std::visit(
       [&](auto& m) {
-        using T = typename std::decay_t<decltype(m)>::value_type;
         const auto L = static_cast<std::size_t>(n_layers_);
         m.acc.resize(L);
         m.act.resize(L);
@@ -78,12 +81,7 @@ RefineEngine::RefineEngine(ApproxMlp& net, const SamplePlanes& train)
         }
         m.row_acc.resize(n_samples_);
         m.row_act.resize(n_samples_);
-        if constexpr (std::is_same_v<T, std::int64_t>) {
-          const std::int32_t* planes = train_.block(0);
-          m.in0.assign(planes,
-                       planes + n_samples_ * static_cast<std::size_t>(
-                                                 train_.n_features()));
-        }
+        m.in0.resize(kBlock * static_cast<std::size_t>(train_.n_features()));
         rebuild(m);
       },
       memo_);
@@ -106,12 +104,12 @@ RefineEngine::RefineEngine(ApproxMlp& net, const SamplePlanes& train)
 
 template <typename T>
 const T* RefineEngine::Memo<T>::input(const SamplePlanes& planes,
-                                      std::size_t base) const {
-  if constexpr (std::is_same_v<T, std::int32_t>) {
-    return planes.block(base);
-  } else {
-    return in0.data() + base * static_cast<std::size_t>(planes.n_features());
-  }
+                                      std::size_t base, int b, int first,
+                                      int count) {
+  const std::int16_t* rows =
+      planes.block(base) + static_cast<std::size_t>(first) * b;
+  std::copy_n(rows, static_cast<std::size_t>(count) * b, in0.data());
+  return in0.data();
 }
 
 template <typename T>
@@ -121,7 +119,7 @@ void RefineEngine::rebuild(Memo<T>& m) {
   n_correct_ = 0;
   for (std::size_t base = 0; base < n_samples_; base += kBlock) {
     const int b = static_cast<int>(std::min(kBlock, n_samples_ - base));
-    const T* in = m.input(train_, base);
+    const T* in = m.input(train_, base, b, 0, train_.n_features());
     for (std::size_t l = 0; l < layers_.size(); ++l) {
       const std::size_t off = base * static_cast<std::size_t>(layers_[l].n_out);
       T* acc = m.acc[l].data() + off;
@@ -223,11 +221,12 @@ std::optional<double> RefineEngine::run_trial(Memo<T>& m, int l0, int o,
     const std::size_t off0 = base * w0;
     const T* acc0 = m.acc[L0].data() + off0;
     const T* act0 = m.act_of(L0, qrelu0) + off0;
-    const T* x = l0 == 0 ? m.input(train_, base)
+    const T* x = l0 == 0 ? m.input(train_, base, b, term.in, 1)
                          : m.act_of(L0 - 1, layers_[L0 - 1].qrelu) +
                                base * static_cast<std::size_t>(
-                                          layers_[L0 - 1].n_out);
-    x += static_cast<std::size_t>(term.in) * static_cast<std::size_t>(b);
+                                          layers_[L0 - 1].n_out) +
+                               static_cast<std::size_t>(term.in) *
+                                   static_cast<std::size_t>(b);
 
     // New activation planes of layer l0 for this block, when whole.
     T* new_act0 = nullptr;

@@ -8,8 +8,9 @@
 //   memo   — every layer's accumulators and activations of the committed
 //            net, as neuron-major planes in blocks of
 //            CompiledNet::kBlockSamples samples (the SamplePlanes layout).
-//            Layer 0 reads the training set's SamplePlanes, which every
-//            engine of a front shares read-only.
+//            Layer 0 reads the training set's int16 SamplePlanes, which
+//            every engine of a front shares read-only, widening one block
+//            (or, for a trial, one input row) at a time to the memo's lanes.
 //   trial  — per block, with the dispatched kernels of eval_kernels.hpp:
 //            the edited neuron's new accumulator and activation from its
 //            delta plane (a QReLU-shift change re-activates the whole layer
@@ -26,7 +27,7 @@
 //            nothing, so there is nothing to undo.
 //
 // Lanes are int32 when a static proof, made once per engine, shows that no
-// state refine can reach overflows: the CompiledNet::block_safe() bound
+// state refine can reach overflows: layer_lanes() gives no layer int64
 // with every |bias| widened to 2^(bias_bits-1), since refine only clears
 // mask bits and moves biases within [bias_min, bias_max]. A net that fails
 // the proof runs the same block algorithm on int64 lanes through the
@@ -109,8 +110,10 @@ class RefineEngine {
   template <typename T>
   struct Memo {
     using value_type = T;
-    /// Layer-0 input planes of the block at sample `base`.
-    const T* input(const SamplePlanes& planes, std::size_t base) const;
+    /// Input rows [first, first + count) of the `b`-sample block at
+    /// `base`, widened from `planes` into `in0`.
+    const T* input(const SamplePlanes& planes, std::size_t base, int b,
+                   int first, int count);
     /// Layer l's committed / scratch activation planes.
     T* act_of(std::size_t l, bool qrelu) {
       return (qrelu ? act : acc)[l].data();
@@ -122,7 +125,7 @@ class RefineEngine {
     std::vector<std::vector<T>> acc, act;            ///< committed, per layer
     std::vector<std::vector<T>> next_acc, next_act;  ///< trial scratch
     std::vector<T> row_acc, row_act;  ///< the edited neuron's new row
-    std::vector<T> in0;               ///< int64 lanes only: widened inputs
+    std::vector<T> in0;  ///< one block of widened layer-0 input planes
   };
 
   /// Smallest correct-count passing `acc + 1e-12 >= min_acc`; n_samples + 1

@@ -328,8 +328,9 @@ TEST(Cli, DatasetWidthMismatchIsUsageErrorBeforeAnyFile) {
 }
 
 TEST(Cli, ExportWritesDutTestbenchAndStimulusHex) {
-  // A prefix with a directory: the testbench names its hex file relative
-  // to its own directory, which is where a simulator runs it from.
+  // A prefix with a directory (`<dir>/bc`): the modules are named after the
+  // prefix's basename, and the testbench names its hex file relative to its
+  // own directory, which is where a simulator runs it from.
   const fs::path dir = fs::temp_directory_path() / "pmlp_cli_test_export_hex";
   fs::remove_all(dir);
   const auto setup =
@@ -343,9 +344,15 @@ TEST(Cli, ExportWritesDutTestbenchAndStimulusHex) {
                        "_tb.hex (64 vectors)"),
             std::string::npos)
       << r.out;
+  std::ifstream dut(prefix + ".v");
+  const std::string dut_text((std::istreambuf_iterator<char>(dut)),
+                             std::istreambuf_iterator<char>());
+  EXPECT_NE(dut_text.find("module bc (\n"), std::string::npos);
   std::ifstream tb(prefix + "_tb.v");
   const std::string text((std::istreambuf_iterator<char>(tb)),
                          std::istreambuf_iterator<char>());
+  EXPECT_NE(text.find("module bc_tb;\n"), std::string::npos);
+  EXPECT_NE(text.find("  bc dut(\n"), std::string::npos);
   EXPECT_NE(text.find("$readmemh(\"bc_tb.hex\", stim);"), std::string::npos);
   std::ifstream hex(prefix + "_tb.hex");
   int lines = 0;

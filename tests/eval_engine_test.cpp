@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <random>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "adder_oracle.hpp"
@@ -401,8 +402,10 @@ TEST(PredictBatch, BitIdenticalToPerSamplePredictAcrossStylesAndSizes) {
     for (int rep = 0; rep < 4; ++rep) {
       const core::ApproxMlp net = codec.decode(random_genes(codec, style, rng));
       const core::CompiledNet compiled(net);
-      // Every net the paper's BitConfig can decode must take the fast path.
-      EXPECT_TRUE(compiled.block_safe());
+      // Every net the paper's BitConfig can decode runs its first layer on
+      // int16 lanes and no layer on int64.
+      EXPECT_EQ(compiled.lanes().front(), core::LaneType::kInt16);
+      EXPECT_NE(compiled.lanes().back(), core::LaneType::kInt64);
       for (std::size_t n : sizes) {
         std::vector<std::int32_t> preds(n);
         compiled.predict_batch(data.codes.data(), n, preds.data(), ws);
@@ -454,12 +457,12 @@ TEST(PredictBatch, ForcedScalarDispatchBitIdenticalToSimd) {
   }
 }
 
-TEST(PredictBatch, OverflowUnsafeNetFallsBackToPerSamplePath) {
+TEST(PredictBatch, OverflowUnsafeNetRunsInt64BlockLanes) {
   // act_bits wide enough that the QReLU clamp exceeds int32 makes the
-  // static bound fail: block_safe() must refuse and predict_batch must
-  // route through the exact int64 per-sample path. No ChromosomeCodec
-  // covers a 36-bit layer input (a mask gene is an int), so the dense net
-  // is built directly.
+  // static bound fail for int16 and int32: every layer must run the block
+  // loop on int64 lanes and still equal the naive oracle. No
+  // ChromosomeCodec covers a 36-bit layer input (a mask gene is an int),
+  // so the dense net is built directly.
   core::BitConfig bits;
   bits.act_bits = 36;
   const mlp::Topology topo{{5, 4, 3}};
@@ -482,16 +485,65 @@ TEST(PredictBatch, OverflowUnsafeNetFallsBackToPerSamplePath) {
   }
   net.update_qrelu_shifts();
   const core::CompiledNet compiled(net);
-  EXPECT_FALSE(compiled.block_safe());
+  for (core::LaneType lane : compiled.lanes()) {
+    EXPECT_EQ(lane, core::LaneType::kInt64);
+  }
   std::vector<std::int32_t> preds(data.size());
   compiled.predict_batch(data.codes.data(), data.size(), preds.data(), ws);
   for (std::size_t s = 0; s < data.size(); ++s) {
     ASSERT_EQ(preds[s], net.predict(data.row(s)));
   }
   EXPECT_DOUBLE_EQ(compiled.accuracy(data, ws), core::accuracy(net, data));
-  // The planes path gathers each row back for the same int64 fallback.
+  // The planes path widens the int16 input planes to the same int64 lanes.
   EXPECT_DOUBLE_EQ(compiled.accuracy(core::SamplePlanes(data), ws),
                    core::accuracy(net, data));
+}
+
+TEST(PredictBatch, LanesWidenAlongTheNetAndMatchNaive) {
+  // A hand-built (4, 3, 3, 2) net whose layers prove int16, int32 and
+  // int64 in turn: default-width first layer, 8-bit activations shifted
+  // by 6 into the second, and by 24 into the output layer. Every block
+  // size crosses both widenings (and blocks under 16 samples start on
+  // int32), under every dispatchable ISA.
+  const core::BitConfig bits;
+  const mlp::Topology topo{{4, 3, 3, 2}};
+  const auto data = random_dataset(4, 2, 129, bits.input_bits, 12);
+  std::mt19937_64 rng(77);
+  core::ApproxMlp net(topo, bits);
+  const int exponents[] = {3, 6, 24};
+  for (std::size_t l = 0; l < net.layers().size(); ++l) {
+    auto& layer = net.layers()[l];
+    for (auto& c : layer.conns) {
+      // Full masks past layer 1 put the bounds past int16 and int32.
+      c.mask = static_cast<std::uint32_t>(
+          pmlp::bitops::low_mask(layer.input_bits) & (l == 0 ? rng() : ~0ull));
+      c.sign = (rng() & 1u) ? +1 : -1;
+      c.exponent = exponents[l];
+    }
+    for (auto& b : layer.biases) {
+      b = static_cast<std::int64_t>(rng() % 200) - 100;
+    }
+  }
+  net.update_qrelu_shifts();
+  const core::CompiledNet compiled(net);
+  ASSERT_EQ(compiled.lanes().size(), 3u);
+  EXPECT_EQ(compiled.lanes()[0], core::LaneType::kInt16);
+  EXPECT_EQ(compiled.lanes()[1], core::LaneType::kInt32);
+  EXPECT_EQ(compiled.lanes()[2], core::LaneType::kInt64);
+  core::EvalWorkspace ws;
+  for (core::SimdIsa isa : {core::SimdIsa::kScalar, core::detect_simd_isa()}) {
+    ScopedIsa forced(isa);
+    for (std::size_t n : {1, 15, 16, 17, 63, 64, 129}) {
+      std::vector<std::int32_t> preds(n);
+      compiled.predict_batch(data.codes.data(), n, preds.data(), ws);
+      for (std::size_t s = 0; s < n; ++s) {
+        ASSERT_EQ(preds[s], net.predict(data.row(s)))
+            << core::simd_isa_name(isa) << " batch " << n << " sample " << s;
+      }
+    }
+    EXPECT_DOUBLE_EQ(compiled.accuracy(core::SamplePlanes(data), ws),
+                     core::accuracy(net, data));
+  }
 }
 
 // ------------------------------------------------------------ sample planes
@@ -550,7 +602,6 @@ TEST(SamplePlanes, LayoutIsBlockedPlanesAndRoundTripsRows) {
   ASSERT_EQ(planes.size(), data.size());
   ASSERT_EQ(planes.n_features(), data.n_features);
   constexpr std::size_t kBlock = core::CompiledNet::kBlockSamples;
-  std::vector<std::uint8_t> row(5);
   for (std::size_t s = 0; s < data.size(); ++s) {
     const std::size_t base = s - s % kBlock;
     const std::size_t b = std::min(kBlock, data.size() - base);
@@ -560,8 +611,6 @@ TEST(SamplePlanes, LayoutIsBlockedPlanesAndRoundTripsRows) {
           << "sample " << s << " feature " << i;
     }
     ASSERT_EQ(planes.labels()[s], data.labels[s]);
-    planes.gather_row(s, row.data());
-    ASSERT_TRUE(std::equal(row.begin(), row.end(), data.row(s).begin()));
   }
 }
 
@@ -582,7 +631,7 @@ TEST(SamplePlanes, AccuracyMatchesPerSamplePredictAcrossSizesAndIsas) {
       for (int rep = 0; rep < 3; ++rep) {
         const core::CompiledNet compiled(
             codec.decode(random_genes(codec, style, rng)));
-        ASSERT_TRUE(compiled.block_safe());
+        ASSERT_NE(compiled.lanes().back(), core::LaneType::kInt64);
         for (std::size_t n : sizes) {
           SCOPED_TRACE(testing::Message()
                        << core::simd_isa_name(isa) << " style "
@@ -707,4 +756,197 @@ TEST(SamplePlanes, FeatureWidthMismatchThrows) {
   // An empty set of the wrong width is still the wrong width.
   EXPECT_THROW((void)compiled.accuracy(core::SamplePlanes(head(narrow, 0)), ws),
                std::invalid_argument);
+}
+
+// ------------------------------------------------------------- lane widths
+
+namespace {
+
+/// `values` (neuron-major planes of `n` lanes) converted to lane type T.
+template <typename T>
+std::vector<T> as_lanes(const std::vector<std::int64_t>& values) {
+  return std::vector<T>(values.begin(), values.end());
+}
+
+/// Sweep `layer` over `in` on T lanes under every dispatchable ISA, with
+/// separate and with aliased accumulator/activation planes, and compare
+/// every lane with the int64 scalar sweep.
+template <typename T>
+void expect_sweep_matches_int64(const core::CompiledLayer& layer,
+                                const std::vector<std::int64_t>& in, int n,
+                                std::int64_t act_max) {
+  const auto planes = static_cast<std::size_t>(layer.n_out) * n;
+  std::vector<std::int64_t> ref_acc(planes), ref_act(planes);
+  core::layer_sweep(core::SimdIsa::kScalar, layer, in.data(), ref_acc.data(),
+                    ref_act.data(), n, act_max);
+  const auto lanes_in = as_lanes<T>(in);
+  for (core::SimdIsa isa : dispatchable_isas()) {
+    SCOPED_TRACE(testing::Message() << core::simd_isa_name(isa) << " lanes "
+                                    << 8 * sizeof(T) << " n " << n);
+    std::vector<T> acc(planes, T{-7}), act(planes, T{-7});
+    core::layer_sweep(isa, layer, lanes_in.data(), acc.data(), act.data(), n,
+                      static_cast<T>(act_max));
+    for (std::size_t k = 0; k < planes; ++k) {
+      ASSERT_EQ(acc[k], ref_acc[k]) << "lane " << k;
+      ASSERT_EQ(act[k], ref_act[k]) << "lane " << k;
+    }
+    std::vector<T> both(planes, T{-7});
+    core::layer_sweep(isa, layer, lanes_in.data(), both.data(), both.data(), n,
+                      static_cast<T>(act_max));
+    for (std::size_t k = 0; k < planes; ++k) {
+      ASSERT_EQ(both[k], ref_act[k]) << "aliased lane " << k;
+    }
+    if constexpr (std::is_same_v<T, std::int16_t>) {
+      // The widening store: int16 accumulators, int32 activations.
+      std::vector<std::int32_t> wide(planes, -7);
+      core::layer_sweep(isa, layer, lanes_in.data(), acc.data(), wide.data(),
+                        n, static_cast<T>(act_max));
+      for (std::size_t k = 0; k < planes; ++k) {
+        ASSERT_EQ(acc[k], ref_acc[k]) << "widening lane " << k;
+        ASSERT_EQ(wide[k], ref_act[k]) << "widening lane " << k;
+      }
+    }
+  }
+}
+
+/// argmax_block on T lanes under every dispatchable ISA against
+/// argmax_first, with and without a prediction buffer.
+template <typename T>
+void expect_argmax_matches_first(const std::vector<std::int64_t>& logits,
+                                 int n_out, int n,
+                                 const std::vector<std::int32_t>& labels) {
+  std::vector<std::int32_t> expected(static_cast<std::size_t>(n));
+  std::size_t expected_correct = 0;
+  std::vector<std::int64_t> sample(static_cast<std::size_t>(n_out));
+  for (int s = 0; s < n; ++s) {
+    for (int k = 0; k < n_out; ++k) {
+      sample[static_cast<std::size_t>(k)] =
+          logits[static_cast<std::size_t>(k) * n + s];
+    }
+    const int best = core::argmax_first(sample);
+    expected[static_cast<std::size_t>(s)] = best;
+    if (best == labels[static_cast<std::size_t>(s)]) ++expected_correct;
+  }
+  const auto lanes = as_lanes<T>(logits);
+  for (core::SimdIsa isa : dispatchable_isas()) {
+    SCOPED_TRACE(testing::Message() << core::simd_isa_name(isa) << " lanes "
+                                    << 8 * sizeof(T) << " n " << n);
+    std::vector<std::int32_t> preds(static_cast<std::size_t>(n), -1);
+    EXPECT_EQ(core::argmax_block(isa, lanes.data(), n_out, n, labels.data(),
+                                 preds.data()),
+              expected_correct);
+    EXPECT_EQ(preds, expected);
+    EXPECT_EQ(core::argmax_block(isa, lanes.data(), n_out, n, labels.data(),
+                                 nullptr),
+              expected_correct);
+  }
+}
+
+constexpr int kLaneBlockSizes[] = {1, 15, 16, 17, 63, 64};
+
+}  // namespace
+
+TEST(LaneKernels, SweepMatchesScalarOracleAtEveryExactWidth) {
+  // Every layer of random default-BitConfig nets, at every lane width its
+  // proof allows, against the int64 scalar sweep: layer 1 (4-bit codes)
+  // proves int16, the output layer (8-bit activations, no QReLU) int32.
+  const core::BitConfig bits;
+  const std::int64_t act_max = (std::int64_t{1} << bits.act_bits) - 1;
+  const core::ChromosomeCodec codec(mlp::Topology{{16, 5, 10}}, bits);
+  std::mt19937_64 rng(61);
+  for (MaskStyle style : {MaskStyle::kDense, MaskStyle::kSparse}) {
+    const core::ApproxMlp net = codec.decode(random_genes(codec, style, rng));
+    const core::CompiledNet compiled(net);
+    for (std::size_t l = 0; l < compiled.layers().size(); ++l) {
+      const core::CompiledLayer& layer = compiled.layers()[l];
+      const core::LaneType lane =
+          core::layer_lanes({&layer, 1}, act_max).front();
+      const std::int64_t in_max = l == 0 ? 15 : act_max;
+      for (int n : kLaneBlockSizes) {
+        std::vector<std::int64_t> in(static_cast<std::size_t>(layer.n_in) *
+                                     n);
+        for (auto& v : in) {
+          v = static_cast<std::int64_t>(rng() % (in_max + 1));
+        }
+        if (lane == core::LaneType::kInt16) {
+          expect_sweep_matches_int64<std::int16_t>(layer, in, n, act_max);
+        }
+        ASSERT_NE(lane, core::LaneType::kInt64);
+        expect_sweep_matches_int64<std::int32_t>(layer, in, n, act_max);
+      }
+    }
+    EXPECT_EQ(core::layer_lanes(compiled.layers(), act_max).front(),
+              core::LaneType::kInt16);
+  }
+}
+
+TEST(LaneKernels, ArgmaxMatchesScalarOracleAtEveryWidth) {
+  // Logits drawn from {-1, 0, 1} tie constantly; a second draw uses each
+  // width's extremes, where a wrapped compare would show.
+  constexpr int kOut = 5;
+  std::mt19937_64 rng(3);
+  for (int n : kLaneBlockSizes) {
+    std::vector<std::int64_t> logits(static_cast<std::size_t>(kOut) * n);
+    std::vector<std::int32_t> labels(static_cast<std::size_t>(n));
+    for (auto& l : labels) l = static_cast<std::int32_t>(rng() % kOut);
+    for (int rep = 0; rep < 4; ++rep) {
+      for (auto& v : logits) v = static_cast<std::int64_t>(rng() % 3) - 1;
+      expect_argmax_matches_first<std::int16_t>(logits, kOut, n, labels);
+      expect_argmax_matches_first<std::int32_t>(logits, kOut, n, labels);
+      expect_argmax_matches_first<std::int64_t>(logits, kOut, n, labels);
+    }
+    const std::int64_t extremes[] = {-32768, -32767, 0, 32766, 32767};
+    for (auto& v : logits) v = extremes[rng() % 5];
+    expect_argmax_matches_first<std::int16_t>(logits, kOut, n, labels);
+    expect_argmax_matches_first<std::int32_t>(logits, kOut, n, labels);
+  }
+}
+
+TEST(LayerLanes, BoundOf32767TakesInt16And32768TakesInt32) {
+  // One neuron, one connection: (255 << 7) = 32640, so the bias sets the
+  // bound |bias| + 32640 exactly.
+  core::CompiledLayer layer;
+  layer.n_in = 1;
+  layer.n_out = 1;
+  layer.qrelu = false;
+  layer.conns = {core::CompiledConn{0, 255, 7, 0}};
+  layer.conn_begin = {0, 1};
+  const auto lane_with = [&](std::int64_t bias, std::int64_t act_max = 255,
+                             std::int64_t bias_bound = 0) {
+    layer.biases = {bias};
+    return core::layer_lanes({&layer, 1}, act_max, bias_bound).front();
+  };
+  EXPECT_EQ(lane_with(127), core::LaneType::kInt16);
+  EXPECT_EQ(lane_with(-127), core::LaneType::kInt16);
+  EXPECT_EQ(lane_with(128), core::LaneType::kInt32);
+  EXPECT_EQ(lane_with(-128), core::LaneType::kInt32);
+  // bias_bound widens |bias| the same way; act_max must fit the lanes too.
+  EXPECT_EQ(lane_with(0, 255, 127), core::LaneType::kInt16);
+  EXPECT_EQ(lane_with(0, 255, 128), core::LaneType::kInt32);
+  EXPECT_EQ(lane_with(0, 32768), core::LaneType::kInt32);
+  // The int32/int64 boundary, by the same construction.
+  const std::int64_t int32_room = std::int64_t{2147483647} - 32640;
+  EXPECT_EQ(lane_with(int32_room), core::LaneType::kInt32);
+  EXPECT_EQ(lane_with(int32_room + 1), core::LaneType::kInt64);
+  EXPECT_EQ(lane_with(0, std::int64_t{1} << 31), core::LaneType::kInt64);
+  // A shift into the sign bit fails even when mask << shift fits the value.
+  layer.conns = {core::CompiledConn{0, 1, 15, 0}};
+  EXPECT_EQ(lane_with(0), core::LaneType::kInt32);
+
+  // At the int16 edge the sweep reaches ±32,767 exactly on every lane.
+  for (const int neg : {0, 1}) {
+    layer.conns = {core::CompiledConn{0, 255, 7, neg}};
+    layer.biases = {neg ? -127 : 127};
+    ASSERT_EQ(core::layer_lanes({&layer, 1}, 255).front(),
+              core::LaneType::kInt16);
+    for (int n : kLaneBlockSizes) {
+      const std::vector<std::int16_t> in(static_cast<std::size_t>(n), 255);
+      for (core::SimdIsa isa : dispatchable_isas()) {
+        std::vector<std::int16_t> acc(static_cast<std::size_t>(n));
+        core::layer_sweep(isa, layer, in.data(), acc.data(), acc.data(), n,
+                          std::int16_t{255});
+        for (std::int16_t a : acc) ASSERT_EQ(a, neg ? -32767 : 32767);
+      }
+    }
+  }
 }

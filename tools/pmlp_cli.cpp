@@ -797,17 +797,20 @@ int cmd_export(const Invocation& in) {
   // One build: optimize(BespokeCircuit) keeps the I/O bus metadata valid
   // across the rewrite, so the optimized DUT is also the circuit the
   // testbench's golden predictions come from.
+  // Modules are named after the prefix's basename, so the same model
+  // exported into any directory gives the same module names.
+  const std::string name = fs::path(prefix).filename().string();
   const auto circuit = netlist::optimize(
-      netlist::build_bespoke_mlp(model.to_bespoke_desc(prefix)));
+      netlist::build_bespoke_mlp(model.to_bespoke_desc(name)));
   write_file(prefix + ".v", [&](std::ostream& os) {
-    netlist::emit_verilog(circuit.nl, prefix, os);
+    netlist::emit_verilog(circuit.nl, name, os);
   });
   const std::size_t n_vec = std::min<std::size_t>(test.size(), 64);
   const auto codes = first_codes(test, n_vec);
   const auto expected = circuit.predict_batch(codes, n_vec);
   netlist::TestbenchOptions tb;
-  tb.dut_name = prefix;
-  tb.hex_file = fs::path(prefix).filename().string() + "_tb.hex";
+  tb.dut_name = name;
+  tb.hex_file = name + "_tb.hex";
   write_file(prefix + "_tb.v", [&](std::ostream& tb_os) {
     write_file(prefix + "_tb.hex", [&](std::ostream& hex_os) {
       netlist::emit_testbench(circuit, test.n_features, codes, expected, tb,
