@@ -12,6 +12,7 @@
 
 #include "bench_common.hpp"
 #include "pmlp/adder/variants.hpp"
+#include "pmlp/core/eval_engine.hpp"
 #include "pmlp/core/pareto.hpp"
 #include "pmlp/core/refine.hpp"
 #include "pmlp/core/thread_pool.hpp"
@@ -80,8 +81,9 @@ int main() {
     } else {
       core::ApproxMlp refined = ours.best->model;
       core::RefineConfig rcfg;
+      core::EvalWorkspace ws;
       rcfg.accuracy_floor =
-          core::accuracy(refined, p.train) - 0.01;
+          core::CompiledNet(refined).accuracy(p.train, ws) - 0.01;
       const auto report = core::refine_greedy(refined, p.train, rcfg);
       std::cout << "C. refine: FA " << report.fa_before << " -> "
                 << report.fa_after << " (" << report.bits_cleared

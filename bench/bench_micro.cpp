@@ -1,5 +1,5 @@
 // google-benchmark micro suite for the hot kernels of the framework:
-// FA-count area estimation (the GA's inner loop), Eq. 4 inference,
+// FA-count area estimation (the GA's inner loop), naive Eq. 4 inference,
 // chromosome decode, netlist build and simulate (scalar vs 64-lane
 // packed), testbench text (per-vector oracle vs streamed), the sample-blocked
 // predict_batch kernels (scalar vs the dispatched SIMD ISA, across batch
@@ -14,8 +14,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <random>
 #include <sstream>
 #include <string>
@@ -23,6 +21,7 @@
 
 #include "backprop_oracle.hpp"
 #include "bench_common.hpp"
+#include "eq4_oracle.hpp"
 #include "nsga2_oracle.hpp"
 #include "record_oracle.hpp"
 #include "testbench_oracle.hpp"
@@ -40,10 +39,6 @@
 #include "pmlp/netlist/opt.hpp"
 #include "pmlp/netlist/testbench.hpp"
 #include "pmlp/nsga2/nsga2.hpp"
-
-#ifdef PMLP_HAVE_GPERFTOOLS
-#include <gperftools/profiler.h>
-#endif
 
 namespace {
 
@@ -101,11 +96,13 @@ void BM_FaAreaEstimate(benchmark::State& state) {
 }
 BENCHMARK(BM_FaAreaEstimate);
 
+/// One sample through the naive Eq. 4 walk (oracles/eq4_oracle), the
+/// reference the compiled block loop is held to.
 void BM_Eq4Inference(benchmark::State& state) {
   const auto model = make_model(2);
   std::vector<std::uint8_t> x(16, 9);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.predict(x));
+    benchmark::DoNotOptimize(oracles::predict_naive(model, x));
   }
 }
 BENCHMARK(BM_Eq4Inference);
@@ -295,7 +292,7 @@ void BM_RefineGreedy(benchmark::State& state) {
       mlp::QuantMlp::from_float(fnet), core::BitConfig{});
   const core::SamplePlanes planes(train);
   core::RefineConfig cfg;
-  cfg.accuracy_floor = core::accuracy(model, train) - 0.05;
+  cfg.accuracy_floor = oracles::accuracy_naive(model, train) - 0.05;
   const core::SimdIsa prev = core::active_simd_isa();
   const core::SimdIsa isa = core::set_simd_isa(
       use_simd ? core::detect_simd_isa() : core::SimdIsa::kScalar);
@@ -360,8 +357,9 @@ BENCHMARK(BM_LayerSweep)
     ->ArgsProduct({{0, 1}, {16, 32}})
     ->ArgNames({"cardio", "lanes"});
 
-/// Pre-batching reference: the same samples classified one predict() call
-/// at a time (the per-sample scalar path every consumer used before).
+/// The same samples classified one predict() call at a time: each call
+/// is a one-sample pass through the block loop, so this prices the
+/// per-call overhead that batching amortizes.
 void BM_PredictPerSample(benchmark::State& state) {
   const bool sparse = state.range(0) != 0;
   const auto model = make_eval_model(sparse ? 11 : 12, sparse);
@@ -595,31 +593,4 @@ BENCHMARK_CAPTURE(BM_Crc32, sliced, true)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-// Custom main instead of BENCHMARK_MAIN(): PMLP_PROFILE=<path> wraps the
-// whole run in gperftools CPU profiling when the binary was linked against
-// it (PMLP_HAVE_GPERFTOOLS, optional in bench/CMakeLists.txt), so kernel-
-// tier regressions can be attributed to specific functions. Without the
-// library the knob is a loudly-documented no-op.
-int main(int argc, char** argv) {
-  const char* profile = std::getenv("PMLP_PROFILE");
-#ifdef PMLP_HAVE_GPERFTOOLS
-  if (profile != nullptr && *profile != '\0') ProfilerStart(profile);
-#else
-  if (profile != nullptr && *profile != '\0') {
-    std::fprintf(stderr,
-                 "PMLP_PROFILE set but bench_micro was built without "
-                 "gperftools; profiling disabled\n");
-  }
-#endif
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-#ifdef PMLP_HAVE_GPERFTOOLS
-  if (profile != nullptr && *profile != '\0') {
-    ProfilerStop();
-    std::fprintf(stderr, "wrote CPU profile to %s\n", profile);
-  }
-#endif
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -52,7 +52,7 @@ int main() {
   const auto circuit = netlist::build_bespoke_mlp(
       result.best->model.to_bespoke_desc("approx_mlp"));
   std::ofstream out("approx_mlp.v");
-  netlist::emit_verilog(circuit.nl, "approx_mlp", out);
+  netlist::EmittedModule(circuit.nl, "approx_mlp").emit(out);
   std::cout << "wrote approx_mlp.v (" << circuit.nl.gates().size()
             << " cells)\n";
   return 0;

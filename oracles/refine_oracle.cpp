@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 
+#include "eq4_oracle.hpp"
 #include "pmlp/bitops/bitops.hpp"
 
 namespace pmlp::oracles {
@@ -12,7 +13,7 @@ core::RefineReport refine_greedy_naive(core::ApproxMlp& net,
                                        const core::RefineConfig& cfg) {
   core::RefineReport report;
   report.fa_before = net.fa_area();
-  report.accuracy_before = core::accuracy(net, train);
+  report.accuracy_before = accuracy_naive(net, train);
 
   double current_acc = report.accuracy_before;
   const int n_layers = static_cast<int>(net.layers().size());
@@ -34,7 +35,7 @@ core::RefineReport refine_greedy_naive(core::ApproxMlp& net,
                 bitops::set_bit(c.mask, bit, false));
             net.update_qrelu_shifts();
             report.trials += 1;
-            const double acc = core::accuracy(net, train);
+            const double acc = accuracy_naive(net, train);
             if (acc + 1e-12 >= cfg.accuracy_floor &&
                 acc + 1e-12 >= current_acc - 0.002) {
               current_acc = std::max(current_acc, acc);
@@ -53,7 +54,7 @@ core::RefineReport refine_greedy_naive(core::ApproxMlp& net,
             bias = candidate;
             net.update_qrelu_shifts();
             report.trials += 1;
-            const double acc = core::accuracy(net, train);
+            const double acc = accuracy_naive(net, train);
             if (acc + 1e-12 >= cfg.accuracy_floor &&
                 acc + 1e-12 >= current_acc - 0.002) {
               current_acc = std::max(current_acc, acc);
@@ -71,7 +72,7 @@ core::RefineReport refine_greedy_naive(core::ApproxMlp& net,
   }
   net.update_qrelu_shifts();
   report.fa_after = net.fa_area();
-  report.accuracy_after = core::accuracy(net, train);
+  report.accuracy_after = accuracy_naive(net, train);
   return report;
 }
 

@@ -54,51 +54,6 @@ void ApproxMlp::update_qrelu_shifts() {
   }
 }
 
-void ApproxMlp::forward_layer(int l, std::span<const std::int64_t> in,
-                              std::span<std::int64_t> acc,
-                              std::span<std::int64_t> act) const {
-  const ApproxLayer& layer = layers_[static_cast<std::size_t>(l)];
-  const std::uint32_t in_mask =
-      static_cast<std::uint32_t>(bitops::low_mask(layer.input_bits));
-  const std::int64_t act_max = (std::int64_t{1} << bits_.act_bits) - 1;
-  for (int o = 0; o < layer.n_out; ++o) {
-    std::int64_t a = layer.biases[static_cast<std::size_t>(o)];
-    for (int i = 0; i < layer.n_in; ++i) {
-      const ApproxConn& c = layer.conn(o, i);
-      const auto xi = static_cast<std::uint32_t>(in[static_cast<std::size_t>(i)]);
-      const std::int64_t term =
-          static_cast<std::int64_t>(xi & c.mask & in_mask) << c.exponent;
-      a += c.sign < 0 ? -term : term;
-    }
-    acc[static_cast<std::size_t>(o)] = a;
-    if (layer.qrelu) {
-      a = a <= 0 ? 0 : std::min(a >> layer.qrelu_shift, act_max);
-    }
-    act[static_cast<std::size_t>(o)] = a;
-  }
-}
-
-std::vector<std::int64_t> ApproxMlp::forward(
-    std::span<const std::uint8_t> x) const {
-  if (x.size() != static_cast<std::size_t>(topology_.n_inputs())) {
-    throw std::invalid_argument("ApproxMlp::forward: bad input size");
-  }
-  std::vector<std::int64_t> act(x.begin(), x.end());
-  for (int l = 0; l < static_cast<int>(layers_.size()); ++l) {
-    std::vector<std::int64_t> next(
-        static_cast<std::size_t>(layers_[static_cast<std::size_t>(l)].n_out));
-    forward_layer(l, act, next, next);
-    act = std::move(next);
-  }
-  return act;
-}
-
-int ApproxMlp::predict(std::span<const std::uint8_t> x) const {
-  const auto logits = forward(x);
-  return static_cast<int>(std::distance(
-      logits.begin(), std::max_element(logits.begin(), logits.end())));
-}
-
 long ApproxMlp::fa_area() const {
   long area = 0;
   adder::NeuronAdderSpec scratch;
@@ -181,15 +136,6 @@ ApproxMlp ApproxMlp::from_quant_baseline(const mlp::QuantMlp& baseline,
   }
   net.update_qrelu_shifts();
   return net;
-}
-
-double accuracy(const ApproxMlp& net, const datasets::QuantizedDataset& d) {
-  if (d.size() == 0) return 0.0;
-  std::size_t correct = 0;
-  for (std::size_t i = 0; i < d.size(); ++i) {
-    if (net.predict(d.row(i)) == d.labels[i]) ++correct;
-  }
-  return static_cast<double>(correct) / static_cast<double>(d.size());
 }
 
 }  // namespace pmlp::core

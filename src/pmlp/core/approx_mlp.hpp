@@ -6,16 +6,17 @@
 //
 // Multiplications are wiring (shift), masked bits are hard-wired zeros, so
 // the circuit is a bare multi-operand adder — priced by the FA-count model.
+// This type holds the parameters; Eq. 4 itself runs in CompiledNet
+// (eval_engine.hpp), whose test oracle is the naive walk in
+// oracles/eq4_oracle.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "pmlp/adder/summand.hpp"
 #include "pmlp/bitops/bitops.hpp"
-#include "pmlp/datasets/dataset.hpp"
 #include "pmlp/mlp/quant_mlp.hpp"
 #include "pmlp/mlp/topology.hpp"
 #include "pmlp/netlist/builders.hpp"
@@ -116,20 +117,6 @@ class ApproxMlp {
   /// (the refine engine) re-derive a single layer instead of all of them.
   [[nodiscard]] int compute_qrelu_shift(int l) const;
 
-  /// One layer of Eq. 4: accumulators (bias + masked shifted terms) into
-  /// `acc`, activations (QReLU, or the raw accumulator on the output layer)
-  /// into `act`. `act` may alias `acc` for in-place activation. Spans must
-  /// be sized n_in / n_out of layer `l`. Bit-identical to the corresponding
-  /// slice of forward().
-  void forward_layer(int l, std::span<const std::int64_t> in,
-                     std::span<std::int64_t> acc,
-                     std::span<std::int64_t> act) const;
-
-  /// Eq. 4 integer inference; returns output-layer accumulators.
-  [[nodiscard]] std::vector<std::int64_t> forward(
-      std::span<const std::uint8_t> x) const;
-  [[nodiscard]] int predict(std::span<const std::uint8_t> x) const;
-
   /// Paper Eq. 2 with AdderArea = FA count: the training-time area proxy,
   /// priced neuron by neuron through load_neuron_spec.
   [[nodiscard]] long fa_area() const;
@@ -151,9 +138,5 @@ class ApproxMlp {
   BitConfig bits_;
   std::vector<ApproxLayer> layers_;
 };
-
-/// Fraction of samples classified correctly.
-[[nodiscard]] double accuracy(const ApproxMlp& net,
-                              const datasets::QuantizedDataset& d);
 
 }  // namespace pmlp::core

@@ -105,42 +105,14 @@ CompiledNet::CompiledNet(const ApproxMlp& net) {
   }
 }
 
-std::span<const std::int64_t> CompiledNet::forward(
-    std::span<const std::uint8_t> x, EvalWorkspace& ws) const {
-  if (x.size() != static_cast<std::size_t>(n_inputs_)) {
-    throw std::invalid_argument("CompiledNet::forward: bad input size");
-  }
-  ws.bind(*this);
-  std::int64_t* cur = ws.a_.data();
-  std::int64_t* nxt = ws.b_.data();
-  for (std::size_t i = 0; i < x.size(); ++i) cur[i] = x[i];
-
-  for (const auto& layer : layers_) {
-    const CompiledConn* conns = layer.conns.data();
-    const std::int32_t* begin = layer.conn_begin.data();
-    for (int o = 0; o < layer.n_out; ++o) {
-      std::int64_t acc = layer.biases[static_cast<std::size_t>(o)];
-      const std::int32_t end = begin[o + 1];
-      for (std::int32_t c = begin[o]; c < end; ++c) {
-        const CompiledConn& cc = conns[c];
-        const std::int64_t term = static_cast<std::int64_t>(
-            static_cast<std::uint32_t>(cur[cc.in]) & cc.mask)
-            << cc.shift;
-        acc += cc.neg ? -term : term;
-      }
-      if (layer.qrelu) {
-        acc = acc <= 0 ? 0 : std::min(acc >> layer.qrelu_shift, act_max_);
-      }
-      nxt[o] = acc;
-    }
-    std::swap(cur, nxt);
-  }
-  return {cur, static_cast<std::size_t>(n_outputs_)};
-}
-
 int CompiledNet::predict(std::span<const std::uint8_t> x,
                          EvalWorkspace& ws) const {
-  return argmax_first(forward(x, ws));
+  if (x.size() != static_cast<std::size_t>(n_inputs_)) {
+    throw std::invalid_argument("CompiledNet::predict: bad input size");
+  }
+  std::int32_t pred = 0;
+  run_blocks(1, x.data(), nullptr, nullptr, &pred, ws);
+  return pred;
 }
 
 double CompiledNet::accuracy(const datasets::QuantizedDataset& d,
@@ -301,14 +273,6 @@ SamplePlanes::SamplePlanes(const datasets::QuantizedDataset& d)
     const int b = static_cast<int>(std::min(kBlock, d.size() - base));
     transpose_block(d.codes.data() + base * width, n_features_, b,
                     planes_.data() + base * width);
-  }
-}
-
-void EvalWorkspace::bind(const CompiledNet& net) {
-  const auto width = static_cast<std::size_t>(net.max_width_);
-  if (a_.size() < width) {
-    a_.resize(width);
-    b_.resize(width);
   }
 }
 

@@ -1,9 +1,10 @@
 // Compiled sparse evaluation engine for the GA training hot path.
 //
 // `HwAwareProblem::evaluate` runs ~26M times per paper-scale experiment, and
-// the naive path re-walks every connection of a freshly decoded `ApproxMlp`
-// per sample, heap-allocating two activation vectors per layer per sample.
-// This module makes a single evaluation cheap in four steps:
+// the naive walk (oracles/eq4_oracle) re-walks every connection of a freshly
+// decoded `ApproxMlp` per sample, heap-allocating an activation vector per
+// layer per sample. This module is the library's one Eq. 4 evaluator; it
+// makes a single evaluation cheap in four steps:
 //
 //   compile  — flatten a chromosome-decoded `ApproxMlp` into a `CompiledNet`:
 //              per layer a CSR array of only the *active* connections
@@ -24,27 +25,27 @@
 //              its overflow proof allows, then a vectorized first-maximum
 //              argmax epilogue classifies the block and counts label
 //              matches in the same pass. Row-major callers (serve, RTL
-//              export, hardware scoring) enter the same loop; their blocks
-//              are transposed into the workspace first.
+//              export, hardware scoring, one-sample predict) enter the
+//              same loop; their blocks are transposed into the workspace
+//              first.
 //   memoize  — a genome-keyed bounded-LRU cache (`EvalCache`) short-circuits
 //              re-evaluation of duplicate individuals, which NSGA-II
 //              crossover/mutation produce every generation (an offspring
 //              that undergoes neither is an exact parent copy).
 //
-// Results are bit-identical to `ApproxMlp::forward`/`fa_area` by
-// construction: the compiled sample loop performs the same int64 additions
-// in the same order, merely skipping terms that are provably zero. The
-// batched kernels stay bit-identical too: since `(x & mask) <= mask` for
-// any input, a per-neuron static bound `|bias| + sum(mask << k)` that fits
-// a lane type proves no accumulator can ever leave its range, so the
-// narrow adds produce the same values as the int64 ones. The proof runs
+// Results are bit-identical to the naive walk and `ApproxMlp::fa_area` by
+// construction: the int64 lanes perform the naive walk's additions in the
+// same order, merely skipping terms that are provably zero. The narrower
+// lanes stay bit-identical too: since `(x & mask) <= mask` for any input, a
+// per-neuron static bound `|bias| + sum(mask << k)` that fits a lane type
+// proves no accumulator can ever leave its range, so the narrow adds
+// produce the same values as the int64 ones. The proof runs
 // once at compile time and picks each layer's lanes (`lanes()`): int16
 // (every first layer the default BitConfig decodes), int32, or int64 for a
 // layer neither fits — the same block loop, on scalar int64 kernels. The
-// epilogue keeps argmax_first's tie rule exactly (a later class wins only
-// when strictly greater). The naive path stays as the reference oracle
-// (see eval_engine_test), and each lane width's scalar loop as its
-// kernels' one.
+// epilogue keeps std::max_element's tie rule exactly (a later class wins
+// only when strictly greater). The naive walk is the reference oracle (see
+// eval_engine_test), and each lane width's scalar loop its kernels' one.
 #pragma once
 
 #include <cstdint>
@@ -61,20 +62,6 @@
 #include "pmlp/nsga2/nsga2.hpp"
 
 namespace pmlp::core {
-
-/// First-maximum argmax over integer logits — the tie-breaking rule of
-/// ApproxMlp::predict (std::max_element), which CompiledNet::predict uses
-/// and argmax_block keeps lane-wise.
-[[nodiscard]] inline int argmax_first(std::span<const std::int64_t> logits) {
-  int best = 0;
-  for (int k = 1; k < static_cast<int>(logits.size()); ++k) {
-    if (logits[static_cast<std::size_t>(k)] >
-        logits[static_cast<std::size_t>(best)]) {
-      best = k;
-    }
-  }
-  return best;
-}
 
 /// One active (non-fully-pruned) connection, flattened for the sample loop.
 struct CompiledConn {
@@ -145,11 +132,9 @@ class CompiledNet {
   /// `ApproxMlp::fa_area()` of the source model.
   [[nodiscard]] long fa_area() const { return fa_area_; }
 
-  /// Output-layer accumulators for one sample, written into `ws` buffers;
-  /// the returned span aliases workspace storage (valid until next call).
-  [[nodiscard]] std::span<const std::int64_t> forward(
-      std::span<const std::uint8_t> x, EvalWorkspace& ws) const;
-  /// Argmax class (first maximum, like std::max_element).
+  /// Argmax class of one sample (first maximum, like std::max_element):
+  /// a one-sample pass through the block loop. Throws
+  /// std::invalid_argument unless `x` holds n_inputs() codes.
   [[nodiscard]] int predict(std::span<const std::uint8_t> x,
                             EvalWorkspace& ws) const;
   /// Fraction of samples classified correctly; allocation-free given a
@@ -176,7 +161,7 @@ class CompiledNet {
   /// Classify `n` samples stored row-major at `codes` (stride n_inputs()),
   /// one class per sample into `preds`. Transposes each block of
   /// kBlockSamples samples into workspace planes, then runs the shared
-  /// block loop; bit-identical to calling predict() per row on every input.
+  /// block loop.
   void predict_batch(const std::uint8_t* codes, std::size_t n,
                      std::int32_t* preds, EvalWorkspace& ws) const;
   /// Whole-dataset batched classification; the returned span aliases `ws`
@@ -193,10 +178,10 @@ class CompiledNet {
   std::vector<CompiledLayer> layers_;
   std::vector<LaneType> lanes_;
 
-  /// The one block loop behind predict_batch and both accuracy overloads.
-  /// Block inputs come from `planes` when given, else from `n` row-major
-  /// samples at `codes`. Each block is swept layer by layer, then the
-  /// argmax epilogue writes `preds` (when non-null) and counts matches
+  /// The one block loop behind predict, predict_batch and both accuracy
+  /// overloads. Block inputs come from `planes` when given, else from `n`
+  /// row-major samples at `codes`. Each block is swept layer by layer, then
+  /// the argmax epilogue writes `preds` (when non-null) and counts matches
   /// against `labels` (when non-null); returns the match count.
   std::size_t run_blocks(std::size_t n, const std::uint8_t* codes,
                          const SamplePlanes* planes,
@@ -257,13 +242,10 @@ class SamplePlanes {
 /// Reusable flat activation buffers for CompiledNet inference. One per
 /// worker thread; grows monotonically, so a single workspace serves every
 /// net evaluated by that worker with zero steady-state allocations. Opaque
-/// to callers — only CompiledNet::forward touches the buffers.
+/// to callers — only CompiledNet's block loop touches the buffers.
 class EvalWorkspace final : public nsga2::Problem::Workspace {
  private:
   friend class CompiledNet;
-
-  /// Ensure capacity for `net`; cheap when already large enough.
-  void bind(const CompiledNet& net);
 
   /// Neuron-major activation planes of one lane type (ping-pong), sized
   /// on first use to kBlockSamples × the widest layer.
@@ -282,8 +264,6 @@ class EvalWorkspace final : public nsga2::Problem::Workspace {
     return std::get<BlockLanes<T>>(lanes_);
   }
 
-  std::vector<std::int64_t> a_;
-  std::vector<std::int64_t> b_;
   // Sample-block state: block planes per lane type, and the per-dataset
   // prediction buffer the span-returning predict_batch hands out.
   std::tuple<BlockLanes<std::int16_t>, BlockLanes<std::int32_t>,

@@ -37,10 +37,10 @@ T activate(T a, const Activation& f) {
 
 /// Scalar sweep of samples [s0, s1) of the block — the whole block under
 /// scalar dispatch or when it is shorter than one vector, and the NEON
-/// variant's n % 4 tail: each lane width's oracle. Per sample
-/// this is the lane-width image of CompiledNet::forward's int64 loop: same
-/// connections, same order, same adds. Activations are stored at TAct,
-/// which may be wider than T (a widening store).
+/// variant's n % 4 tail: each lane width's oracle. Per sample this is the
+/// lane-width image of the naive Eq. 4 walk minus its pruned connections:
+/// same active connections, same order, same adds. Activations are stored
+/// at TAct, which may be wider than T (a widening store).
 template <typename T, typename TAct>
 void sweep_scalar(const CompiledLayer& layer, const T* in, T* acc, TAct* act,
                   int n, int s0, int s1, T act_max) {

@@ -84,7 +84,7 @@ void transpose_block(const std::uint8_t* rows, int n_features, int n,
 [[nodiscard]] bool use_int16_lanes(SimdIsa isa, int n);
 
 /// First-maximum argmax per sample over `n_out` output planes (stride `n`)
-/// of one block — the tie-breaking rule of argmax_first: a later class wins
+/// of one block — std::max_element's tie-breaking rule: a later class wins
 /// only when strictly greater. Writes each class to `preds[s]` when `preds`
 /// is non-null and returns how many samples' class equals `labels[s]` (0
 /// when `labels` is null). `isa` selects the variant: AVX2 compares with

@@ -19,8 +19,7 @@ constexpr std::size_t kMinCandidatesPerWorker = 2;
 
 /// Build/price/verify one candidate — pure function of its inputs, so the
 /// parallel fan-out below is bit-identical to the serial loop. Model
-/// predictions run through the compiled sparse engine (bit-identical to
-/// ApproxMlp::predict, much faster per sample); `ws` is the calling
+/// predictions run through the compiled sparse engine; `ws` is the calling
 /// worker's reusable workspace.
 HwEvaluatedPoint evaluate_candidate(const EstimatedPoint& cand,
                                     const datasets::QuantizedDataset& test,
@@ -31,11 +30,11 @@ HwEvaluatedPoint evaluate_candidate(const EstimatedPoint& cand,
   p.model = cand.model;
   p.fa_area = cand.fa_area;
 
-  const auto circuit =
-      netlist::build_bespoke_mlp(cand.model.to_bespoke_desc("candidate"));
-  // Price the synthesis-cleaned netlist (what a real tool would ship);
-  // functional verification below runs on the as-built circuit.
-  p.cost = netlist::optimize(circuit.nl).cost(lib);
+  // One circuit, the synthesis-cleaned one export_rtl ships: it is both
+  // priced and checked against the model below.
+  const auto circuit = netlist::optimize(
+      netlist::build_bespoke_mlp(cand.model.to_bespoke_desc("candidate")));
+  p.cost = circuit.nl.cost(lib);
 
   std::size_t n_check = test.size();
   if (cfg.equivalence_samples == 0) {

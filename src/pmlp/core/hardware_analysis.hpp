@@ -19,7 +19,9 @@ struct HwEvaluatedPoint {
   double test_accuracy = 0.0;
   long fa_area = 0;                     ///< training-time proxy, for reference
   hwmodel::CircuitCost cost;            ///< netlist area/power/delay
-  bool functional_match = true;         ///< netlist == Eq. 4 on checked samples
+  /// The optimized netlist that `cost` prices classifies the checked
+  /// samples exactly as Eq. 4 (CompiledNet) does.
+  bool functional_match = true;
 };
 
 struct HardwareAnalysisConfig {

@@ -33,10 +33,10 @@
 // the proof runs the same block algorithm on int64 lanes through the
 // scalar kernels.
 //
-// All arithmetic is the adds and shifts of ApproxMlp::forward, reordered
-// into exact deltas, and the accept test is the naive code's double
-// comparison translated into a correct-count threshold by binary search
-// over the same predicate. Decisions, reports and final parameters are
+// All arithmetic is the adds and shifts of Eq. 4, reordered into exact
+// deltas, and the accept test is the naive code's double comparison
+// translated into a correct-count threshold by binary search over the
+// same predicate. Decisions, reports and final parameters are
 // therefore bit-identical to the naive full re-evaluation loop, which
 // refine_engine_test keeps as its oracle.
 #pragma once

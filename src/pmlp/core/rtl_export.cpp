@@ -148,12 +148,9 @@ RtlExportReport export_rtl(std::span<const RtlPointSpec> points,
     // Build + optimize the circuit WITH its I/O metadata — the optimized
     // netlist is simulatable directly, so the DUT that ships is the
     // circuit every golden prediction comes from.
-    netlist::OptStats stats;
     auto circuit = netlist::build_bespoke_mlp(spec.model.to_bespoke_desc(name));
     const long built_gates = static_cast<long>(circuit.nl.gates().size());
-    if (opts.optimize) {
-      circuit = netlist::optimize(std::move(circuit), &stats);
-    }
+    circuit = netlist::optimize(std::move(circuit));
 
     // Three-way check, 64 vectors per pass: oracle == gate-level sim ==
     // in-process evaluation of the emitted assigns, plus a gate-by-gate

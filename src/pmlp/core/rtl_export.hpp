@@ -36,7 +36,6 @@ struct RtlExportOptions {
   int max_recorded_vectors = 64;  ///< cap on recorded dataset stimulus
   int random_vectors = 64;        ///< LFSR vectors appended per point
   std::uint32_t lfsr_seed = 1;    ///< stimulus LFSR seed (non-zero)
-  bool optimize = true;           ///< run the netlist optimizer on the DUT
 };
 
 /// One design to export: a name (becomes the module/file name), the model,

@@ -186,7 +186,7 @@ EmittedModule::EmittedModule(const Netlist& nl, const std::string& module_name)
         os << "  assign " << y() << " = " << a() << ";\n";
         break;
       case CellType::kCount:
-        throw std::logic_error("emit_verilog: bad gate");
+        throw std::logic_error("EmittedModule: bad gate");
     }
     ax.text = os.str();
     assigns_.push_back(std::move(ax));
@@ -326,15 +326,6 @@ std::array<int, 64> EmittedModule::cross_check_packed(
     }
   }
   return mismatches;
-}
-
-void emit_verilog(const Netlist& nl, const std::string& module_name,
-                  std::ostream& os) {
-  EmittedModule(nl, module_name).emit(os);
-}
-
-std::string to_verilog(const Netlist& nl, const std::string& module_name) {
-  return EmittedModule(nl, module_name).text();
 }
 
 }  // namespace pmlp::netlist

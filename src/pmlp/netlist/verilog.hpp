@@ -55,7 +55,10 @@ class EmittedModule {
  public:
   EmittedModule(const Netlist& nl, const std::string& module_name);
 
-  /// Write the complete module (header, ports, wires, assigns, aliases).
+  /// Write the complete flat structural module (header, ports, wires,
+  /// assigns, aliases). Ports are the nets registered via
+  /// add_input/mark_output; FAs and HAs become concatenation-sum assigns,
+  /// simple gates boolean assigns.
   void emit(std::ostream& os) const;
   /// The module as a string.
   [[nodiscard]] std::string text() const;
@@ -110,15 +113,5 @@ class EmittedModule {
   std::map<NetId, std::string> input_names_;
   std::vector<AssignExpr> assigns_;
 };
-
-/// Emit a flat structural module for the netlist. Primary inputs/outputs
-/// are the nets registered via add_input/mark_output; FAs and HAs are
-/// emitted as concatenation-sum assigns, simple gates as boolean assigns.
-void emit_verilog(const Netlist& nl, const std::string& module_name,
-                  std::ostream& os);
-
-/// Convenience: emit into a string.
-[[nodiscard]] std::string to_verilog(const Netlist& nl,
-                                     const std::string& module_name);
 
 }  // namespace pmlp::netlist

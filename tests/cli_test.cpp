@@ -14,11 +14,19 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <random>
 #include <set>
+#include <sstream>
 #include <string>
+#include <vector>
 
+#include "eq4_oracle.hpp"
+#include "pmlp/core/chromosome.hpp"
+#include "pmlp/core/flow_engine.hpp"
 #include "pmlp/core/serialize.hpp"
+#include "pmlp/core/suite.hpp"
 
+namespace core = pmlp::core;
 namespace fs = std::filesystem;
 
 namespace {
@@ -199,7 +207,7 @@ TEST(Cli, SaveFrontRerunRemovesStaleModels) {
   EXPECT_FALSE(fs::exists(dir.string() + ".old"));
   // The strict loader accepts the directory (it rejects any unindexed
   // front_*.model), and the on-disk set matches the index exactly.
-  const auto entries = pmlp::core::load_front_dir(dir.string());
+  const auto entries = core::load_front_dir(dir.string());
   ASSERT_FALSE(entries.empty());
   std::set<std::string> on_disk;
   for (const auto& ent : fs::directory_iterator(dir)) {
@@ -365,6 +373,35 @@ TEST(Cli, ClassifyMissingModelIsRuntimeFailure) {
   const auto r = run_cli("classify /nonexistent_dir_xyz/m.model 1 2 3");
   EXPECT_EQ(r.status, 1) << r.out;
   EXPECT_NE(r.out.find("error:"), std::string::npos) << r.out;
+}
+
+TEST(Cli, EvaluatePrintsOracleAccuracy) {
+  // A seeded random Cardio model: the accuracy `evaluate` prints for it on
+  // the flow's test split is the naive Eq. 4 oracle's, as printed.
+  const auto& topo = core::paper_topology("Cardio");
+  const core::ChromosomeCodec codec(topo, core::BitConfig{});
+  std::mt19937_64 rng(27);
+  std::vector<int> genes(static_cast<std::size_t>(codec.n_genes()));
+  for (int g = 0; g < codec.n_genes(); ++g) {
+    const auto b = codec.bounds(g);
+    genes[static_cast<std::size_t>(g)] =
+        std::uniform_int_distribution<int>(b.lo, b.hi)(rng);
+  }
+  const auto model = codec.decode(genes);
+  const fs::path path =
+      fs::temp_directory_path() / "pmlp_cli_test_evaluate.model";
+  core::save_model_file(model, path.string());
+  const auto r = run_cli("evaluate " + path.string() + " Cardio");
+  fs::remove(path);
+  ASSERT_EQ(r.status, 0) << r.out;
+
+  core::FlowEngine engine(core::load_paper_dataset("Cardio"), topo,
+                          core::FlowConfig{});
+  std::ostringstream want;
+  want << "  accuracy "
+       << pmlp::oracles::accuracy_naive(model, engine.split().test) << "\n";
+  EXPECT_NE(r.out.find(want.str()), std::string::npos)
+      << "want " << want.str() << r.out;
 }
 
 TEST(Cli, CorruptModelIsRuntimeFailureNotUsageError) {

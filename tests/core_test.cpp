@@ -6,9 +6,11 @@
 #include <random>
 #include <stdexcept>
 
+#include "eq4_oracle.hpp"
 #include "pmlp/bitops/bitops.hpp"
 #include "pmlp/core/approx_mlp.hpp"
 #include "pmlp/core/chromosome.hpp"
+#include "pmlp/core/eval_engine.hpp"
 #include "pmlp/core/hardware_analysis.hpp"
 #include "pmlp/core/pareto.hpp"
 #include "pmlp/core/problem.hpp"
@@ -20,6 +22,7 @@
 namespace core = pmlp::core;
 namespace ds = pmlp::datasets;
 namespace mlp = pmlp::mlp;
+namespace oracles = pmlp::oracles;
 
 namespace {
 
@@ -60,7 +63,7 @@ TEST(ApproxMlp, FreshNetworkIsFullyPruned) {
   EXPECT_EQ(net.fa_area(), 0);
   EXPECT_EQ(net.wire_count(), 0);
   const std::vector<std::uint8_t> x = {1, 2, 3, 4};
-  const auto out = net.forward(x);
+  const auto out = oracles::forward_naive(net, x);
   for (auto v : out) EXPECT_EQ(v, 0);
 }
 
@@ -81,10 +84,12 @@ TEST(ApproxMlp, ForwardImplementsEq4) {
   const std::vector<std::uint8_t> x = {5, 12};
   // hidden max: 10 + 7 = 17 < 256 -> shift 0, QReLU(5) = 5.
   EXPECT_EQ(net.layers()[0].qrelu_shift, 0);
-  const auto out = net.forward(x);
+  const auto out = oracles::forward_naive(net, x);
   EXPECT_EQ(out[0], 5);
   EXPECT_EQ(out[1], 0);
-  EXPECT_EQ(net.predict(x), 0);
+  EXPECT_EQ(oracles::predict_naive(net, x), 0);
+  core::EvalWorkspace ws;
+  EXPECT_EQ(core::CompiledNet(net).predict(x, ws), 0);
 }
 
 TEST(ApproxMlp, QreluShiftScalesLargeAccumulators) {
@@ -95,7 +100,7 @@ TEST(ApproxMlp, QreluShiftScalesLargeAccumulators) {
   // Max acc = 4 * 960 = 3840 -> 12 bits -> shift 4.
   EXPECT_EQ(net.layers()[0].qrelu_shift, 4);
   const std::vector<std::uint8_t> x = {15, 15, 15, 15};
-  const auto out = net.forward(x);
+  const auto out = oracles::forward_naive(net, x);
   EXPECT_EQ(out[0], 0);  // output layer untouched (all pruned): bias 0
 }
 
@@ -122,7 +127,7 @@ TEST(ApproxMlp, FromQuantBaselineIsNearlyExact) {
   // (nearest-pow2 weights carry up to 33% per-weight error, so allow a
   // generous but bounded drop).
   const double base_acc = mlp::accuracy(f.baseline, f.train);
-  const double doped_acc = core::accuracy(doped, f.train);
+  const double doped_acc = oracles::accuracy_naive(doped, f.train);
   EXPECT_GT(doped_acc, base_acc - 0.25);
 }
 
@@ -217,7 +222,8 @@ TEST(HwAwareProblem, ObjectivesAreErrorAndArea) {
       core::ApproxMlp::from_quant_baseline(f.baseline, core::BitConfig{});
   const auto ev = problem.evaluate(codec.encode(doped));
   ASSERT_EQ(ev.objectives.size(), 2u);
-  EXPECT_NEAR(ev.objectives[0], 1.0 - core::accuracy(doped, f.train), 1e-12);
+  EXPECT_NEAR(ev.objectives[0],
+              1.0 - oracles::accuracy_naive(doped, f.train), 1e-12);
   EXPECT_DOUBLE_EQ(ev.objectives[1], static_cast<double>(doped.fa_area()));
 }
 

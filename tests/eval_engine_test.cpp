@@ -1,9 +1,9 @@
 // Contract of the compiled sparse evaluation engine: CompiledNet inference
 // and its streamed FA-area must be bit-identical to the naive reference
-// oracle (ApproxMlp::forward / fa_area) on any chromosome, accuracy read
-// from SamplePlanes must equal the per-sample path under every dispatchable
-// ISA, and the genome memo cache must never change a training outcome —
-// only its speed.
+// oracles (oracles/eq4_oracle, ApproxMlp::fa_area) on any chromosome,
+// accuracy read from SamplePlanes must equal the per-sample path under
+// every dispatchable ISA, and the genome memo cache must never change a
+// training outcome — only its speed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "adder_oracle.hpp"
+#include "eq4_oracle.hpp"
 #include "pmlp/bitops/bitops.hpp"
 #include "pmlp/core/eval_engine.hpp"
 #include "pmlp/core/eval_kernels.hpp"
@@ -28,6 +29,7 @@ namespace core = pmlp::core;
 namespace ds = pmlp::datasets;
 namespace mlp = pmlp::mlp;
 namespace nsga2 = pmlp::nsga2;
+namespace oracles = pmlp::oracles;
 
 namespace {
 
@@ -90,15 +92,12 @@ void expect_compiled_matches_naive(const core::ApproxMlp& net,
   core::EvalWorkspace ws;
   ASSERT_EQ(compiled.fa_area(), net.fa_area());
   for (std::size_t s = 0; s < data.size(); ++s) {
-    const auto naive = net.forward(data.row(s));
-    const auto fast = compiled.forward(data.row(s), ws);
-    ASSERT_EQ(naive.size(), fast.size());
-    for (std::size_t k = 0; k < naive.size(); ++k) {
-      ASSERT_EQ(naive[k], fast[k]) << "sample " << s << " logit " << k;
-    }
-    ASSERT_EQ(net.predict(data.row(s)), compiled.predict(data.row(s), ws));
+    ASSERT_EQ(oracles::predict_naive(net, data.row(s)),
+              compiled.predict(data.row(s), ws))
+        << "sample " << s;
   }
-  EXPECT_DOUBLE_EQ(core::accuracy(net, data), compiled.accuracy(data, ws));
+  EXPECT_DOUBLE_EQ(oracles::accuracy_naive(net, data),
+                   compiled.accuracy(data, ws));
 }
 
 }  // namespace
@@ -199,7 +198,8 @@ TEST(CompiledNet, SingleWorkspaceServesManyNets) {
         large_codec.encode(large_codec.decode(random_genes(
             large_codec, MaskStyle::kSparse, rng))));
     const core::CompiledNet c(ref);
-    EXPECT_DOUBLE_EQ(c.accuracy(large, ws), core::accuracy(ref, large));
+    EXPECT_DOUBLE_EQ(c.accuracy(large, ws),
+                     oracles::accuracy_naive(ref, large));
   }
 }
 
@@ -341,7 +341,8 @@ TEST(EvalEngine, ProblemEvaluateMatchesNaiveObjectives) {
     const auto genes = random_genes(codec, MaskStyle::kSparse, rng);
     const auto ev = problem.evaluate(genes);
     const core::ApproxMlp net = codec.decode(genes);
-    EXPECT_DOUBLE_EQ(ev.objectives[0], 1.0 - core::accuracy(net, f.train));
+    EXPECT_DOUBLE_EQ(ev.objectives[0],
+                     1.0 - oracles::accuracy_naive(net, f.train));
     EXPECT_DOUBLE_EQ(ev.objectives[1], static_cast<double>(net.fa_area()));
     // Second call must hit the cache and return the same thing.
     const auto again = problem.evaluate(genes);
@@ -410,15 +411,15 @@ TEST(PredictBatch, BitIdenticalToPerSamplePredictAcrossStylesAndSizes) {
         std::vector<std::int32_t> preds(n);
         compiled.predict_batch(data.codes.data(), n, preds.data(), ws);
         for (std::size_t s = 0; s < n; ++s) {
-          ASSERT_EQ(preds[s], compiled.predict(data.row(s), ws))
+          ASSERT_EQ(preds[s], oracles::predict_naive(net, data.row(s)))
               << "style " << static_cast<int>(style) << " batch " << n
               << " sample " << s;
-          ASSERT_EQ(preds[s], net.predict(data.row(s)));
         }
       }
       const auto all = compiled.predict_batch(data, ws);
       ASSERT_EQ(all.size(), data.size());
-      EXPECT_DOUBLE_EQ(compiled.accuracy(data, ws), core::accuracy(net, data));
+      EXPECT_DOUBLE_EQ(compiled.accuracy(data, ws),
+                       oracles::accuracy_naive(net, data));
     }
   }
 }
@@ -452,7 +453,7 @@ TEST(PredictBatch, ForcedScalarDispatchBitIdenticalToSimd) {
     }
     for (std::size_t s = 0; s < data.size(); ++s) {
       ASSERT_EQ(scalar_preds[s], simd_preds[s]) << "sample " << s;
-      ASSERT_EQ(scalar_preds[s], net.predict(data.row(s)));
+      ASSERT_EQ(scalar_preds[s], oracles::predict_naive(net, data.row(s)));
     }
   }
 }
@@ -491,12 +492,13 @@ TEST(PredictBatch, OverflowUnsafeNetRunsInt64BlockLanes) {
   std::vector<std::int32_t> preds(data.size());
   compiled.predict_batch(data.codes.data(), data.size(), preds.data(), ws);
   for (std::size_t s = 0; s < data.size(); ++s) {
-    ASSERT_EQ(preds[s], net.predict(data.row(s)));
+    ASSERT_EQ(preds[s], oracles::predict_naive(net, data.row(s)));
   }
-  EXPECT_DOUBLE_EQ(compiled.accuracy(data, ws), core::accuracy(net, data));
+  EXPECT_DOUBLE_EQ(compiled.accuracy(data, ws),
+                   oracles::accuracy_naive(net, data));
   // The planes path widens the int16 input planes to the same int64 lanes.
   EXPECT_DOUBLE_EQ(compiled.accuracy(core::SamplePlanes(data), ws),
-                   core::accuracy(net, data));
+                   oracles::accuracy_naive(net, data));
 }
 
 TEST(PredictBatch, LanesWidenAlongTheNetAndMatchNaive) {
@@ -537,12 +539,12 @@ TEST(PredictBatch, LanesWidenAlongTheNetAndMatchNaive) {
       std::vector<std::int32_t> preds(n);
       compiled.predict_batch(data.codes.data(), n, preds.data(), ws);
       for (std::size_t s = 0; s < n; ++s) {
-        ASSERT_EQ(preds[s], net.predict(data.row(s)))
+        ASSERT_EQ(preds[s], oracles::predict_naive(net, data.row(s)))
             << core::simd_isa_name(isa) << " batch " << n << " sample " << s;
       }
     }
     EXPECT_DOUBLE_EQ(compiled.accuracy(core::SamplePlanes(data), ws),
-                     core::accuracy(net, data));
+                     oracles::accuracy_naive(net, data));
   }
 }
 
@@ -567,18 +569,19 @@ std::vector<core::SimdIsa> dispatchable_isas() {
   return isas;
 }
 
-/// Planes-path accuracy must equal the per-sample predict() count, and its
-/// epilogue's classes must equal predict() on every sample: relabelled
-/// with predict()'s own classes the planes score exactly 1, and with every
-/// class shifted by one exactly 0.
-void expect_planes_match_predict(const core::CompiledNet& compiled,
+/// Planes-path accuracy of `net` compiled must equal the naive per-sample
+/// predict count, and its epilogue's classes must equal the naive class on
+/// every sample: relabelled with the naive classes the planes score
+/// exactly 1, and with every class shifted by one exactly 0.
+void expect_planes_match_predict(const core::ApproxMlp& net,
                                  const ds::QuantizedDataset& data,
                                  core::EvalWorkspace& ws) {
+  const core::CompiledNet compiled(net);
   std::size_t correct = 0;
   ds::QuantizedDataset agree = data;
   ds::QuantizedDataset disagree = data;
   for (std::size_t s = 0; s < data.size(); ++s) {
-    const int pred = compiled.predict(data.row(s), ws);
+    const int pred = oracles::predict_naive(net, data.row(s));
     if (pred == data.labels[s]) ++correct;
     agree.labels[s] = pred;
     disagree.labels[s] = (pred + 1) % compiled.n_outputs();
@@ -629,14 +632,15 @@ TEST(SamplePlanes, AccuracyMatchesPerSamplePredictAcrossSizesAndIsas) {
     ScopedIsa forced(isa);
     for (MaskStyle style : styles) {
       for (int rep = 0; rep < 3; ++rep) {
-        const core::CompiledNet compiled(
-            codec.decode(random_genes(codec, style, rng)));
-        ASSERT_NE(compiled.lanes().back(), core::LaneType::kInt64);
+        const core::ApproxMlp net =
+            codec.decode(random_genes(codec, style, rng));
+        ASSERT_NE(core::CompiledNet(net).lanes().back(),
+                  core::LaneType::kInt64);
         for (std::size_t n : sizes) {
           SCOPED_TRACE(testing::Message()
                        << core::simd_isa_name(isa) << " style "
                        << static_cast<int>(style) << " n " << n);
-          expect_planes_match_predict(compiled, head(data, n), ws);
+          expect_planes_match_predict(net, head(data, n), ws);
         }
       }
     }
@@ -655,10 +659,9 @@ TEST(SamplePlanes, AccuracyMatchesPerSamplePredictOnFullTableOneTrainSet) {
   for (core::SimdIsa isa : dispatchable_isas()) {
     ScopedIsa forced(isa);
     for (MaskStyle style : {MaskStyle::kDense, MaskStyle::kSparse}) {
-      const core::CompiledNet compiled(
-          codec.decode(random_genes(codec, style, rng)));
       SCOPED_TRACE(core::simd_isa_name(isa));
-      expect_planes_match_predict(compiled, train, ws);
+      expect_planes_match_predict(
+          codec.decode(random_genes(codec, style, rng)), train, ws);
     }
   }
 }
@@ -689,7 +692,7 @@ TEST(SamplePlanes, TiedOutputLogitsPickTheLowestClass) {
   std::fill(ones.labels.begin(), ones.labels.end(), 1);
   core::EvalWorkspace ws;
   for (std::size_t s = 0; s < data.size(); ++s) {
-    ASSERT_EQ(net.predict(data.row(s)), 1) << "sample " << s;
+    ASSERT_EQ(oracles::predict_naive(net, data.row(s)), 1) << "sample " << s;
   }
   for (core::SimdIsa isa : dispatchable_isas()) {
     ScopedIsa forced(isa);
@@ -720,7 +723,7 @@ TEST(ArgmaxEpilogue, VariantsAgreeWithArgmaxFirstOnTies) {
         logits[static_cast<std::size_t>(k)] =
             planes[static_cast<std::size_t>(k) * kN + s];
       }
-      expected[static_cast<std::size_t>(s)] = core::argmax_first(logits);
+      expected[static_cast<std::size_t>(s)] = oracles::argmax_first(logits);
       if (expected[static_cast<std::size_t>(s)] ==
           labels[static_cast<std::size_t>(s)]) {
         ++expected_correct;
@@ -823,7 +826,7 @@ void expect_argmax_matches_first(const std::vector<std::int64_t>& logits,
       sample[static_cast<std::size_t>(k)] =
           logits[static_cast<std::size_t>(k) * n + s];
     }
-    const int best = core::argmax_first(sample);
+    const int best = oracles::argmax_first(sample);
     expected[static_cast<std::size_t>(s)] = best;
     if (best == labels[static_cast<std::size_t>(s)]) ++expected_correct;
   }

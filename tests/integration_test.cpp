@@ -138,7 +138,7 @@ TEST(EndToEnd, VerilogExportOfBestDesign) {
   ASSERT_TRUE(best.has_value());
   const auto circuit =
       nl::build_bespoke_mlp(best->model.to_bespoke_desc("best"));
-  const auto v = nl::to_verilog(circuit.nl, "approx_mlp_best");
+  const auto v = nl::EmittedModule(circuit.nl, "approx_mlp_best").text();
   EXPECT_NE(v.find("module approx_mlp_best"), std::string::npos);
   EXPECT_NE(v.find("endmodule"), std::string::npos);
   // All 10 input features at 4 bits must appear as ports.

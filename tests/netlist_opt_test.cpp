@@ -293,7 +293,7 @@ TEST(Testbench, EmitsSelfCheckingBench) {
   nl::TestbenchOptions opts;
   opts.dut_name = "dut_mlp";
   std::ostringstream dut, tb, hex;
-  nl::emit_verilog(circuit.nl, opts.dut_name, dut);
+  nl::EmittedModule(circuit.nl, opts.dut_name).emit(dut);
   nl::emit_testbench(circuit, 4, codes, circuit.predict_batch(codes, 6), opts,
                      tb, hex);
   EXPECT_NE(dut.str().find("module dut_mlp ("), std::string::npos);

@@ -331,7 +331,7 @@ TEST(Verilog, EmitsWellFormedModule) {
   const auto [s, c] = n.add_fa(a, b, n.add_input("cin"));
   n.mark_output(s, "sum");
   n.mark_output(c, "carry");
-  const auto v = nl::to_verilog(n, "adder1");
+  const auto v = nl::EmittedModule(n, "adder1").text();
   EXPECT_NE(v.find("module adder1"), std::string::npos);
   EXPECT_NE(v.find("input  wire a"), std::string::npos);
   EXPECT_NE(v.find("output wire sum"), std::string::npos);
@@ -344,7 +344,7 @@ TEST(Verilog, SanitizesBracketNames) {
   nl::Netlist n;
   const auto bus = n.add_input_bus("x0", 2);
   n.mark_output(n.add_and(bus[0], bus[1]), "y[0]");
-  const auto v = nl::to_verilog(n, "m");
+  const auto v = nl::EmittedModule(n, "m").text();
   EXPECT_EQ(v.find('['), std::string::npos);  // no raw brackets in ports
   EXPECT_NE(v.find("x0_0_"), std::string::npos);
 }
@@ -426,7 +426,7 @@ TEST(Verilog, ConstantOutputAliasesAreLegal) {
   (void)n.add_input("a");
   n.mark_output(n.const1(), "y1");
   n.mark_output(n.const0(), "y0");
-  const auto v = nl::to_verilog(n, "consts");
+  const auto v = nl::EmittedModule(n, "consts").text();
   EXPECT_NE(v.find("assign y1 = 1'b1;"), std::string::npos);
   EXPECT_NE(v.find("assign y0 = 1'b0;"), std::string::npos);
   const nl::EmittedModule m(n, "consts");

@@ -24,11 +24,13 @@
 #include "pmlp/core/thread_pool.hpp"
 #include "pmlp/datasets/synthetic.hpp"
 #include "pmlp/mlp/backprop.hpp"
+#include "eq4_oracle.hpp"
 #include "refine_oracle.hpp"
 
 namespace core = pmlp::core;
 namespace ds = pmlp::datasets;
 namespace mlp = pmlp::mlp;
+namespace oracles = pmlp::oracles;
 
 namespace {
 
@@ -152,7 +154,7 @@ TEST(RefineEngineOracle, TrainedModelDefaultConfig) {
   const auto train = make_train(240, 51);
   const auto model = trained_model(train, 51);
   core::RefineConfig cfg;
-  cfg.accuracy_floor = core::accuracy(model, train) - 0.03;
+  cfg.accuracy_floor = oracles::accuracy_naive(model, train) - 0.03;
   expect_same_refine(model, model, train, cfg);
 }
 
@@ -160,7 +162,8 @@ TEST(RefineEngineOracle, StrictFloor) {
   const auto train = make_train(240, 52);
   const auto model = trained_model(train, 52);
   core::RefineConfig cfg;
-  cfg.accuracy_floor = core::accuracy(model, train);  // no loss allowed
+  // No loss allowed.
+  cfg.accuracy_floor = oracles::accuracy_naive(model, train);
   expect_same_refine(model, model, train, cfg);
 }
 
@@ -184,7 +187,7 @@ TEST(RefineEngineOracle, BiasRefineDisabled) {
   const auto train = make_train(200, 54);
   const auto model = trained_model(train, 54);
   core::RefineConfig cfg;
-  cfg.accuracy_floor = core::accuracy(model, train) - 0.05;
+  cfg.accuracy_floor = oracles::accuracy_naive(model, train) - 0.05;
   cfg.refine_biases = false;
   expect_same_refine(model, model, train, cfg);
 }
@@ -205,7 +208,7 @@ TEST(RefineEngineOracle, PerturbedModelsPropertySweep) {
     auto model = base;
     perturb(model, seed, /*sync_shifts=*/true);
     core::RefineConfig cfg;
-    cfg.accuracy_floor = core::accuracy(model, train) - 0.04;
+    cfg.accuracy_floor = oracles::accuracy_naive(model, train) - 0.04;
     expect_same_refine(model, model, train, cfg);
   }
 }
@@ -242,7 +245,7 @@ namespace {
 int tied_samples(const core::ApproxMlp& net, const ds::QuantizedDataset& d) {
   int ties = 0;
   for (std::size_t s = 0; s < d.size(); ++s) {
-    const auto logits = net.forward(d.row(s));
+    const auto logits = oracles::forward_naive(net, d.row(s));
     const auto best = *std::max_element(logits.begin(), logits.end());
     ties += std::count(logits.begin(), logits.end(), best) > 1 ? 1 : 0;
   }
@@ -257,7 +260,7 @@ TEST(RefineEngineOracle, PendigitsShapedTenClassTies) {
   const auto model = trained_model(train, 63, {5}, spec);
   ASSERT_EQ(model.topology().layers, (std::vector<int>{16, 5, 10}));
   core::RefineConfig cfg;
-  cfg.accuracy_floor = core::accuracy(model, train) - 0.05;
+  cfg.accuracy_floor = oracles::accuracy_naive(model, train) - 0.05;
   expect_same_refine(model, model, train, cfg);
   // Output neurons 3 and 7 cloned from 0, and 8 from 2: their logits tie
   // on every sample, so the first-maximum rule decides every sample they
@@ -270,7 +273,7 @@ TEST(RefineEngineOracle, PendigitsShapedTenClassTies) {
         out.biases[static_cast<std::size_t>(src)];
   }
   EXPECT_GT(tied_samples(tied, train), 0);
-  cfg.accuracy_floor = core::accuracy(tied, train) - 0.05;
+  cfg.accuracy_floor = oracles::accuracy_naive(tied, train) - 0.05;
   expect_same_refine(tied, tied, train, cfg);
 }
 
@@ -280,11 +283,11 @@ TEST(RefineEngineOracle, TwoHiddenLayersResweepDeeperLayers) {
   const auto model = trained_model(train, 64, {4, 3});
   ASSERT_EQ(model.layers().size(), 3u);
   core::RefineConfig cfg;
-  cfg.accuracy_floor = core::accuracy(model, train) - 0.04;
+  cfg.accuracy_floor = oracles::accuracy_naive(model, train) - 0.04;
   expect_same_refine(model, model, train, cfg);
   auto perturbed = model;
   perturb(perturbed, 23, /*sync_shifts=*/true);
-  cfg.accuracy_floor = core::accuracy(perturbed, train) - 0.04;
+  cfg.accuracy_floor = oracles::accuracy_naive(perturbed, train) - 0.04;
   expect_same_refine(perturbed, perturbed, train, cfg);
 }
 
@@ -297,7 +300,7 @@ TEST(RefineEngineOracle, BlockTailSampleCounts) {
     SCOPED_TRACE(n);
     const auto train = head(full, n);
     core::RefineConfig cfg;
-    cfg.accuracy_floor = core::accuracy(model, train) - 0.03;
+    cfg.accuracy_floor = oracles::accuracy_naive(model, train) - 0.03;
     expect_same_refine(model, model, train, cfg);
   }
 }
@@ -313,7 +316,7 @@ TEST(RefineEngineOracle, QReluShiftChangingEdits) {
   perturb(model, 7, /*sync_shifts=*/true);
   ASSERT_GT(model.layers().front().qrelu_shift, 0);
   for (std::size_t n = 0; n < train.size(); ++n) {
-    train.labels[n] = model.predict(train.row(n));
+    train.labels[n] = oracles::predict_naive(model, train.row(n));
   }
   core::RefineConfig cfg;
   cfg.accuracy_floor = 0.95;
@@ -353,11 +356,11 @@ TEST(RefineEngineOracle, NetFailingInt32ProofRunsOnInt64Lanes) {
   // Label every sample with the net's own class: accuracy starts at 1, so
   // the floor below rejects every edit that flips more than 3% of them.
   for (std::size_t n = 0; n < train.size(); ++n) {
-    train.labels[n] = net.predict(train.row(n));
+    train.labels[n] = oracles::predict_naive(net, train.row(n));
   }
   std::int64_t widest = 0;
   for (std::size_t n = 0; n < train.size(); ++n) {
-    for (std::int64_t logit : net.forward(train.row(n))) {
+    for (std::int64_t logit : oracles::forward_naive(net, train.row(n))) {
       widest = std::max(widest, logit < 0 ? -logit : logit);
     }
   }
@@ -367,7 +370,7 @@ TEST(RefineEngineOracle, NetFailingInt32ProofRunsOnInt64Lanes) {
     const core::SamplePlanes planes(train);
     const core::RefineEngine engine(copy, planes);
     EXPECT_FALSE(engine.int32_lanes());
-    EXPECT_EQ(engine.accuracy(), core::accuracy(net, train));
+    EXPECT_EQ(engine.accuracy(), oracles::accuracy_naive(net, train));
   }
   core::RefineConfig cfg;
   cfg.accuracy_floor = 0.97;
@@ -382,7 +385,7 @@ TEST(RefineEngineOracle, NetFailingInt32ProofRunsOnInt64Lanes) {
   auto model = trained_model(train, 67, {3}, ds::cardio_spec(), wide);
   const core::SamplePlanes planes(train);
   EXPECT_FALSE(core::RefineEngine(model, planes).int32_lanes());
-  cfg.accuracy_floor = core::accuracy(model, train) - 0.03;
+  cfg.accuracy_floor = oracles::accuracy_naive(model, train) - 0.03;
   expect_same_refine(model, model, train, cfg);
 }
 
@@ -392,7 +395,7 @@ TEST(RefineEngine, EarlyAbortEngagesUnderTightFloor) {
   const auto train = make_train(240, 59);
   auto model = trained_model(train, 59);
   core::RefineConfig cfg;
-  cfg.accuracy_floor = core::accuracy(model, train);
+  cfg.accuracy_floor = oracles::accuracy_naive(model, train);
   const auto report = core::refine_greedy(model, train, cfg);
   EXPECT_GT(report.trials, 0);
   EXPECT_GT(report.early_aborts, 0);
@@ -404,7 +407,7 @@ TEST(RefineEngine, AccuracyMatchesNaiveAccuracy) {
   const core::SamplePlanes planes(train);
   core::RefineEngine engine(model, planes);
   EXPECT_TRUE(engine.int32_lanes());  // the default BitConfig passes the proof
-  EXPECT_EQ(engine.accuracy(), core::accuracy(model, train));
+  EXPECT_EQ(engine.accuracy(), oracles::accuracy_naive(model, train));
 }
 
 TEST(RefineKernels, VectorVariantsMatchScalarAndInt64Lanes) {
@@ -509,7 +512,7 @@ std::vector<core::EstimatedPoint> make_front(const ds::QuantizedDataset& train,
     core::EstimatedPoint p;
     p.model = base;
     if (i > 0) perturb(p.model, seed + static_cast<std::uint64_t>(i), true);
-    p.train_accuracy = core::accuracy(p.model, train);
+    p.train_accuracy = oracles::accuracy_naive(p.model, train);
     p.fa_area = p.model.fa_area();
     front.push_back(std::move(p));
   }
@@ -527,7 +530,7 @@ void refine_front_naive(std::span<core::EstimatedPoint> front,
     cfg.accuracy_floor = std::max(point.train_accuracy - max_point_loss,
                                   baseline_train_accuracy - max_total_loss);
     (void)pmlp::oracles::refine_greedy_naive(point.model, train, cfg);
-    point.train_accuracy = core::accuracy(point.model, train);
+    point.train_accuracy = oracles::accuracy_naive(point.model, train);
     point.fa_area = point.model.fa_area();
   }
 }

@@ -12,6 +12,7 @@
 #include <random>
 #include <sstream>
 
+#include "eq4_oracle.hpp"
 #include "pmlp/core/chromosome.hpp"
 #include "pmlp/core/refine.hpp"
 #include "pmlp/core/serialize.hpp"
@@ -24,6 +25,7 @@ namespace core = pmlp::core;
 namespace ds = pmlp::datasets;
 namespace mlp = pmlp::mlp;
 namespace nsga2 = pmlp::nsga2;
+namespace oracles = pmlp::oracles;
 
 namespace {
 
@@ -73,7 +75,8 @@ TEST(Serialize, RoundTripPreservesBehaviour) {
   for (int trial = 0; trial < 50; ++trial) {
     std::vector<std::uint8_t> x(5);
     for (auto& v : x) v = static_cast<std::uint8_t>(rng() & 0xF);
-    EXPECT_EQ(restored.forward(x), net.forward(x));
+    EXPECT_EQ(oracles::forward_naive(restored, x),
+              oracles::forward_naive(net, x));
   }
 }
 
@@ -915,7 +918,7 @@ struct RefineFixture {
 
 TEST(Refine, ReducesAreaWithoutBreachingFloor) {
   auto f = RefineFixture::make();
-  const double base_acc = core::accuracy(f.model, f.train);
+  const double base_acc = oracles::accuracy_naive(f.model, f.train);
   core::RefineConfig cfg;
   cfg.accuracy_floor = base_acc - 0.03;
   const auto report = core::refine_greedy(f.model, f.train, cfg);
@@ -928,7 +931,7 @@ TEST(Refine, ReducesAreaWithoutBreachingFloor) {
 
 TEST(Refine, StrictFloorBlocksChangesThatHurt) {
   auto f = RefineFixture::make();
-  const double base_acc = core::accuracy(f.model, f.train);
+  const double base_acc = oracles::accuracy_naive(f.model, f.train);
   core::RefineConfig cfg;
   cfg.accuracy_floor = base_acc;  // no loss allowed at all
   const auto report = core::refine_greedy(f.model, f.train, cfg);
@@ -938,7 +941,7 @@ TEST(Refine, StrictFloorBlocksChangesThatHurt) {
 TEST(Refine, IdempotentOnceConverged) {
   auto f = RefineFixture::make();
   core::RefineConfig cfg;
-  cfg.accuracy_floor = core::accuracy(f.model, f.train) - 0.03;
+  cfg.accuracy_floor = oracles::accuracy_naive(f.model, f.train) - 0.03;
   cfg.max_passes = 4;
   (void)core::refine_greedy(f.model, f.train, cfg);
   const long area = f.model.fa_area();

@@ -1,5 +1,5 @@
 // Contract of the `pmlp serve` subsystem: every answer the server gives must
-// be bit-identical to offline CompiledNet evaluation of the same model,
+// be bit-identical to the naive Eq. 4 oracle on the same model,
 // selector queries must resolve against the exact (max_digits10) index
 // metadata, concurrent clients must never perturb each other's answers, and
 // a reload() racing live traffic must answer every request from exactly one
@@ -25,14 +25,15 @@
 #include <vector>
 
 #include "pmlp/core/chromosome.hpp"
-#include "pmlp/core/eval_engine.hpp"
 #include "pmlp/core/serialize.hpp"
 #include "pmlp/core/serve.hpp"
 #include "pmlp/core/simd.hpp"
+#include "eq4_oracle.hpp"
 #include "flow_test_util.hpp"
 
 namespace core = pmlp::core;
 namespace mlp = pmlp::mlp;
+namespace oracles = pmlp::oracles;
 namespace fs = std::filesystem;
 using pmlp::test::TempDir;
 
@@ -192,15 +193,13 @@ TEST(FrontServer, AnswersBitIdenticalToCompiledNetForEveryModel) {
   const auto entries = core::load_front_dir(tmp.path.string());
   core::FrontServer server(tmp.path.string(), {.n_threads = 2});
   std::mt19937_64 rng(42);
-  core::EvalWorkspace ws;
   for (const auto& e : entries) {
-    const core::CompiledNet oracle(e.model);
     for (int s = 0; s < 64; ++s) {
       const auto codes = random_codes(kTopo.layers.front(), rng);
       const auto reply = server.classify(e.file, codes);
       ASSERT_TRUE(reply.ok) << reply.error;
       EXPECT_EQ(reply.file, e.file);
-      EXPECT_EQ(reply.predicted, oracle.predict(codes, ws));
+      EXPECT_EQ(reply.predicted, oracles::predict_naive(e.model, codes));
     }
   }
 }
@@ -250,12 +249,10 @@ TEST(FrontServer, ForcedScalarAndSimdDispatchAnswerIdentically) {
   const auto scalar = run_tape(core::SimdIsa::kScalar);
   const auto simd = run_tape(core::detect_simd_isa());
   ASSERT_EQ(scalar.size(), simd.size());
-  core::EvalWorkspace ws;
   for (int i = 0; i < kTape; ++i) {
     const auto& e = entries[static_cast<std::size_t>(i) % entries.size()];
-    const core::CompiledNet oracle(e.model);
     const int want =
-        oracle.predict(codes[static_cast<std::size_t>(i)], ws);
+        oracles::predict_naive(e.model, codes[static_cast<std::size_t>(i)]);
     ASSERT_EQ(scalar[static_cast<std::size_t>(i)], want) << "request " << i;
     ASSERT_EQ(simd[static_cast<std::size_t>(i)], want) << "request " << i;
   }
@@ -326,14 +323,12 @@ TEST(FrontServer, ConcurrentClientsGetDeterministicAnswers) {
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
       std::mt19937_64 rng(static_cast<std::uint64_t>(c) + 1);
-      core::EvalWorkspace ws;
       for (int i = 0; i < kRequests; ++i) {
         const auto& e = entries[static_cast<std::size_t>(i) % entries.size()];
         const auto codes = random_codes(kTopo.layers.front(), rng);
         const auto reply = server.classify(e.file, codes);
-        const core::CompiledNet oracle(e.model);
         if (!reply.ok || reply.file != e.file ||
-            reply.predicted != oracle.predict(codes, ws)) {
+            reply.predicted != oracles::predict_naive(e.model, codes)) {
           ++mismatches;
         }
       }
@@ -362,9 +357,8 @@ TEST(FrontServer, ReloadMidTrafficNeverMixesFronts) {
   std::mt19937_64 rng(9);
   const auto probe = random_codes(kTopo.layers.front(), rng);
   const std::string selector = "best-accuracy-under-area=100";
-  core::EvalWorkspace ws;
-  const core::CompiledNet oracle_a(gen_a[0].model);  // acc 0.9 wins in A
-  const int answer_a = oracle_a.predict(probe, ws);
+  // acc 0.9 wins in A
+  const int answer_a = oracles::predict_naive(gen_a[0].model, probe);
 
   std::atomic<bool> done{false};
   std::atomic<int> invalid{0};
@@ -395,9 +389,7 @@ TEST(FrontServer, ReloadMidTrafficNeverMixesFronts) {
   write_front_dir(tmp_dir, kTopo, {{0.7, 0.5, 0.2}}, 777);
   {
     const auto gen_b = core::load_front_dir(tmp_dir.string());
-    core::EvalWorkspace ws_b;
-    const core::CompiledNet oracle_b(gen_b[0].model);
-    answer_b = oracle_b.predict(probe, ws_b);
+    answer_b = oracles::predict_naive(gen_b[0].model, probe);
   }
   // Make the probe actually distinguish generations when the class agrees:
   // at minimum the models differ, so re-check pairs via model text.
@@ -480,9 +472,7 @@ TEST(FrontServer, SocketProtocolEndToEnd) {
   const auto codes = random_codes(kTopo.layers.front(), rng);
   std::string classify_line = "front_000.model";
   for (auto c : codes) classify_line += " " + std::to_string(c);
-  core::EvalWorkspace ws;
-  const core::CompiledNet oracle(entries[0].model);
-  const int expected = oracle.predict(codes, ws);
+  const int expected = oracles::predict_naive(entries[0].model, codes);
 
   const auto replies = socket_session(
       server.port(),

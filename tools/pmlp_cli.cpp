@@ -706,7 +706,8 @@ int cmd_evaluate(const Invocation& in) {
   const auto model = core::load_model_file(model_path);
   const auto test = test_split(dataset, in.opts);
   require_width(dataset, test, model);
-  const double acc = core::accuracy(model, test);
+  core::EvalWorkspace ws;
+  const double acc = core::CompiledNet(model).accuracy(test, ws);
 
   const auto nl = netlist::optimize(
       netlist::build_bespoke_mlp(model.to_bespoke_desc("m")).nl);
@@ -803,7 +804,7 @@ int cmd_export(const Invocation& in) {
   const auto circuit = netlist::optimize(
       netlist::build_bespoke_mlp(model.to_bespoke_desc(name)));
   write_file(prefix + ".v", [&](std::ostream& os) {
-    netlist::emit_verilog(circuit.nl, name, os);
+    netlist::EmittedModule(circuit.nl, name).emit(os);
   });
   const std::size_t n_vec = std::min<std::size_t>(test.size(), 64);
   const auto codes = first_codes(test, n_vec);
