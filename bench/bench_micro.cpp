@@ -309,35 +309,56 @@ void BM_RefineGreedy(benchmark::State& state) {
 }
 BENCHMARK(BM_RefineGreedy)->Arg(0)->Arg(1)->ArgName("simd");
 
-/// One first-layer sweep over one 64-sample block, the GA's unit of work,
-/// on int16 vs int32 lanes under the machine's best detected ISA. args:
-/// (shape, lanes): shape 0 is Pendigits' first layer (16 -> 5), 1 is
+/// One layer sweep over one 64-sample block, the GA's unit of work, on
+/// int16 vs int32 lanes under the machine's best detected ISA. args:
+/// (shape, lanes): shape 0 is Pendigits' first layer (16 -> 5) and 1 is
 /// Cardio's (21 -> 3), both decoded from random default-BitConfig genes
-/// (which every first layer proves int16-exact); lanes is 16 or 32. Both
-/// widths sweep the same codes; items/s is samples/s.
+/// (which every first layer proves int16-exact); shape 2 is Pendigits'
+/// output layer (5 -> 10), swept over the first layer's 8-bit activations
+/// of the same codes, from the first seeded net whose value-range proof
+/// puts that layer on int16. lanes is 16 or 32; both widths sweep the
+/// same inputs; items/s is samples/s.
 void BM_LayerSweep(benchmark::State& state) {
-  const bool cardio = state.range(0) != 0;
+  const int shape = static_cast<int>(state.range(0));
   const bool int16 = state.range(1) == 16;
   const mlp::Topology topo =
-      cardio ? mlp::Topology{{21, 3, 3}} : mlp::Topology{{16, 5, 10}};
+      shape == 1 ? mlp::Topology{{21, 3, 3}} : mlp::Topology{{16, 5, 10}};
   const core::ChromosomeCodec codec(topo, core::BitConfig{});
-  std::mt19937_64 rng(cardio ? 31 : 32);
+  std::mt19937_64 rng(shape == 1 ? 31 : 32);
   std::vector<int> genes(static_cast<std::size_t>(codec.n_genes()));
-  for (int g = 0; g < codec.n_genes(); ++g) {
-    const auto b = codec.bounds(g);
-    genes[static_cast<std::size_t>(g)] =
-        b.lo + static_cast<int>(rng() % static_cast<unsigned>(b.hi - b.lo + 1));
+  core::CompiledNet net;
+  for (int tries = 0; tries < 1000; ++tries) {
+    for (int g = 0; g < codec.n_genes(); ++g) {
+      const auto b = codec.bounds(g);
+      genes[static_cast<std::size_t>(g)] =
+          b.lo +
+          static_cast<int>(rng() % static_cast<unsigned>(b.hi - b.lo + 1));
+    }
+    net = core::CompiledNet(codec.decode(genes));
+    if (shape != 2 || net.lanes().back() == core::LaneType::kInt16) break;
   }
-  const core::CompiledLayer layer =
-      core::compile_layer(codec.decode(genes).layers().front());
+  if (shape == 2 && net.lanes().back() != core::LaneType::kInt16) {
+    state.SkipWithError("no seeded net proves its output layer int16");
+    return;
+  }
   constexpr int kN = core::CompiledNet::kBlockSamples;
-  const auto codes = make_codes(kN, layer.n_in, 21);
-  const std::vector<std::int16_t> in16(codes.begin(), codes.end());
-  const std::vector<std::int32_t> in32(codes.begin(), codes.end());
+  const core::SimdIsa isa = core::detect_simd_isa();
+  const auto codes = make_codes(kN, net.n_inputs(), 21);
+  std::vector<std::int16_t> in16(codes.begin(), codes.end());
+  if (shape == 2) {
+    // The output layer reads the first layer's activations.
+    const core::CompiledLayer& first = net.layers().front();
+    std::vector<std::int16_t> act(static_cast<std::size_t>(first.n_out) * kN);
+    core::layer_sweep(isa, first, in16.data(), act.data(), act.data(), kN,
+                      255);
+    in16 = std::move(act);
+  }
+  const core::CompiledLayer& layer =
+      shape == 2 ? net.layers().back() : net.layers().front();
+  const std::vector<std::int32_t> in32(in16.begin(), in16.end());
   const auto planes = static_cast<std::size_t>(layer.n_out) * kN;
   std::vector<std::int16_t> out16(planes);
   std::vector<std::int32_t> out32(planes);
-  const core::SimdIsa isa = core::detect_simd_isa();
   for (auto _ : state) {
     if (int16) {
       core::layer_sweep(isa, layer, in16.data(), out16.data(), out16.data(),
@@ -354,8 +375,8 @@ void BM_LayerSweep(benchmark::State& state) {
   state.SetLabel(core::simd_isa_name(isa));
 }
 BENCHMARK(BM_LayerSweep)
-    ->ArgsProduct({{0, 1}, {16, 32}})
-    ->ArgNames({"cardio", "lanes"});
+    ->ArgsProduct({{0, 1, 2}, {16, 32}})
+    ->ArgNames({"shape", "lanes"});
 
 /// The same samples classified one predict() call at a time: each call
 /// is a one-sample pass through the block loop, so this prices the

@@ -12,34 +12,103 @@
 namespace pmlp::core {
 namespace {
 
-/// The narrowest lane type of one layer, in one walk: every neuron's bound
-/// |bias| + sum(mask << k) (each |bias| widened to at least `bias_bound`),
-/// every shift and `act_max` must fit it. A mask never exceeds its shifted
-/// self, so the bound covers the masks too.
-LaneType narrowest_lane(const CompiledLayer& layer, std::int64_t act_max,
-                        std::int64_t bias_bound) {
-  constexpr std::int64_t kMax16 = std::numeric_limits<std::int16_t>::max();
-  constexpr std::int64_t kMax32 = std::numeric_limits<std::int32_t>::max();
-  if (act_max > kMax32) return LaneType::kInt64;
-  std::int64_t worst = act_max;
+/// Every bound of the proof saturates here, far beyond any lane's range
+/// and low enough that two saturated bounds still add without overflow.
+constexpr std::int64_t kSat = std::int64_t{1} << 61;
+/// Layer 1 reads uint8 codes.
+constexpr std::int64_t kCodeMax = std::numeric_limits<std::uint8_t>::max();
+
+/// Largest value of `(x & mask) << shift` over inputs x <= xmax (xmax < 0:
+/// no bound beyond the mask), saturated at kSat.
+std::int64_t term_max(const CompiledConn& cc, std::int64_t xmax) {
+  const std::int64_t m = xmax < 0 ? std::int64_t{cc.mask}
+                                  : std::min<std::int64_t>(cc.mask, xmax);
+  if (m == 0) return 0;
+  if (cc.shift < 0 || cc.shift > 61 || m > (kSat >> cc.shift)) return kSat;
+  return m << cc.shift;
+}
+
+/// One layer of the proof: writes each neuron's range to `ranges` (n_out
+/// entries) and returns the narrowest lane type that holds every range,
+/// every term's maximum, every shift and `act_max`. `in_max[i]` bounds
+/// input i (empty: the masks alone bound the terms); each bias range widens
+/// to cover [-bias_bound, bias_bound].
+LaneType prove_layer(const CompiledLayer& layer, std::int64_t act_max,
+                     std::int64_t bias_bound,
+                     std::span<const std::int64_t> in_max, AccRange* ranges) {
+  const std::int64_t widen = std::min(bias_bound, kSat);
+  std::int64_t lo_all = 0;
+  std::int64_t hi_all = act_max;
+  int min_shift = 0;
   int max_shift = 0;
   for (int o = 0; o < layer.n_out; ++o) {
-    const std::int64_t bias = layer.biases[static_cast<std::size_t>(o)];
-    std::int64_t bound = std::max(bias < 0 ? -bias : bias, bias_bound);
-    if (bound > kMax32) return LaneType::kInt64;
+    const std::int64_t bias =
+        std::clamp(layer.biases[static_cast<std::size_t>(o)], -kSat, kSat);
+    AccRange r{bias, bias};
+    if (widen > 0) r = {std::min(bias, -widen), std::max(bias, widen)};
     const std::int32_t end = layer.conn_begin[static_cast<std::size_t>(o) + 1];
     for (std::int32_t c = layer.conn_begin[static_cast<std::size_t>(o)];
          c < end; ++c) {
       const CompiledConn& cc = layer.conns[static_cast<std::size_t>(c)];
-      if (cc.shift < 0 || cc.shift > 30) return LaneType::kInt64;
+      const std::int64_t t = term_max(
+          cc, in_max.empty() ? -1 : in_max[static_cast<std::size_t>(cc.in)]);
+      min_shift = std::min(min_shift, cc.shift);
       max_shift = std::max(max_shift, cc.shift);
-      bound += static_cast<std::int64_t>(cc.mask) << cc.shift;
-      if (bound > kMax32) return LaneType::kInt64;
+      hi_all = std::max(hi_all, t);  // the term itself is a lane value too
+      if (cc.neg != 0) {
+        r.lo = std::max(r.lo - t, -kSat);
+      } else {
+        r.hi = std::min(r.hi + t, kSat);
+      }
     }
-    worst = std::max(worst, bound);
+    ranges[o] = r;
+    lo_all = std::min(lo_all, r.lo);
+    hi_all = std::max(hi_all, r.hi);
   }
-  return worst <= kMax16 && max_shift <= 14 ? LaneType::kInt16
-                                            : LaneType::kInt32;
+  const auto fits = [&](auto lane, int max_lane_shift) {
+    using T = decltype(lane);
+    return min_shift >= 0 && max_shift <= max_lane_shift &&
+           lo_all >= std::numeric_limits<T>::min() &&
+           hi_all <= std::numeric_limits<T>::max();
+  };
+  if (fits(std::int16_t{}, 14)) return LaneType::kInt16;
+  if (fits(std::int32_t{}, 30)) return LaneType::kInt32;
+  return LaneType::kInt64;
+}
+
+/// The largest activation a neuron of range `r` can hand on: QReLU clamps
+/// to [0, min(act_max, max(hi, 0) >> shift)]; a layer without QReLU hands
+/// on no bound beyond the next layer's masks (-1).
+std::int64_t activation_max(const CompiledLayer& layer, const AccRange& r,
+                            std::int64_t act_max) {
+  if (!layer.qrelu) return -1;
+  if (layer.qrelu_shift < 0 || layer.qrelu_shift > 62) return act_max;
+  return std::min(act_max,
+                  std::max<std::int64_t>(r.hi, 0) >> layer.qrelu_shift);
+}
+
+/// The value-range walk behind layer_lanes and accumulator_ranges: every
+/// layer's lanes, and its ranges into `ranges` when non-null.
+std::vector<LaneType> prove_net(std::span<const CompiledLayer> layers,
+                                std::int64_t act_max,
+                                std::vector<std::vector<AccRange>>* ranges) {
+  std::vector<LaneType> lanes;
+  lanes.reserve(layers.size());
+  std::vector<std::int64_t> in_max;
+  std::vector<AccRange> acc;
+  if (!layers.empty()) {
+    in_max.assign(static_cast<std::size_t>(layers.front().n_in), kCodeMax);
+  }
+  for (const auto& layer : layers) {
+    acc.resize(static_cast<std::size_t>(layer.n_out));
+    lanes.push_back(prove_layer(layer, act_max, 0, in_max, acc.data()));
+    in_max.resize(acc.size());
+    for (std::size_t o = 0; o < acc.size(); ++o) {
+      in_max[o] = activation_max(layer, acc[o], act_max);
+    }
+    if (ranges != nullptr) ranges->push_back(acc);
+  }
+  return lanes;
 }
 
 template <typename T>
@@ -47,20 +116,89 @@ constexpr LaneType kLaneOf = sizeof(T) == 2   ? LaneType::kInt16
                              : sizeof(T) == 4 ? LaneType::kInt32
                                               : LaneType::kInt64;
 
+/// The FaMemo key of `spec` into `key`: its word count, the bias, then one
+/// word per summand (mask | shift << 16 | width << 23 | negative << 30).
+/// False when a field does not fit its bits.
+bool pack_key(const adder::NeuronAdderSpec& spec,
+              std::vector<std::uint32_t>& key) {
+  if (spec.bias < std::numeric_limits<std::int32_t>::min() ||
+      spec.bias > std::numeric_limits<std::int32_t>::max()) {
+    return false;
+  }
+  key.clear();
+  key.push_back(static_cast<std::uint32_t>(spec.summands.size() + 2));
+  key.push_back(static_cast<std::uint32_t>(spec.bias));
+  for (const adder::SummandSpec& s : spec.summands) {
+    if (s.mask > 0xFFFF || s.shift < 0 || s.shift > 127 ||
+        s.input_width < 0 || s.input_width > 127) {
+      return false;
+    }
+    key.push_back(s.mask | static_cast<std::uint32_t>(s.shift) << 16 |
+                  static_cast<std::uint32_t>(s.input_width) << 23 |
+                  std::uint32_t{s.sign < 0} << 30);
+  }
+  return true;
+}
+
 }  // namespace
 
+std::vector<std::vector<AccRange>> accumulator_ranges(
+    std::span<const CompiledLayer> layers, std::int64_t act_max) {
+  std::vector<std::vector<AccRange>> ranges;
+  ranges.reserve(layers.size());
+  prove_net(layers, act_max, &ranges);
+  return ranges;
+}
+
 std::vector<LaneType> layer_lanes(std::span<const CompiledLayer> layers,
-                                  std::int64_t act_max,
-                                  std::int64_t bias_bound) {
+                                  std::int64_t act_max) {
+  return prove_net(layers, act_max, nullptr);
+}
+
+std::vector<LaneType> reachable_lanes(std::span<const CompiledLayer> layers,
+                                      std::int64_t act_max,
+                                      std::int64_t bias_bound) {
   std::vector<LaneType> lanes;
   lanes.reserve(layers.size());
+  std::vector<AccRange> acc;
   for (const auto& layer : layers) {
-    lanes.push_back(narrowest_lane(layer, act_max, bias_bound));
+    acc.resize(static_cast<std::size_t>(layer.n_out));
+    lanes.push_back(prove_layer(layer, act_max, bias_bound, {}, acc.data()));
   }
   return lanes;
 }
 
-CompiledLayer compile_layer(const ApproxLayer& layer, long* fa_area) {
+int FaMemo::total_fa(const adder::NeuronAdderSpec& spec) {
+  if (!pack_key(spec, probe_)) {
+    ++stats_.misses;
+    return adder::estimate_adder(spec).total_fa();
+  }
+  if (probe_.size() > stride_) {
+    stride_ = probe_.size();
+    keys_.assign(kSlots * stride_, 0);
+    fa_.assign(kSlots, 0);
+  }
+  std::uint64_t h = 0;
+  for (const std::uint32_t w : probe_) {
+    h = (h ^ w) * 0x9E3779B97F4A7C15ull;
+    h ^= h >> 29;
+  }
+  const std::size_t slot = h & (kSlots - 1);
+  std::uint32_t* row = keys_.data() + slot * stride_;
+  if (std::equal(probe_.begin(), probe_.end(), row)) {
+    ++stats_.hits;
+    return fa_[slot];
+  }
+  const int fa = adder::estimate_adder(spec).total_fa();
+  ++stats_.misses;
+  if (row[0] != 0) ++stats_.evictions;
+  std::copy(probe_.begin(), probe_.end(), row);
+  fa_[slot] = fa;
+  return fa;
+}
+
+CompiledLayer compile_layer(const ApproxLayer& layer, long* fa_area,
+                            FaMemo* memo) {
   CompiledLayer cl;
   cl.n_in = layer.n_in;
   cl.n_out = layer.n_out;
@@ -80,20 +218,27 @@ CompiledLayer compile_layer(const ApproxLayer& layer, long* fa_area) {
     load_neuron_spec(layer, o, scratch, collect);
     cl.conn_begin.push_back(static_cast<std::int32_t>(cl.conns.size()));
     if (fa_area != nullptr) {
-      *fa_area += adder::estimate_adder(scratch).total_fa();
+      *fa_area += memo != nullptr ? memo->total_fa(scratch)
+                                  : adder::estimate_adder(scratch).total_fa();
     }
   }
   return cl;
 }
 
-CompiledNet::CompiledNet(const ApproxMlp& net) {
+CompiledNet::CompiledNet(const ApproxMlp& net)
+    : CompiledNet(net, static_cast<FaMemo*>(nullptr)) {}
+
+CompiledNet::CompiledNet(const ApproxMlp& net, EvalWorkspace& ws)
+    : CompiledNet(net, &ws.fa_memo_) {}
+
+CompiledNet::CompiledNet(const ApproxMlp& net, FaMemo* memo) {
   n_inputs_ = net.topology().n_inputs();
   max_width_ = n_inputs_;
   act_max_ = (std::int64_t{1} << net.bits().act_bits) - 1;
 
   layers_.reserve(net.layers().size());
   for (const auto& layer : net.layers()) {
-    layers_.push_back(compile_layer(layer, &fa_area_));
+    layers_.push_back(compile_layer(layer, &fa_area_, memo));
     max_width_ = std::max(max_width_, layers_.back().n_out);
     n_outputs_ = layers_.back().n_out;
   }

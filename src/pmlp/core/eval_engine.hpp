@@ -11,7 +11,10 @@
 //              (mask & in_mask != 0) with the layer input mask pre-ANDed in,
 //              plus the FA-count area (Eq. 2) computed neuron-by-neuron
 //              during the same walk (`load_neuron_spec`, shared with
-//              `ApproxMlp::fa_area`).
+//              `ApproxMlp::fa_area`). On the GA path each neuron's FA count
+//              comes from the worker's `FaMemo` when that exact neuron was
+//              priced before: offspring are mostly near-copies, so most of
+//              their neurons repeat.
 //   planes   — a training set is laid out once, when its problem is built,
 //              as `SamplePlanes`: blocks of up to `CompiledNet::kBlockSamples`
 //              samples in neuron-major int16 planes, plus int32 labels. Every
@@ -22,7 +25,7 @@
 //              through explicitly vectorized mask-and-accumulate kernels
 //              picked by runtime CPU dispatch (AVX2 / NEON / scalar — see
 //              simd.hpp, eval_kernels.hpp), each layer on the narrowest lanes
-//              its overflow proof allows, then a vectorized first-maximum
+//              its value-range proof allows, then a vectorized first-maximum
 //              argmax epilogue classifies the block and counts label
 //              matches in the same pass. Row-major callers (serve, RTL
 //              export, hardware scoring, one-sample predict) enter the
@@ -35,17 +38,22 @@
 //
 // Results are bit-identical to the naive walk and `ApproxMlp::fa_area` by
 // construction: the int64 lanes perform the naive walk's additions in the
-// same order, merely skipping terms that are provably zero. The narrower
-// lanes stay bit-identical too: since `(x & mask) <= mask` for any input, a
-// per-neuron static bound `|bias| + sum(mask << k)` that fits a lane type
-// proves no accumulator can ever leave its range, so the narrow adds
-// produce the same values as the int64 ones. The proof runs
-// once at compile time and picks each layer's lanes (`lanes()`): int16
-// (every first layer the default BitConfig decodes), int32, or int64 for a
-// layer neither fits — the same block loop, on scalar int64 kernels. The
-// epilogue keeps std::max_element's tie rule exactly (a later class wins
-// only when strictly greater). The naive walk is the reference oracle (see
-// eval_engine_test), and each lane width's scalar loop its kernels' one.
+// same order, merely skipping terms that are provably zero, and the FA memo
+// compares full neuron keys. The narrower lanes stay bit-identical too. A
+// value-range proof (`accumulator_ranges`) walks the net once at compile
+// time: inputs are uint8 codes, `(x & mask) <= min(mask, xmax)` for any
+// input x <= xmax, so every partial sum of a neuron lies in
+// [b - sum(neg term maxima), b + sum(pos term maxima)], and a QReLU layer
+// hands on xmax = min(act_max, max(hi, 0) >> shift) to the next. When
+// every range, term and the clamp `act_max` fit a lane type, the narrow
+// adds produce the same values as the int64 ones. The proof picks each
+// layer's lanes (`lanes()`): int16 (every first layer the default
+// BitConfig decodes, and most output layers behind it), int32, or int64
+// for a layer neither fits — the same block loop, on scalar int64
+// kernels. The epilogue keeps std::max_element's tie rule exactly (a later
+// class wins only when strictly greater). The naive walk is the reference
+// oracle (see eval_engine_test), and each lane width's scalar loop its
+// kernels' one.
 #pragma once
 
 #include <cstdint>
@@ -82,29 +90,88 @@ struct CompiledLayer {
   std::vector<std::int64_t> biases;
 };
 
+/// Per-worker memo of per-neuron Eq. 2 FA counts: a direct-mapped table of
+/// kSlots entries, each keyed exactly by one neuron's adder spec (bias,
+/// then every active summand's mask, shift, input width and sign, in
+/// order). A probe hashes the key to one slot and hits only when that slot
+/// holds the same key, so a hit returns what `adder::estimate_adder` would.
+/// Keys live in one flat array of kSlots fixed-stride rows (the widest key
+/// seen so far; a wider one re-lays the table out empty): 39 KB for
+/// Pendigits' 16-input layer. 512 slots catch 74-85% of a Table I GA
+/// flow's neurons; 1024 caught 1-5 points more for twice the memory.
+/// Not thread-safe: each EvalWorkspace owns one.
+class FaMemo {
+ public:
+  static constexpr std::size_t kSlots = 512;
+
+  struct Stats {
+    long hits = 0;
+    long misses = 0;     ///< priced by estimate_adder
+    long evictions = 0;  ///< misses that replaced another key
+  };
+
+  /// `adder::estimate_adder(spec).total_fa()`, read from the table when
+  /// priced before. A spec whose fields do not fit the packed key (a bias
+  /// beyond int32, a mask beyond 16 bits, a shift or width beyond 127) is
+  /// priced directly and counts as a miss.
+  [[nodiscard]] int total_fa(const adder::NeuronAdderSpec& spec);
+  [[nodiscard]] const Stats& stats() const { return stats_; }
+
+ private:
+  /// Row k holds slot k's key: its word count (0 = empty), then the
+  /// bias and one word per summand.
+  std::vector<std::uint32_t> keys_;
+  std::vector<int> fa_;                ///< FA count per slot
+  std::size_t stride_ = 0;             ///< words per row
+  std::vector<std::uint32_t> probe_;   ///< the current spec's key
+  Stats stats_;
+};
+
 /// Flatten one layer's active connections (mask & in_mask != 0) into the
 /// CSR layout the sample loops read, with its current QReLU shift. When
 /// `fa_area` is non-null, the layer's Eq. 2 FA-count is added to it from
-/// the same walk. CompiledNet compiles every layer through this; the refine
-/// engine recompiles the one layer an accepted edit changed.
+/// the same walk, priced through `memo` when one is given. CompiledNet
+/// compiles every layer through this; the refine engine recompiles the one
+/// layer an accepted edit changed.
 [[nodiscard]] CompiledLayer compile_layer(const ApproxLayer& layer,
-                                          long* fa_area = nullptr);
+                                          long* fa_area = nullptr,
+                                          FaMemo* memo = nullptr);
 
 /// Lane width of a layer's block sweep, narrowest first.
 enum class LaneType : std::uint8_t { kInt16, kInt32, kInt64 };
 
-/// The static exactness proof behind CompiledNet::lanes(): `(x & mask) <=
-/// mask` for any input, so |any partial accumulator| of a neuron is at most
-/// |bias| + sum(mask << k) over its connections. Returns, per layer, the
-/// narrowest lane type T for which every neuron's bound, every shifted
-/// mask (shift below T's value bits) and the QReLU clamp `act_max` fit T;
-/// kInt64 when neither int16 nor int32 does. `bias_bound` widens each
-/// |bias| to at least that much, covering biases that may later move
-/// anywhere in [-bias_bound, bias_bound] (the refine engine's reachable
-/// states).
+/// The interval that every partial sum of one neuron's accumulator (bias
+/// first, then each active term in order) lies in.
+struct AccRange {
+  std::int64_t lo = 0;
+  std::int64_t hi = 0;
+};
+
+/// The value-range proof of a fixed net, per layer and neuron. Layer 1's
+/// inputs are uint8 codes (xmax 255); a term's maximum is
+/// min(mask, xmax[in]) << k; a neuron's range is [b - sum of its negative
+/// terms' maxima, b + sum of its positive ones']; a QReLU layer hands
+/// xmax[o] = min(act_max, max(hi, 0) >> qrelu_shift) to the next layer
+/// (a layer without QReLU hands on no bound beyond the masks). Bounds
+/// saturate far beyond int32, so an overflowing net reads as one.
+[[nodiscard]] std::vector<std::vector<AccRange>> accumulator_ranges(
+    std::span<const CompiledLayer> layers, std::int64_t act_max);
+
+/// Per layer, the narrowest lane type T that accumulator_ranges() proves
+/// exact: every neuron's range, every term's maximum, every shift (below
+/// T's value bits) and the QReLU clamp `act_max` fit T; kInt64 when
+/// neither int16 nor int32 does.
 [[nodiscard]] std::vector<LaneType> layer_lanes(
+    std::span<const CompiledLayer> layers, std::int64_t act_max);
+
+/// The same per-layer lane rule over every state the refine engine can
+/// reach from these layers: it clears mask bits, moves biases anywhere in
+/// [-bias_bound, bias_bound] and re-derives QReLU shifts, so no input
+/// bound beyond the masks holds (a term's maximum is mask << k) and each
+/// bias range widens to cover [-bias_bound, bias_bound].
+[[nodiscard]] std::vector<LaneType> reachable_lanes(
     std::span<const CompiledLayer> layers, std::int64_t act_max,
-    std::int64_t bias_bound = 0);
+    std::int64_t bias_bound);
 
 class EvalWorkspace;
 class SamplePlanes;
@@ -122,6 +189,9 @@ class CompiledNet {
   CompiledNet() = default;
   /// Compile `net` (QReLU shifts must be current — decode() guarantees it).
   explicit CompiledNet(const ApproxMlp& net);
+  /// The same compile, pricing each neuron's Eq. 2 FA count through `ws`'s
+  /// FaMemo (the GA fitness path); fa_area() is identical.
+  CompiledNet(const ApproxMlp& net, EvalWorkspace& ws);
 
   [[nodiscard]] int n_inputs() const { return n_inputs_; }
   [[nodiscard]] int n_outputs() const { return n_outputs_; }
@@ -154,8 +224,10 @@ class CompiledNet {
   /// The lane type each layer's block sweep runs at: layer_lanes() made
   /// non-decreasing through the net, so every layer's input planes are
   /// exact at its own width. Every net the default BitConfig decodes runs
-  /// its first layer on int16 and none on int64. A block shorter than one
-  /// int16 vector runs int16 layers on int32 lanes (use_int16_lanes).
+  /// its first layer on int16 and none on int64; its output layer runs
+  /// int16 whenever the hidden activations' proven ranges allow. A block
+  /// shorter than one int16 vector runs int16 layers on int32 lanes
+  /// (use_int16_lanes).
   [[nodiscard]] std::span<const LaneType> lanes() const { return lanes_; }
 
   /// Classify `n` samples stored row-major at `codes` (stride n_inputs()),
@@ -177,6 +249,8 @@ class CompiledNet {
   long fa_area_ = 0;
   std::vector<CompiledLayer> layers_;
   std::vector<LaneType> lanes_;
+
+  CompiledNet(const ApproxMlp& net, FaMemo* memo);
 
   /// The one block loop behind predict, predict_batch and both accuracy
   /// overloads. Block inputs come from `planes` when given, else from `n`
@@ -239,11 +313,17 @@ class SamplePlanes {
   std::vector<std::int32_t> labels_;
 };
 
-/// Reusable flat activation buffers for CompiledNet inference. One per
-/// worker thread; grows monotonically, so a single workspace serves every
-/// net evaluated by that worker with zero steady-state allocations. Opaque
-/// to callers — only CompiledNet's block loop touches the buffers.
+/// Reusable flat activation buffers for CompiledNet inference, and the
+/// worker's FaMemo. One per worker thread; grows monotonically, so a single
+/// workspace serves every net evaluated by that worker with zero
+/// steady-state allocations. Opaque to callers — only CompiledNet touches
+/// the buffers and the memo.
 class EvalWorkspace final : public nsga2::Problem::Workspace {
+ public:
+  [[nodiscard]] const FaMemo::Stats& fa_memo_stats() const {
+    return fa_memo_.stats();
+  }
+
  private:
   friend class CompiledNet;
 
@@ -270,6 +350,7 @@ class EvalWorkspace final : public nsga2::Problem::Workspace {
              BlockLanes<std::int64_t>>
       lanes_;
   std::vector<std::int32_t> preds_;
+  FaMemo fa_memo_;
 };
 
 /// The worker's own EvalWorkspace when `ws` is one (the PopulationEvaluator

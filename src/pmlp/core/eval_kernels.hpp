@@ -10,7 +10,7 @@
 // The sweep and the argmax come at three lane widths, one overload each:
 // int16 (16 lanes per AVX2 vector), int32 (8 per AVX2, 4 per NEON vector)
 // and int64 (scalar). The caller proves the width exact (the static
-// per-neuron bound |bias| + Σ(mask << k) — see layer_lanes()). Every
+// per-neuron value range of layer_lanes() or reachable_lanes()). Every
 // variant of a width performs the same additions in the same per-neuron
 // order as that width's scalar loop, its oracle, and every exact width
 // gives the int64 values, so results are bit-identical across ISAs and

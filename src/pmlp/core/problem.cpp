@@ -48,9 +48,10 @@ nsga2::Problem::Evaluation HwAwareProblem::evaluate(std::span<const int> genes,
     }
     net.update_qrelu_shifts();
   }
-  const CompiledNet compiled(net);
   EvalWorkspace local;
-  const double acc = compiled.accuracy(train_, resolve_workspace(ws, local));
+  EvalWorkspace& workspace = resolve_workspace(ws, local);
+  const CompiledNet compiled(net, workspace);
+  const double acc = compiled.accuracy(train_, workspace);
   const auto area = static_cast<double>(compiled.fa_area());
 
   ev.objectives = {1.0 - acc, area};

@@ -46,12 +46,12 @@ RefineEngine::RefineEngine(ApproxMlp& net, const SamplePlanes& train)
     narrow = narrow && layer.qrelu_shift >= 0 && layer.qrelu_shift <= 30;
   }
   // Refine only clears mask bits and moves biases within the BitConfig
-  // range, so the layer_lanes() bound with every |bias| widened to
-  // 2^(bias_bits-1) covers every state a trial can reach.
+  // range, so the reachable_lanes() bound with every bias range widened to
+  // ±2^(bias_bits-1) covers every state a trial can reach.
   const std::int64_t bias_bound =
       std::int64_t{1} << std::clamp(net.bits().bias_bits - 1, 0, 32);
   const std::vector<LaneType> lanes =
-      layer_lanes(layers_, act_max_, bias_bound);
+      reachable_lanes(layers_, act_max_, bias_bound);
   if (narrow && std::all_of(lanes.begin(), lanes.end(), [](LaneType t) {
         return t != LaneType::kInt64;
       })) {

@@ -27,11 +27,12 @@
 //            nothing, so there is nothing to undo.
 //
 // Lanes are int32 when a static proof, made once per engine, shows that no
-// state refine can reach overflows: layer_lanes() gives no layer int64
-// with every |bias| widened to 2^(bias_bits-1), since refine only clears
-// mask bits and moves biases within [bias_min, bias_max]. A net that fails
-// the proof runs the same block algorithm on int64 lanes through the
-// scalar kernels.
+// state refine can reach overflows: reachable_lanes() gives no layer int64
+// with every bias range widened to ±2^(bias_bits-1), since refine only
+// clears mask bits and moves biases within [bias_min, bias_max]. Its QReLU
+// shifts move too, so the proof bounds each term by its mask alone. A net
+// that fails the proof runs the same block algorithm on int64 lanes
+// through the scalar kernels.
 //
 // All arithmetic is the adds and shifts of Eq. 4, reordered into exact
 // deltas, and the accept test is the naive code's double comparison

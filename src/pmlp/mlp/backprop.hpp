@@ -57,8 +57,10 @@ BackpropReport train_backprop(FloatMlp& net, const datasets::Dataset& train,
 
 /// Convenience: init + train (engine-backed, cfg.restarts restarts sharing
 /// one TrainEngine on the borrowed `pool`) + return the most accurate
-/// network. When `report` is non-null it receives the winning restart's
-/// training report.
+/// network. When `report` is non-null it receives the whole stage's cost,
+/// epochs_run and wall_seconds summed over every restart and
+/// samples_per_second over that total, with the kept restart's
+/// final_train_accuracy and final_loss.
 [[nodiscard]] FloatMlp train_float_mlp(const Topology& topology,
                                        const datasets::Dataset& train,
                                        const BackpropConfig& cfg,

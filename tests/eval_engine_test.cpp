@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <random>
 #include <stdexcept>
 #include <type_traits>
@@ -503,27 +504,30 @@ TEST(PredictBatch, OverflowUnsafeNetRunsInt64BlockLanes) {
 
 TEST(PredictBatch, LanesWidenAlongTheNetAndMatchNaive) {
   // A hand-built (4, 3, 3, 2) net whose layers prove int16, int32 and
-  // int64 in turn: default-width first layer, 8-bit activations shifted
-  // by 6 into the second, and by 24 into the output layer. Every block
-  // size crosses both widenings (and blocks under 16 samples start on
-  // int32), under every dispatchable ISA.
+  // int64 in turn: a default-width first layer, then full 8-bit masks
+  // shifted by 9 into the second layer and by 26 into the output layer.
+  // The proof bounds each hidden activation by its neuron's range; with
+  // non-negative hidden biases the widest neuron of each QReLU layer hands
+  // on at least 64 here, so one term alone (64 << 9, 64 << 26) passes
+  // int16 and then int32. Every block size crosses both widenings (and
+  // blocks under 16 samples start on int32), under every dispatchable ISA.
   const core::BitConfig bits;
   const mlp::Topology topo{{4, 3, 3, 2}};
   const auto data = random_dataset(4, 2, 129, bits.input_bits, 12);
   std::mt19937_64 rng(77);
   core::ApproxMlp net(topo, bits);
-  const int exponents[] = {3, 6, 24};
+  const int exponents[] = {3, 9, 26};
   for (std::size_t l = 0; l < net.layers().size(); ++l) {
     auto& layer = net.layers()[l];
     for (auto& c : layer.conns) {
-      // Full masks past layer 1 put the bounds past int16 and int32.
       c.mask = static_cast<std::uint32_t>(
           pmlp::bitops::low_mask(layer.input_bits) & (l == 0 ? rng() : ~0ull));
       c.sign = (rng() & 1u) ? +1 : -1;
       c.exponent = exponents[l];
     }
     for (auto& b : layer.biases) {
-      b = static_cast<std::int64_t>(rng() % 200) - 100;
+      const bool hidden = l + 1 < net.layers().size();
+      b = static_cast<std::int64_t>(rng() % 200) - (hidden ? 0 : 100);
     }
   }
   net.update_qrelu_shifts();
@@ -906,50 +910,282 @@ TEST(LaneKernels, ArgmaxMatchesScalarOracleAtEveryWidth) {
 }
 
 TEST(LayerLanes, BoundOf32767TakesInt16And32768TakesInt32) {
-  // One neuron, one connection: (255 << 7) = 32640, so the bias sets the
-  // bound |bias| + 32640 exactly.
+  // One neuron, one connection whose term reaches (255 << 7) = 32640, so
+  // the bias sets an edge of the proven range exactly: [b, b + 32640] for
+  // a positive term, [b - 32640, b] for a negative one.
   core::CompiledLayer layer;
   layer.n_in = 1;
   layer.n_out = 1;
   layer.qrelu = false;
-  layer.conns = {core::CompiledConn{0, 255, 7, 0}};
   layer.conn_begin = {0, 1};
-  const auto lane_with = [&](std::int64_t bias, std::int64_t act_max = 255,
-                             std::int64_t bias_bound = 0) {
+  const auto set = [&](std::int64_t bias, int neg) {
+    layer.conns = {core::CompiledConn{0, 255, 7, neg}};
     layer.biases = {bias};
-    return core::layer_lanes({&layer, 1}, act_max, bias_bound).front();
   };
-  EXPECT_EQ(lane_with(127), core::LaneType::kInt16);
-  EXPECT_EQ(lane_with(-127), core::LaneType::kInt16);
-  EXPECT_EQ(lane_with(128), core::LaneType::kInt32);
-  EXPECT_EQ(lane_with(-128), core::LaneType::kInt32);
-  // bias_bound widens |bias| the same way; act_max must fit the lanes too.
-  EXPECT_EQ(lane_with(0, 255, 127), core::LaneType::kInt16);
-  EXPECT_EQ(lane_with(0, 255, 128), core::LaneType::kInt32);
-  EXPECT_EQ(lane_with(0, 32768), core::LaneType::kInt32);
+  const auto lane_with = [&](std::int64_t bias, int neg = 0,
+                             std::int64_t act_max = 255) {
+    set(bias, neg);
+    return core::layer_lanes({&layer, 1}, act_max).front();
+  };
+  const auto reachable_with = [&](std::int64_t bias_bound, int neg) {
+    set(0, neg);
+    return core::reachable_lanes({&layer, 1}, 255, bias_bound).front();
+  };
+  EXPECT_EQ(lane_with(127), core::LaneType::kInt16);      // hi 32767
+  EXPECT_EQ(lane_with(-128, 1), core::LaneType::kInt16);  // lo -32768
+  EXPECT_EQ(lane_with(128), core::LaneType::kInt32);      // hi 32768
+  EXPECT_EQ(lane_with(-129, 1), core::LaneType::kInt32);  // lo -32769
+  // bias_bound widens each bias range to [-bias_bound, bias_bound];
+  // act_max must fit the lanes too.
+  EXPECT_EQ(reachable_with(127, 0), core::LaneType::kInt16);
+  EXPECT_EQ(reachable_with(128, 0), core::LaneType::kInt32);
+  EXPECT_EQ(reachable_with(128, 1), core::LaneType::kInt16);
+  EXPECT_EQ(reachable_with(129, 1), core::LaneType::kInt32);
+  EXPECT_EQ(lane_with(0, 0, 32768), core::LaneType::kInt32);
   // The int32/int64 boundary, by the same construction.
   const std::int64_t int32_room = std::int64_t{2147483647} - 32640;
   EXPECT_EQ(lane_with(int32_room), core::LaneType::kInt32);
   EXPECT_EQ(lane_with(int32_room + 1), core::LaneType::kInt64);
-  EXPECT_EQ(lane_with(0, std::int64_t{1} << 31), core::LaneType::kInt64);
+  EXPECT_EQ(lane_with(-int32_room - 1, 1), core::LaneType::kInt32);
+  EXPECT_EQ(lane_with(-int32_room - 2, 1), core::LaneType::kInt64);
+  EXPECT_EQ(lane_with(0, 0, std::int64_t{1} << 31), core::LaneType::kInt64);
   // A shift into the sign bit fails even when mask << shift fits the value.
   layer.conns = {core::CompiledConn{0, 1, 15, 0}};
-  EXPECT_EQ(lane_with(0), core::LaneType::kInt32);
+  EXPECT_EQ(core::layer_lanes({&layer, 1}, 255).front(),
+            core::LaneType::kInt32);
 
-  // At the int16 edge the sweep reaches ±32,767 exactly on every lane.
+  // At the int16 edges the sweep reaches 32,767 and -32,768 exactly on
+  // every lane.
   for (const int neg : {0, 1}) {
-    layer.conns = {core::CompiledConn{0, 255, 7, neg}};
-    layer.biases = {neg ? -127 : 127};
-    ASSERT_EQ(core::layer_lanes({&layer, 1}, 255).front(),
-              core::LaneType::kInt16);
+    ASSERT_EQ(lane_with(neg ? -128 : 127, neg), core::LaneType::kInt16);
     for (int n : kLaneBlockSizes) {
       const std::vector<std::int16_t> in(static_cast<std::size_t>(n), 255);
       for (core::SimdIsa isa : dispatchable_isas()) {
         std::vector<std::int16_t> acc(static_cast<std::size_t>(n));
         core::layer_sweep(isa, layer, in.data(), acc.data(), acc.data(), n,
                           std::int16_t{255});
-        for (std::int16_t a : acc) ASSERT_EQ(a, neg ? -32767 : 32767);
+        for (std::int16_t a : acc) ASSERT_EQ(a, neg ? -32768 : 32767);
       }
     }
   }
+}
+
+TEST(LayerLanes, ActivationRangeNarrowsOutputLayer) {
+  // A 16 -> 5 -> 10 net (Pendigits' shape) whose output layer the
+  // mask-only bound |b| + sum(mask << k) puts on int32 (five full 8-bit
+  // masks shifted by 6 alone reach 81,600), while its hidden activations
+  // are proven small: hidden neuron 0 sums sixteen positive terms (hi 960,
+  // QReLU shift 2, activation <= 240), neurons 1-4 four each (hi 60,
+  // activation <= 15). The value-range proof puts the output layer on
+  // int16, and the sweep lands on its proven range edges exactly.
+  const core::BitConfig bits;
+  const std::int64_t act_max = (std::int64_t{1} << bits.act_bits) - 1;
+  core::ApproxMlp net(mlp::Topology{{16, 5, 10}}, bits);
+  auto& hidden = net.layers()[0];
+  for (int o = 0; o < hidden.n_out; ++o) {
+    for (int i = 0; i < hidden.n_in; ++i) {
+      const bool on = o == 0 || i < 4;
+      hidden.conn(o, i) = core::ApproxConn{on ? 15u : 0u, +1, o == 0 ? 2 : 0};
+    }
+    hidden.biases[static_cast<std::size_t>(o)] = 0;
+  }
+  std::mt19937_64 rng(28);
+  auto& output = net.layers()[1];
+  for (auto& c : output.conns) {
+    c = core::ApproxConn{255u, (rng() & 1u) ? +1 : -1, 6};
+  }
+  for (auto& b : output.biases) {
+    b = static_cast<std::int64_t>(rng() % 2001) - 1000;
+  }
+  net.update_qrelu_shifts();
+  ASSERT_EQ(hidden.qrelu_shift, 2);
+
+  const core::CompiledNet compiled(net);
+  const core::CompiledLayer& layer = compiled.layers()[1];
+  std::int64_t mask_bound = 0;
+  for (int o = 0; o < layer.n_out; ++o) {
+    std::int64_t bound = std::abs(layer.biases[static_cast<std::size_t>(o)]);
+    for (auto c = layer.conn_begin[static_cast<std::size_t>(o)];
+         c < layer.conn_begin[static_cast<std::size_t>(o) + 1]; ++c) {
+      const core::CompiledConn& cc = layer.conns[static_cast<std::size_t>(c)];
+      bound += static_cast<std::int64_t>(cc.mask) << cc.shift;
+    }
+    mask_bound = std::max(mask_bound, bound);
+  }
+  EXPECT_GT(mask_bound, 32767);
+  ASSERT_EQ(compiled.lanes().size(), 2u);
+  EXPECT_EQ(compiled.lanes()[0], core::LaneType::kInt16);
+  EXPECT_EQ(compiled.lanes()[1], core::LaneType::kInt16);
+
+  const auto ranges = core::accumulator_ranges(compiled.layers(), act_max);
+  std::vector<std::int64_t> xmax(5);
+  for (std::size_t i = 0; i < xmax.size(); ++i) {
+    xmax[i] = std::min(act_max, std::max<std::int64_t>(ranges[0][i].hi, 0) >>
+                                    hidden.qrelu_shift);
+  }
+  EXPECT_EQ(xmax[0], 240);
+  EXPECT_EQ(xmax[4], 15);
+  // Sample s drives output neuron (s / 2) % 10 to its hi (s even: every
+  // positive term's input at its maximum, every negative one's at 0) or to
+  // its lo (s odd: the reverse). Full masks pass each input unchanged.
+  for (int n : {20, 64}) {
+    std::vector<std::int64_t> in(static_cast<std::size_t>(layer.n_in) * n);
+    std::vector<std::int64_t> edge(static_cast<std::size_t>(n));
+    for (int s = 0; s < n; ++s) {
+      const int o = (s / 2) % layer.n_out;
+      const bool high = s % 2 == 0;
+      const auto begin = layer.conn_begin[static_cast<std::size_t>(o)];
+      for (int i = 0; i < layer.n_in; ++i) {
+        const core::CompiledConn& cc =
+            layer.conns[static_cast<std::size_t>(begin + i)];
+        ASSERT_EQ(cc.in, i);
+        in[static_cast<std::size_t>(i) * n + s] =
+            (cc.neg == 0) == high ? xmax[static_cast<std::size_t>(i)] : 0;
+      }
+      const core::AccRange& r = ranges[1][static_cast<std::size_t>(o)];
+      edge[static_cast<std::size_t>(s)] = high ? r.hi : r.lo;
+    }
+    expect_sweep_matches_int64<std::int16_t>(layer, in, n, act_max);
+    const auto in16 = as_lanes<std::int16_t>(in);
+    for (core::SimdIsa isa : dispatchable_isas()) {
+      std::vector<std::int16_t> acc(static_cast<std::size_t>(layer.n_out) * n);
+      core::layer_sweep(isa, layer, in16.data(), acc.data(), acc.data(), n,
+                        static_cast<std::int16_t>(act_max));
+      for (int s = 0; s < n; ++s) {
+        const int o = (s / 2) % layer.n_out;
+        ASSERT_EQ(acc[static_cast<std::size_t>(o) * n + s],
+                  edge[static_cast<std::size_t>(s)])
+            << core::simd_isa_name(isa) << " n " << n << " sample " << s;
+      }
+    }
+  }
+  // The whole net on int16 lanes still classifies like the naive walk.
+  const auto data = random_dataset(16, 10, 129, bits.input_bits, 29);
+  core::EvalWorkspace ws;
+  for (core::SimdIsa isa : dispatchable_isas()) {
+    ScopedIsa forced(isa);
+    std::vector<std::int32_t> preds(data.size());
+    compiled.predict_batch(data.codes.data(), data.size(), preds.data(), ws);
+    for (std::size_t s = 0; s < data.size(); ++s) {
+      ASSERT_EQ(preds[s], oracles::predict_naive(net, data.row(s)))
+          << core::simd_isa_name(isa) << " sample " << s;
+    }
+  }
+}
+
+TEST(LayerLanes, ProvenRangesHoldEveryNaiveAccumulator) {
+  // Soundness of the value-range proof on seeded random (5, 4, 4, 3) nets:
+  // negative biases, dead hidden neurons (every term negative) and
+  // exponents 0-6. An int64 walk of each layer in connection order checks
+  // every partial sum against its neuron's proven range, and each layer's
+  // final sums against the naive oracle run on the net truncated after
+  // that layer (its QReLU dropped, so the oracle returns accumulators).
+  const core::BitConfig bits;
+  const std::int64_t act_max = (std::int64_t{1} << bits.act_bits) - 1;
+  const mlp::Topology topo{{5, 4, 4, 3}};
+  const auto data = random_dataset(5, 3, 48, bits.input_bits, 31);
+  std::mt19937_64 rng(2028);
+  std::uniform_int_distribution<int> exponent(0, bits.max_exponent());
+  std::uniform_int_distribution<std::int64_t> bias(bits.bias_min(),
+                                                   bits.bias_max());
+  long checked = 0;
+  for (int rep = 0; rep < 40; ++rep) {
+    core::ApproxMlp net(topo, bits);
+    for (std::size_t l = 0; l < net.layers().size(); ++l) {
+      auto& layer = net.layers()[l];
+      const auto full = pmlp::bitops::low_mask(layer.input_bits);
+      const int dead = static_cast<int>(rng() % 4);  // a neuron to kill
+      for (int o = 0; o < layer.n_out; ++o) {
+        for (int i = 0; i < layer.n_in; ++i) {
+          auto& c = layer.conn(o, i);
+          c.mask = static_cast<std::uint32_t>(full & rng());
+          c.sign = (o == dead || (rng() & 1u)) ? -1 : +1;
+          c.exponent = exponent(rng);
+        }
+        auto& b = layer.biases[static_cast<std::size_t>(o)];
+        b = o == dead ? -static_cast<std::int64_t>(rng() % 64) : bias(rng);
+      }
+    }
+    net.update_qrelu_shifts();
+    const core::CompiledNet compiled(net);
+    const auto ranges = core::accumulator_ranges(compiled.layers(), act_max);
+    std::vector<core::ApproxMlp> truncated;
+    for (std::size_t l = 0; l < net.layers().size(); ++l) {
+      std::vector<int> widths(topo.layers.begin(),
+                              topo.layers.begin() + static_cast<long>(l) + 2);
+      core::ApproxMlp t(mlp::Topology{widths}, bits);
+      for (std::size_t k = 0; k <= l; ++k) t.layers()[k] = net.layers()[k];
+      t.layers()[l].qrelu = false;
+      truncated.push_back(std::move(t));
+    }
+    for (std::size_t s = 0; s < data.size(); ++s) {
+      std::vector<std::int64_t> x(data.row(s).begin(), data.row(s).end());
+      for (std::size_t l = 0; l < compiled.layers().size(); ++l) {
+        const core::CompiledLayer& layer = compiled.layers()[l];
+        const auto naive = oracles::forward_naive(truncated[l], data.row(s));
+        std::vector<std::int64_t> next(static_cast<std::size_t>(layer.n_out));
+        for (int o = 0; o < layer.n_out; ++o) {
+          const core::AccRange& r = ranges[l][static_cast<std::size_t>(o)];
+          std::int64_t a = layer.biases[static_cast<std::size_t>(o)];
+          ASSERT_TRUE(r.lo <= a && a <= r.hi) << "bias, layer " << l;
+          for (auto c = layer.conn_begin[static_cast<std::size_t>(o)];
+               c < layer.conn_begin[static_cast<std::size_t>(o) + 1]; ++c) {
+            const core::CompiledConn& cc =
+                layer.conns[static_cast<std::size_t>(c)];
+            const std::int64_t term =
+                (x[static_cast<std::size_t>(cc.in)] & cc.mask) << cc.shift;
+            a += cc.neg ? -term : term;
+            ASSERT_TRUE(r.lo <= a && a <= r.hi)
+                << "rep " << rep << " sample " << s << " layer " << l
+                << " neuron " << o << ": " << a << " outside [" << r.lo
+                << ", " << r.hi << "]";
+            ++checked;
+          }
+          ASSERT_EQ(a, naive[static_cast<std::size_t>(o)]);
+          next[static_cast<std::size_t>(o)] =
+              !layer.qrelu ? a
+              : a <= 0     ? 0
+                           : std::min(a >> layer.qrelu_shift, act_max);
+        }
+        x = std::move(next);
+      }
+    }
+  }
+  EXPECT_GT(checked, 10000);
+}
+
+TEST(FaArea, WorkspaceMemoMatchesOracleOnNearCopyStream) {
+  // The GA's pricing path: one worker workspace compiles a seeded stream of
+  // near-copies (1-3 genes changed) of a drifting Pendigits parent, pricing
+  // each neuron through its FaMemo. Every fa_area must equal
+  // ApproxMlp::fa_area. Unchanged neurons hit; changed ones miss, and with
+  // more distinct neurons than slots some of them land on a slot another
+  // key holds and evict it.
+  const core::BitConfig bits;
+  const core::ChromosomeCodec codec(core::paper_topology("Pendigits"), bits);
+  std::mt19937_64 rng(2029);
+  std::vector<int> parent = random_genes(codec, MaskStyle::kSparse, rng);
+  core::EvalWorkspace ws;
+  constexpr int kChildren = 1500;
+  for (int k = 0; k < kChildren; ++k) {
+    std::vector<int> child = parent;
+    const int changes = 1 + static_cast<int>(rng() % 3);
+    for (int c = 0; c < changes; ++c) {
+      const int g = static_cast<int>(rng() % static_cast<unsigned>(
+                                               codec.n_genes()));
+      const auto b = codec.bounds(g);
+      child[static_cast<std::size_t>(g)] =
+          b.lo + static_cast<int>(rng() % static_cast<unsigned>(
+                                             b.hi - b.lo + 1));
+    }
+    const core::ApproxMlp net = codec.decode(child);
+    ASSERT_EQ(core::CompiledNet(net, ws).fa_area(), net.fa_area())
+        << "child " << k;
+    if (k % 40 == 39) parent = child;
+  }
+  const core::FaMemo::Stats& stats = ws.fa_memo_stats();
+  EXPECT_EQ(stats.hits + stats.misses, kChildren * (5 + 10));
+  EXPECT_GT(stats.hits, stats.misses);
+  EXPECT_GT(stats.misses, 0);
+  EXPECT_GT(stats.evictions, 0);
 }

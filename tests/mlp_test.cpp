@@ -88,6 +88,42 @@ TEST(Backprop, LossDecreases) {
   EXPECT_LT(r2.final_loss, r1.final_loss);
 }
 
+TEST(Backprop, ReportCoversEveryRestart) {
+  // train_float_mlp's report prices the whole stage: epochs and wall time
+  // summed over all restarts, throughput over that total. Accuracy and
+  // loss are the kept (most accurate) restart's, replayed here one restart
+  // at a time with train_backprop.
+  auto spec = ds::cardio_spec();
+  spec.n_samples = 300;
+  const auto d = ds::generate(spec);
+  const mlp::Topology topo{{d.n_features, 3, d.n_classes}};
+  mlp::BackpropConfig cfg;
+  cfg.epochs = 20;
+  cfg.seed = 7;
+  cfg.restarts = 3;
+  mlp::BackpropReport report;
+  const auto kept = mlp::train_float_mlp(topo, d, cfg, &report);
+
+  mlp::BackpropReport best;
+  best.final_train_accuracy = -1.0;
+  for (int r = 0; r < cfg.restarts; ++r) {
+    mlp::BackpropConfig one = cfg;
+    one.seed = cfg.seed + static_cast<std::uint64_t>(r) * 101;
+    mlp::FloatMlp net(topo, one.seed);
+    const auto run = mlp::train_backprop(net, d, one);
+    EXPECT_EQ(run.epochs_run, cfg.epochs);
+    if (run.final_train_accuracy > best.final_train_accuracy) best = run;
+  }
+  EXPECT_EQ(report.epochs_run, cfg.restarts * cfg.epochs);
+  EXPECT_EQ(report.final_train_accuracy, best.final_train_accuracy);
+  EXPECT_EQ(report.final_loss, best.final_loss);
+  EXPECT_EQ(mlp::accuracy(kept, d), best.final_train_accuracy);
+  EXPECT_GT(report.wall_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(report.samples_per_second,
+                   static_cast<double>(report.epochs_run) *
+                       static_cast<double>(d.size()) / report.wall_seconds);
+}
+
 // ----------------------------------------------------------- quantization
 
 namespace {
