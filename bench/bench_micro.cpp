@@ -6,10 +6,11 @@
 // sizes and layer densities), one first-layer sweep on int16 vs int32
 // lanes, the GA's whole-set accuracy over sample
 // planes, the greedy refine loop's block-vectorized trials, NSGA-II
-// ranking (Deb's pairwise loop vs the sort-and-sweep) and checkpoint
-// record I/O (dataset write/read, slicing-by-8 vs bytewise CRC) — so
-// kernel-level wins are measured in their own tier, apart from flow wall
-// time.
+// ranking (Deb's pairwise loop vs the sort-and-sweep), one generation of
+// GA variation (std distributions on std::mt19937_64 vs thresholded trials
+// on core::Rng) and checkpoint record I/O (dataset write/read,
+// slicing-by-8 vs bytewise CRC) — so kernel-level wins are measured in
+// their own tier, apart from flow wall time.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -29,7 +30,9 @@
 #include "pmlp/core/chromosome.hpp"
 #include "pmlp/core/eval_engine.hpp"
 #include "pmlp/core/eval_kernels.hpp"
+#include "pmlp/core/problem.hpp"
 #include "pmlp/core/refine.hpp"
+#include "pmlp/core/rng.hpp"
 #include "pmlp/core/serialize.hpp"
 #include "pmlp/core/simd.hpp"
 #include "pmlp/datasets/synthetic.hpp"
@@ -519,6 +522,58 @@ BENCHMARK_CAPTURE(BM_NsgaSort, naive, false)
     ->Arg(120)->Arg(240)->Arg(480)->Arg(960);
 BENCHMARK_CAPTURE(BM_NsgaSort, sweep, true)
     ->Arg(120)->Arg(240)->Arg(480)->Arg(960);
+
+/// One GA generation's variation at Pendigits scale: binary tournaments,
+/// crossover (p 0.7, uniform) and mutation (p 0.2, 1/405 per gene, the
+/// HwAwareProblem's domain mutation) breeding 120 offspring of 405 genes.
+/// arg 0: the std-distribution oracle on std::mt19937_64; arg 1:
+/// nsga2::Variation on core::Rng. Both draw the same stream.
+void BM_Variation(benchmark::State& state) {
+  const mlp::Topology topo{{16, 5, 10}};
+  const core::ChromosomeCodec codec(topo, core::BitConfig{});
+  datasets::QuantizedDataset train;
+  train.name = "variation";
+  train.n_features = 16;
+  train.n_classes = 10;
+  train.input_bits = 4;
+  std::mt19937_64 init(3);
+  for (int i = 0; i < 64; ++i) {
+    train.labels.push_back(static_cast<int>(init() % 10));
+    for (int f = 0; f < 16; ++f) {
+      train.codes.push_back(static_cast<std::uint8_t>(init() & 15u));
+    }
+  }
+  const core::HwAwareProblem problem(codec, train, std::nullopt, {});
+  nsga2::Config cfg;
+  cfg.population = 120;
+  std::vector<nsga2::Individual> parents(120);
+  for (auto& ind : parents) {
+    for (int g = 0; g < codec.n_genes(); ++g) {
+      const auto b = codec.bounds(g);
+      ind.genes.push_back(
+          b.lo +
+          static_cast<int>(init() % static_cast<unsigned>(b.hi - b.lo + 1)));
+    }
+    ind.rank = static_cast<int>(init() % 4);
+    ind.crowding = static_cast<double>(init() % 8);
+  }
+  const oracles::GeneMutator naive = [&codec](int gene, int current,
+                                              std::mt19937_64& rng) {
+    return oracles::hw_mutate_gene_naive(codec, gene, current, rng);
+  };
+  const nsga2::Variation variation(problem, cfg);
+  core::Rng rng(1);
+  std::mt19937_64 ref(1);
+  const bool engine = state.range(0) == 1;
+  for (auto _ : state) {
+    auto offspring =
+        engine ? variation.offspring(parents, rng)
+               : oracles::offspring_naive(parents, problem, cfg, ref, naive);
+    benchmark::DoNotOptimize(offspring.data());
+  }
+  state.SetItemsProcessed(state.iterations() * cfg.population);
+}
+BENCHMARK(BM_Variation)->Arg(0)->Arg(1)->ArgName("engine");
 
 /// Checkpoint record I/O at the size of Pendigits' train_raw.ds (16
 /// features, ~2450 rows, ~0.85 MB of hexfloats) and its train.qds (4-bit

@@ -421,7 +421,7 @@ SamplePlanes::SamplePlanes(const datasets::QuantizedDataset& d)
   }
 }
 
-std::uint64_t EvalCache::hash_genes(std::span<const int> genes) {
+std::uint64_t EvalCache::hash(std::span<const int> genes) {
   // FNV-1a over the gene words.
   std::uint64_t h = 14695981039346656037ull;
   for (int g : genes) {
@@ -431,12 +431,11 @@ std::uint64_t EvalCache::hash_genes(std::span<const int> genes) {
   return h;
 }
 
-bool EvalCache::lookup(std::span<const int> genes,
+bool EvalCache::lookup(std::span<const int> genes, std::uint64_t key,
                        nsga2::Problem::Evaluation& out) {
   if (capacity_ == 0) return false;
-  const std::uint64_t h = hash_genes(genes);
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = index_.find(h);
+  const auto it = index_.find(key);
   if (it != index_.end() &&
       std::equal(genes.begin(), genes.end(), it->second->genes.begin(),
                  it->second->genes.end())) {
@@ -449,12 +448,11 @@ bool EvalCache::lookup(std::span<const int> genes,
   return false;
 }
 
-void EvalCache::insert(std::span<const int> genes,
+void EvalCache::insert(std::span<const int> genes, std::uint64_t key,
                        const nsga2::Problem::Evaluation& ev) {
   if (capacity_ == 0) return;
-  const std::uint64_t h = hash_genes(genes);
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = index_.find(h);
+  const auto it = index_.find(key);
   if (it != index_.end()) {
     // Concurrent duplicate compute, or a hash collision: keep the newest
     // genome for this slot (exact gene compare in lookup keeps it correct).
@@ -463,8 +461,8 @@ void EvalCache::insert(std::span<const int> genes,
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
-  lru_.push_front(Entry{h, {genes.begin(), genes.end()}, ev});
-  index_[h] = lru_.begin();
+  lru_.push_front(Entry{key, {genes.begin(), genes.end()}, ev});
+  index_[key] = lru_.begin();
   if (lru_.size() > capacity_) {
     index_.erase(lru_.back().hash);
     lru_.pop_back();

@@ -381,11 +381,17 @@ class EvalCache {
  public:
   explicit EvalCache(std::size_t capacity) : capacity_(capacity) {}
 
-  /// Returns true and fills `out` on a hit (refreshing LRU order).
-  bool lookup(std::span<const int> genes, nsga2::Problem::Evaluation& out);
-  /// Insert (or refresh) the result for `genes`, evicting the LRU entry
-  /// beyond capacity.
-  void insert(std::span<const int> genes,
+  /// The key of `genes` (FNV-1a over the gene words). An evaluation hashes
+  /// its genome once and passes the key to lookup and, on a miss, insert.
+  [[nodiscard]] static std::uint64_t hash(std::span<const int> genes);
+
+  /// Returns true and fills `out` on a hit (refreshing LRU order). `key` is
+  /// hash(genes).
+  bool lookup(std::span<const int> genes, std::uint64_t key,
+              nsga2::Problem::Evaluation& out);
+  /// Insert (or refresh) the result for `genes` under `key` = hash(genes),
+  /// evicting the LRU entry beyond capacity.
+  void insert(std::span<const int> genes, std::uint64_t key,
               const nsga2::Problem::Evaluation& ev);
 
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
@@ -399,8 +405,6 @@ class EvalCache {
     nsga2::Problem::Evaluation ev;
   };
   using Lru = std::list<Entry>;
-
-  static std::uint64_t hash_genes(std::span<const int> genes);
 
   std::size_t capacity_;
   mutable std::mutex mutex_;

@@ -34,7 +34,8 @@ nsga2::Problem::Evaluation HwAwareProblem::evaluate(
 nsga2::Problem::Evaluation HwAwareProblem::evaluate(std::span<const int> genes,
                                                     Workspace* ws) const {
   Evaluation ev;
-  if (cache_.lookup(genes, ev)) return ev;
+  const std::uint64_t key = EvalCache::hash(genes);
+  if (cache_.lookup(genes, key, ev)) return ev;
 
   ApproxMlp net = codec_.decode(genes);
   if (cfg_.coarse_pruning) {
@@ -61,12 +62,12 @@ nsga2::Problem::Evaluation HwAwareProblem::evaluate(std::span<const int> genes,
     const double floor_acc = baseline_accuracy_ - cfg_.max_accuracy_loss;
     ev.constraint_violation = std::max(0.0, floor_acc - acc);
   }
-  cache_.insert(genes, ev);
+  cache_.insert(genes, key, ev);
   return ev;
 }
 
 std::optional<int> HwAwareProblem::mutate_gene(int gene, int current,
-                                               std::mt19937_64& rng) const {
+                                               Rng& rng) const {
   if (!cfg_.domain_mutation) return std::nullopt;
   const auto b = codec_.bounds(gene);
   std::uniform_real_distribution<double> u01(0.0, 1.0);

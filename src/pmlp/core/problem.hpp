@@ -12,6 +12,7 @@
 
 #include "pmlp/core/chromosome.hpp"
 #include "pmlp/core/eval_engine.hpp"
+#include "pmlp/core/rng.hpp"
 #include "pmlp/datasets/dataset.hpp"
 #include "pmlp/nsga2/nsga2.hpp"
 
@@ -72,7 +73,7 @@ class HwAwareProblem final : public nsga2::Problem {
   /// creep geometrically — occasionally falling back to a uniform reset
   /// for global exploration.
   [[nodiscard]] std::optional<int> mutate_gene(
-      int gene, int current, std::mt19937_64& rng) const override;
+      int gene, int current, Rng& rng) const override;
 
   [[nodiscard]] const ChromosomeCodec& codec() const { return codec_; }
   [[nodiscard]] double baseline_accuracy() const { return baseline_accuracy_; }

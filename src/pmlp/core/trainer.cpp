@@ -101,7 +101,8 @@ class AccuracyOnlyProblem final : public nsga2::Problem {
   [[nodiscard]] Evaluation evaluate(std::span<const int> genes,
                                     Workspace* ws) const override {
     Evaluation ev;
-    if (cache_.lookup(genes, ev)) return ev;
+    const std::uint64_t key = EvalCache::hash(genes);
+    if (cache_.lookup(genes, key, ev)) return ev;
     std::vector<int> pinned(genes.begin(), genes.end());
     for (int g = 0; g < codec_.n_genes(); ++g) {
       if (is_mask_gene(g)) pinned[static_cast<std::size_t>(g)] = codec_.bounds(g).hi;
@@ -110,7 +111,7 @@ class AccuracyOnlyProblem final : public nsga2::Problem {
     EvalWorkspace local;
     ev = {{1.0 - compiled.accuracy(train_, resolve_workspace(ws, local)), 0.0},
           0.0};
-    cache_.insert(genes, ev);
+    cache_.insert(genes, key, ev);
     return ev;
   }
 

@@ -5,9 +5,9 @@
 #include <cmath>
 #include <functional>
 #include <numeric>
-#include <random>
 #include <stdexcept>
 
+#include "pmlp/core/rng.hpp"
 #include "pmlp/core/thread_pool.hpp"
 #include "pmlp/mlp/train_kernels.hpp"
 
@@ -105,8 +105,9 @@ void TrainEngine::run_block(const FloatMlp& net,
   // Output softmax-CE: the dispatched softmax sweep fills the delta plane
   // with probabilities (the scalar variant replicates the naive oracle's
   // per-sample arithmetic exactly), then a scalar ascending-s pass takes the
-  // clamped-log loss and subtracts the one-hot target — the same per-sample
-  // loss additions, in the same order, as the oracle.
+  // clamped-log loss (in the epoch that reports it) and subtracts the
+  // one-hot target — the same per-sample loss additions, in the same order,
+  // as the oracle.
   const int n_out = layers.back().n_out;
   const double* z = wk.act.data() + act_off_[layers.size()];
   double* delta = wk.delta_a.data();
@@ -114,9 +115,9 @@ void TrainEngine::run_block(const FloatMlp& net,
   double loss = 0.0;
   for (int s = 0; s < nb; ++s) {
     const int y = train_.labels[order[start + static_cast<std::size_t>(s)]];
-    loss -= std::log(
-        std::max(delta[static_cast<std::size_t>(y) * nb + s], 1e-12));
-    delta[static_cast<std::size_t>(y) * nb + s] -= 1.0;
+    double& p = delta[static_cast<std::size_t>(y) * nb + s];
+    if (want_loss_) loss -= std::log(std::max(p, 1e-12));
+    p -= 1.0;
   }
   ws_.block_loss_[block] = loss;
 
@@ -197,7 +198,7 @@ BackpropReport TrainEngine::train(FloatMlp& net, std::uint64_t seed) {
   const std::size_t n = train_.size();
   order_.resize(n);
   std::iota(order_.begin(), order_.end(), std::size_t{0});
-  std::mt19937_64 rng(seed);
+  core::Rng rng(seed);
 
   const auto batch_size =
       static_cast<std::size_t>(std::max(1, cfg_.batch_size));
@@ -234,6 +235,8 @@ BackpropReport TrainEngine::train(FloatMlp& net, std::uint64_t seed) {
   BackpropReport report;
   for (int epoch = 0; epoch < cfg_.epochs; ++epoch) {
     std::shuffle(order_.begin(), order_.end(), rng);
+    // Only the last epoch's loss is reported; earlier ones skip the log.
+    want_loss_ = epoch + 1 == cfg_.epochs;
     double epoch_loss = 0.0;
 
     for (std::size_t start = 0; start < n; start += batch_size) {

@@ -106,6 +106,7 @@ class TrainEngine {
   core::ThreadPool* pool_;  ///< borrowed; null when serial
   TrainWorkspace ws_;
   std::vector<std::size_t> order_;  ///< epoch shuffle order, reused
+  bool want_loss_ = false;  ///< run_block sums the CE loss (last epoch)
 
   // Per-net layout, rebuilt by bind() (cheap; restarts share one topology).
   // Activation plane offsets are capacity-based (stride kBlockSamples), the

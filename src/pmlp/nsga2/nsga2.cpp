@@ -208,7 +208,7 @@ namespace {
 
 /// Binary tournament by (rank, crowding) — the canonical crowded comparison.
 const Individual& tournament(const std::vector<Individual>& pop,
-                             std::mt19937_64& rng) {
+                             core::Rng& rng) {
   std::uniform_int_distribution<std::size_t> pick(0, pop.size() - 1);
   const Individual& a = pop[pick(rng)];
   const Individual& b = pop[pick(rng)];
@@ -216,16 +216,71 @@ const Individual& tournament(const std::vector<Individual>& pop,
   return a.crowding >= b.crowding ? a : b;
 }
 
-void crossover_genes(std::vector<int>& c1, std::vector<int>& c2,
-                     CrossoverKind kind, std::mt19937_64& rng) {
+/// `problem`, once optimize() is known to accept it with `cfg`.
+const Problem& checked(const Problem& problem, const Config& cfg) {
+  if (cfg.population < 4 || cfg.population % 2 != 0) {
+    throw std::invalid_argument("nsga2: population must be even and >= 4");
+  }
+  if (problem.n_genes() <= 0) {
+    throw std::invalid_argument("nsga2: problem has no genes");
+  }
+  // bernoulli_distribution requires p in [0, 1]; NaN fails these tests too.
+  for (const double p : {cfg.crossover_prob, cfg.mutation_prob,
+                         cfg.creep_fraction, cfg.per_gene_rate}) {
+    if (!(p >= 0.0 && p <= 1.0)) {
+      throw std::invalid_argument(
+          "nsga2: probabilities and rates must lie in [0, 1]");
+    }
+  }
+  if (cfg.creep_step < 1) {
+    throw std::invalid_argument("nsga2: creep_step must be >= 1");
+  }
+  return problem;
+}
+
+}  // namespace
+
+Variation::Variation(const Problem& problem, const Config& cfg)
+    : problem_(checked(problem, cfg)),
+      population_(cfg.population),
+      kind_(cfg.crossover),
+      creep_step_(cfg.creep_step),
+      do_crossover_(cfg.crossover_prob),
+      do_mutation_(cfg.mutation_prob),
+      coin_(0.5),
+      hit_(cfg.per_gene_rate > 0.0
+               ? cfg.per_gene_rate
+               : 1.0 / static_cast<double>(problem.n_genes())),
+      creep_(cfg.creep_fraction) {}
+
+std::vector<Individual> Variation::offspring(
+    const std::vector<Individual>& parents, core::Rng& rng) const {
+  std::vector<Individual> out(static_cast<std::size_t>(population_));
+  for (std::size_t i = 0; i < out.size(); i += 2) {
+    std::vector<int>& c1 = out[i].genes;
+    std::vector<int>& c2 = out[i + 1].genes;
+    c1 = tournament(parents, rng).genes;
+    c2 = tournament(parents, rng).genes;
+    if (do_crossover_(rng)) crossover(c1, c2, rng);
+    if (do_mutation_(rng)) mutate(c1, rng);
+    if (do_mutation_(rng)) mutate(c2, rng);
+  }
+  return out;
+}
+
+void Variation::crossover(std::vector<int>& c1, std::vector<int>& c2,
+                          core::Rng& rng) const {
   const std::size_t n = c1.size();
   if (n < 2) return;
   std::uniform_int_distribution<std::size_t> pos(1, n - 1);
-  switch (kind) {
+  switch (kind_) {
     case CrossoverKind::kUniform: {
-      std::bernoulli_distribution coin(0.5);
+      // Swap where the coin lands: all-ones mask, XOR swap, no branch.
       for (std::size_t g = 0; g < n; ++g) {
-        if (coin(rng)) std::swap(c1[g], c2[g]);
+        const int mask = -static_cast<int>(coin_(rng));
+        const int diff = (c1[g] ^ c2[g]) & mask;
+        c1[g] ^= diff;
+        c2[g] ^= diff;
       }
       break;
     }
@@ -244,18 +299,13 @@ void crossover_genes(std::vector<int>& c1, std::vector<int>& c2,
   }
 }
 
-void mutate_genes(std::vector<int>& genes, const Problem& problem,
-                  const Config& cfg, std::mt19937_64& rng) {
-  const double rate = cfg.per_gene_rate > 0.0
-                          ? cfg.per_gene_rate
-                          : 1.0 / static_cast<double>(genes.size());
-  std::bernoulli_distribution hit(rate);
-  std::bernoulli_distribution creep(cfg.creep_fraction);
+void Variation::mutate(std::vector<int>& genes, core::Rng& rng) const {
   for (std::size_t g = 0; g < genes.size(); ++g) {
-    if (!hit(rng)) continue;
-    const GeneBounds b = problem.bounds(static_cast<int>(g));
+    if (!hit_(rng)) continue;
+    const GeneBounds b = problem_.bounds(static_cast<int>(g));
     // Domain-aware mutation takes precedence when the problem provides one.
-    if (auto custom = problem.mutate_gene(static_cast<int>(g), genes[g], rng)) {
+    if (auto custom =
+            problem_.mutate_gene(static_cast<int>(g), genes[g], rng)) {
       genes[g] = std::clamp(*custom, b.lo, b.hi);
       continue;
     }
@@ -263,8 +313,8 @@ void mutate_genes(std::vector<int>& genes, const Problem& problem,
       genes[g] = b.lo;
       continue;
     }
-    if (creep(rng)) {
-      std::uniform_int_distribution<int> step(1, cfg.creep_step);
+    if (creep_(rng)) {
+      std::uniform_int_distribution<int> step(1, creep_step_);
       const int delta = (rng() & 1u) ? step(rng) : -step(rng);
       genes[g] = std::clamp(genes[g] + delta, b.lo, b.hi);
     } else {
@@ -274,7 +324,9 @@ void mutate_genes(std::vector<int>& genes, const Problem& problem,
   }
 }
 
-std::vector<int> random_genes(const Problem& problem, std::mt19937_64& rng) {
+namespace {
+
+std::vector<int> random_genes(const Problem& problem, core::Rng& rng) {
   std::vector<int> genes(static_cast<std::size_t>(problem.n_genes()));
   for (std::size_t g = 0; g < genes.size(); ++g) {
     const GeneBounds b = problem.bounds(static_cast<int>(g));
@@ -302,25 +354,9 @@ std::vector<Individual> select_survivors(std::vector<Individual> merged,
 
 Result optimize(const Problem& problem, const Config& cfg,
                 core::ThreadPool* pool) {
-  if (cfg.population < 4 || cfg.population % 2 != 0) {
-    throw std::invalid_argument("nsga2: population must be even and >= 4");
-  }
-  if (problem.n_genes() <= 0) {
-    throw std::invalid_argument("nsga2: problem has no genes");
-  }
-  // bernoulli_distribution requires p in [0, 1]; NaN fails these tests too.
-  for (const double p : {cfg.crossover_prob, cfg.mutation_prob,
-                         cfg.creep_fraction, cfg.per_gene_rate}) {
-    if (!(p >= 0.0 && p <= 1.0)) {
-      throw std::invalid_argument(
-          "nsga2: probabilities and rates must lie in [0, 1]");
-    }
-  }
-  if (cfg.creep_step < 1) {
-    throw std::invalid_argument("nsga2: creep_step must be >= 1");
-  }
+  const Variation variation(problem, cfg);
   const auto t0 = std::chrono::steady_clock::now();
-  std::mt19937_64 rng(cfg.seed);
+  core::Rng rng(cfg.seed);
   Result result;
   PopulationEvaluator evaluator(problem, pool);
 
@@ -371,25 +407,9 @@ Result optimize(const Problem& problem, const Config& cfg,
     assign_crowding_distances(pop);
   }
 
-  std::bernoulli_distribution do_crossover(cfg.crossover_prob);
-  std::bernoulli_distribution do_mutation(cfg.mutation_prob);
-
   for (int gen = start_generation; gen < cfg.generations; ++gen) {
     // --- Variation: tournament parents -> crossover -> mutation.
-    std::vector<Individual> offspring;
-    offspring.reserve(static_cast<std::size_t>(cfg.population));
-    while (static_cast<int>(offspring.size()) < cfg.population) {
-      std::vector<int> c1 = tournament(pop, rng).genes;
-      std::vector<int> c2 = tournament(pop, rng).genes;
-      if (do_crossover(rng)) crossover_genes(c1, c2, cfg.crossover, rng);
-      if (do_mutation(rng)) mutate_genes(c1, problem, cfg, rng);
-      if (do_mutation(rng)) mutate_genes(c2, problem, cfg, rng);
-      Individual i1, i2;
-      i1.genes = std::move(c1);
-      i2.genes = std::move(c2);
-      offspring.push_back(std::move(i1));
-      offspring.push_back(std::move(i2));
-    }
+    std::vector<Individual> offspring = variation.offspring(pop, rng);
     result.evaluations += evaluator.evaluate(offspring);
 
     // --- Elitist survivor selection over parents + offspring.

@@ -1,7 +1,9 @@
 // NSGA-II (Deb et al., 2002) over integer genomes, as the paper's training
 // engine (§IV-A): non-dominated sorting, crowding distance, binary
 // tournament, uniform/k-point crossover and reset/creep mutation, with
-// constraint domination for the paper's 10% accuracy-loss bound.
+// constraint domination for the paper's 10% accuracy-loss bound. Variation
+// draws from core::Rng (pmlp/core/rng.hpp), whose stream and text equal
+// std::mt19937_64's, one raw draw per Bernoulli trial.
 //
 // Every problem has exactly two minimized objectives (the library's are
 // accuracy loss and FA area), so ranking is a sort-and-sweep front peeling
@@ -32,9 +34,10 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <random>
 #include <span>
 #include <vector>
+
+#include "pmlp/core/rng.hpp"
 
 namespace pmlp::core {
 class ThreadPool;  // pmlp/core/thread_pool.hpp — only nsga2.cpp needs it
@@ -106,7 +109,7 @@ class Problem {
   /// or std::nullopt to let the engine apply its generic reset/creep
   /// mutation. Must be thread-compatible (called under the engine's RNG).
   [[nodiscard]] virtual std::optional<int> mutate_gene(
-      int /*gene*/, int /*current*/, std::mt19937_64& /*rng*/) const {
+      int /*gene*/, int /*current*/, core::Rng& /*rng*/) const {
     return std::nullopt;
   }
 };
@@ -122,7 +125,10 @@ enum class CrossoverKind { kUniform, kOnePoint, kTwoPoint };
 struct GenerationState {
   int next_generation = 0;  ///< first generation still to run
   long evaluations = 0;     ///< evaluations performed so far
-  std::string rng;          ///< mt19937_64 stream serialization
+  /// The variation RNG as std::mt19937_64 text. core::Rng writes and reads
+  /// the same words and position, so a state written by a build whose
+  /// engine was std::mt19937_64 resumes on the same stream.
+  std::string rng;
   std::vector<Individual> population;
 };
 
@@ -203,6 +209,39 @@ class PopulationEvaluator {
                               core::ThreadPool* pool = nullptr);
 
 // --- Internals exposed for unit testing -----------------------------------
+
+/// One generation's variation as optimize() runs it: two binary
+/// tournaments by (rank, crowding) per pair, then crossover and mutation.
+/// Each Bernoulli probability of the config becomes a core::BernoulliTrial
+/// once, here, and each trial takes one raw draw, so the offspring and the
+/// RNG stream equal those of std::bernoulli_distribution on
+/// std::mt19937_64 (the oracle pmlp::oracles::offspring_naive) draw for
+/// draw. Uniform crossover is a branchless masked swap. The problem must
+/// outlive the object; the fields it reads of `cfg` are copied. Throws
+/// std::invalid_argument on what optimize() rejects.
+class Variation {
+ public:
+  Variation(const Problem& problem, const Config& cfg);
+
+  /// cfg.population unevaluated offspring of the ranked, crowded `parents`.
+  [[nodiscard]] std::vector<Individual> offspring(
+      const std::vector<Individual>& parents, core::Rng& rng) const;
+
+ private:
+  void crossover(std::vector<int>& c1, std::vector<int>& c2,
+                 core::Rng& rng) const;
+  void mutate(std::vector<int>& genes, core::Rng& rng) const;
+
+  const Problem& problem_;
+  int population_;
+  CrossoverKind kind_;
+  int creep_step_;
+  core::BernoulliTrial do_crossover_;
+  core::BernoulliTrial do_mutation_;
+  core::BernoulliTrial coin_;   ///< uniform crossover's p = 0.5 swap
+  core::BernoulliTrial hit_;    ///< per-gene mutation rate
+  core::BernoulliTrial creep_;  ///< creep instead of reset
+};
 
 /// Constraint domination (Deb): feasible beats infeasible; two infeasible
 /// compare by violation; two feasible by Pareto dominance on objectives.

@@ -4,9 +4,11 @@
 #include <filesystem>
 #include <fstream>
 #include <random>
+#include <sstream>
 #include <stdexcept>
 
 #include "eq4_oracle.hpp"
+#include "nsga2_oracle.hpp"
 #include "pmlp/bitops/bitops.hpp"
 #include "pmlp/core/approx_mlp.hpp"
 #include "pmlp/core/chromosome.hpp"
@@ -264,6 +266,66 @@ TEST(HwAwareProblem, NoBaselineNoConstraintNoSeeds) {
   const core::ApproxMlp empty(f.topology, core::BitConfig{});
   EXPECT_DOUBLE_EQ(problem.evaluate(codec.encode(empty)).constraint_violation,
                    0.0);
+}
+
+TEST(HwAwareProblem, VariationMatchesStdOracleWithAndWithoutDomainMutation) {
+  // Offspring of the engine's variation (core::Rng, thresholded trials)
+  // equal the std-distribution oracle's on std::mt19937_64, with the
+  // problem's domain mutation (masks, signs, exponents, biases) on and off.
+  const auto& f = fixture();
+  core::ChromosomeCodec codec(f.topology, core::BitConfig{});
+  for (const bool domain : {true, false}) {
+    core::ProblemConfig pcfg;
+    pcfg.domain_mutation = domain;
+    core::HwAwareProblem problem(codec, f.train, f.baseline, pcfg);
+    oracles::GeneMutator naive;
+    if (domain) {
+      naive = [&codec](int gene, int current, std::mt19937_64& rng) {
+        return oracles::hw_mutate_gene_naive(codec, gene, current, rng);
+      };
+    }
+    for (const double rate : {0.0, 0.3}) {
+      SCOPED_TRACE(testing::Message()
+                   << "domain " << domain << " rate " << rate);
+      pmlp::nsga2::Config cfg;
+      cfg.population = 24;
+      cfg.per_gene_rate = rate;
+      cfg.mutation_prob = 0.9;
+      cfg.seed = domain ? 77 : 78;
+      std::mt19937_64 init(5);
+      std::vector<pmlp::nsga2::Individual> parents(24);
+      for (auto& ind : parents) {
+        for (int g = 0; g < codec.n_genes(); ++g) {
+          const auto b = codec.bounds(g);
+          std::uniform_int_distribution<int> value(b.lo, b.hi);
+          ind.genes.push_back(value(init));
+        }
+        ind.rank = static_cast<int>(init() % 3);
+        ind.crowding = static_cast<double>(init() % 4);
+      }
+      const pmlp::nsga2::Variation variation(problem, cfg);
+      core::Rng rng(cfg.seed);
+      std::mt19937_64 ref(cfg.seed);
+      for (int gen = 0; gen < 6; ++gen) {
+        auto got = variation.offspring(parents, rng);
+        const auto want =
+            oracles::offspring_naive(parents, problem, cfg, ref, naive);
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          ASSERT_EQ(got[i].genes, want[i].genes) << "gen " << gen << " " << i;
+        }
+        std::ostringstream got_text, want_text;
+        got_text << rng;
+        want_text << ref;
+        ASSERT_EQ(got_text.str(), want_text.str()) << "gen " << gen;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          got[i].rank = static_cast<int>(i % 3);
+          got[i].crowding = static_cast<double>(i % 5);
+        }
+        parents = std::move(got);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------- pareto

@@ -210,19 +210,19 @@ TEST(EvalCache, HitRefreshesAndEvictsLru) {
   nsga2::Problem::Evaluation ev;
   ev.objectives = {0.5, 10.0};
 
-  EXPECT_FALSE(cache.lookup(g1, ev));
-  cache.insert(g1, {{0.1, 1.0}, 0.0});
-  cache.insert(g2, {{0.2, 2.0}, 0.5});
+  EXPECT_FALSE(cache.lookup(g1, core::EvalCache::hash(g1), ev));
+  cache.insert(g1, core::EvalCache::hash(g1), {{0.1, 1.0}, 0.0});
+  cache.insert(g2, core::EvalCache::hash(g2), {{0.2, 2.0}, 0.5});
   EXPECT_EQ(cache.size(), 2u);
 
   // Touch g1 so g2 becomes LRU, then insert g3: g2 must be evicted.
-  EXPECT_TRUE(cache.lookup(g1, ev));
+  EXPECT_TRUE(cache.lookup(g1, core::EvalCache::hash(g1), ev));
   EXPECT_EQ(ev.objectives[1], 1.0);
-  cache.insert(g3, {{0.3, 3.0}, 0.0});
+  cache.insert(g3, core::EvalCache::hash(g3), {{0.3, 3.0}, 0.0});
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_TRUE(cache.lookup(g1, ev));
-  EXPECT_FALSE(cache.lookup(g2, ev));
-  EXPECT_TRUE(cache.lookup(g3, ev));
+  EXPECT_TRUE(cache.lookup(g1, core::EvalCache::hash(g1), ev));
+  EXPECT_FALSE(cache.lookup(g2, core::EvalCache::hash(g2), ev));
+  EXPECT_TRUE(cache.lookup(g3, core::EvalCache::hash(g3), ev));
   EXPECT_EQ(ev.constraint_violation, 0.0);
 
   const auto stats = cache.stats();
@@ -235,9 +235,26 @@ TEST(EvalCache, CapacityZeroDisables) {
   core::EvalCache cache(0);
   const std::vector<int> g{1, 2, 3};
   nsga2::Problem::Evaluation ev;
-  cache.insert(g, {{0.1, 1.0}, 0.0});
-  EXPECT_FALSE(cache.lookup(g, ev));
+  cache.insert(g, core::EvalCache::hash(g), {{0.1, 1.0}, 0.0});
+  EXPECT_FALSE(cache.lookup(g, core::EvalCache::hash(g), ev));
   EXPECT_EQ(cache.size(), 0u);
+}
+
+TEST(EvalCache, SharedKeyNeverReturnsAnotherGenome) {
+  // Two genomes under one key (a hash collision): the exact gene compare
+  // turns the other genome's entry into a miss, and an insert replaces it.
+  core::EvalCache cache(4);
+  const std::vector<int> a{1, 2, 3}, b{3, 2, 1};
+  const std::uint64_t key = core::EvalCache::hash(a);
+  nsga2::Problem::Evaluation ev;
+  cache.insert(a, key, {{0.1, 1.0}, 0.0});
+  EXPECT_FALSE(cache.lookup(b, key, ev));
+  cache.insert(b, key, {{0.2, 2.0}, 0.0});
+  EXPECT_EQ(cache.size(), 1u);
+  ASSERT_TRUE(cache.lookup(b, key, ev));
+  EXPECT_EQ(ev.objectives[1], 2.0);
+  EXPECT_FALSE(cache.lookup(a, key, ev));
+  EXPECT_EQ(cache.stats().misses, 2);
 }
 
 namespace {

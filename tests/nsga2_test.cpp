@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <limits>
 #include <random>
+#include <sstream>
+#include <string>
 
 #include "nsga2_oracle.hpp"
 #include "pmlp/core/thread_pool.hpp"
@@ -411,6 +413,20 @@ TEST(Optimize, ResumeFromCheckpointBitIdentical) {
   (void)nsga2::optimize(problem, capture);
   ASSERT_EQ(states.size(), 11u);  // gens 1..11
 
+  // Each state resumes from an `rng` line written by std::mt19937_64 (as
+  // GA states were before core::Rng): std reads the engine's line and
+  // writes it back byte for byte, and the engine continues from std's.
+  for (const auto& state : states) {
+    std::mt19937_64 std_rng;
+    std::istringstream in(state->rng);
+    in >> std_rng;
+    ASSERT_TRUE(in);
+    std::ostringstream out;
+    out << std_rng;
+    EXPECT_EQ(out.str(), state->rng);
+    state->rng = out.str();
+  }
+
   for (const auto& state : states) {
     nsga2::Config resumed = cfg;
     resumed.resume = state;
@@ -544,3 +560,124 @@ INSTANTIATE_TEST_SUITE_P(All, CrossoverKinds,
                          ::testing::Values(nsga2::CrossoverKind::kUniform,
                                            nsga2::CrossoverKind::kOnePoint,
                                            nsga2::CrossoverKind::kTwoPoint));
+
+namespace {
+
+/// Genes with mixed bounds: wide, narrow, negative and degenerate (lo == hi).
+class MixedBounds final : public nsga2::Problem {
+ public:
+  explicit MixedBounds(int n) : n_(n) {}
+  [[nodiscard]] int n_genes() const override { return n_; }
+  [[nodiscard]] nsga2::GeneBounds bounds(int g) const override {
+    const int lo = -(g % 7);
+    return {lo, lo + (g % 13) * (g % 5)};
+  }
+  [[nodiscard]] Evaluation evaluate(std::span<const int>) const override {
+    return {{0.0, 0.0}, 0.0};
+  }
+
+ private:
+  int n_;
+};
+
+/// Parents in bounds with ranks 0..3 and crowding ties (incl. infinity),
+/// the inputs a tournament reads.
+std::vector<nsga2::Individual> random_parents(const nsga2::Problem& problem,
+                                              int n, std::mt19937_64& rng) {
+  std::vector<nsga2::Individual> pop(static_cast<std::size_t>(n));
+  for (auto& ind : pop) {
+    for (int g = 0; g < problem.n_genes(); ++g) {
+      const auto b = problem.bounds(g);
+      std::uniform_int_distribution<int> value(b.lo, b.hi);
+      ind.genes.push_back(value(rng));
+    }
+    ind.rank = static_cast<int>(rng() % 4);
+    const double crowding[] = {0.0, 0.5, 1.25,
+                               std::numeric_limits<double>::infinity()};
+    ind.crowding = crowding[rng() % 4];
+  }
+  return pop;
+}
+
+std::string engine_text(const auto& engine) {
+  std::ostringstream os;
+  os << engine;
+  return os.str();
+}
+
+/// Run `generations` generations of Variation and of the std oracle from
+/// one seed, feeding each generation's offspring (re-ranked at random) to
+/// the next, and require equal offspring and equal engine text throughout.
+void expect_variation_matches_oracle(const nsga2::Problem& problem,
+                                     const nsga2::Config& cfg,
+                                     const pmlp::oracles::GeneMutator& naive,
+                                     int generations) {
+  std::mt19937_64 fixture_rng(cfg.seed * 7 + 1);
+  std::vector<nsga2::Individual> parents =
+      random_parents(problem, cfg.population, fixture_rng);
+  const nsga2::Variation variation(problem, cfg);
+  pmlp::core::Rng rng(cfg.seed);
+  std::mt19937_64 ref(cfg.seed);
+  for (int gen = 0; gen < generations; ++gen) {
+    const auto got = variation.offspring(parents, rng);
+    const auto want =
+        pmlp::oracles::offspring_naive(parents, problem, cfg, ref, naive);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].genes, want[i].genes)
+          << "generation " << gen << " child " << i;
+    }
+    ASSERT_EQ(engine_text(rng), engine_text(ref)) << "generation " << gen;
+    parents = got;
+    for (auto& ind : parents) {
+      ind.rank = static_cast<int>(fixture_rng() % 4);
+      ind.crowding = static_cast<double>(fixture_rng() % 3);
+    }
+  }
+}
+
+}  // namespace
+
+TEST(Variation, MatchesStdOracleAcrossKindsRatesAndCreep) {
+  const MixedBounds problem(61);
+  const nsga2::CrossoverKind kinds[] = {nsga2::CrossoverKind::kUniform,
+                                        nsga2::CrossoverKind::kOnePoint,
+                                        nsga2::CrossoverKind::kTwoPoint};
+  std::uint64_t seed = 40;
+  for (const auto kind : kinds) {
+    for (const double rate : {0.0, 0.3, 1.0}) {
+      for (const double creep : {0.0, 1.0}) {
+        for (const double xo : {0.7, 1.0}) {
+          nsga2::Config cfg;
+          cfg.population = 20;
+          cfg.crossover = kind;
+          cfg.per_gene_rate = rate;
+          cfg.creep_fraction = creep;
+          cfg.creep_step = 3;
+          cfg.crossover_prob = xo;
+          cfg.mutation_prob = xo == 1.0 ? 1.0 : 0.2;
+          cfg.seed = ++seed;
+          SCOPED_TRACE(testing::Message()
+                       << "kind " << static_cast<int>(kind) << " rate "
+                       << rate << " creep " << creep << " xo " << xo);
+          expect_variation_matches_oracle(problem, cfg, {}, 8);
+        }
+      }
+    }
+  }
+}
+
+TEST(Variation, RejectsWhatOptimizeRejects) {
+  const MixedBounds problem(5);
+  nsga2::Config cfg;
+  cfg.population = 7;
+  EXPECT_THROW((void)nsga2::Variation(problem, cfg), std::invalid_argument);
+  cfg.population = 8;
+  cfg.per_gene_rate = 1.5;
+  EXPECT_THROW((void)nsga2::Variation(problem, cfg), std::invalid_argument);
+  cfg.per_gene_rate = 0.0;
+  cfg.creep_step = 0;
+  EXPECT_THROW((void)nsga2::Variation(problem, cfg), std::invalid_argument);
+  EXPECT_THROW((void)nsga2::Variation(MixedBounds(0), nsga2::Config{}),
+               std::invalid_argument);
+}
